@@ -103,6 +103,32 @@ void gemm_small(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
   }
 }
 
+/// The micro-kernel's one generic body, compiled twice and picked once at
+/// load time by an ifunc resolver: an AVX2 clone (32-byte vectors) and the
+/// baseline x86-64 clone (16-byte SSE2) for hosts without AVX2. The avx2
+/// target carries no FMA and the build pins -ffp-contract=off, so each
+/// accumulator sees the same mul-then-add sequence in either clone as in
+/// gemm_small — residuals do not depend on which clone the host runs
+/// (DESIGN.md decision 12).
+/// ThreadSanitizer instruments the resolver, which runs during relocation,
+/// before its runtime exists, so TSan builds compile the default body only.
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+#define HPLX_ISA_CLONES 1
+#define HPLX_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define HPLX_ISA_CLONES 0
+#define HPLX_KERNEL_CLONES
+#endif
+
+HPLX_KERNEL_CLONES void micro_kernel_isa(int kb, const double* ap,
+                                         const double* bp, double* acc) {
+  micro_kernel(kb, ap, bp, acc);
+}
+HPLX_KERNEL_CLONES void micro_kernel_isa(int kb, const float* ap,
+                                         const float* bp, float* acc) {
+  micro_kernel(kb, ap, bp, acc);
+}
+
 /// Macro-kernel: one packed A block against one packed B panel.
 template <typename T>
 void macro_kernel(int mb, int nb, int kb, T alpha, const T* ap, const T* bp,
@@ -116,7 +142,7 @@ void macro_kernel(int mb, int nb, int kb, T alpha, const T* ap, const T* bp,
       const int mr = std::min(mr_t, mb - ir);
       const T* app = ap + static_cast<long>(it) * kb * mr_t;
       T acc[mr_t * nr_t];
-      micro_kernel(kb, app, bpp, acc);
+      micro_kernel_isa(kb, app, bpp, acc);
       write_back(mr, nr, alpha, acc, c + ir + static_cast<long>(jr) * ldc,
                  ldc, first_k, beta);
     }
@@ -451,6 +477,14 @@ void trsm_impl(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
 }
 
 }  // namespace
+
+const char* kernel_isa() {
+#if HPLX_ISA_CLONES
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return "avx2";
+#endif
+  return "default";
+}
 
 void dgemm(Trans ta, Trans tb, int m, int n, int k, double alpha,
            const double* a, int lda, const double* b, int ldb, double beta,

@@ -5,19 +5,25 @@
 /// The hot loop of the engine: one packed A row-panel (Tile<T>::mr
 /// elements per k step) against one packed B column-panel (Tile<T>::nr per
 /// k step), accumulating into an mr×nr register block that never touches
-/// memory until the write-back. Both element types use a 4×8 tile: small
-/// enough that gcc's SLP vectorizer keeps the whole accumulator block in
-/// registers (larger float tiles trip its cost model and fall back to
-/// scalar code), with the C traffic at one load/store pair per KC k-steps
-/// instead of one per tile row (the pre-pack kernel's ratio), which is
-/// where the speedup comes from. Each float tile row is half the bytes of
-/// a double row, so fp32 retires twice the elements per vector op — the
-/// mxp32 mode's 2x flop-density win.
+/// memory until the write-back, so C traffic is one load/store pair per KC
+/// k-steps instead of one per tile row (the pre-pack kernel's ratio).
+///
+/// The body is plain C++ with no intrinsics; gcc vectorizes it across the
+/// tile's nr columns. level3.cpp compiles it twice as load-time ISA clones
+/// (`micro_kernel_isa`): on AVX2 hosts each 8-wide accumulator row is two
+/// 32-byte ymm vectors for double and one for float (8 and 4 registers for
+/// the block); the baseline x86-64 clone uses 16-byte SSE2 vectors, twice
+/// as many per row. Both element types use the 4×8 tile because wider float
+/// tiles trip gcc's vectorizer cost model and run scalar. Each float row is
+/// half the bytes of a double row, so fp32 retires twice the elements per
+/// vector op — the mxp32 mode's 2x flop-density win.
 ///
 /// Accumulation order is fixed: k runs sequentially within a KC block and
 /// KC blocks are visited in order, and every C tile is written by exactly
-/// one thread — so results are bitwise identical for every team size T
-/// (see tests/blas/test_threaded.cpp).
+/// one thread — so results are bitwise identical for every team size T.
+/// Products and sums stay separate instructions in every clone (no FMA
+/// target, -ffp-contract=off), which keeps them bitwise identical to
+/// gemm_small's per-element dot products too (tests/blas/test_threaded.cpp).
 
 #include <algorithm>
 
@@ -26,8 +32,10 @@
 namespace hplx::blas {
 
 /// acc[i*nr + j] = sum_k ap[k*mr + i] * bp[k*nr + j] over kb steps.
+/// Always inlined, so each ISA clone compiles the body for its own target.
 template <typename T>
-inline void micro_kernel(int kb, const T* ap, const T* bp, T* acc) {
+[[gnu::always_inline]] inline void micro_kernel(int kb, const T* ap,
+                                                const T* bp, T* acc) {
   constexpr int mr = Tile<T>::mr;
   constexpr int nr = Tile<T>::nr;
   T c[mr * nr] = {};

@@ -32,13 +32,13 @@
 
 namespace hplx::blas {
 
-/// Per-element-type micro-tile shape. Both engines use a 4×8 tile: each
-/// accumulator row is one or two vector registers wide and the 4-row
-/// unroll is small enough that the compiler's SLP vectorizer reliably
-/// keeps the whole block in registers for either element type. (An 8×8
-/// float tile — byte-parity with the double tile — defeats the
-/// vectorizer's cost model on gcc and runs scalar, ~5x slower; the
-/// narrower tile is what actually realizes fp32's 2x flop-density win.)
+/// Per-element-type micro-tile shape. Both engines use a 4×8 tile: in the
+/// AVX2 micro-kernel clone each accumulator row is two 32-byte vectors for
+/// double and one for float, and the 4-row unroll keeps the whole block in
+/// registers for either element type (the baseline SSE2 clone splits each
+/// row into 16-byte halves). An 8×8 float tile — byte-parity with the
+/// double tile — defeats gcc's vectorizer cost model and runs scalar, ~5x
+/// slower; the narrower tile is what realizes fp32's 2x flop-density win.
 template <typename T>
 struct Tile;
 template <>

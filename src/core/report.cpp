@@ -3,6 +3,7 @@
 #include <iomanip>
 #include <ostream>
 
+#include "blas/blas.hpp"
 #include "comm/verify.hpp"
 #include "device/hazard.hpp"
 
@@ -66,7 +67,8 @@ void print_hpl_banner(std::ostream& os) {
         "reproduction\n"
         "of rocHPL: \"Optimizing HPL for Exascale Accelerated "
         "Architectures\" (SC'23)\n"
-     << kRule
+     << kRule << "\nBLAS gemm micro-kernel ISA: " << blas::kernel_isa()
+     << "\n"
      << "\nAn explanation of the input/output parameters follows:\n"
         "T/V    : Wall time / encoded variant.\n"
         "N      : The order of the coefficient matrix A.\n"

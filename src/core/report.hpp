@@ -23,7 +23,8 @@ namespace hplx::core {
 /// The "WR11C2R4"-style encoding of a configuration.
 std::string encode_tv(const HplConfig& cfg);
 
-/// Print the banner block (once per session).
+/// Print the banner block (once per session), naming the BLAS
+/// micro-kernel ISA clone this host runs.
 void print_hpl_banner(std::ostream& os);
 
 /// Print the column header for result lines.

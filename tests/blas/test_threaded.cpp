@@ -2,16 +2,19 @@
 /// invariants: every team size must match the naive reference within
 /// tolerance AND reproduce the single-thread result bitwise, the engine
 /// choice (small vs packed vs teamed) must not depend on how a logical
-/// update is sliced into calls, and beta == 0 must overwrite C without
-/// reading it even when C starts as NaN/Inf.
+/// update is sliced into calls (in both precisions, whichever micro-kernel
+/// ISA clone runs), and beta == 0 must overwrite C without reading it even
+/// when C starts as NaN/Inf.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "blas/blas.hpp"
+#include "blas/pack.hpp"
 #include "blas/threading.hpp"
 #include "tests/blas/reference.hpp"
 
@@ -171,6 +174,92 @@ TEST(GemmBetaZero, OverwritesNanAndInfOnEveryPath) {
   dgemm(Trans::No, Trans::No, 8, 8, 4, 0.0, z.data(), 8, z.data(), 8, 0.0,
         z.data(), 8);
   for (double v : z) ASSERT_EQ(v, 0.0);
+}
+
+// --------------------------------------------- packed vs small engine
+
+/// The pipeline modes slice one logical update into calls that land on
+/// either side of the packed engine's flop cutoff (2*m*n*k = 65536), so the
+/// packed micro-kernel — whichever ISA clone this host resolved — and the
+/// small path must produce the same bits in both precisions. A fused
+/// multiply-add in either path (a target that implies FMA under gcc's
+/// default -ffp-contract=fast) shows up here as a last-bit mismatch.
+template <typename T>
+class PackedVsSmallGemm : public ::testing::Test {};
+using ElementTypes = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(PackedVsSmallGemm, ElementTypes);
+
+TYPED_TEST(PackedVsSmallGemm, WholeCallAndSubCutoffSlicesAgreeBitwise) {
+  using T = TypeParam;
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  // k crosses the type's KC block twice; m % 4 == 3 and n % 8 == 5 leave
+  // ragged micro-tiles on both edges.
+  const int m = 39, n = 45, k = 2 * block_sizes_for<T>().kc + 37;
+  ASSERT_GE(2.0 * m * n * k, 65536.0) << "whole call must be packed";
+  struct Scalars {
+    T alpha, beta;
+  };
+  for (Scalars sc : {Scalars{T(-1), T(1)}, Scalars{T(2.5), T(-0.5)},
+                     Scalars{T(0.75), T(0)}}) {
+    for (Trans ta : {Trans::No, Trans::Yes}) {
+      for (Trans tb : {Trans::No, Trans::Yes}) {
+        Rand rng(static_cast<std::uint64_t>(k) + (ta == Trans::Yes ? 5 : 0) +
+                 (tb == Trans::Yes ? 9 : 0));
+        const int lda = (ta == Trans::No ? m : k) + 1;
+        const int ldb = (tb == Trans::No ? k : n) + 3;
+        const int ldc = m + 2;
+        auto to_t = [](const std::vector<double>& v) {
+          return std::vector<T>(v.begin(), v.end());
+        };
+        const auto a = to_t(rng.matrix(ta == Trans::No ? m : k,
+                                       ta == Trans::No ? k : m, lda));
+        const auto b = to_t(rng.matrix(tb == Trans::No ? k : n,
+                                       tb == Trans::No ? n : k, ldb));
+        auto c0 = to_t(rng.matrix(m, n, ldc));
+        // beta == 0 must overwrite C without reading it on both engines.
+        if (sc.beta == T(0)) std::fill(c0.begin(), c0.end(), nan);
+
+        auto whole = c0;
+        gemm(ta, tb, m, n, k, sc.alpha, a.data(), lda, b.data(), ldb, sc.beta,
+             whole.data(), ldc);
+        // One call per element: 2*k flops, far below the cutoff.
+        auto sliced = c0;
+        for (int j = 0; j < n; ++j) {
+          for (int i = 0; i < m; ++i) {
+            const T* ai = a.data() + (ta == Trans::No
+                                          ? i
+                                          : static_cast<long>(i) * lda);
+            const T* bj = b.data() + (tb == Trans::No
+                                          ? static_cast<long>(j) * ldb
+                                          : j);
+            gemm(ta, tb, 1, 1, k, sc.alpha, ai, lda, bj, ldb, sc.beta,
+                 sliced.data() + i + static_cast<long>(j) * ldc, ldc);
+          }
+        }
+        for (int j = 0; j < n; ++j)
+          for (int i = 0; i < m; ++i) {
+            const std::size_t idx = static_cast<std::size_t>(j) * ldc +
+                                    static_cast<std::size_t>(i);
+            ASSERT_TRUE(std::isfinite(whole[idx]));
+            ASSERT_EQ(whole[idx], sliced[idx])
+                << "(" << i << "," << j << ") ta=" << (ta == Trans::Yes)
+                << " tb=" << (tb == Trans::Yes) << " alpha=" << sc.alpha
+                << " beta=" << sc.beta;
+          }
+      }
+    }
+  }
+}
+
+TEST(KernelIsa, MirrorsTheResolversCpuTest) {
+  // Same condition as level3.cpp: TSan builds carry no clones.
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+  __builtin_cpu_init();
+  EXPECT_STREQ(kernel_isa(),
+               __builtin_cpu_supports("avx2") ? "avx2" : "default");
+#else
+  EXPECT_STREQ(kernel_isa(), "default");
+#endif
 }
 
 // ------------------------------------------------------------------ dtrsm

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "blas/blas.hpp"
 #include "core/report.hpp"
 
 namespace hplx::core {
@@ -78,6 +79,8 @@ TEST(Report, BannerAndHeaderAndFooter) {
   print_hpl_footer(os, 8, 8);
   const std::string s = os.str();
   EXPECT_NE(s.find("HPLinpack"), std::string::npos);
+  EXPECT_NE(s.find(std::string("micro-kernel ISA: ") + blas::kernel_isa()),
+            std::string::npos);
   EXPECT_NE(s.find("T/V"), std::string::npos);
   EXPECT_NE(s.find("Gflops"), std::string::npos);
   EXPECT_NE(s.find("8 tests completed and passed"), std::string::npos);
