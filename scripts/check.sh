@@ -2,10 +2,12 @@
 # One-command tier-1 gate: configure + build + full ctest in the default
 # build (warnings-as-errors for src/), then rebuild the concurrency-heavy
 # suites (ctest label "tsan": util/blas/comm/device + the chunked-transport
-# stress and mixed-precision suites) under ThreadSanitizer, then the
-# allocation-heavy suites (ctest label "asan": grid/rng/trace + the
-# hazard-checker, chunked-transport and mixed-precision suites) under
-# AddressSanitizer+LeakSanitizer+UBSan. The mixed-precision suite also
+# stress, driver (core + hpl) and mixed-precision suites) under
+# ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
+# grid/rng/trace + the hazard-checker, chunked-transport, driver and
+# mixed-precision suites) under AddressSanitizer+LeakSanitizer+UBSan. The
+# driver suites hold every pipeline/stream/band bitwise sweep, so both
+# legs run the real solve schedules. The mixed-precision suite also
 # carries the "mxp" label, surfaced as its own tier-1 step so a red MxP
 # gate is visible at a glance (ctest -L mxp re-runs only those tests); the
 # solver-variant matrix (pfact variants × pivoting × nrhs × precision)
@@ -63,7 +65,8 @@ else
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_tsan" -j "$jobs" \
     --target test_util test_blas test_comm test_comm_chunked test_device \
-             test_alloc test_mxp test_variants test_commcheck
+             test_core test_hpl test_alloc test_mxp test_variants \
+             test_commcheck
   ctest --test-dir "$build_tsan" --output-on-failure -j "$jobs" -L tsan
 fi
 
@@ -75,7 +78,8 @@ else
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_asan" -j "$jobs" \
     --target test_grid test_rng test_trace test_hazard test_comm_chunked \
-             test_alloc test_mxp test_variants test_commcheck
+             test_core test_hpl test_alloc test_mxp test_variants \
+             test_commcheck
   # LSan rides along with ASan by default on Linux; halt_on_error keeps UB
   # findings fatal so the leg cannot silently pass over them.
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \

@@ -603,8 +603,12 @@ void allgatherv_chunked(
   if (algo != AllgatherAlgo::Ring) {
     // RecursiveDoubling exchanges runs of segments, so a partially landed
     // chunk may belong to several ranks — not worth untangling here. Run
-    // the blocking collective and deliver whole remote segments.
-    allgatherv_bytes(comm, sendbuf, counts, displs, recvbuf, algo);
+    // the blocking collective and deliver whole remote segments. The own
+    // segment already landed and was delivered above, and on_chunk may
+    // have handed it to an asynchronous reader: pass it as the in-place
+    // send buffer so the collective does not copy over it again.
+    allgatherv_bytes(comm, base + displs[static_cast<std::size_t>(me)],
+                     counts, displs, recvbuf, algo);
     for (int r = 0; r < n; ++r) {
       if (r == me) continue;
       const std::size_t c = counts[static_cast<std::size_t>(r)];

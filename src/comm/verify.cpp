@@ -105,7 +105,7 @@ void Verifier::add_violation(Kind kind, const char* a, const char* b,
     ++dropped_;
     return;
   }
-  trace::CommViolationRecord rec;
+  trace::ViolationRecord rec;
   rec.kind = static_cast<int>(kind);
   rec.count = 1;
   rec.set_labels(a, b, detail);
@@ -133,14 +133,14 @@ bool Verifier::begin_collective(int rank, Coll c, int root, std::size_t bytes,
     slot.first_rank = rank;
   } else if (slot.kind != c || slot.root != root || slot.bytes != bytes ||
              slot.count_sum != count_sum) {
-    char mine[sizeof(trace::CommViolationRecord{}.op_a)];
-    char theirs[sizeof(trace::CommViolationRecord{}.op_b)];
+    char mine[sizeof(trace::ViolationRecord{}.op_a)];
+    char theirs[sizeof(trace::ViolationRecord{}.op_b)];
     std::snprintf(mine, sizeof(mine), "r%d %s root=%d %zuB", rank,
                   coll_name(c), root, bytes);
     std::snprintf(theirs, sizeof(theirs), "r%d %s root=%d %zuB",
                   slot.first_rank, coll_name(slot.kind), slot.root,
                   slot.bytes);
-    char detail[sizeof(trace::CommViolationRecord{}.detail)];
+    char detail[sizeof(trace::ViolationRecord{}.detail)];
     std::snprintf(detail, sizeof(detail),
                   "collective #%llu on %d-rank fabric: count %llu vs %llu",
                   static_cast<unsigned long long>(seq), fabric_.size(),
@@ -172,9 +172,9 @@ bool Verifier::in_collective(int rank) const {
 // ----------------------------------------------------------- p2p matching
 
 void Verifier::on_reserved_tag(int rank, int tag, const char* op) {
-  char label[sizeof(trace::CommViolationRecord{}.op_a)];
+  char label[sizeof(trace::ViolationRecord{}.op_a)];
   std::snprintf(label, sizeof(label), "r%d %s tag=%d", rank, op, tag);
-  char detail[sizeof(trace::CommViolationRecord{}.detail)];
+  char detail[sizeof(trace::ViolationRecord{}.detail)];
   std::snprintf(detail, sizeof(detail),
                 "user tags must lie in [0, %d); >= is reserved for "
                 "collectives",
@@ -186,10 +186,10 @@ void Verifier::on_size_mismatch(int rank, int src, int tag,
                                 std::size_t expected, std::size_t got) {
   char tagbuf[24];
   format_tag(tagbuf, sizeof(tagbuf), tag);
-  char label[sizeof(trace::CommViolationRecord{}.op_a)];
+  char label[sizeof(trace::ViolationRecord{}.op_a)];
   std::snprintf(label, sizeof(label), "r%d recv src=%d tag=%s", rank, src,
                 tagbuf);
-  char detail[sizeof(trace::CommViolationRecord{}.detail)];
+  char detail[sizeof(trace::ViolationRecord{}.detail)];
   std::snprintf(detail, sizeof(detail), "expected %zu bytes, matched %zu",
                 expected, got);
   add_violation(Kind::P2PSizeMismatch, label, "", detail);
@@ -209,10 +209,10 @@ void Verifier::check_orphans() {
       if (tag == kBarrierWireTag) return;
       char tagbuf[24];
       format_tag(tagbuf, sizeof(tagbuf), tag);
-      char label[sizeof(trace::CommViolationRecord{}.op_a)];
+      char label[sizeof(trace::ViolationRecord{}.op_a)];
       std::snprintf(label, sizeof(label), "r%d <- r%d tag=%s", dst, src,
                     tagbuf);
-      char detail[sizeof(trace::CommViolationRecord{}.detail)];
+      char detail[sizeof(trace::ViolationRecord{}.detail)];
       std::snprintf(detail, sizeof(detail),
                     "%zu bytes queued but never received", bytes);
       add_violation(Kind::OrphanMessage, label, "", detail);
@@ -263,8 +263,8 @@ void Verifier::report_deadlock(const char* why) {
   // then abort every waiter.
   std::fprintf(stderr, "hplx comm verifier: DEADLOCK (%s) on %d-rank "
                "fabric — blocked operations:\n", why, fabric_.size());
-  char first[sizeof(trace::CommViolationRecord{}.op_a)] = "";
-  char second[sizeof(trace::CommViolationRecord{}.op_b)] = "";
+  char first[sizeof(trace::ViolationRecord{}.op_a)] = "";
+  char second[sizeof(trace::ViolationRecord{}.op_b)] = "";
   int found = 0;
   std::ostringstream all;
   for (int r = 0; r < fabric_.size(); ++r) {
@@ -279,7 +279,7 @@ void Verifier::report_deadlock(const char* why) {
     if (found == 1) std::snprintf(second, sizeof(second), "%s", line);
     ++found;
   }
-  char detail[sizeof(trace::CommViolationRecord{}.detail)];
+  char detail[sizeof(trace::ViolationRecord{}.detail)];
   std::snprintf(detail, sizeof(detail), "%s: %s", why, all.str().c_str());
   add_violation(Kind::Deadlock, first, second, detail);
   aborted_.store(true, std::memory_order_release);
@@ -365,14 +365,14 @@ device::HazardTracker* Verifier::hazard_tracker(int rank) const {
 
 // ------------------------------------------------------------------ results
 
-std::vector<trace::CommViolationRecord> Verifier::report() const {
+std::vector<trace::ViolationRecord> Verifier::report() const {
   std::lock_guard<std::mutex> lock(records_mutex_);
-  std::vector<trace::CommViolationRecord> out = records_;
+  std::vector<trace::ViolationRecord> out = records_;
   if (dropped_ > 0) {
     // Synthetic truncation marker: flows through the gather and the
     // report table like any record, so downstream totals stay exact even
     // though the dropped sites' labels are gone.
-    trace::CommViolationRecord rec;
+    trace::ViolationRecord rec;
     rec.kind = static_cast<int>(Kind::Truncated);
     rec.count = dropped_;
     rec.set_labels("record table full", "", "");

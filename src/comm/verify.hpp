@@ -42,7 +42,7 @@
 /// single pointer test — no locking, no allocation, identical wire
 /// behavior. Enabled per fabric (comm_check in HplConfig/HPL.dat or
 /// HPLX_COMM_CHECK=1); Communicator::split propagates enablement to child
-/// fabrics. Reports are deduplicated trace::CommViolationRecords, gathered
+/// fabrics. Reports are deduplicated trace::ViolationRecords, gathered
 /// into HplResult::comm_violations exactly like HplResult::hazards.
 
 #include <atomic>
@@ -170,7 +170,7 @@ class Verifier {
 
   /// Deduplicated violations (one record per kind × label pair with an
   /// occurrence count), ready for HplResult::comm_violations.
-  std::vector<trace::CommViolationRecord> report() const;
+  std::vector<trace::ViolationRecord> report() const;
   std::uint64_t violation_count() const;
   std::uint64_t count_of(Kind k) const;
   std::size_t distinct_of(Kind k) const;
@@ -232,7 +232,7 @@ class Verifier {
   std::atomic<bool> aborted_{false};
 
   mutable std::mutex records_mutex_;
-  std::vector<trace::CommViolationRecord> records_;
+  std::vector<trace::ViolationRecord> records_;
   /// Occurrences of *new* distinct sites dropped once records_ hit its
   /// cap; surfaced as a synthetic Kind::Truncated record so counts and
   /// reports never silently undercount.

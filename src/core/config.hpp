@@ -236,12 +236,6 @@ struct HplConfig {
   /// HPLX_COMM_CHECK environment variable; off by default (single pointer
   /// test per call site when off).
   bool comm_check = false;
-
-  /// Test-only: keep the RowSwapper's scatter-fence *wait* but hide the
-  /// happens-before edge from the hazard tracker (reintroduces the PR 4
-  /// bug class on purpose). Per-instance — every RowSwapper of the solve
-  /// inherits this flag; never set it outside hazard tests.
-  bool test_skip_scatter_fence = false;
 };
 
 }  // namespace hplx::core

@@ -1,11 +1,12 @@
 #include "core/driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -68,23 +69,38 @@ class Solver {
         data_(dev_, "data"),
         team_(std::max(1, cfg.fact_threads)),
         swap_chunk_bytes_(swap_chunk_bytes) {
+    // Every pipeline mode runs the same schedule (DESIGN.md decision 3),
+    // resolved here to two values: the look-ahead depth (0 for Simple, 1
+    // otherwise) and csplit_, the local column where the right section
+    // of the split update starts — nloc (no right section) unless the
+    // mode is LookaheadSplit. nloc is equal within a process column, so
+    // the right-section collectives stay uniform over col_comm.
+    lookahead_ = cfg.pipeline != PipelineMode::Simple;
+    csplit_ = a_.nloc();
+    if (cfg.pipeline == PipelineMode::LookaheadSplit) {
+      const long want_left = static_cast<long>(
+          static_cast<double>(a_.nloc()) * (1.0 - cfg.split_fraction));
+      csplit_ = (want_left / cfg.nb) * cfg.nb;
+    }
+    // Reserve only the staging the schedule uses: the look-ahead swapper
+    // and U buffer always (they carry the whole window without a right
+    // section), the left/right pair and their U buffers only for Fig. 6.
+    // All swap staging is reserved once at its maximum size, so the
+    // per-iteration prepare() calls reuse the same allocations instead
+    // of reallocating (and re-zeroing) per panel.
     const std::size_t ucap = static_cast<std::size_t>(cfg.nb) *
                              static_cast<std::size_t>(std::max<long>(a_.nloc(), 1));
-    u_main_ = dev_.alloc_elems<T>(ucap);
     u_la_ = dev_.alloc_elems<T>(ucap);
-    u_left_ = dev_.alloc_elems<T>(ucap);
-    u_right_ = dev_.alloc_elems<T>(ucap);
-    rs_right_ = std::make_unique<RowSwapperT<T>>();
-    rs_right_next_ = std::make_unique<RowSwapperT<T>>();
-    // All swap staging and panel scratch is reserved once at its maximum
-    // size here; the per-iteration prepare()/resize() calls then reuse the
-    // same allocations instead of reallocating (and re-zeroing) per panel.
-    for (RowSwapperT<T>* rs : {&rs_main_, &rs_la_, &rs_left_,
-                               rs_right_.get(), rs_right_next_.get()}) {
+    std::vector<RowSwapperT<T>*> swappers = {&rs_la_};
+    if (csplit_ < a_.nloc()) {
+      u_left_ = dev_.alloc_elems<T>(ucap);
+      u_right_ = dev_.alloc_elems<T>(ucap);
+      swappers = {&rs_la_, &rs_left_, rs_right_, rs_right_next_};
+    }
+    for (RowSwapperT<T>* rs : swappers) {
       rs->reserve(dev_.host_arena(), cfg.nb, a_.nloc(), cfg.p);
       rs->set_pipeline(cfg.swap_wire, swap_chunk_bytes);
       rs->set_pivot_mode(cfg.pivoting);
-      rs->set_test_skip_scatter_fence(cfg.test_skip_scatter_fence);
     }
     w_.reserve(static_cast<std::size_t>(std::max<long>(a_.mloc(), 1)) *
                static_cast<std::size_t>(cfg.nb));
@@ -113,17 +129,7 @@ class Solver {
     Timer wall;
     wall.start();
 
-    switch (cfg_.pipeline) {
-      case PipelineMode::Simple:
-        solve_simple();
-        break;
-      case PipelineMode::Lookahead:
-        solve_lookahead(/*split=*/false);
-        break;
-      case PipelineMode::LookaheadSplit:
-        solve_lookahead(/*split=*/true);
-        break;
-    }
+    factorize();
 
     // One end-of-factorization drain: backsolve reads A on the primary
     // stream, but the final iteration's band streams and the data stream's
@@ -323,13 +329,19 @@ class Solver {
     }
   }
 
-  void record_iteration(long j, int iter, double total, double gpu,
-                        const IterStats& st, double transfer) {
+  /// Fold one iteration's (or the prologue's) phase timers into the
+  /// whole-run totals.
+  void accumulate(const IterStats& st) {
     fact_total_ += st.fact;
     mpi_total_ += st.mpi;
     rs_wire_total_ += st.rs.wire_s;
     rs_unpack_total_ += st.rs.unpack_s;
     rs_wire_bytes_total_ += st.rs.wire_bytes;
+  }
+
+  void record_iteration(long j, int iter, double total, double gpu,
+                        const IterStats& st, double transfer) {
+    accumulate(st);
     if (my_col(j) && my_row(j)) {
       trace::IterationRecord rec;
       rec.iteration = iter;
@@ -504,92 +516,25 @@ class Solver {
     }
   }
 
-  // ------------------------------------------------------ simple pipeline
+  // ------------------------------------------------------------ schedule
 
-  void solve_simple() {
-    PanelDataT<T> panel;
-    panel.reserve(cfg_.nb, a_.mloc());
-    int iter = 0;
-    for (long j = 0; j < cfg_.n; j += cfg_.nb, ++iter) {
-      const int jb = jb_at(j);
-      IterStats st;
-      Timer t_iter;
-      t_iter.start();
-      const double gpu0 = pool_.real_busy_seconds();
-      const double xfer0 = data_.real_busy_seconds();
-      snapshot_stream_clocks();
-
-      make_panel(j, panel, st);
-      apply_full_rowswap_and_update(j, jb, panel, st);
-      pool_.synchronize();
-
-      record_iteration(j, iter, t_iter.stop(),
-                       pool_.real_busy_seconds() - gpu0, st,
-                       data_.real_busy_seconds() - xfer0);
-      mark_steady(iter);
-    }
-    finish_steady(iter);
-  }
-
-  void apply_full_rowswap_and_update(long j, int jb, PanelDataT<T>& panel,
-                                     IterStats& st) {
-    build_rowswap_plan(j, jb, panel.ipiv.data(), plan_);
-    const long jl0 = col_of(j + jb);
-    const long njl = a_.nloc() - jl0;
-    rs_main_.prepare(plan_, a_, grid_.myrow(), jl0, njl, cfg_.swap,
-                     cfg_.swap_threshold);
-    rs_main_.gather(compute_, a_);
-    rs_main_.communicate(grid_.col_comm(), &st.mpi, &compute_,
-                         u_main_.template data_as<T>(), cfg_.nb, &st.rs);
-    rs_main_.scatter(compute_, a_, u_main_.template data_as<T>(), cfg_.nb);
-    const device::Event u_ready = compute_.record();
-    const BandSection sec = enqueue_update_bands(
-        pool_, u_ready, a_, panel, u_main_.template data_as<T>(), cfg_.nb,
-        jl0, njl, my_row(j), row_of(j), row_of(j + jb),
-        cfg_.update_band_cols, BandPlacement::Spread);
-    sec.join(compute_);
-  }
-
-  // -------------------------------------------- lookahead (+split) driver
-
-  void solve_lookahead(bool split) {
+  /// The factorization loop of every pipeline mode: a prologue factors and
+  /// broadcasts panel 0 (and communicates its right-section swap when the
+  /// split update has one), then each iteration updates its trailing
+  /// window and produces the next panel, so iteration j's record carries
+  /// the FACT of panel j+1 in every mode.
+  void factorize() {
     PanelDataT<T> panel_a, panel_b;
     panel_a.reserve(cfg_.nb, a_.mloc());
     panel_b.reserve(cfg_.nb, a_.mloc());
     PanelDataT<T>* cur = &panel_a;
     PanelDataT<T>* nxt = &panel_b;
 
-    // Prologue: factor + broadcast panel 0 (exposed, once).
     {
       IterStats st;
       make_panel(0, *cur, st);
-      fact_total_ += st.fact;
-      mpi_total_ += st.mpi;
-    }
-
-    // Split-update state: the right section starts at local column
-    // csplit_ (a multiple of NB); its row swaps run one iteration ahead.
-    bool pending_right = false;
-    if (split) {
-      const long want_left = static_cast<long>(
-          static_cast<double>(a_.nloc()) * (1.0 - cfg_.split_fraction));
-      csplit_ = std::clamp<long>((want_left / cfg_.nb) * cfg_.nb, 0,
-                                 a_.nloc());
-      IterStats st;
-      build_rowswap_plan(0, jb_at(0), cur->ipiv.data(), plan_);
-      right_start_ = std::max<long>(csplit_, col_of(jb_at(0)));
-      rs_right_->prepare(plan_, a_, grid_.myrow(), right_start_,
-                         a_.nloc() - right_start_, cfg_.swap,
-                         cfg_.swap_threshold);
-      rs_right_->gather(compute_, a_);
-      rs_right_->communicate(grid_.col_comm(), &st.mpi, &compute_,
-                             u_right_.template data_as<T>(), cfg_.nb,
-                             &st.rs);
-      pending_right = true;
-      mpi_total_ += st.mpi;
-      rs_wire_total_ += st.rs.wire_s;
-      rs_unpack_total_ += st.rs.unpack_s;
-      rs_wire_bytes_total_ += st.rs.wire_bytes;
+      if (csplit_ < a_.nloc()) communicate_right(gather_right(0, *cur), st);
+      accumulate(st);
     }
 
     int iter = 0;
@@ -601,14 +546,8 @@ class Solver {
       const double xfer0 = data_.real_busy_seconds();
       snapshot_stream_clocks();
 
-      const bool left_remains = split && col_of(j + jb_at(j)) < right_start_;
-      if (left_remains) {
-        pending_right = iterate_split(j, *cur, *nxt, st, pending_right);
-      } else {
-        iterate_lookahead(j, *cur, *nxt, st, pending_right);
-        pending_right = false;
-      }
-      // No host synchronize here: each iterate_* joins its banded sections
+      iterate(j, *cur, *nxt, st);
+      // No host synchronize here: each iteration joins its banded sections
       // back into the primary stream, so the next iteration's gathers are
       // event-ordered behind this one's update while the host runs ahead
       // (the driver-level fan-in the multi-stream schedule relies on).
@@ -627,69 +566,139 @@ class Solver {
     pool_.synchronize();
   }
 
-  /// One Fig. 3 iteration: row swap exposed, FACT/LBCAST of the next panel
-  /// hidden behind the trailing update. When `use_pending` is set, the row
-  /// swap of the whole window was already communicated by the split-update
-  /// machinery and only needs scattering.
-  void iterate_lookahead(long j, PanelDataT<T>& cur, PanelDataT<T>& nxt,
-                         IterStats& st, bool use_pending) {
+  void prepare_and_gather(RowSwapperT<T>& rs, const RowSwapPlan& plan,
+                          long c0, long c1) {
+    rs.prepare(plan, a_, grid_.myrow(), c0, c1 - c0, cfg_.swap,
+               cfg_.swap_threshold);
+    rs.gather(compute_, a_);
+  }
+
+  /// RS2 stage 1: gather panel `j`'s right-section rows into the next
+  /// right swapper. Returns where that right section starts.
+  long gather_right(long j, const PanelDataT<T>& panel) {
+    const int jb = jb_at(j);
+    build_rowswap_plan(j, jb, panel.ipiv.data(), plan_next_);
+    const long start = std::max<long>(csplit_, col_of(j + jb));
+    prepare_and_gather(*rs_right_next_, plan_next_, start, a_.nloc());
+    return start;
+  }
+
+  /// RS2 stage 2: communicate the gathered right section into u_right_;
+  /// the next iteration scatters it.
+  void communicate_right(long start, IterStats& st) {
+    rs_right_next_->communicate(grid_.col_comm(), &st.mpi, &compute_,
+                                u_right_.template data_as<T>(), cfg_.nb,
+                                &st.rs);
+    right_start_ = start;
+    pending_right_ = true;
+    std::swap(rs_right_, rs_right_next_);
+  }
+
+  /// One iteration at panel `j` over three ranges of the local trailing
+  /// window [jl0, nloc):
+  ///   look-ahead [jl0, left_start)          the next panel's columns
+  ///                                         (look-ahead depth 1 only)
+  ///   left       [left_start, right_start)
+  ///   right      [right_start, nloc)        swap communicated last
+  ///                                         iteration (split update)
+  /// Without a right section (Fig. 3) the look-ahead band and the left
+  /// section share one swap, and FACT/LBCAST of the next panel hides
+  /// behind the left update — or, at depth 0, waits for the whole update
+  /// to drain. With one (Fig. 6) the right update (UPDATE2) hides FACT,
+  /// LBCAST and the deferred left swap (RS1), and the left update
+  /// (UPDATE1) hides the next panel's right swap (RS2). When the right
+  /// section has reached jl0 it covers the whole window and the iteration
+  /// runs the Fig. 3 shape on its pre-communicated U.
+  void iterate(long j, PanelDataT<T>& cur, PanelDataT<T>& nxt,
+               IterStats& st) {
     const int jb = jb_at(j);
     const long next = j + jb;
     const bool has_next = next < cfg_.n;
     const int jb_next = has_next ? jb_at(next) : 0;
-    const long jl0 = col_of(j + jb);
-    const long njl = a_.nloc() - jl0;
-    const long la_cols =
-        (has_next && my_col(next)) ? col_of(next + jb_next) - jl0 : 0;
-
-    T* u = u_main_.template data_as<T>();
-    if (use_pending) {
-      HPLX_CHECK(right_start_ == jl0);
-      rs_right_->scatter(compute_, a_, u_right_.template data_as<T>(),
-                         cfg_.nb);
-      u = u_right_.template data_as<T>();
-    } else {
-      build_rowswap_plan(j, jb, cur.ipiv.data(), plan_);
-      rs_main_.prepare(plan_, a_, grid_.myrow(), jl0, njl, cfg_.swap,
-                     cfg_.swap_threshold);
-      rs_main_.gather(compute_, a_);
-      rs_main_.communicate(grid_.col_comm(), &st.mpi, &compute_, u, cfg_.nb,
-                           &st.rs);
-      rs_main_.scatter(compute_, a_, u, cfg_.nb);
-    }
-    const device::Event u_ready = compute_.record();
+    const long nloc = a_.nloc();
+    const long jl0 = col_of(next);
+    const long left_start =
+        (lookahead_ && has_next && my_col(next)) ? col_of(next + jb_next)
+                                                 : jl0;
+    const long la_cols = left_start - jl0;
+    const bool pending = pending_right_;
+    pending_right_ = false;
+    const bool split = pending && jl0 < right_start_;
+    const long right_start = split ? right_start_ : nloc;
     const bool in_diag = my_row(j);
     const long u_row = row_of(j);
-    const long tail = row_of(j + jb);
-    BandSection sections;
+    const long tail = row_of(next);
+    auto bands = [&](const device::Event& ready, T* u, long c0, long c1,
+                     BandPlacement where) {
+      return enqueue_update_bands(pool_, ready, a_, cur, u, cfg_.nb, c0,
+                                  c1 - c0, in_diag, u_row, tail,
+                                  cfg_.update_band_cols, where);
+    };
+    T* const u_right = u_right_.template data_as<T>();
 
+    // Swap stage: assemble U of the look-ahead band, and of the left
+    // section too unless its swap is deferred.
+    T* u = u_la_.template data_as<T>();
+    std::optional<device::Event> right_ready;
+    BandSection right;
+    if (pending && !split) {
+      HPLX_CHECK(right_start_ == jl0);
+      rs_right_->scatter(compute_, a_, u_right, cfg_.nb);
+      u = u_right;
+    } else {
+      build_rowswap_plan(j, jb, cur.ipiv.data(), plan_);
+      prepare_and_gather(rs_la_, plan_, jl0, split ? left_start : nloc);
+      if (split) {
+        // Gather the left rows now; scatter the pre-communicated right
+        // rows (they must land before UPDATE2 reads the window).
+        prepare_and_gather(rs_left_, plan_, left_start, right_start);
+        rs_right_->scatter(compute_, a_, u_right, cfg_.nb);
+        right_ready = compute_.record();
+        // UPDATE2 — the work that hides everything below. With spare
+        // streams it launches *now*, off the primary, so the device is
+        // busy during the look-ahead communication; single-stream pools
+        // keep the seed order (look-ahead first, or its completion event
+        // — and with it FACT — would wait behind the whole right section).
+        if (pool_.size() > 1)
+          right = bands(*right_ready, u_right, right_start, nloc,
+                        BandPlacement::SparePrimary);
+      }
+      rs_la_.communicate(grid_.col_comm(), &st.mpi, &compute_, u, cfg_.nb,
+                         &st.rs);
+      rs_la_.scatter(compute_, a_, u, cfg_.nb);
+    }
+    const device::Event u_ready = compute_.record();
+
+    // The look-ahead band runs on the primary alone, so its completion
+    // event fires the moment it finishes and FACT starts while the rest
+    // of the window still computes (Fig. 3). A left section sharing the
+    // swap fans out across the whole pool.
+    const BandSection la =
+        bands(u_ready, u, jl0, left_start, BandPlacement::PrimaryOnly);
+    BandSection left;
+    if (!split) {
+      left = bands(u_ready, u + la_cols * cfg_.nb, left_start, nloc,
+                   BandPlacement::Spread);
+    } else if (pool_.size() == 1) {
+      right = bands(*right_ready, u_right, right_start, nloc,
+                    BandPlacement::SparePrimary);
+    }
+
+    // The next panel: its owner factors it once the look-ahead band is
+    // done (depth 1) or the whole update has drained (depth 0); the other
+    // ranks reuse the panel double-buffer, which the previous iteration's
+    // bands may still read on spare streams — fence them before the
+    // broadcast writes into it.
     if (la_cols > 0) {
-      // Update the look-ahead columns first, on the primary alone, so
-      // their completion event fires the moment the band finishes and FACT
-      // starts while the rest of the window still computes (Fig. 3). The
-      // remaining columns fan out across the whole pool.
-      const BandSection la = enqueue_update_bands(
-          pool_, u_ready, a_, cur, u, cfg_.nb, jl0, la_cols, in_diag, u_row,
-          tail, cfg_.update_band_cols, BandPlacement::PrimaryOnly);
-      const BandSection rest = enqueue_update_bands(
-          pool_, u_ready, a_, cur, u + la_cols * cfg_.nb, cfg_.nb,
-          jl0 + la_cols, njl - la_cols, in_diag, u_row, tail,
-          cfg_.update_band_cols, BandPlacement::Spread);
       for (const device::Event& ev : la.done) data_.wait_event(ev);
       fact_and_pack(next, jb_next, nxt, st);
-      rest.join(compute_);
-      sections = la;
-      sections.done.insert(sections.done.end(), rest.done.begin(),
-                           rest.done.end());
-    } else {
-      sections = enqueue_update_bands(
-          pool_, u_ready, a_, cur, u, cfg_.nb, jl0, njl, in_diag, u_row,
-          tail, cfg_.update_band_cols, BandPlacement::Spread);
-      sections.join(compute_);
-      if (has_next) {
-        // Non-owner ranks reuse the panel double-buffer right away; the
-        // previous iteration's bands may still be reading it on spare
-        // streams, so fence them before the broadcast writes into it.
+    }
+    if (!split) left.join(compute_);
+    if (!lookahead_) pool_.synchronize();
+    if (has_next && la_cols == 0) {
+      if (my_col(next)) {
+        fact_and_pack(next, jb_next, nxt, st);
+      } else {
         prev_update_.host_wait();
         device::HostAccessScope recv_guard(
             dev_.hazard(), "driver.panel_recv",
@@ -704,215 +713,97 @@ class Solver {
                       nxt, &st.mpi, &cfg_.custom_bcast);
       record_pivots(nxt);
     }
-    prev_update_ = std::move(sections);
+
+    if (split) {
+      T* const u_left = u_left_.template data_as<T>();
+      // RS1, hidden by UPDATE2 (its rows were gathered up front). The
+      // fused unpacks land on the primary and only write u_left_, which
+      // nothing reads until UPDATE1's bands (gated on left_ready below).
+      rs_left_.communicate(grid_.col_comm(), &st.mpi, &compute_, u_left,
+                           cfg_.nb, &st.rs);
+      // After UPDATE2: gather the next panel's right-section rows (RS2).
+      // The gather reads columns UPDATE2 writes, and UPDATE2's bands live
+      // on other streams now — join them into the primary first.
+      right.join(compute_);
+      const long next_right = has_next ? gather_right(next, nxt) : nloc;
+      // UPDATE1: scatter the RS1 rows, update across the pool.
+      rs_left_.scatter(compute_, a_, u_left, cfg_.nb);
+      const device::Event left_ready = compute_.record();
+      left = bands(left_ready, u_left, left_start, right_start,
+                   BandPlacement::Spread);
+      // RS2 communication, hidden by UPDATE1. Its fused unpacks write
+      // u_right_ for the next iteration; they are enqueued after
+      // right.join(compute_), so they stay ordered behind this
+      // iteration's reads of u_right_.
+      if (has_next) communicate_right(next_right, st);
+      left.join(compute_);
+    }
+
+    prev_update_ = la;
+    for (const BandSection* sec : {&right, &left})
+      prev_update_.done.insert(prev_update_.done.end(), sec->done.begin(),
+                               sec->done.end());
   }
 
-  /// One Fig. 6 iteration: the right-section row swap of this panel was
-  /// communicated last iteration; UPDATE2 hides FACT/LBCAST/RS1, UPDATE1
-  /// hides the next panel's RS2. Returns whether a pending right swap
-  /// exists for the next iteration.
-  bool iterate_split(long j, PanelDataT<T>& cur, PanelDataT<T>& nxt,
-                     IterStats& st, bool have_pending) {
-    HPLX_CHECK(have_pending);
-    const int jb = jb_at(j);
-    const long next = j + jb;
-    const bool has_next = next < cfg_.n;
-    const int jb_next = has_next ? jb_at(next) : 0;
-    const long jl0 = col_of(j + jb);
-    const long la_cols =
-        (has_next && my_col(next)) ? col_of(next + jb_next) - jl0 : 0;
-    const long left_start = jl0 + la_cols;
-    const long left_cols = right_start_ - left_start;
-    HPLX_CHECK(left_cols >= 0);
-    const bool in_diag = my_row(j);
-    const long u_row = row_of(j);
-    const long tail = row_of(j + jb);
+  // ------------------------------------------------------ rank-0 gathers
 
-    build_rowswap_plan(j, jb, cur.ipiv.data(), plan_);
-
-    // Gather look-ahead + left rows; scatter the pre-communicated right
-    // rows (they must land before UPDATE2 reads the window).
-    rs_la_.prepare(plan_, a_, grid_.myrow(), jl0, la_cols, cfg_.swap,
-                   cfg_.swap_threshold);
-    rs_la_.gather(compute_, a_);
-    rs_left_.prepare(plan_, a_, grid_.myrow(), left_start, left_cols,
-                     cfg_.swap, cfg_.swap_threshold);
-    rs_left_.gather(compute_, a_);
-    rs_right_->scatter(compute_, a_, u_right_.template data_as<T>(),
-                       cfg_.nb);
-    const device::Event right_ready = compute_.record();
-
-    // UPDATE2 (right section) — the work that hides everything below. With
-    // spare streams it launches *now*, off the primary, so the device is
-    // busy during the look-ahead communication; single-stream pools keep
-    // the seed order (look-ahead first, or its completion event — and with
-    // it FACT — would wait behind the whole right section).
-    BandSection update2;
-    const bool early_right = pool_.size() > 1;
-    const long right_cols = a_.nloc() - right_start_;
-    if (early_right) {
-      update2 = enqueue_update_bands(
-          pool_, right_ready, a_, cur, u_right_.template data_as<T>(),
-          cfg_.nb, right_start_, right_cols, in_diag, u_row, tail,
-          cfg_.update_band_cols, BandPlacement::SparePrimary);
-    }
-
-    // Look-ahead: swap, update on the primary, stage to host.
-    rs_la_.communicate(grid_.col_comm(), &st.mpi, &compute_,
-                       u_la_.template data_as<T>(), cfg_.nb, &st.rs);
-    rs_la_.scatter(compute_, a_, u_la_.template data_as<T>(), cfg_.nb);
-    const device::Event la_ready = compute_.record();
-    const BandSection la_sec = enqueue_update_bands(
-        pool_, la_ready, a_, cur, u_la_.template data_as<T>(), cfg_.nb, jl0,
-        la_cols, in_diag, u_row, tail, cfg_.update_band_cols,
-        BandPlacement::PrimaryOnly);
-
-    if (!early_right) {
-      update2 = enqueue_update_bands(
-          pool_, right_ready, a_, cur, u_right_.template data_as<T>(),
-          cfg_.nb, right_start_, right_cols, in_diag, u_row, tail,
-          cfg_.update_band_cols, BandPlacement::SparePrimary);
-    }
-
-    // Hidden by UPDATE2: panel transfer + FACT + LBCAST ...
-    if (la_cols > 0) {
-      for (const device::Event& ev : la_sec.done) data_.wait_event(ev);
-      fact_and_pack(next, jb_next, nxt, st);
-    } else if (has_next) {
-      // Fence the previous iteration's bands off the recycled panel buffer
-      // before the broadcast writes into it (non-owner ranks only).
-      prev_update_.host_wait();
-      device::HostAccessScope recv_guard(
-          dev_.hazard(), "driver.panel_recv",
-          {device::span_write(nxt.top.data(), nxt.top.size()),
-           device::span_write(nxt.l2.data(), nxt.l2.size())});
-      nxt.j = next;
-      nxt.resize(jb_next, a_.mloc() - row_of(next + jb_next));
-    }
-    if (has_next) {
-      panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(next),
-                      nxt, &st.mpi, &cfg_.custom_bcast);
-      record_pivots(nxt);
-    }
-    // ... and the RS1 communication (its rows were gathered up front). The
-    // fused unpacks land on the primary and only write u_left_, which
-    // nothing reads until UPDATE1's bands (gated on left_ready below).
-    rs_left_.communicate(grid_.col_comm(), &st.mpi, &compute_,
-                         u_left_.template data_as<T>(), cfg_.nb, &st.rs);
-
-    // After UPDATE2: gather the next panel's right-section rows (RS2).
-    // The gather reads columns UPDATE2 writes, and UPDATE2's bands live on
-    // other streams now — join them into the primary first.
-    update2.join(compute_);
-    bool pending = false;
-    long next_right_start = right_start_;
-    if (has_next) {
-      build_rowswap_plan(next, jb_next, nxt.ipiv.data(), plan_next_);
-      next_right_start = std::max<long>(csplit_, col_of(next + jb_next));
-      rs_right_next_->prepare(plan_next_, a_, grid_.myrow(), next_right_start,
-                              a_.nloc() - next_right_start, cfg_.swap,
-                              cfg_.swap_threshold);
-      rs_right_next_->gather(compute_, a_);
-      pending = true;
-    }
-
-    // UPDATE1 (left section): scatter RS1 rows, update across the pool.
-    rs_left_.scatter(compute_, a_, u_left_.template data_as<T>(), cfg_.nb);
-    const device::Event left_ready = compute_.record();
-    const BandSection left_sec = enqueue_update_bands(
-        pool_, left_ready, a_, cur, u_left_.template data_as<T>(), cfg_.nb,
-        left_start, left_cols, in_diag, u_row, tail, cfg_.update_band_cols,
-        BandPlacement::Spread);
-
-    // RS2 communication, hidden by UPDATE1. Its fused unpacks write
-    // u_right_ for the next iteration; they are enqueued after
-    // update2.join(compute_), so they stay ordered behind this
-    // iteration's reads of u_right_.
-    if (has_next) {
-      rs_right_next_->communicate(grid_.col_comm(), &st.mpi, &compute_,
-                                  u_right_.template data_as<T>(), cfg_.nb,
-                                  &st.rs);
-      right_start_ = next_right_start;
-      std::swap(rs_right_, rs_right_next_);
-    }
-    left_sec.join(compute_);
-
-    prev_update_ = la_sec;
-    prev_update_.done.insert(prev_update_.done.end(), update2.done.begin(),
-                             update2.done.end());
-    prev_update_.done.insert(prev_update_.done.end(), left_sec.done.begin(),
-                             left_sec.done.end());
-    return pending;
-  }
-
-  // --------------------------------------------------------------- trace
-
-  void collect_trace(HplResult& result) {
+  /// Gather every rank's records onto rank 0, appended in rank order
+  /// after rank 0's own; the other ranks get their own records back.
+  /// Records are trivially copyable and travel as raw bytes.
+  template <typename Record>
+  std::vector<Record> gather_to_root(std::vector<Record> mine, int tag) {
     comm::Communicator& world = grid_.all_comm();
-    const long count = static_cast<long>(my_records_.size());
-    if (world.rank() == 0) {
-      std::vector<trace::IterationRecord> all = my_records_;
-      for (int r = 1; r < world.size(); ++r) {
-        long c = 0;
-        world.recv(&c, 1, r, kTagTrace);
-        std::vector<trace::IterationRecord> theirs(
-            static_cast<std::size_t>(c));
-        if (c > 0) world.recv(theirs.data(), theirs.size(), r, kTagTrace);
-        all.insert(all.end(), theirs.begin(), theirs.end());
-      }
-      std::sort(all.begin(), all.end(),
-                [](const auto& x, const auto& y) {
-                  return x.iteration < y.iteration;
-                });
-      result.trace.iterations = std::move(all);
-    } else {
-      world.send(&count, 1, 0, kTagTrace);
-      if (count > 0)
-        world.send(my_records_.data(), my_records_.size(), 0, kTagTrace);
+    if (world.rank() != 0) {
+      const long count = static_cast<long>(mine.size());
+      world.send(&count, 1, 0, tag);
+      if (count > 0) world.send(mine.data(), mine.size(), 0, tag);
+      return mine;
     }
+    for (int r = 1; r < world.size(); ++r) {
+      long c = 0;
+      world.recv(&c, 1, r, tag);
+      const std::size_t have = mine.size();
+      mine.resize(have + static_cast<std::size_t>(c));
+      if (c > 0)
+        world.recv(mine.data() + have, static_cast<std::size_t>(c), r, tag);
+    }
+    return mine;
   }
 
-  /// Gather every rank's deduplicated hazard records onto rank 0 (same
-  /// shape as collect_trace). No-op when checking is off.
+  /// The per-iteration trace lives on rank 0 only, in iteration order.
+  void collect_trace(HplResult& result) {
+    std::vector<trace::IterationRecord> all =
+        gather_to_root(my_records_, kTagTrace);
+    if (grid_.all_comm().rank() != 0) return;
+    std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+      return x.iteration < y.iteration;
+    });
+    result.trace.iterations = std::move(all);
+  }
+
+  /// Every rank's deduplicated hazard records. No-op when checking is off.
   void collect_hazards(HplResult& result) {
     device::HazardTracker* hz = dev_.hazard();
     if (hz == nullptr) return;
     result.hazard_checked = true;
-    std::vector<trace::HazardRecord> mine = hz->report();
-    comm::Communicator& world = grid_.all_comm();
-    if (world.rank() == 0) {
-      result.hazards = std::move(mine);
-      for (int r = 1; r < world.size(); ++r) {
-        long c = 0;
-        world.recv(&c, 1, r, kTagHazard);
-        std::vector<trace::HazardRecord> theirs(static_cast<std::size_t>(c));
-        if (c > 0) world.recv(theirs.data(), theirs.size(), r, kTagHazard);
-        result.hazards.insert(result.hazards.end(), theirs.begin(),
-                              theirs.end());
-      }
-    } else {
-      const long count = static_cast<long>(mine.size());
-      world.send(&count, 1, 0, kTagHazard);
-      if (count > 0) world.send(mine.data(), mine.size(), 0, kTagHazard);
-      result.hazards = std::move(mine);
-    }
+    result.hazards = gather_to_root(hz->report(), kTagHazard);
   }
 
-  /// Gather every grid fabric's deduplicated comm-verifier records onto
-  /// rank 0 (same shape as collect_hazards). The double-barrier protocol
-  /// makes the end-of-run orphan audit exact: after the first barrier all
-  /// solve traffic is consumed (entering the barrier implies every prior
-  /// receive finished, so anything still queued is a leak), and each
-  /// fabric's rank 0 audits it; the second barrier holds ranks back until
-  /// every audit is done, so the gather's own messages cannot be mistaken
-  /// for orphans. The world fabric the grid split from is appended by
-  /// run_hpl — its verifier outlives this solver.
+  /// Every grid fabric's deduplicated comm-verifier records. The
+  /// double-barrier protocol makes the end-of-run orphan audit exact:
+  /// after the first barrier all solve traffic is consumed (entering the
+  /// barrier implies every prior receive finished, so anything still
+  /// queued is a leak), and each fabric's rank 0 audits it; the second
+  /// barrier holds ranks back until every audit is done, so the gather's
+  /// own messages cannot be mistaken for orphans. The world fabric the
+  /// grid split from is appended by run_hpl — its verifier outlives this
+  /// solver.
   void collect_comm(HplResult& result) {
     comm::Communicator& world = grid_.all_comm();
     if (world.fabric().verifier() == nullptr) return;
     result.comm_checked = true;
     comm::barrier(world);
-    std::vector<trace::CommViolationRecord> mine;
+    std::vector<trace::ViolationRecord> mine;
     std::vector<const comm::Fabric*> audited;
     for (comm::Communicator* c :
          {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
@@ -928,23 +819,7 @@ class Solver {
       mine.insert(mine.end(), recs.begin(), recs.end());
     }
     comm::barrier(world);
-    if (world.rank() == 0) {
-      result.comm_violations = std::move(mine);
-      for (int r = 1; r < world.size(); ++r) {
-        long c = 0;
-        world.recv(&c, 1, r, kTagComm);
-        std::vector<trace::CommViolationRecord> theirs(
-            static_cast<std::size_t>(c));
-        if (c > 0) world.recv(theirs.data(), theirs.size(), r, kTagComm);
-        result.comm_violations.insert(result.comm_violations.end(),
-                                      theirs.begin(), theirs.end());
-      }
-    } else {
-      const long count = static_cast<long>(mine.size());
-      world.send(&count, 1, 0, kTagComm);
-      if (count > 0) world.send(mine.data(), mine.size(), 0, kTagComm);
-      result.comm_violations = std::move(mine);
-    }
+    result.comm_violations = gather_to_root(std::move(mine), kTagComm);
   }
 
   const HplConfig& cfg_;
@@ -959,14 +834,25 @@ class Solver {
   device::Stream data_;
   ThreadTeam team_;
 
-  device::Buffer u_main_, u_la_, u_left_, u_right_;
-  RowSwapperT<T> rs_main_, rs_la_, rs_left_;
-  std::unique_ptr<RowSwapperT<T>> rs_right_, rs_right_next_;
+  /// Schedule parameters resolved from cfg.pipeline (constructor).
+  bool lookahead_ = true;  ///< look-ahead depth 1 (false: depth 0)
+  long csplit_ = 0;        ///< right-section start; nloc = no right section
+
+  /// Swap staging: the look-ahead swapper carries the whole window when
+  /// there is no right section; the split update adds the deferred left
+  /// swap and a right pair (one scattering this iteration's pre-
+  /// communicated section while the other gathers the next panel's).
+  device::Buffer u_la_, u_left_, u_right_;
+  RowSwapperT<T> rs_la_, rs_left_, rs_right_a_, rs_right_b_;
+  RowSwapperT<T>* rs_right_ = &rs_right_a_;
+  RowSwapperT<T>* rs_right_next_ = &rs_right_b_;
   /// Per-iteration row-swap plans, rebuilt in place (capacity persists
   /// across iterations, so planning allocates nothing once warm).
   RowSwapPlan plan_, plan_next_;
-  long csplit_ = 0;
+  /// The right section whose swap was communicated last iteration:
+  /// [right_start_, nloc), valid while pending_right_.
   long right_start_ = 0;
+  bool pending_right_ = false;
   /// Completion events of the previous iteration's update sections: the
   /// fence non-owner ranks take before recycling the panel double-buffer.
   BandSection prev_update_;
@@ -1056,6 +942,13 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
                  "run_hpl needs " << cfg.p * cfg.q << " ranks, got "
                  << world.size());
   HPLX_CHECK(cfg.n >= 1 && cfg.nb >= 1 && cfg.nrhs >= 1);
+  // HPL.dat range-checks the split fraction, but a config built in code
+  // reaches the right-section cast directly: NaN there is undefined, and
+  // values outside [0, 1] would be clamped silently.
+  HPLX_CHECK_MSG(std::isfinite(cfg.split_fraction) &&
+                     cfg.split_fraction >= 0.0 && cfg.split_fraction <= 1.0,
+                 "split_fraction = " << cfg.split_fraction
+                 << " is not a finite value in [0, 1]");
   // The multi-RHS solve (backsolve, verify, refine) assumes every RHS
   // column shares the trailing column block with classic column N, so one
   // process column owns the whole b̂ panel contiguously.

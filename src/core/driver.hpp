@@ -111,7 +111,7 @@ struct HplResult {
   /// Deduplicated hazard-checker violations. Rank 0 holds the union of
   /// every rank's records (like `trace`); other ranks hold their own.
   /// Empty when the run was clean — the expected state.
-  std::vector<trace::HazardRecord> hazards;
+  std::vector<trace::ViolationRecord> hazards;
 
   /// True when the communication verifier (comm::Verifier) was attached
   /// to this run's fabrics (cfg.comm_check or HPLX_COMM_CHECK).
@@ -119,7 +119,7 @@ struct HplResult {
   /// Deduplicated comm-verifier violations. Rank 0 holds the union of
   /// every fabric's records (world, row and column splits); other ranks
   /// hold their own fabrics'. Empty when the run was clean.
-  std::vector<trace::CommViolationRecord> comm_violations;
+  std::vector<trace::ViolationRecord> comm_violations;
 };
 
 /// Solve. Returns the (identical) result on every rank; the trace is only

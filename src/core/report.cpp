@@ -152,22 +152,28 @@ void print_phase_breakdown(std::ostream& os, const HplResult& result) {
   os.unsetf(std::ios::floatfield);
 }
 
-void print_hazard_report(std::ostream& os, const HplResult& result) {
-  if (!result.hazard_checked) return;
-  if (result.hazards.empty()) {
-    os << "Hazard check: no violations detected.\n";
+namespace {
+
+/// Shared body of the hazard and comm-verifier tables: nothing when the
+/// checker was off, a one-line all-clear when it ran clean, otherwise one
+/// row per deduplicated record.
+template <typename KindName>
+void print_violations(std::ostream& os, const char* title, bool checked,
+                      const std::vector<trace::ViolationRecord>& records,
+                      KindName kind_name) {
+  if (!checked) return;
+  if (records.empty()) {
+    os << title << ": no violations detected.\n";
     return;
   }
   std::uint64_t total = 0;
-  for (const auto& r : result.hazards) total += r.count;
-  os << kDash << "Hazard check: " << total << " violation(s) in "
-     << result.hazards.size() << " distinct site(s):\n";
+  for (const auto& r : records) total += r.count;
+  os << kDash << title << ": " << total << " violation(s) in "
+     << records.size() << " distinct site(s):\n";
   os << "  " << std::left << std::setw(22) << "kind" << std::setw(8)
      << "count" << "ops\n";
-  for (const auto& r : result.hazards) {
-    os << "  " << std::left << std::setw(22)
-       << device::HazardTracker::kind_name(
-              static_cast<device::HazardTracker::Kind>(r.kind))
+  for (const auto& r : records) {
+    os << "  " << std::left << std::setw(22) << kind_name(r.kind)
        << std::setw(8) << r.count << r.op_a;
     if (r.op_b[0] != '\0') os << " vs " << r.op_b;
     os << "\n      " << r.detail << '\n';
@@ -175,27 +181,22 @@ void print_hazard_report(std::ostream& os, const HplResult& result) {
   os << kDash;
 }
 
+}  // namespace
+
+void print_hazard_report(std::ostream& os, const HplResult& result) {
+  print_violations(os, "Hazard check", result.hazard_checked, result.hazards,
+                   [](int k) {
+                     return device::HazardTracker::kind_name(
+                         static_cast<device::HazardTracker::Kind>(k));
+                   });
+}
+
 void print_comm_report(std::ostream& os, const HplResult& result) {
-  if (!result.comm_checked) return;
-  if (result.comm_violations.empty()) {
-    os << "Comm check: no violations detected.\n";
-    return;
-  }
-  std::uint64_t total = 0;
-  for (const auto& r : result.comm_violations) total += r.count;
-  os << kDash << "Comm check: " << total << " violation(s) in "
-     << result.comm_violations.size() << " distinct site(s):\n";
-  os << "  " << std::left << std::setw(22) << "kind" << std::setw(8)
-     << "count" << "ops\n";
-  for (const auto& r : result.comm_violations) {
-    os << "  " << std::left << std::setw(22)
-       << comm::Verifier::kind_name(
-              static_cast<comm::Verifier::Kind>(r.kind))
-       << std::setw(8) << r.count << r.op_a;
-    if (r.op_b[0] != '\0') os << " vs " << r.op_b;
-    os << "\n      " << r.detail << '\n';
-  }
-  os << kDash;
+  print_violations(os, "Comm check", result.comm_checked,
+                   result.comm_violations, [](int k) {
+                     return comm::Verifier::kind_name(
+                         static_cast<comm::Verifier::Kind>(k));
+                   });
 }
 
 void print_alloc_report(std::ostream& os, const HplResult& result) {

@@ -1,6 +1,7 @@
 #include "core/rowswap.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "comm/collectives.hpp"
 #include "device/hazard.hpp"
@@ -120,8 +121,8 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
   // unpacks to drain. The wait is usually already satisfied; it only blocks when
   // the host has run a full iteration ahead of the device.
   if (scatter_pending_) {
-    if (test_skip_scatter_fence_) {
-      // Test hook: the wait still happens (no real race), but without the
+    if (SkipScatterFenceScope::active()) {
+      // Test seam: the wait still happens (no real race), but without the
       // tracker's happens-before join — modeling the fence as omitted.
       scatter_done_.wait_unordered();
     } else {
@@ -507,5 +508,21 @@ void RowSwapperT<T>::scatter(device::Stream& stream, DistMatrixT<T>& a,
 
 template class RowSwapperT<double>;
 template class RowSwapperT<float>;
+
+namespace {
+std::atomic<int> skip_scatter_fence_scopes{0};
+}  // namespace
+
+SkipScatterFenceScope::SkipScatterFenceScope() {
+  skip_scatter_fence_scopes.fetch_add(1);
+}
+
+SkipScatterFenceScope::~SkipScatterFenceScope() {
+  skip_scatter_fence_scopes.fetch_sub(1);
+}
+
+bool SkipScatterFenceScope::active() {
+  return skip_scatter_fence_scopes.load() > 0;
+}
 
 }  // namespace hplx::core

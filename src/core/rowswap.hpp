@@ -156,17 +156,6 @@ class RowSwapperT {
   long njl() const { return njl_; }
   int jb() const { return jb_; }
 
-  /// Test hook: when set, prepare() still performs the scatter_done wait
-  /// (execution stays correct) but through Event::wait_unordered, so the
-  /// hazard tracker models the fence as absent. This re-introduces, for
-  /// the checker only, the bug class the fence was added for: rewriting
-  /// staging buffers that in-flight scatter kernels read. Per-instance
-  /// (the driver copies HplConfig::test_skip_scatter_fence into every
-  /// swapper it builds); never set outside hazard tests.
-  void set_test_skip_scatter_fence(bool skip) {
-    test_skip_scatter_fence_ = skip;
-  }
-
  private:
   void do_communicate(comm::Communicator& col_comm, double* mpi_seconds,
                       device::Stream* stream, T* u_dev, long ldu,
@@ -185,7 +174,6 @@ class RowSwapperT {
   bool nopiv_ = false;     ///< no-pivot mode: broadcast-only U replication
   long chunk_bytes_ = -1;  ///< < 0: seed path (blocking + bulk unpack)
   bool fused_delivered_ = false;  ///< this window's U unpacks already enqueued
-  bool test_skip_scatter_fence_ = false;
   /// The owning device's hazard tracker (null when checking is off);
   /// latched from the stream in gather().
   device::HazardTracker* hz_ = nullptr;
@@ -216,5 +204,25 @@ class RowSwapperT {
 };
 
 using RowSwapper = RowSwapperT<double>;
+
+/// Test seam for the hazard regression tests. While an instance is alive,
+/// every RowSwapperT in the process still performs prepare()'s
+/// scatter-done wait (execution stays correct) but through
+/// Event::wait_unordered, so the hazard tracker models the fence as
+/// absent: it re-introduces, for the checker only, the bug class the
+/// fence exists for — rewriting staging buffers that in-flight scatter
+/// kernels read. Scoped, so a failing test cannot leak it into the next
+/// one; a process-wide atomic nesting count, so the rank threads of a
+/// solve read it race-free. Never open one outside hazard tests.
+class SkipScatterFenceScope {
+ public:
+  SkipScatterFenceScope();
+  ~SkipScatterFenceScope();
+  SkipScatterFenceScope(const SkipScatterFenceScope&) = delete;
+  SkipScatterFenceScope& operator=(const SkipScatterFenceScope&) = delete;
+
+  /// True while any scope is open.
+  static bool active();
+};
 
 }  // namespace hplx::core

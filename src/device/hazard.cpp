@@ -73,7 +73,7 @@ void HazardTracker::add_violation(Kind kind, const char* a, const char* b,
     }
   }
   if (records_.size() >= 256) return;  // bounded; counts keep the first 256
-  trace::HazardRecord rec;
+  trace::ViolationRecord rec;
   rec.kind = static_cast<int>(kind);
   rec.count = 1;
   rec.set_labels(a, b, detail.c_str());
@@ -270,7 +270,7 @@ void HazardTracker::on_host_access(const char* what, const MemSpan* spans,
   }
 }
 
-std::vector<trace::HazardRecord> HazardTracker::report() const {
+std::vector<trace::ViolationRecord> HazardTracker::report() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return records_;
 }

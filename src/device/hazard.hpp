@@ -176,7 +176,7 @@ class HazardTracker {
 
   /// Deduplicated violation records (one per kind × op-label pair, with
   /// an occurrence count), ready for HplResult / the report table.
-  std::vector<trace::HazardRecord> report() const;
+  std::vector<trace::ViolationRecord> report() const;
 
   /// Total violation occurrences (sum of record counts).
   std::uint64_t violation_count() const;
@@ -235,7 +235,7 @@ class HazardTracker {
   std::uint64_t epoch_ = 0;
   std::uint64_t ops_since_prune_ = 0;
 
-  std::vector<trace::HazardRecord> records_;
+  std::vector<trace::ViolationRecord> records_;
 };
 
 /// True when the HPLX_HAZARD environment variable requests checking

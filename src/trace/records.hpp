@@ -23,7 +23,9 @@ struct IterationRecord {
   long column = 0;         ///< global column at which the iteration starts
   double total_s = 0.0;    ///< wall time of the whole iteration
   double gpu_s = 0.0;      ///< modeled GPU busy time within the iteration
-  double fact_s = 0.0;     ///< CPU panel factorization time
+  /// CPU factorization time of the *next* panel, in every pipeline mode
+  /// (panel 0 is factored before the first record).
+  double fact_s = 0.0;
   double mpi_s = 0.0;      ///< time in communication calls
   double transfer_s = 0.0; ///< host<->device transfer wait time
   double rs_wire_s = 0.0;  ///< row-swap U-assembly wall time on the wire
@@ -39,37 +41,19 @@ struct IterationRecord {
   double stream_real_s[kMaxUpdateStreams] = {};
 };
 
-/// One deduplicated hazard-checker violation (device::HazardTracker).
-/// Like IterationRecord these travel between ranks as raw bytes, so the
-/// op labels are fixed char arrays, not strings.
-struct HazardRecord {
-  /// Matches device::HazardTracker::Kind (kept as int so trace/ does not
-  /// depend on device/).
+/// One deduplicated checker violation: a device::HazardTracker hazard or
+/// a comm::Verifier finding (HplResult keeps the two in separate
+/// vectors). Like IterationRecord these travel between ranks as raw
+/// bytes, so the op labels are fixed char arrays, not strings. `kind`
+/// matches HazardTracker::Kind or Verifier::Kind (kept as int so trace/
+/// depends on neither device/ nor comm/).
+struct ViolationRecord {
   int kind = 0;
   /// Occurrences collapsed into this record (same kind + label pair).
   std::uint64_t count = 0;
-  char op_a[48] = {};    ///< label of the later / checking access
-  char op_b[48] = {};    ///< label of the conflicting earlier access
-  char detail[96] = {};  ///< first occurrence's address-range context
-
-  void set_labels(const char* a, const char* b, const char* d) {
-    std::strncpy(op_a, a ? a : "", sizeof(op_a) - 1);
-    std::strncpy(op_b, b ? b : "", sizeof(op_b) - 1);
-    std::strncpy(detail, d ? d : "", sizeof(detail) - 1);
-  }
-};
-
-/// One deduplicated communication-verifier violation (comm::Verifier).
-/// Same wire constraints as HazardRecord: records are gathered onto rank 0
-/// as raw bytes, so labels are fixed char arrays. `kind` matches
-/// comm::Verifier::Kind (kept as int so trace/ does not depend on comm/).
-struct CommViolationRecord {
-  int kind = 0;
-  /// Occurrences collapsed into this record (same kind + label pair).
-  std::uint64_t count = 0;
-  char op_a[48] = {};    ///< label of the later / detecting rank's call
-  char op_b[48] = {};    ///< label of the conflicting peer's call
-  char detail[96] = {};  ///< first occurrence's context (sizes, peers)
+  char op_a[48] = {};    ///< label of the later / checking access or call
+  char op_b[48] = {};    ///< label of the conflicting earlier access or peer
+  char detail[96] = {};  ///< first occurrence's context (ranges, sizes)
 
   void set_labels(const char* a, const char* b, const char* d) {
     std::strncpy(op_a, a ? a : "", sizeof(op_a) - 1);

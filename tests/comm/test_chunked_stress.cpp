@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -140,6 +141,50 @@ TEST(ChunkedAllgatherv, RecursiveDoublingFallsBackToWholeSegments) {
         ASSERT_EQ(out[l.displs[static_cast<std::size_t>(r)] + k],
                   byte_at(r, k));
     }
+  });
+}
+
+TEST(ChunkedAllgatherv, RecursiveDoublingLeavesDeliveredOwnSegmentAlone) {
+  // The row swapper hands every delivered chunk to an asynchronous device
+  // unpack that may still be reading it while the collective runs on. The
+  // RecursiveDoubling fallback delivers the own segment first, so it must
+  // not write that segment again afterwards: a reader thread started from
+  // the callback overlaps any such rewrite, which ThreadSanitizer reports.
+  const int ranks = 4;
+  World::run(ranks, [&](Communicator& comm) {
+    const int me = comm.rank();
+    Layout l;
+    for (int r = 0; r < ranks; ++r) {
+      l.counts.push_back(static_cast<std::size_t>(64 * (r + 1)));
+      l.grains.push_back(8);
+      l.displs.push_back(l.total);
+      l.total += l.counts.back();
+    }
+    std::vector<char> mine(l.counts[static_cast<std::size_t>(me)]);
+    for (std::size_t i = 0; i < mine.size(); ++i) mine[i] = byte_at(me, i);
+    std::vector<char> out(l.total, -1);
+    std::vector<std::thread> readers;
+    bool own_intact = false;
+    allgatherv_chunked(
+        comm, mine.data(), l.counts, l.displs, out.data(), 16, l.grains,
+        [&](const ChunkDelivery& d) {
+          if (d.rank != me) return;
+          const char* seg = out.data() + d.offset;
+          readers.emplace_back([seg, d, me, &own_intact] {
+            bool ok = true;
+            for (std::size_t k = 0; k < d.bytes; ++k)
+              ok = ok && seg[k] == byte_at(me, k);
+            own_intact = ok;
+          });
+        },
+        AllgatherAlgo::RecursiveDoubling);
+    for (std::thread& t : readers) t.join();
+    ASSERT_EQ(readers.size(), 1u);
+    EXPECT_TRUE(own_intact);
+    for (int r = 0; r < ranks; ++r)
+      for (std::size_t k = 0; k < l.counts[static_cast<std::size_t>(r)]; ++k)
+        ASSERT_EQ(out[l.displs[static_cast<std::size_t>(r)] + k],
+                  byte_at(r, k));
   });
 }
 

@@ -198,8 +198,9 @@ TEST(CommStress, LargeMessagesBypassTheEagerCopy) {
         ASSERT_EQ(buf[i], static_cast<char>(i * 31 + 7));
     }
     barrier(comm);
-    if (comm.rank() == 0)
+    if (comm.rank() == 0) {
       EXPECT_GE(comm.fabric().direct_deliveries(), 1u);
+    }
   });
 }
 

@@ -362,7 +362,7 @@ core::HplResult run_cfg(const core::HplConfig& cfg) {
   return out;
 }
 
-std::string describe(const std::vector<trace::CommViolationRecord>& recs) {
+std::string describe(const std::vector<trace::ViolationRecord>& recs) {
   std::string s;
   for (const auto& r : recs) {
     s += Verifier::kind_name(static_cast<Verifier::Kind>(r.kind));

@@ -50,7 +50,9 @@ TEST(DriverTrace, PhasesAreNonNegativeAndBounded) {
 }
 
 TEST(DriverTrace, DiagonalOwnersRecordFactTime) {
-  // With look-ahead, iteration j's record includes the FACT of panel j+1,
+  // In every pipeline mode iteration j's record includes the FACT of
+  // panel j+1 (panel 0 is factored in the untimed prologue; Simple runs
+  // it after the update has drained, the look-ahead modes behind it),
   // performed by panel j+1's owner column — but the record belongs to
   // iteration j's diagonal owner. Each record carries the *owner's* FACT
   // time while r.fact_seconds is rank 0's accumulator, so only rank 0's

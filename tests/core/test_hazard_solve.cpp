@@ -3,7 +3,7 @@
 /// The positive half re-introduces PR 4's bug class on purpose: the
 /// RowSwapper's scatter fence is the event that orders the host's U
 /// staging-buffer rewrite behind the previous iteration's device-side
-/// unpack. `HplConfig::test_skip_scatter_fence` keeps the *wait* (so the
+/// unpack. A `SkipScatterFenceScope` keeps the *wait* (so the
 /// run stays numerically correct and race-free) but hides the
 /// happens-before edge from the tracker — exactly what the code would
 /// look like had the fence been forgotten — and the checker must report
@@ -68,9 +68,11 @@ TEST(HazardSolve, MissingScatterFenceIsReported) {
   cfg.swap_wire = SwapWireFormat::RowMajor;
   cfg.swap_chunk_bytes = -1;
 
-  HplConfig skip = cfg;
-  skip.test_skip_scatter_fence = true;
-  const HplResult bad = run(skip);
+  HplResult bad;
+  {
+    const SkipScatterFenceScope skip;
+    bad = run(cfg);
+  }
   // The wait itself still happens, so the answer is untouched...
   EXPECT_TRUE(bad.verify.passed) << "residual=" << bad.verify.residual;
   // ...but the model must see the missing edge.
@@ -107,9 +109,11 @@ TEST(HazardSolve, MissingChunkFenceIsReported) {
   cfg.swap_wire = SwapWireFormat::ColMajor;
   cfg.swap_chunk_bytes = 4096;
 
-  HplConfig skip = cfg;
-  skip.test_skip_scatter_fence = true;
-  const HplResult bad = run(skip);
+  HplResult bad;
+  {
+    const SkipScatterFenceScope skip;
+    bad = run(cfg);
+  }
   EXPECT_TRUE(bad.verify.passed) << "residual=" << bad.verify.residual;
   ASSERT_TRUE(bad.hazard_checked);
   ASSERT_FALSE(bad.hazards.empty());

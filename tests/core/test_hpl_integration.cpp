@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -81,19 +84,45 @@ INSTANTIATE_TEST_SUITE_P(
         Param{2, 2, 32, 32, PipelineMode::Lookahead}));
 
 TEST(HplSolve, PipelineModesAgreeBitwise) {
-  std::vector<double> scores;
-  std::vector<double> residuals;
-  for (PipelineMode mode : {PipelineMode::Simple, PipelineMode::Lookahead,
-                            PipelineMode::LookaheadSplit}) {
-    HplConfig cfg = base_cfg(128, 16, 2, 2);
-    cfg.pipeline = mode;
-    const HplResult r = run(cfg);
-    residuals.push_back(r.verify.residual);
+  // Every mode runs one schedule with different section boundaries (the
+  // look-ahead depth and where the right section starts; split fraction 0
+  // leaves no right section, 1 makes it the whole window). Each column is
+  // swapped exactly once and updated in the same order, so besides the
+  // solution the row-swap wire bytes and the iteration-record count agree
+  // too: a schedule that swapped a section twice, or skipped one, fails
+  // here even when its residual survives.
+  struct Mode {
+    PipelineMode pipeline;
+    double split;
+  };
+  const Mode modes[] = {{PipelineMode::Simple, 0.5},
+                        {PipelineMode::Lookahead, 0.5},
+                        {PipelineMode::LookaheadSplit, 0.0},
+                        {PipelineMode::LookaheadSplit, 0.5},
+                        {PipelineMode::LookaheadSplit, 1.0}};
+  for (const auto& [p, q] : {std::pair{1, 1}, std::pair{2, 2}}) {
+    std::vector<HplResult> runs;
+    for (const Mode& m : modes) {
+      HplConfig cfg = base_cfg(128, 16, p, q);
+      cfg.pipeline = m.pipeline;
+      cfg.split_fraction = m.split;
+      runs.push_back(run(cfg));
+    }
+    EXPECT_GT(runs[0].rs_wire_bytes, 0) << p << "x" << q;
+    EXPECT_EQ(runs[0].trace.iterations.size(), 8u) << p << "x" << q;
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      const std::string what = std::to_string(p) + "x" + std::to_string(q) +
+                                " " + to_string(modes[i].pipeline) +
+                                " split=" + std::to_string(modes[i].split);
+      // The scaled residual is a deterministic function of x: identical x
+      // across modes → identical residual.
+      EXPECT_EQ(runs[i].verify.residual, runs[0].verify.residual) << what;
+      EXPECT_EQ(runs[i].rs_wire_bytes, runs[0].rs_wire_bytes) << what;
+      EXPECT_EQ(runs[i].trace.iterations.size(),
+                runs[0].trace.iterations.size())
+          << what;
+    }
   }
-  // The scaled residual is a deterministic function of x: identical x
-  // across modes → identical residual.
-  EXPECT_EQ(residuals[0], residuals[1]);
-  EXPECT_EQ(residuals[0], residuals[2]);
 }
 
 TEST(HplSolve, SplitFractionSweepStaysCorrect) {
@@ -218,6 +247,28 @@ TEST(HplSolve, HbmExhaustionSurfacesAsError) {
   HplConfig cfg = base_cfg(256, 16, 1, 1);
   cfg.hbm_bytes = 100 * sizeof(double);  // far too small
   EXPECT_THROW(run(cfg), Error);
+}
+
+TEST(HplSolve, SplitFractionOutsideUnitIntervalRejected) {
+  // HPL.dat range-checks the split fraction; a config built in code must
+  // be rejected by run_hpl itself, with an error naming the field.
+  for (const auto& [p, q] : {std::pair{1, 1}, std::pair{2, 2}}) {
+    for (double f : {std::nan(""), -0.25, 1.5}) {
+      HplConfig cfg = base_cfg(64, 16, p, q);
+      cfg.split_fraction = f;
+      try {
+        comm::World::run(p * q, [&](comm::Communicator& world) {
+          run_hpl(world, cfg);
+        });
+        ADD_FAILURE() << "split_fraction=" << f << " accepted on " << p
+                      << "x" << q;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("split_fraction"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(HplSolve, WrongRankCountRejected) {

@@ -41,7 +41,9 @@ TEST(PanelBcast, RootDataReachesWholeRow) {
       EXPECT_EQ(panel.ipiv, want.ipiv);
       EXPECT_EQ(panel.top, want.top);
       EXPECT_EQ(panel.l2, want.l2);
-      if (row.rank() != 1) EXPECT_GT(mpi, 0.0);
+      if (row.rank() != 1) {
+        EXPECT_GT(mpi, 0.0);
+      }
     });
   }
 }
