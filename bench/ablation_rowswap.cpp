@@ -90,44 +90,39 @@ int main(int argc, char** argv) {
   }
   chunks.print(std::cout);
 
-  // Part 3: real-driver correctness with every SWAP selection, wire
-  // format, and chunking mode. Residuals must agree across the whole
-  // table: the transport choices never touch the arithmetic.
+  // Part 3: real-driver correctness with every SWAP selection and chunk
+  // size. Residuals must agree across the whole table: the transport
+  // choices never touch the arithmetic.
   if (!opt.get_bool("skip-real", false)) {
     std::printf(
         "\nA-SWAP part 3: real driver (N=128 NB=16 4x1, power-of-two "
         "column for binary exchange)\n\n");
     trace::Table real(
-        {"swap", "wire", "chunk", "residual", "passed", "overlap_pct"});
+        {"swap", "chunk_KiB", "residual", "passed", "overlap_pct"});
     for (auto algo : {core::RowSwapAlgo::SpreadRoll,
                       core::RowSwapAlgo::BinaryExchange,
                       core::RowSwapAlgo::Mix}) {
-      for (auto wire :
-           {core::SwapWireFormat::RowMajor, core::SwapWireFormat::ColMajor}) {
-        for (long chunk : {-1L, 16L * 1024L}) {
-          core::HplConfig cfg;
-          cfg.n = 128;
-          cfg.nb = 16;
-          cfg.p = 4;
-          cfg.q = 1;
-          cfg.swap = algo;
-          cfg.swap_threshold = 48;
-          cfg.swap_wire = wire;
-          cfg.swap_chunk_bytes = chunk;
-          cfg.fact_threads = 2;
-          core::HplResult result;
-          comm::World::run(4, [&](comm::Communicator& world) {
-            core::HplResult r = core::run_hpl(world, cfg);
-            if (world.rank() == 0) result = std::move(r);
-          });
-          real.row()
-              .add(to_string(algo))
-              .add(to_string(wire))
-              .add(chunk < 0 ? "block" : "16K")
-              .add(result.verify.residual, 4)
-              .add(result.verify.passed ? "yes" : "NO")
-              .add(100.0 * result.rs_overlap_efficiency, 1);
-        }
+      for (long kib : {1L, 16L, 256L}) {
+        core::HplConfig cfg;
+        cfg.n = 128;
+        cfg.nb = 16;
+        cfg.p = 4;
+        cfg.q = 1;
+        cfg.swap = algo;
+        cfg.swap_threshold = 48;
+        cfg.swap_chunk_bytes = kib * 1024;
+        cfg.fact_threads = 2;
+        core::HplResult result;
+        comm::World::run(4, [&](comm::Communicator& world) {
+          core::HplResult r = core::run_hpl(world, cfg);
+          if (world.rank() == 0) result = std::move(r);
+        });
+        real.row()
+            .add(to_string(algo))
+            .add(kib)
+            .add(result.verify.residual, 4)
+            .add(result.verify.passed ? "yes" : "NO")
+            .add(100.0 * result.rs_overlap_efficiency, 1);
       }
     }
     real.print(std::cout);

@@ -34,7 +34,7 @@ void BM_PingPong(benchmark::State& state) {
         }
       }
       if (comm.rank() == 0) {
-        const auto s = comm.fabric().pool_stats();
+        const auto s = comm.fabric().allocator().stats();
         hit_rate = s.hit_rate();
         direct = static_cast<double>(comm.fabric().direct_deliveries());
       }
@@ -70,7 +70,7 @@ void BM_PivotAllreduce(benchmark::State& state) {
                                 if (b[0] > a[0]) a[0] = b[0];
                               });
       }
-      if (comm.rank() == 0) hit_rate = comm.fabric().pool_stats().hit_rate();
+      if (comm.rank() == 0) hit_rate = comm.fabric().allocator().stats().hit_rate();
     });
   }
   state.counters["pool_hit_rate"] = hit_rate;
@@ -93,7 +93,7 @@ void BM_Allgatherv(benchmark::State& state) {
       std::vector<char> all(per_rank * static_cast<std::size_t>(ranks));
       comm::allgatherv_bytes(comm, mine.data(), counts, displs, all.data());
       benchmark::DoNotOptimize(all.data());
-      if (comm.rank() == 0) hit_rate = comm.fabric().pool_stats().hit_rate();
+      if (comm.rank() == 0) hit_rate = comm.fabric().allocator().stats().hit_rate();
     });
   }
   state.counters["MB/s"] = benchmark::Counter(
@@ -115,7 +115,7 @@ void BM_PanelBcast(benchmark::State& state) {
       comm::bcast_bytes(comm, buf.data(), bytes, 0, algo);
       benchmark::DoNotOptimize(buf.data());
       if (comm.rank() == 0) {
-        const auto s = comm.fabric().pool_stats();
+        const auto s = comm.fabric().allocator().stats();
         hit_rate = s.hit_rate();
         direct = static_cast<double>(comm.fabric().direct_deliveries());
       }

@@ -140,9 +140,8 @@ BENCHMARK(BM_SolverStreams)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Pipelined row-swap broadcast. Args: {N, NB, P, Q, wire tag (0 =
-/// row-major, 1 = col-major), chunk_bytes (-1 = blocking seed path)};
-/// always the split pipeline. Exports the measured U-assembly wall time
+/// Pipelined row-swap broadcast. Args: {N, NB, P, Q, chunk_bytes}; always
+/// the split pipeline. Exports the measured U-assembly wall time
 /// (rs_wire_s), the modeled seconds of fused chunk unpacks enqueued
 /// during it (rs_unpack_s), and the resulting overlap efficiency, so a
 /// snapshot shows how much unpack work the chunked transport actually
@@ -154,9 +153,7 @@ void BM_SolverRowswap(benchmark::State& state) {
   cfg.p = static_cast<int>(state.range(2));
   cfg.q = static_cast<int>(state.range(3));
   cfg.pipeline = core::PipelineMode::LookaheadSplit;
-  cfg.swap_wire = state.range(4) == 0 ? core::SwapWireFormat::RowMajor
-                                      : core::SwapWireFormat::ColMajor;
-  cfg.swap_chunk_bytes = state.range(5);
+  cfg.swap_chunk_bytes = state.range(4);
   cfg.fact_threads = 2;
 
   double gflops = 0.0, wire_s = 0.0, unpack_s = 0.0, overlap = 0.0;
@@ -181,19 +178,15 @@ void BM_SolverRowswap(benchmark::State& state) {
     state.counters["rs_unpack_s"] = unpack_s * inv;
     state.counters["overlap"] = overlap * inv;
   }
-  state.SetLabel(std::string(to_string(cfg.swap_wire)) +
-                 (cfg.swap_chunk_bytes < 0 ? "/blocking" : "/chunked"));
 }
 
 BENCHMARK(BM_SolverRowswap)
-    // Seed path vs pipelined at the acceptance shape (N=2048, NB=256).
-    ->Args({2048, 256, 1, 1, 0, -1})
-    ->Args({2048, 256, 1, 1, 1, 256 * 1024})
+    // The acceptance shape (N=2048, NB=256).
+    ->Args({2048, 256, 1, 1, 256 * 1024})
     // Cross-rank transport: the allgatherv actually rides the fabric.
-    ->Args({1024, 128, 2, 2, 0, -1})
-    ->Args({1024, 128, 2, 2, 1, -1})
-    ->Args({1024, 128, 2, 2, 1, 64 * 1024})
-    ->Args({1024, 128, 2, 2, 1, 256 * 1024})
+    ->Args({1024, 128, 2, 2, 4 * 1024})
+    ->Args({1024, 128, 2, 2, 64 * 1024})
+    ->Args({1024, 128, 2, 2, 256 * 1024})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -24,52 +24,22 @@ cmake --build "$build" --target bench_cpu_blas bench_comm bench_kernels \
   bench_solver -j >/dev/null
 
 cd "$out"
-"$build/bench/bench_cpu_blas" \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_blas.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_comm" \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_comm.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_kernels" \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_kernels.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_solver" \
-  --benchmark_filter='BM_Solver/' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_solver.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_solver" \
-  --benchmark_filter='BM_SolverStreams/' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_streams.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_solver" \
-  --benchmark_filter='BM_SolverRowswap/' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_rowswap.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_solver" \
-  --benchmark_filter='BM_SolverMxp/' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_mxp.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_solver" \
-  --benchmark_filter='BM_SolverVariants/' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_variants.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_solver" \
-  --benchmark_filter='BM_SolverAlloc/' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_alloc.json" \
-  --benchmark_out_format=json
-"$build/bench/bench_solver" \
-  --benchmark_filter='BM_SolverCommcheck/' \
-  --benchmark_min_time="$min_time" \
-  --benchmark_out="$out/BENCH_commcheck.json" \
-  --benchmark_out_format=json
+# run <bench binary> <json suffix> [benchmark filter]
+run() {
+  "$build/bench/$1" \
+    ${3:+--benchmark_filter="$3"} \
+    --benchmark_min_time="$min_time" \
+    --benchmark_out="$out/BENCH_$2.json" \
+    --benchmark_out_format=json
+}
+run bench_cpu_blas blas
+run bench_comm comm
+run bench_kernels kernels
+# bench_solver, one JSON per benchmark family: <json suffix>:<family>.
+for entry in solver:BM_Solver streams:BM_SolverStreams \
+  rowswap:BM_SolverRowswap mxp:BM_SolverMxp variants:BM_SolverVariants \
+  alloc:BM_SolverAlloc commcheck:BM_SolverCommcheck; do
+  run bench_solver "${entry%%:*}" "${entry#*:}/"
+done
 
 echo "wrote $out/BENCH_{blas,comm,kernels,solver,streams,rowswap,mxp,variants,alloc,commcheck}.json"

@@ -86,7 +86,7 @@ void chain_forward(Communicator& comm, void* buf, std::size_t bytes,
       // Relay: take ownership of the pooled payload, copy it into buf
       // once, and forward the same storage to the successor. The old
       // recv-then-send pair cost an allocation plus two copies here.
-      PoolBuffer pb = comm.recv_internal_buffer(
+      device::Lease pb = comm.recv_internal_buffer(
           bytes, order[static_cast<std::size_t>(i - 1)], kTagBcast);
       if (bytes > 0) std::memcpy(buf, pb.data(), bytes);
       if (i + 1 < n)
@@ -157,7 +157,7 @@ void binomial_bcast(Communicator& comm, void* buf, std::size_t bytes,
 
   // Receive from the parent, then relay to children at increasing strides.
   int mask = 1;
-  PoolBuffer pb;
+  device::Lease pb;
   bool have_pb = false;
   while (mask < n) {
     if (vr & mask) {
@@ -398,7 +398,7 @@ void allreduce_bytes(
   // Binomial reduce to rank 0. Scratch for partner contributions comes
   // from the fabric's pool instead of a fresh heap allocation per call —
   // the pivot allreduce runs once per column, so this is hot.
-  PoolBuffer incoming;
+  device::Lease incoming;
   int mask = 1;
   while (mask < n) {
     if (vr & mask) {
@@ -407,7 +407,7 @@ void allreduce_bytes(
     }
     if (vr + mask < n) {
       if (incoming.size() < bytes)
-        incoming = comm.fabric().pool().acquire(bytes);
+        incoming = device::Lease(comm.fabric().allocator(), bytes);
       comm.recv_internal(incoming.data(), bytes, vr + mask, kTagAllreduce);
       combine(buf, incoming.data());
     }
@@ -433,9 +433,23 @@ void allreduce_bytes(
   }
 }
 
+namespace {
+
+/// Largest chunk of a `seg_bytes` segment: a multiple of `grain`, at most
+/// `chunk_bytes` (rounded down to a grain multiple, at least one grain).
+/// chunk_bytes == 0 or grain >= seg_bytes yields the whole segment.
+std::size_t chunk_step(std::size_t seg_bytes, std::size_t chunk_bytes,
+                       std::size_t grain) {
+  if (grain == 0) grain = 1;
+  const std::size_t step = chunk_bytes == 0 ? seg_bytes : chunk_bytes;
+  return std::max(grain, step / grain * grain);
+}
+
+}  // namespace
+
 void scatterv_bytes(Communicator& comm, const void* sendbuf,
                     const std::vector<std::size_t>& counts, void* recvbuf,
-                    int root) {
+                    int root, std::size_t chunk_bytes, std::size_t grain) {
   const int n = comm.size();
   HPLX_CHECK(root >= 0 && root < n);
   HPLX_CHECK(static_cast<int>(counts.size()) == n);
@@ -448,6 +462,8 @@ void scatterv_bytes(Communicator& comm, const void* sendbuf,
                              : counts[static_cast<std::size_t>(me)],
                   /*write=*/me != root);
 
+  // Both ends derive the same message boundaries from counts[rank]; an
+  // empty segment still travels as one zero-byte message.
   if (me == root) {
     const std::byte* base = static_cast<const std::byte*>(sendbuf);
     std::size_t offset = 0;
@@ -456,13 +472,26 @@ void scatterv_bytes(Communicator& comm, const void* sendbuf,
       if (i == root) {
         if (c > 0) std::memcpy(recvbuf, base + offset, c);
       } else {
-        comm.send_internal(base + offset, c, i, kTagScatterv);
+        const std::size_t step = chunk_step(c, chunk_bytes, grain);
+        std::size_t off = 0;
+        do {
+          const std::size_t len = std::min(step, c - off);
+          comm.send_internal(base + offset + off, len, i, kTagScatterv);
+          off += len;
+        } while (off < c);
       }
       offset += c;
     }
   } else {
-    comm.recv_internal(recvbuf, counts[static_cast<std::size_t>(me)], root,
-                       kTagScatterv);
+    std::byte* dst = static_cast<std::byte*>(recvbuf);
+    const std::size_t c = counts[static_cast<std::size_t>(me)];
+    const std::size_t step = chunk_step(c, chunk_bytes, grain);
+    std::size_t off = 0;
+    do {
+      const std::size_t len = std::min(step, c - off);
+      comm.recv_internal(dst + off, len, root, kTagScatterv);
+      off += len;
+    } while (off < c);
   }
 }
 
@@ -548,17 +577,14 @@ void allgatherv_bytes(Communicator& comm, const void* sendbuf,
 
 namespace {
 
-/// Chunk boundaries for one segment: multiples of `grain`, each at most
-/// `chunk_bytes` (rounded down to a grain multiple, at least one grain).
-/// chunk_bytes == 0 or grain >= seg_bytes yields the whole segment.
+/// Chunk boundaries for one segment, chunk_step() apart (the last chunk
+/// takes the remainder).
 std::vector<std::size_t> chunk_bounds(std::size_t seg_bytes,
                                       std::size_t chunk_bytes,
                                       std::size_t grain) {
   std::vector<std::size_t> bounds{0};
   if (seg_bytes == 0) return bounds;
-  if (grain == 0) grain = 1;
-  std::size_t step = chunk_bytes == 0 ? seg_bytes : chunk_bytes;
-  step = std::max(grain, step / grain * grain);
+  const std::size_t step = chunk_step(seg_bytes, chunk_bytes, grain);
   for (std::size_t off = step; off < seg_bytes; off += step)
     bounds.push_back(off);
   bounds.push_back(seg_bytes);

@@ -93,10 +93,16 @@ void allreduce(Communicator& comm, T* buf, std::size_t count, ReduceOp op) {
 /// Root holds `counts[i]` bytes for each rank i, packed contiguously in
 /// rank order in sendbuf; rank i receives its segment into recvbuf
 /// (counts[rank] bytes). Linear sends from root, like the row-swap
-/// scatter phase (Fig 2c).
+/// scatter phase (Fig 2c). A nonzero `chunk_bytes` splits every segment
+/// into messages of at most that many bytes, rounded down to a multiple
+/// of `grain` (at least one grain; grain 0 means byte-granular) — the
+/// same rule allgatherv_chunked applies, so one bound caps the message
+/// sizes of both row-swap collectives. chunk_bytes 0 sends each segment
+/// as one message.
 void scatterv_bytes(Communicator& comm, const void* sendbuf,
                     const std::vector<std::size_t>& counts, void* recvbuf,
-                    int root);
+                    int root, std::size_t chunk_bytes = 0,
+                    std::size_t grain = 0);
 
 // ------------------------------------------------------------- allgatherv
 /// Allgather algorithm selector (the trade HPL's SWAP input exposes):

@@ -22,7 +22,7 @@ namespace {
 void do_send(Fabric& fabric, int src, const void* buf, std::size_t bytes,
              int dst, int tag) {
   HPLX_CHECK(dst >= 0 && dst < fabric.size());
-  fabric.mailbox(dst).deliver(src, tag, buf, bytes, fabric.pool(),
+  fabric.mailbox(dst).deliver(src, tag, buf, bytes, fabric.allocator(),
                               fabric.direct_threshold(),
                               fabric.direct_counter());
 }
@@ -86,7 +86,7 @@ void Communicator::recv_internal(void* buf, std::size_t bytes, int src,
   do_recv(*fabric_, rank_, buf, bytes, src, kMaxUserTag + coll_tag);
 }
 
-PoolBuffer Communicator::recv_internal_buffer(std::size_t bytes, int src,
+device::Lease Communicator::recv_internal_buffer(std::size_t bytes, int src,
                                               int coll_tag) {
   MessageEnvelope msg =
       fabric_->mailbox(rank_).match(src, kMaxUserTag + coll_tag);
@@ -100,7 +100,7 @@ PoolBuffer Communicator::recv_internal_buffer(std::size_t bytes, int src,
   return std::move(msg.payload);
 }
 
-void Communicator::send_internal_buffer(PoolBuffer&& payload, int dst,
+void Communicator::send_internal_buffer(device::Lease&& payload, int dst,
                                         int coll_tag) {
   HPLX_CHECK(dst >= 0 && dst < fabric_->size());
   MessageEnvelope msg;

@@ -134,12 +134,13 @@ class Communicator {
   /// payload is moved out and returned, so a rank that receives data only
   /// to forward it can read from the buffer once and pass the same storage
   /// on — no intermediate memcpy into a staging vector.
-  PoolBuffer recv_internal_buffer(std::size_t bytes, int src, int coll_tag);
+  device::Lease recv_internal_buffer(std::size_t bytes, int src,
+                                     int coll_tag);
 
   /// Forward a pooled payload (typically one obtained from
   /// recv_internal_buffer) to `dst` without copying: ownership of the
   /// buffer transfers to the destination mailbox.
-  void send_internal_buffer(PoolBuffer&& payload, int dst, int coll_tag);
+  void send_internal_buffer(device::Lease&& payload, int dst, int coll_tag);
 
   Fabric& fabric() { return *fabric_; }
 

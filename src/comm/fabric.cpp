@@ -21,7 +21,8 @@ bool matches(const MessageEnvelope& m, int src, int tag) {
 }  // namespace
 
 void Mailbox::deliver(int src, int tag, const void* data, std::size_t bytes,
-                      BufferPool& pool, std::size_t direct_threshold,
+                      device::PoolAllocator& pool,
+                      std::size_t direct_threshold,
                       std::atomic<std::uint64_t>& direct_count) {
   std::unique_lock<std::mutex> lock(mutex_);
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
@@ -56,8 +57,10 @@ void Mailbox::deliver(int src, int tag, const void* data, std::size_t bytes,
   MessageEnvelope msg;
   msg.src = src;
   msg.tag = tag;
-  msg.payload = pool.acquire(bytes);
-  if (bytes != 0) std::memcpy(msg.payload.data(), data, bytes);
+  if (bytes != 0) {
+    msg.payload = device::Lease(pool, bytes);
+    std::memcpy(msg.payload.data(), data, bytes);
+  }
   queue_.push_back(std::move(msg));
   lock.unlock();
   cv_.notify_all();

@@ -4,7 +4,10 @@
 /// rank, tagged FIFO matching, pooled payloads, eager/rendezvous delivery.
 ///
 /// This is the layer below Communicator. A Fabric owns `size` mailboxes
-/// and one BufferPool shared by all of them. Two delivery regimes:
+/// and one message pool (a device::PoolAllocator, so the steady-state
+/// allocation accounting covers message payloads with the same counter as
+/// device buffers and the host arena) shared by all of them. Two delivery
+/// regimes:
 ///
 ///   - **Eager** (bytes < direct threshold, or the receiver has not posted
 ///     yet): the payload is copied into a pooled buffer and queued at the
@@ -30,8 +33,8 @@
 #include <mutex>
 #include <vector>
 
-#include "comm/buffer_pool.hpp"
 #include "comm/verify.hpp"
+#include "device/alloc.hpp"
 
 namespace hplx::comm {
 
@@ -43,10 +46,17 @@ inline constexpr int kAnySource = -1;
 /// in one copy. Tunable per fabric (HplConfig::comm_eager_bytes).
 inline constexpr std::size_t kDefaultEagerThreshold = 32 * 1024;
 
+/// Largest pooled message class: 16 MiB. Larger payloads are oversize —
+/// allocated directly and freed on release — so pathological message
+/// sizes cannot pin memory on the freelists.
+inline constexpr int kMaxMessageClassLog = 24;
+
 struct MessageEnvelope {
   int src = 0;
   int tag = 0;
-  PoolBuffer payload;
+  /// Empty (no lease) for a zero-byte message, which never touches the
+  /// pool.
+  device::Lease payload;
 };
 
 /// One rank's incoming-message queue plus its posted (waiting) receives.
@@ -57,10 +67,10 @@ class Mailbox {
   void deposit(MessageEnvelope msg);
 
   /// Deliver `bytes` from `data`: directly into a posted receive when one
-  /// matches and bytes >= direct_threshold, else eagerly via `pool`.
-  /// `direct_count` is bumped on the direct path.
+  /// matches and bytes >= direct_threshold, else eagerly via a lease from
+  /// `pool`. `direct_count` is bumped on the direct path.
   void deliver(int src, int tag, const void* data, std::size_t bytes,
-               BufferPool& pool, std::size_t direct_threshold,
+               device::PoolAllocator& pool, std::size_t direct_threshold,
                std::atomic<std::uint64_t>& direct_count);
 
   /// Block until a message matching (src, tag) is available and return it.
@@ -173,8 +183,9 @@ class Fabric {
   /// delivering; used by the verifier's deadlock abort.
   void interrupt_all();
 
-  BufferPool& pool() { return pool_; }
-  BufferPool::Stats pool_stats() const { return pool_.stats(); }
+  /// The message pool every eager payload is leased from.
+  device::PoolAllocator& allocator() { return alloc_; }
+  const device::PoolAllocator& allocator() const { return alloc_; }
 
   std::size_t direct_threshold() const {
     return direct_threshold_.load(std::memory_order_relaxed);
@@ -207,8 +218,9 @@ class Fabric {
  private:
   const int size_;
   // Declared before the mailboxes: envelopes queued in a mailbox hold
-  // pool buffers, so the pool must outlive them at destruction.
-  BufferPool pool_;
+  // leases, so the pool must outlive them at destruction.
+  device::PoolAllocator alloc_{"comm", /*passthrough=*/false,
+                               kMaxMessageClassLog};
   std::atomic<std::size_t> direct_threshold_{kDefaultEagerThreshold};
   std::atomic<std::uint64_t> direct_deliveries_{0};
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;

@@ -44,17 +44,6 @@ enum class RowSwapAlgo { SpreadRoll, BinaryExchange, Mix };
 
 const char* to_string(RowSwapAlgo a);
 
-/// Layout of the packed U rows on the wire (the row-swap allgatherv
-/// payload). RowMajor is the seed format: one contiguous wire row per
-/// communicated matrix row, unpacked with strided writes. ColMajor packs
-/// each rank's contribution as an nr×njl column-major block, so the
-/// receive side becomes contiguous column copies and any sub-range of
-/// wire columns can be unpacked independently — the enabler for fusing
-/// per-chunk unpacks into the collective.
-enum class SwapWireFormat { RowMajor, ColMajor };
-
-const char* to_string(SwapWireFormat f);
-
 /// Arithmetic mode of the factorization (the HPL-MxP lever). FP64 is the
 /// classic benchmark. MXP32 runs the entire LU — panel factorization,
 /// broadcast, row swaps, trailing update, backsolve — in fp32 (half the
@@ -100,18 +89,15 @@ struct HplConfig {
   /// Column-width threshold for RowSwapAlgo::Mix.
   long swap_threshold = 64;
 
-  /// Wire format of the U-assembly allgatherv payload. ColMajor (default)
-  /// enables the fused unpack-on-delivery pipeline; RowMajor reproduces
-  /// the seed path byte-for-byte on the wire.
-  SwapWireFormat swap_wire = SwapWireFormat::ColMajor;
-
-  /// Chunk size (bytes) for the pipelined U-assembly broadcast: the
-  /// allgatherv is split into chunks of at most this many bytes and the
+  /// Chunk size (bytes) for the pipelined row swap. The U-assembly
+  /// allgatherv ships each rank's contribution as an nr×njl column-major
+  /// block, split into chunks of at most this many bytes, and the
   /// per-chunk device unpack is enqueued as each chunk lands, overlapping
-  /// deserialization with the remaining wire traffic. 0 = pick via the
-  /// startup autotune probe; negative = disable chunking (seed blocking
-  /// collective + one bulk unpack). Chunks are rounded to whole wire
-  /// rows/columns, so any value is bitwise-identical.
+  /// deserialization with the remaining wire traffic. The displaced-row
+  /// scatterv is split under the same cap. 0 = pick via the startup
+  /// autotune probe; negative values are rejected. Chunks are rounded to
+  /// whole wire columns (rows for the scatterv), so any value is
+  /// bitwise-identical.
   long swap_chunk_bytes = 256 * 1024;
 
   /// Optional user-supplied panel broadcast, overriding `bcast`. The

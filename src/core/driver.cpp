@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "blas/threading.hpp"
-#include "comm/buffer_pool.hpp"
 #include "comm/collectives.hpp"
 #include "core/backsolve.hpp"
 #include "core/matrix.hpp"
@@ -99,7 +98,7 @@ class Solver {
     }
     for (RowSwapperT<T>* rs : swappers) {
       rs->reserve(dev_.host_arena(), cfg.nb, a_.nloc(), cfg.p);
-      rs->set_pipeline(cfg.swap_wire, swap_chunk_bytes);
+      rs->set_pipeline(swap_chunk_bytes);
       rs->set_pivot_mode(cfg.pivoting);
     }
     w_.reserve(static_cast<std::size_t>(std::max<long>(a_.mloc(), 1)) *
@@ -396,7 +395,7 @@ class Solver {
                                                  &dev_.host_arena()};
     for (comm::Communicator* c :
          {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
-      device::PoolAllocator* a = &c->fabric().pool().allocator();
+      device::PoolAllocator* a = &c->fabric().allocator();
       if (std::find(pools.begin(), pools.end(), a) == pools.end())
         pools.push_back(a);
     }
@@ -427,18 +426,16 @@ class Solver {
     // fabric this rank touches, while the fills still count as warmup.
     // Device and arena pools are skipped: their lease sizes are
     // deterministic max-extent functions of the iteration, so warmup
-    // already covers them. The bound: a chunked swap buffer is capped at
-    // max(chunk, one grain = one packed matrix row incl. the B columns);
-    // the bulk (seed) path ships a whole nb-row contribution at once.
+    // already covers them. The bound: every swap message — allgatherv
+    // chunk and scatterv piece alike — is capped at max(chunk, one grain =
+    // one packed matrix row incl. the B columns).
     const std::size_t row_bytes =
         static_cast<std::size_t>(cfg_.n + cfg_.nrhs) * sizeof(T);
     const std::size_t swap_bound =
-        swap_chunk_bytes_ >= 0
-            ? std::max(static_cast<std::size_t>(swap_chunk_bytes_), row_bytes)
-            : static_cast<std::size_t>(cfg_.nb) * row_bytes;
+        std::max(static_cast<std::size_t>(swap_chunk_bytes_), row_bytes);
     for (comm::Communicator* c :
          {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
-      c->fabric().pool().allocator().prewarm(kPrewarmBlocks, swap_bound);
+      c->fabric().allocator().prewarm(kPrewarmBlocks, swap_bound);
     }
     // The upstream counter is process-wide, so the window must open after
     // *every* rank's warmup: without the barrier a slow rank's last
@@ -586,7 +583,7 @@ class Solver {
   /// RS2 stage 2: communicate the gathered right section into u_right_;
   /// the next iteration scatters it.
   void communicate_right(long start, IterStats& st) {
-    rs_right_next_->communicate(grid_.col_comm(), &st.mpi, &compute_,
+    rs_right_next_->communicate(grid_.col_comm(), &st.mpi, compute_,
                                 u_right_.template data_as<T>(), cfg_.nb,
                                 &st.rs);
     right_start_ = start;
@@ -663,7 +660,7 @@ class Solver {
           right = bands(*right_ready, u_right, right_start, nloc,
                         BandPlacement::SparePrimary);
       }
-      rs_la_.communicate(grid_.col_comm(), &st.mpi, &compute_, u, cfg_.nb,
+      rs_la_.communicate(grid_.col_comm(), &st.mpi, compute_, u, cfg_.nb,
                          &st.rs);
       rs_la_.scatter(compute_, a_, u, cfg_.nb);
     }
@@ -719,7 +716,7 @@ class Solver {
       // RS1, hidden by UPDATE2 (its rows were gathered up front). The
       // fused unpacks land on the primary and only write u_left_, which
       // nothing reads until UPDATE1's bands (gated on left_ready below).
-      rs_left_.communicate(grid_.col_comm(), &st.mpi, &compute_, u_left,
+      rs_left_.communicate(grid_.col_comm(), &st.mpi, compute_, u_left,
                            cfg_.nb, &st.rs);
       // After UPDATE2: gather the next panel's right-section rows (RS2).
       // The gather reads columns UPDATE2 writes, and UPDATE2's bands live
@@ -871,7 +868,7 @@ class Solver {
   double real0_[trace::kMaxUpdateStreams] = {};
 
   // Steady-window allocation accounting (mark_steady / finish_steady).
-  long swap_chunk_bytes_ = -1;  ///< resolved RS chunk (prewarm bound)
+  long swap_chunk_bytes_ = 0;  ///< resolved RS chunk (prewarm bound)
   bool steady_marked_ = false;
   bool steady_measured_ = false;
   std::uint64_t steady_upstream0_ = 0;
@@ -949,6 +946,9 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
                      cfg.split_fraction >= 0.0 && cfg.split_fraction <= 1.0,
                  "split_fraction = " << cfg.split_fraction
                  << " is not a finite value in [0, 1]");
+  HPLX_CHECK_MSG(cfg.swap_chunk_bytes >= 0,
+                 "swap_chunk_bytes = " << cfg.swap_chunk_bytes
+                 << " is negative (0 = autotune, > 0 = chunk bytes)");
   // The multi-RHS solve (backsolve, verify, refine) assumes every RHS
   // column shares the trailing column block with classic column N, so one
   // process column owns the whole b̂ panel contiguously.
@@ -974,7 +974,7 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
   device::configure_engine({tile_cols, cfg.kernel_threads});
   // swap_chunk_bytes = 0 likewise resolves through the startup probe (the
   // same kernel timings pick the chunk that balances unpack grain against
-  // per-chunk latency); negative values pin the unchunked seed path.
+  // per-chunk latency).
   long chunk_bytes = cfg.swap_chunk_bytes;
   if (chunk_bytes == 0) chunk_bytes = device::autotune_swap_chunk_bytes();
   HplResult result;

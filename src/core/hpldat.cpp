@@ -259,13 +259,20 @@ HplDat parse_hpldat(std::istream& in) {
                    "HPL.dat: hazard check must be 0 or 1");
   }
   if (!r.eof()) {
-    dat.swap_wire_format = static_cast<int>(r.integer("swap wire format"));
-    HPLX_CHECK_MSG(dat.swap_wire_format == 0 || dat.swap_wire_format == 1,
-                   "HPL.dat: swap wire format must be 0 (row-major) or 1 "
-                   "(col-major)");
+    // Kept so the lines after it stay in place (like HPL's "L1 form"):
+    // col-major is the only wire format left.
+    const long wire = r.integer("swap wire format");
+    HPLX_CHECK_MSG(wire != 0,
+                   "HPL.dat: the row-major swap wire format was retired; "
+                   "set swap wire format to 1 (col-major)");
+    HPLX_CHECK_MSG(wire == 1, "HPL.dat: swap wire format must be 1 "
+                              "(col-major), got " << wire);
   }
   if (!r.eof()) {
     dat.swap_chunk_bytes = r.integer("swap chunk bytes");
+    HPLX_CHECK_MSG(dat.swap_chunk_bytes >= 0,
+                   "HPL.dat: swap chunk bytes must be >= 0 (0 = autotune), "
+                   "got " << dat.swap_chunk_bytes);
   }
   if (!r.eof()) {
     dat.precision = r.token();
@@ -363,9 +370,6 @@ std::vector<HplConfig> expand_configs(const HplDat& dat) {
                   cfg.update_streams = dat.update_streams;
                   cfg.update_band_cols = dat.update_band_cols;
                   cfg.hazard_check = dat.hazard_check != 0;
-                  cfg.swap_wire = dat.swap_wire_format == 0
-                                      ? SwapWireFormat::RowMajor
-                                      : SwapWireFormat::ColMajor;
                   cfg.swap_chunk_bytes = dat.swap_chunk_bytes;
                   cfg.precision = dat.precision == "mxp32"
                                       ? PrecisionMode::MXP32
@@ -463,10 +467,9 @@ std::string format_hpldat(const HplDat& dat) {
      << "  update band cols (hplx extension, 0=even split)\n";
   os << dat.hazard_check
      << "  hazard check (hplx extension, 0=off,1=on)\n";
-  os << dat.swap_wire_format
-     << "  swap wire format (hplx extension, 0=row-major,1=col-major)\n";
+  os << "1  swap wire format (hplx extension, 1=col-major only)\n";
   os << dat.swap_chunk_bytes
-     << "  swap chunk bytes (hplx extension, 0=autotune,<0=unchunked)\n";
+     << "  swap chunk bytes (hplx extension, 0=autotune)\n";
   os << dat.precision
      << "  precision (hplx extension, fp64|mxp32|mxp16-sim)\n";
   os << dat.ir_max_iters << "  IR max iters (hplx extension, mxp modes)\n";

@@ -62,9 +62,8 @@ struct HplDat {
   int update_streams = 1;         ///< trailing-update stream pool size
   long update_band_cols = 0;      ///< update band width (0 = even split)
   int hazard_check = 0;           ///< 1 = attach the hazard-checking runtime
-  int swap_wire_format = 1;       ///< 0 = row-major (seed), 1 = col-major
   long swap_chunk_bytes = 256 * 1024;  ///< pipelined RS chunk size
-                                       ///< (0 = autotune, < 0 = unchunked)
+                                       ///< (0 = autotune, > 0 = bytes)
   /// Working precision of the factorization: "fp64" (classic HPL),
   /// "mxp32" (fp32 factors + fp64 iterative refinement), or "mxp16-sim"
   /// (fp32 compute billed at the fp16 throughput curves).

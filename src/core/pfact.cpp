@@ -42,14 +42,6 @@ const char* to_string(RowSwapAlgo a) {
   return "?";
 }
 
-const char* to_string(SwapWireFormat f) {
-  switch (f) {
-    case SwapWireFormat::RowMajor: return "row-major";
-    case SwapWireFormat::ColMajor: return "col-major";
-  }
-  return "?";
-}
-
 const char* to_string(PrecisionMode p) {
   switch (p) {
     case PrecisionMode::FP64: return "fp64";

@@ -147,7 +147,6 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
   jb_ = plan.jb;
   jl0_ = jl0;
   njl_ = njl;
-  fused_delivered_ = false;
   nprow_ = a.rows().nprocs();
   myrow_ = myrow;
 
@@ -263,16 +262,11 @@ void RowSwapperT<T>::gather(device::Stream& stream, DistMatrixT<T>& a) {
   T* window = a.at(0, jl0_);
   bool enqueued = false;
   if (!my_u_slots_.empty()) {
-    // The wire format decides the pack kernel: the column-major wire has
-    // no layout crossing (cheaper pack) and makes every wire column an
-    // independently deliverable unit for the chunked collective.
-    if (wire_ == SwapWireFormat::ColMajor) {
-      device::pack_rows_cm(stream, window, a.lda(), my_u_slots_, njl_,
-                           my_u_.data());
-    } else {
-      device::pack_rows(stream, window, a.lda(), my_u_slots_, njl_,
-                        my_u_.data());
-    }
+    // Column-major wire: no layout crossing in the pack, and every wire
+    // column is an independently deliverable unit for the chunked
+    // collective.
+    device::pack_rows_cm(stream, window, a.lda(), my_u_slots_, njl_,
+                         my_u_.data());
     enqueued = true;
   }
   if (in_diag_row_ && !disp_src_slots_.empty()) {
@@ -291,7 +285,7 @@ void RowSwapperT<T>::gather(device::Stream& stream, DistMatrixT<T>& a) {
 
 template <typename T>
 void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
-                                 double* mpi_seconds, device::Stream* stream,
+                                 double* mpi_seconds, device::Stream& stream,
                                  T* u_dev, long ldu, RowSwapStats* stats) {
   if (gather_pending_) {
     gather_done_.wait();
@@ -319,17 +313,10 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
     }
     return;
   }
-  do_communicate(col_comm, mpi_seconds, stream, u_dev, ldu, stats);
-}
-
-template <typename T>
-void RowSwapperT<T>::do_communicate(comm::Communicator& col_comm,
-                                    double* mpi_seconds,
-                                    device::Stream* stream, T* u_dev,
-                                    long ldu, RowSwapStats* stats) {
+  HPLX_CHECK(ldu >= jb_);
   // Host touches of device-visible staging: reads what the gather kernels
   // packed, writes what the scatter kernels will read. gather()'s event
-  // wait in communicate() is the edge that makes the reads safe.
+  // wait above is the edge that makes the reads safe.
   device::HostAccessScope comm_guard(
       hz_, "rowswap.communicate",
       {device::span_read(my_u_.data(),
@@ -345,91 +332,62 @@ void RowSwapperT<T>::do_communicate(comm::Communicator& col_comm,
                               static_cast<std::size_t>(njl_))});
   Timer timer;
   timer.start();
-  // U assembly: everyone ends up with all jb rows (rank-packed order).
-  const bool fuse = chunk_bytes_ >= 0 && stream != nullptr &&
-                    u_dev != nullptr && njl_ > 0 && jb_ > 0;
-  if (fuse) {
-    HPLX_CHECK(ldu >= jb_);
-    const std::size_t row_bytes = static_cast<std::size_t>(njl_) * sizeof(T);
-    // Indivisible wire unit per rank segment: one packed matrix row
-    // (row-major wire) or one wire column of nr_r elements (column-major),
-    // so every delivered chunk unpacks as whole rows/columns and the
-    // result is bitwise-identical for any chunk size.
-    std::vector<std::size_t> grains(u_counts_.size());
-    for (std::size_t r = 0; r < u_counts_.size(); ++r) {
-      const std::size_t nr = u_counts_[r] / std::max<std::size_t>(row_bytes, 1);
-      grains[r] = wire_ == SwapWireFormat::ColMajor ? nr * sizeof(T)
-                                                    : row_bytes;
-    }
-    double unpack_modeled = 0.0;
-    auto on_chunk = [&](const comm::ChunkDelivery& d) {
-      // The chunk is resident in gathered_u_[d.offset, d.offset+d.bytes);
-      // enqueue its scatter into the U buffer while later chunks are
-      // still on the wire. Packed positions are rank-major, so rank
-      // d.rank's rows start at packed index u_displs_[rank]/row_bytes.
-      const std::size_t displ = u_displs_[static_cast<std::size_t>(d.rank)];
-      const std::size_t p0 = displ / row_bytes;
-      const std::size_t nr =
-          u_counts_[static_cast<std::size_t>(d.rank)] / row_bytes;
-      if (nr == 0) return;
-      if (wire_ == SwapWireFormat::ColMajor) {
-        // Chunk = wire columns [c0, c0+nc) of the nr×njl segment.
-        const std::size_t col_bytes = nr * sizeof(T);
-        const std::size_t c0 = (d.offset - displ) / col_bytes;
-        const long nc = static_cast<long>(d.bytes / col_bytes);
-        std::vector<long> rows(u_dest_of_packed_.begin() +
-                                   static_cast<std::ptrdiff_t>(p0),
-                               u_dest_of_packed_.begin() +
-                                   static_cast<std::ptrdiff_t>(p0 + nr));
-        unpack_modeled += stream->device().model().rowswap_seconds(
-            static_cast<long>(nr), nc, sizeof(T));
-        device::unpack_rows_cm(
-            *stream, gathered_u_.data() + displ / sizeof(T) + c0 * nr,
-            std::move(rows), nc, u_dev + static_cast<long>(c0) * ldu, ldu);
-      } else {
-        // Chunk = whole wire rows [q0, q1) in absolute packed order.
-        const std::size_t q0 = d.offset / row_bytes;
-        const std::size_t q1 = (d.offset + d.bytes) / row_bytes;
-        std::vector<long> rows(u_dest_of_packed_.begin() +
-                                   static_cast<std::ptrdiff_t>(q0),
-                               u_dest_of_packed_.begin() +
-                                   static_cast<std::ptrdiff_t>(q1));
-        unpack_modeled += stream->device().model().rowswap_seconds(
-            static_cast<long>(q1 - q0), njl_, sizeof(T));
-        device::unpack_rows(
-            *stream, gathered_u_.data() + q0 * static_cast<std::size_t>(njl_),
-            std::move(rows), njl_, u_dev, ldu);
-      }
-    };
-    comm::allgatherv_chunked(col_comm, my_u_.data(), u_counts_, u_displs_,
-                             gathered_u_.data(),
-                             static_cast<std::size_t>(chunk_bytes_), grains,
-                             on_chunk, u_algo_);
-    fused_delivered_ = true;
-    if (stats != nullptr) {
-      stats->unpack_s += unpack_modeled;
-      stats->fused = true;
-    }
-  } else {
-    comm::allgatherv_bytes(col_comm, my_u_.data(), u_counts_, u_displs_,
-                           gathered_u_.data(), u_algo_);
-  }
+  // U assembly: everyone ends up with all jb rows, rank-major, each rank's
+  // segment an nr_r×njl column-major block. The indivisible wire unit of
+  // a segment is one wire column of nr_r elements, so every delivered
+  // chunk unpacks as whole columns and the result is bitwise-identical
+  // for any chunk size. An empty window (all counts zero) still joins
+  // the collective here and moves no bytes.
+  const std::size_t row_bytes = static_cast<std::size_t>(njl_) * sizeof(T);
+  std::vector<std::size_t> grains(u_counts_.size());
+  for (std::size_t r = 0; r < u_counts_.size(); ++r)
+    grains[r] = u_counts_[r] / std::max<std::size_t>(row_bytes, 1) * sizeof(T);
+  double unpack_modeled = 0.0;
+  auto on_chunk = [&](const comm::ChunkDelivery& d) {
+    // The chunk is resident in gathered_u_[d.offset, d.offset+d.bytes) =
+    // wire columns [c0, c0+nc) of rank d.rank's segment; enqueue its
+    // scatter into the U buffer while later chunks are still on the wire.
+    // Packed positions are rank-major, so the rank's rows start at packed
+    // index u_displs_[rank]/row_bytes.
+    const std::size_t displ = u_displs_[static_cast<std::size_t>(d.rank)];
+    const std::size_t p0 = displ / row_bytes;
+    const std::size_t nr =
+        u_counts_[static_cast<std::size_t>(d.rank)] / row_bytes;
+    const std::size_t col_bytes = nr * sizeof(T);
+    const std::size_t c0 = (d.offset - displ) / col_bytes;
+    const long nc = static_cast<long>(d.bytes / col_bytes);
+    std::vector<long> rows(
+        u_dest_of_packed_.begin() + static_cast<std::ptrdiff_t>(p0),
+        u_dest_of_packed_.begin() + static_cast<std::ptrdiff_t>(p0 + nr));
+    unpack_modeled += stream.device().model().rowswap_seconds(
+        static_cast<long>(nr), nc, sizeof(T));
+    device::unpack_rows_cm(
+        stream, gathered_u_.data() + displ / sizeof(T) + c0 * nr,
+        std::move(rows), nc, u_dev + static_cast<long>(c0) * ldu, ldu);
+  };
+  comm::allgatherv_chunked(col_comm, my_u_.data(), u_counts_, u_displs_,
+                           gathered_u_.data(),
+                           static_cast<std::size_t>(chunk_bytes_), grains,
+                           on_chunk, u_algo_);
   const double wire_dt = timer.stop();
-  if (stats != nullptr) stats->wire_s += wire_dt;
   timer.start();
 
-  // Displaced rows: scattered from the diagonal row to their destinations.
-  const int root = diag_root_;
+  // Displaced rows: scattered from the diagonal row to their destinations,
+  // in whole-row messages under the same chunk cap as the U assembly (so
+  // one message-size bound covers all swap traffic).
   bool any_disp = false;
   for (std::size_t c : disp_counts_)
     if (c != 0) any_disp = true;
   if (any_disp) {
     comm::scatterv_bytes(col_comm, disp_send_.data(), disp_counts_,
-                         disp_recv_.data(), root);
+                         disp_recv_.data(), diag_root_,
+                         static_cast<std::size_t>(chunk_bytes_), row_bytes);
   }
   const double dt = timer.stop();
   if (mpi_seconds != nullptr) *mpi_seconds += wire_dt + dt;
   if (stats != nullptr) {
+    stats->wire_s += wire_dt;
+    stats->unpack_s += unpack_modeled;
     // Wire traffic of this window: the full rank-packed U assembly every
     // rank receives plus the displaced rows scattered from the root.
     std::size_t wb = 0;
@@ -463,45 +421,17 @@ void RowSwapperT<T>::scatter(device::Stream& stream, DistMatrixT<T>& a,
     scatter_pending_ = true;
     return;
   }
-  T* window = a.at(0, jl0_);
 
-  // Displaced rows land back in A.
+  // Displaced rows land back in A. The U rows were already unpacked into
+  // pivot order per chunk by communicate(), on this same stream.
   if (!my_disp_dest_slots_.empty()) {
     device::unpack_rows(stream, disp_recv_.data(), my_disp_dest_slots_, njl_,
-                        window, a.lda());
+                        a.at(0, jl0_), a.lda());
   }
 
-  // U rows are reordered from rank-packed order into pivot order k.
-  // On the pipelined path communicate() already enqueued them per chunk
-  // (on this same stream); otherwise unpack in bulk: row
-  // u_dest_of_packed_[i] of the jb×njl U buffer from packed row i.
-  if (!fused_delivered_) {
-    if (wire_ == SwapWireFormat::ColMajor) {
-      // Rank-major segments, each nr_r×njl column-major: one unpack per
-      // contributing rank (ld changes at every segment boundary).
-      const std::size_t row_bytes = static_cast<std::size_t>(njl_) * sizeof(T);
-      std::size_t p0 = 0;
-      for (std::size_t r = 0; r < u_counts_.size(); ++r) {
-        const std::size_t nr = u_counts_[r] / row_bytes;
-        if (nr == 0) continue;
-        std::vector<long> rows(u_dest_of_packed_.begin() +
-                                   static_cast<std::ptrdiff_t>(p0),
-                               u_dest_of_packed_.begin() +
-                                   static_cast<std::ptrdiff_t>(p0 + nr));
-        device::unpack_rows_cm(
-            stream, gathered_u_.data() + u_displs_[r] / sizeof(T),
-            std::move(rows), njl_, u_dev, ldu);
-        p0 += nr;
-      }
-    } else {
-      device::unpack_rows(stream, gathered_u_.data(), u_dest_of_packed_, njl_,
-                          u_dev, ldu);
-    }
-  }
-
-  // Fence for the next cycle's prepare(): the unpacks above — and any
-  // fused chunk unpacks communicate() enqueued on this stream — read
-  // gathered_u_ / disp_recv_ through pointers captured at enqueue time.
+  // Fence for the next cycle's prepare(): the displaced-row unpack above
+  // and communicate()'s chunk unpacks read disp_recv_ / gathered_u_
+  // through pointers captured at enqueue time.
   scatter_done_ = stream.record();
   scatter_pending_ = true;
 }

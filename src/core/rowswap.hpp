@@ -61,12 +61,11 @@ void build_rowswap_plan(long j, int jb, const long* ipiv, RowSwapPlan& plan);
 
 /// Per-call timing of one communicate(): how long the U assembly spent on
 /// the wire and how much device unpack work was fused into the delivery
-/// (modeled seconds). unpack_s > 0 only on the pipelined path; the ratio
-/// min(unpack, wire)/wire is the overlap efficiency the report prints.
+/// (modeled seconds); the ratio min(unpack, wire)/wire is the overlap
+/// efficiency the report prints.
 struct RowSwapStats {
   double wire_s = 0.0;    ///< wall seconds inside the U-assembly collective
   double unpack_s = 0.0;  ///< modeled device seconds of fused chunk unpacks
-  bool fused = false;     ///< per-chunk unpacks were enqueued on delivery
   /// Bytes this window's swap collectives put on the wire (U-assembly
   /// allgatherv total + displaced scatterv). Stays zero on the no-pivot
   /// path — its U replication is a plain panel broadcast charged to comm
@@ -108,16 +107,12 @@ class RowSwapperT {
   /// sections' scatters) never delays this section's communication hop.
   void gather(device::Stream& stream, DistMatrixT<T>& a);
 
-  /// Select the wire format and chunk size for the U-assembly broadcast.
-  /// chunk_bytes < 0 disables chunking (seed blocking collective + bulk
-  /// unpack in scatter()); >= 0 splits the allgatherv into chunks of at
-  /// most that many bytes (0 = one chunk per segment) and, when
-  /// communicate() is given a stream and U destination, enqueues each
-  /// chunk's unpack as it lands. Call once before the first prepare().
-  void set_pipeline(SwapWireFormat wire, long chunk_bytes) {
-    wire_ = wire;
-    chunk_bytes_ = chunk_bytes;
-  }
+  /// Select the chunk size of the swap collectives: the U-assembly
+  /// allgatherv is split into chunks of at most chunk_bytes (rounded to
+  /// whole wire columns) and the displaced-row scatterv into messages of
+  /// at most max(chunk_bytes, one row); 0 = one chunk per segment. Call
+  /// once before the first prepare().
+  void set_pipeline(long chunk_bytes) { chunk_bytes_ = chunk_bytes; }
 
   /// No-pivot mode (HplConfig::pivoting == PivotMode::None): the factored
   /// U *is* the top block — nothing was swapped, nothing is displaced. The
@@ -134,22 +129,23 @@ class RowSwapperT {
   /// pack). Adds the time spent inside communication calls to
   /// *mpi_seconds.
   ///
-  /// Pipelined form: when chunking is enabled (set_pipeline) and `stream`
-  /// / `u_dev` are non-null, the U allgatherv runs chunked and the device
-  /// unpack of each landed chunk is enqueued on `stream` immediately —
-  /// deserialization overlaps the remaining wire traffic, and scatter()
-  /// skips the bulk U unpack. `stream` must be the same stream scatter()
-  /// is called with (its fence covers the fused unpacks). `stats`, when
-  /// non-null, receives wire/unpack seconds for the overlap report.
+  /// The U allgatherv runs chunked and the device unpack of each landed
+  /// chunk into the replicated U (jb × njl at `u_dev`, ld >= jb, pivot
+  /// order) is enqueued on `stream` immediately, so deserialization
+  /// overlaps the remaining wire traffic. `stream` must be the stream
+  /// scatter() is called with (its fence covers these unpacks). An empty
+  /// window still joins the collectives. `stats`, when non-null, receives
+  /// wire/unpack seconds for the overlap report.
   void communicate(comm::Communicator& col_comm, double* mpi_seconds,
-                   device::Stream* stream = nullptr, T* u_dev = nullptr,
-                   long ldu = 0, RowSwapStats* stats = nullptr);
+                   device::Stream& stream, T* u_dev, long ldu,
+                   RowSwapStats* stats);
 
-  /// Stage 3: enqueue the device scatters: displaced rows into A, and the
-  /// replicated U (jb × njl, ld >= jb) assembled in pivot order. Records a
-  /// completion event; the next cycle's prepare() waits on it before it
-  /// resizes or lets communicate() rewrite the staging buffers these
-  /// kernels read (they capture raw pointers at enqueue time).
+  /// Stage 3: enqueue the displaced-row scatter into A (and, in no-pivot
+  /// mode, the copy of the top block into U). Records a completion event;
+  /// the next cycle's prepare() waits on it before it resizes or lets
+  /// communicate() rewrite the staging buffers these kernels and
+  /// communicate()'s chunk unpacks read (they capture raw pointers at
+  /// enqueue time).
   void scatter(device::Stream& stream, DistMatrixT<T>& a, T* u_dev,
                long ldu);
 
@@ -157,10 +153,6 @@ class RowSwapperT {
   int jb() const { return jb_; }
 
  private:
-  void do_communicate(comm::Communicator& col_comm, double* mpi_seconds,
-                      device::Stream* stream, T* u_dev, long ldu,
-                      RowSwapStats* stats);
-
   long j_ = 0;
   int jb_ = 0;
   long jl0_ = 0;
@@ -170,10 +162,8 @@ class RowSwapperT {
   int diag_root_ = 0;
   bool in_diag_row_ = false;
   comm::AllgatherAlgo u_algo_ = comm::AllgatherAlgo::Ring;
-  SwapWireFormat wire_ = SwapWireFormat::RowMajor;
   bool nopiv_ = false;     ///< no-pivot mode: broadcast-only U replication
-  long chunk_bytes_ = -1;  ///< < 0: seed path (blocking + bulk unpack)
-  bool fused_delivered_ = false;  ///< this window's U unpacks already enqueued
+  long chunk_bytes_ = 0;   ///< swap collective chunk cap (0 = per segment)
   /// The owning device's hazard tracker (null when checking is off);
   /// latched from the stream in gather().
   device::HazardTracker* hz_ = nullptr;
@@ -192,8 +182,8 @@ class RowSwapperT {
   std::vector<long> my_u_slots_;        ///< local rows of my U sources
   std::vector<long> u_dest_of_packed_;  ///< U row k for each packed position
   std::vector<std::size_t> u_counts_, u_displs_;  ///< allgatherv (bytes)
-  device::ArenaBufT<T> my_u_;       ///< packed rows I contribute (wire format)
-  device::ArenaBufT<T> gathered_u_; ///< all jb rows, rank-packed (wire fmt)
+  device::ArenaBufT<T> my_u_;       ///< my rows, nr×njl column-major
+  device::ArenaBufT<T> gathered_u_; ///< all jb rows, rank-major segments
 
   // Displaced rows.
   std::vector<long> disp_src_slots_;   ///< diag row only: local top rows

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -102,47 +103,59 @@ TEST(CommStress, ManyOutstandingIrecvs) {
   });
 }
 
-// ------------------------------------------------------------ buffer pool
+// ----------------------------------------------------------- message pool
+// Every eager payload leases from its fabric's allocator. These drive the
+// pool through real messages on a fresh one-rank fabric (a self-send is
+// always eager: no receive is posted yet), so the counts are exact.
 
-TEST(BufferPool, ReusesFreedBuffersAcrossSizeClasses) {
-  BufferPool pool;
-  // First acquisition of each class is a miss; after release, the same
-  // class must be served from the freelist.
+struct SelfComm {
+  std::shared_ptr<Fabric> fabric = std::make_shared<Fabric>(1);
+  Communicator comm{fabric, 0};
+};
+
+TEST(FabricPool, ReusesFreedBuffersAcrossSizeClasses) {
+  SelfComm self;
+  // First message of each class is a miss; once its receive released the
+  // lease, the same class must be served from the freelist.
   for (std::size_t bytes : {1ul, 256ul, 257ul, 4096ul, 100000ul}) {
-    { PoolBuffer b = pool.acquire(bytes); ASSERT_NE(b.data(), nullptr); }
-    { PoolBuffer b = pool.acquire(bytes); ASSERT_NE(b.data(), nullptr); }
+    std::vector<char> out(bytes, 'x'), in(bytes);
+    for (int rep = 0; rep < 2; ++rep) {
+      self.comm.send_bytes(out.data(), bytes, 0, 0);
+      self.comm.recv_bytes(in.data(), bytes, 0, 0);
+      ASSERT_EQ(in, out);
+    }
   }
-  const auto s = pool.stats();
+  const auto s = self.fabric->allocator().stats();
   EXPECT_EQ(s.acquires, 10u);
   EXPECT_EQ(s.outstanding, 0u);
-  // 1 and 256 share the 256 B class, so the second group's first acquire
-  // hits too: 5 second-acquires + 1 shared-class hit.
-  EXPECT_EQ(s.hits, 6u);
+  // 1 and 256 share the 256 B class, so the second group's first message
+  // hits too: 5 second messages + 1 shared-class hit.
+  EXPECT_EQ(s.hits + s.borrows, 6u);
   EXPECT_GT(s.cached_bytes, 0u);
   EXPECT_GT(s.hit_rate(), 0.5);
 }
 
-TEST(BufferPool, OversizeFallsBackToDirectAllocation) {
-  BufferPool pool;
-  const std::size_t huge = (1ull << 24) + 1;
-  {
-    PoolBuffer b = pool.acquire(huge);
-    ASSERT_NE(b.data(), nullptr);
-    EXPECT_EQ(b.size(), huge);
-    EXPECT_EQ(pool.stats().outstanding, 1u);
-  }
-  const auto s = pool.stats();
+TEST(FabricPool, OversizeFallsBackToDirectAllocation) {
+  SelfComm self;
+  const std::size_t huge = (std::size_t{1} << kMaxMessageClassLog) + 1;
+  std::vector<char> out(huge, 'y'), in(huge);
+  self.comm.send_bytes(out.data(), huge, 0, 0);
+  EXPECT_EQ(self.fabric->allocator().stats().outstanding, 1u);
+  self.comm.recv_bytes(in.data(), huge, 0, 0);
+  EXPECT_EQ(in, out);
+  const auto s = self.fabric->allocator().stats();
   EXPECT_EQ(s.oversize, 1u);
   EXPECT_EQ(s.outstanding, 0u);
-  EXPECT_EQ(s.cached_bytes, 0u);  // oversize buffers are freed, not cached
+  EXPECT_EQ(s.cached_bytes, 0u);  // oversize payloads are freed, not cached
 }
 
-TEST(BufferPool, ZeroByteAcquireNeverTouchesThePool) {
-  BufferPool pool;
-  PoolBuffer b = pool.acquire(0);
-  EXPECT_EQ(b.data(), nullptr);
-  EXPECT_EQ(b.size(), 0u);
-  EXPECT_EQ(pool.stats().acquires, 0u);
+TEST(FabricPool, ZeroByteMessageNeverTouchesThePool) {
+  SelfComm self;
+  self.comm.send_bytes(nullptr, 0, 0, 0);
+  EXPECT_EQ(self.fabric->mailbox(0).pending(), 1u);  // queued, payload-free
+  self.comm.recv_bytes(nullptr, 0, 0, 0);
+  EXPECT_EQ(self.fabric->mailbox(0).pending(), 0u);
+  EXPECT_EQ(self.fabric->allocator().stats().acquires, 0u);
 }
 
 TEST(CommStress, PoolRecyclesUnderSteadyTraffic) {
@@ -166,10 +179,10 @@ TEST(CommStress, PoolRecyclesUnderSteadyTraffic) {
     }
     barrier(comm);
     if (me == 0) {
-      const auto s = comm.fabric().pool_stats();
+      const auto s = comm.fabric().allocator().stats();
       EXPECT_GT(s.acquires, 0u);
       EXPECT_GT(s.hit_rate(), 0.8) << "acquires=" << s.acquires
-                                   << " hits=" << s.hits;
+                                   << " hits=" << s.hits + s.borrows;
     }
   });
 }

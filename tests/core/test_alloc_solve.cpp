@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "comm/world.hpp"
@@ -96,6 +98,25 @@ TEST(AllocSolve, SteadyStateZeroAllocsLateFirstPanelOwner) {
   // after one full rotation), not as a steady-state allocation.
   HplConfig cfg = base_cfg(768, 64, 1, 4);
   expect_zero_steady_allocs(run(cfg), "fp64 1x4 rotation");
+}
+
+TEST(AllocSolve, SteadyStateZeroAllocsBenchmarkGrid) {
+  // The benchmark's fp64_2x2 shape. Whether a displaced-row scatterv
+  // message goes eager (a pool lease) or straight into a posted receive
+  // depends on thread timing, so a message larger than the prewarm bound
+  // max(chunk, row) only sometimes lands in a size class warmup never
+  // stocked. Repeat the solve so that an uncapped scatterv fails here
+  // almost surely; every swap message must stay under the bound.
+  for (int rep = 0; rep < 30; ++rep) {
+    HplConfig cfg = base_cfg(2048, 128, 2, 2);
+    cfg.seed = 20230901 + static_cast<std::uint64_t>(rep);
+    cfg.fact_threads = 1;
+    cfg.blas_threads = 1;
+    const std::string what = "fp64 2x2 N=2048 NB=128 rep " +
+                             std::to_string(rep);
+    expect_zero_steady_allocs(run(cfg), what.c_str());
+    if (HasFailure()) return;
+  }
 }
 
 TEST(AllocSolve, ShortRunIsAllWarmup) {

@@ -271,6 +271,25 @@ TEST(HplSolve, SplitFractionOutsideUnitIntervalRejected) {
   }
 }
 
+TEST(HplSolve, NegativeSwapChunkBytesRejected) {
+  // HPL.dat range-checks the chunk size; a config built in code must be
+  // rejected by run_hpl itself, with an error naming the field.
+  for (const auto& [p, q] : {std::pair{1, 1}, std::pair{2, 2}}) {
+    HplConfig cfg = base_cfg(64, 16, p, q);
+    cfg.swap_chunk_bytes = -1;
+    try {
+      comm::World::run(p * q, [&](comm::Communicator& world) {
+        run_hpl(world, cfg);
+      });
+      ADD_FAILURE() << "swap_chunk_bytes=-1 accepted on " << p << "x" << q;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("swap_chunk_bytes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(HplSolve, WrongRankCountRejected) {
   HplConfig cfg = base_cfg(64, 16, 2, 2);
   EXPECT_THROW(comm::World::run(3, [&](comm::Communicator& world) {

@@ -179,7 +179,7 @@ const char kAllExtensions[] =
     "3            update streams\n"
     "48           update band cols\n"
     "1            hazard check\n"
-    "0            swap wire format\n"
+    "1            swap wire format\n"
     "131072       swap chunk bytes\n"
     "mxp32        precision\n"
     "12           IR max iters\n"
@@ -203,7 +203,6 @@ TEST(HplDat, ParsesEveryExtensionKnob) {
   EXPECT_EQ(dat.update_streams, 3);
   EXPECT_EQ(dat.update_band_cols, 48);
   EXPECT_EQ(dat.hazard_check, 1);
-  EXPECT_EQ(dat.swap_wire_format, 0);
   EXPECT_EQ(dat.swap_chunk_bytes, 131072);
   EXPECT_EQ(dat.precision, "mxp32");
   EXPECT_EQ(dat.ir_max_iters, 12);
@@ -251,7 +250,6 @@ TEST(HplDat, EveryKnobRoundTripsThroughFormat) {
   EXPECT_EQ(again.update_streams, dat.update_streams);
   EXPECT_EQ(again.update_band_cols, dat.update_band_cols);
   EXPECT_EQ(again.hazard_check, dat.hazard_check);
-  EXPECT_EQ(again.swap_wire_format, dat.swap_wire_format);
   EXPECT_EQ(again.swap_chunk_bytes, dat.swap_chunk_bytes);
   EXPECT_EQ(again.precision, dat.precision);
   EXPECT_EQ(again.ir_max_iters, dat.ir_max_iters);
@@ -276,6 +274,48 @@ TEST(HplDat, BadCommCheckThrows) {
   std::string text = std::string(kClassic) + kAllExtensions;
   text.replace(text.rfind("1            comm check"), 1, "7");
   EXPECT_THROW(parse_hpldat_string(text), hplx::Error);
+}
+
+/// The message parse_hpldat_string throws for `text` ("" if it parses).
+std::string parse_error(const std::string& text) {
+  try {
+    parse_hpldat_string(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(HplDat, RetiredRowMajorWireFormatRejected) {
+  // The wire line stays so the lines after it keep their places; only 1
+  // (col-major) is accepted, and 0 gets a message saying why.
+  std::string text = std::string(kClassic) + kAllExtensions;
+  const auto pos = text.find("1            swap wire format");
+  ASSERT_NE(pos, std::string::npos);
+  text[pos] = '0';
+  EXPECT_NE(parse_error(text).find("row-major swap wire format was retired"),
+            std::string::npos)
+      << parse_error(text);
+  text[pos] = '2';
+  EXPECT_NE(parse_error(text).find("swap wire format must be 1"),
+            std::string::npos)
+      << parse_error(text);
+}
+
+TEST(HplDat, NegativeSwapChunkBytesRejected) {
+  std::string text = std::string(kClassic) + kAllExtensions;
+  const std::string line = "131072       swap chunk bytes";
+  const auto pos = text.find(line);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 6, "-1    ");
+  EXPECT_NE(parse_error(text).find("swap chunk bytes must be >= 0"),
+            std::string::npos)
+      << parse_error(text);
+  // 0 (autotune) stays valid.
+  text.replace(pos, 6, "0     ");
+  EXPECT_EQ(parse_error(text), "");
+  for (const HplConfig& cfg : expand_configs(parse_hpldat_string(text)))
+    EXPECT_EQ(cfg.swap_chunk_bytes, 0);
 }
 
 TEST(HplDat, PrecisionExpandsIntoConfigs) {

@@ -113,7 +113,7 @@ TEST(Mxp, BitwiseIdenticalAcrossExecutionKnobs) {
         std::tuple<int, int, long>{4, 1, 256 * 1024},
         std::tuple<int, int, long>{1, 3, 256 * 1024},
         std::tuple<int, int, long>{4, 3, 4096},
-        std::tuple<int, int, long>{2, 2, -1}}) {
+        std::tuple<int, int, long>{2, 2, 1024}}) {
     HplConfig cfg = base_cfg(128, 16, 2, 2);
     cfg.pipeline = PipelineMode::LookaheadSplit;
     cfg.blas_threads = threads;
@@ -155,7 +155,7 @@ TEST(Mxp, HazardSweepIsClean) {
   for (PipelineMode mode : {PipelineMode::Simple, PipelineMode::Lookahead,
                             PipelineMode::LookaheadSplit}) {
     for (int streams : {1, 3}) {
-      for (long chunk : {long{-1}, long{4096}, long{256 * 1024}}) {
+      for (long chunk : {long{1024}, long{4096}, long{256 * 1024}}) {
         HplConfig cfg = base_cfg(96, 16, 2, 2);
         cfg.pipeline = mode;
         cfg.update_streams = streams;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <random>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "comm/world.hpp"
@@ -93,10 +97,126 @@ TEST(RowSwapPlan, PivotAboveCurrentRowRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined-broadcast equivalence: the wire format and chunk size choose
-// *how* U travels and when its unpacks are enqueued, never the arithmetic.
-// Every (wire, chunk, algo, streams) combination must reproduce the seed
-// path's factorization bit for bit.
+// Independent oracle: one prepare → gather → communicate → scatter cycle of
+// a RowSwapper on a P×1 grid must leave exactly what the NB sequential
+// swaps (rows j+k <-> ipiv[k]) leave in a replicated host copy — the
+// displaced rows in A's window, the pivot rows in U — for every chunk size
+// and U-assembly algorithm. No other swap path is involved.
+
+/// Exact, distinct content for global element (i, jg).
+double oracle_value(long i, long jg) {
+  return static_cast<double>(i * 1000 + jg) + 0.25;
+}
+
+using OracleShape = std::tuple<int /*p*/, long /*chunk*/, RowSwapAlgo>;
+
+class RowSwapOracle : public ::testing::TestWithParam<OracleShape> {};
+
+TEST_P(RowSwapOracle, CycleMatchesSequentialSwaps) {
+  const auto [p, chunk, algo] = GetParam();
+  const long n = 64;
+  const int nb = 8;
+  const long jl0 = 3;        // window starts off the first column...
+  const long ncols = n + 1;  // (augmented width, Q = 1)
+  const long njl = ncols - jl0 - 2;  // ...and stops short of the last
+  const long ldu = nb + 2;           // rows [nb, ldu) of U stay untouched
+  const double sentinel = -7.5;
+
+  for (const long j : {0L, 16L, 40L}) {
+    for (const unsigned trial : {1u, 2u, 3u}) {
+      // Random valid pivots: ipiv[k] in [j+k, n), same on every rank.
+      std::mt19937 rng(trial * 7919u + static_cast<unsigned>(j));
+      std::vector<long> ipiv(static_cast<std::size_t>(nb));
+      for (int k = 0; k < nb; ++k) {
+        std::uniform_int_distribution<long> pick(j + k, n - 1);
+        ipiv[static_cast<std::size_t>(k)] = pick(rng);
+      }
+      // The oracle: sequential swaps on a replicated dense copy.
+      std::vector<std::vector<double>> ref(static_cast<std::size_t>(n));
+      for (long i = 0; i < n; ++i)
+        for (long c = 0; c < ncols; ++c)
+          ref[static_cast<std::size_t>(i)].push_back(oracle_value(i, c));
+      for (int k = 0; k < nb; ++k)
+        std::swap(ref[static_cast<std::size_t>(j + k)],
+                  ref[static_cast<std::size_t>(ipiv[static_cast<std::size_t>(k)])]);
+      const RowSwapPlan plan = build_rowswap_plan(j, nb, ipiv.data());
+
+      std::atomic<long> mismatches{0};
+      comm::World::run(p, [&](comm::Communicator& world) {
+        grid::ProcessGrid g(world, p, 1);
+        device::Device dev("d", 1ull << 24);
+        DistMatrix a(dev, g, n, nb, 3);
+        device::Stream stream(dev);
+        const grid::CyclicDim& rows = a.rows();
+        for (long il = 0; il < a.mloc(); ++il)
+          for (long c = 0; c < a.nloc(); ++c)
+            *a.at(il, c) = oracle_value(rows.to_global(il, g.myrow()), c);
+        std::vector<double> u(static_cast<std::size_t>(ldu * njl), sentinel);
+
+        RowSwapper rs;
+        rs.reserve(dev.host_arena(), nb, a.nloc(), p);
+        rs.set_pipeline(chunk);
+        rs.prepare(plan, a, g.myrow(), jl0, njl, algo);
+        rs.gather(stream, a);
+        rs.communicate(g.col_comm(), nullptr, stream, u.data(), ldu, nullptr);
+        rs.scatter(stream, a, u.data(), ldu);
+        stream.synchronize();
+
+        long bad = 0;
+        for (long il = 0; il < a.mloc(); ++il) {
+          const long i = rows.to_global(il, g.myrow());
+          // The top block's A rows are not the swapper's to write: U
+          // carries their new content.
+          const bool top = i >= j && i < j + nb;
+          for (long c = 0; c < a.nloc(); ++c) {
+            const bool in_window = c >= jl0 && c < jl0 + njl;
+            const double want = in_window && !top
+                                    ? ref[static_cast<std::size_t>(i)]
+                                         [static_cast<std::size_t>(c)]
+                                    : oracle_value(i, c);
+            if (*a.at(il, c) != want) ++bad;
+          }
+        }
+        for (long c = 0; c < njl; ++c) {
+          for (long k = 0; k < ldu; ++k) {
+            const double want =
+                k < nb ? ref[static_cast<std::size_t>(j + k)]
+                            [static_cast<std::size_t>(jl0 + c)]
+                       : sentinel;
+            if (u[static_cast<std::size_t>(c * ldu + k)] != want) ++bad;
+          }
+        }
+        mismatches += bad;
+      });
+      EXPECT_EQ(mismatches.load(), 0)
+          << "p=" << p << " chunk=" << chunk << " algo=" << to_string(algo)
+          << " j=" << j << " trial=" << trial;
+    }
+  }
+}
+
+// chunk 0 = one chunk per rank segment; 1 KiB = several chunks per U
+// segment and several messages per displaced-row segment.
+INSTANTIATE_TEST_SUITE_P(
+    WorldsChunksAlgos, RowSwapOracle,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(0L, 1024L),
+                       ::testing::Values(RowSwapAlgo::SpreadRoll,
+                                         RowSwapAlgo::BinaryExchange)),
+    [](const ::testing::TestParamInfo<OracleShape>& info) {
+      return "p" + std::to_string(std::get<0>(info.param)) + "_chunk" +
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) == RowSwapAlgo::SpreadRoll
+                  ? "_spreadroll"
+                  : "_binexch");
+    });
+
+// ---------------------------------------------------------------------------
+// Pipelined-broadcast equivalence: the chunk size, U-assembly algorithm
+// and stream count choose *how* U travels and when its unpacks are
+// enqueued, never the arithmetic. Every combination must reproduce the
+// same scaled residual, pinned to the value the solver printed before the
+// row-major wire and the unchunked path were retired.
 
 HplConfig sweep_cfg(long n, int nb, int p, int q) {
   HplConfig cfg;
@@ -120,46 +240,39 @@ HplResult run_cfg(const HplConfig& cfg) {
   return out;
 }
 
-using PipeShape = std::tuple<int /*p*/, int /*q*/, PipelineMode>;
+using PipeShape =
+    std::tuple<int /*p*/, int /*q*/, PipelineMode, double /*residual*/>;
 
 class RowSwapPipelineSweep : public ::testing::TestWithParam<PipeShape> {};
 
 TEST_P(RowSwapPipelineSweep, WireAndChunkConfigsAgreeBitwise) {
-  const auto [p, q, mode] = GetParam();
+  const auto [p, q, mode, residual] = GetParam();
+  const HplConfig ref = [&, mode = mode] {
+    HplConfig c = sweep_cfg(96, 16, p, q);
+    c.pipeline = mode;
+    return c;
+  }();
 
-  // Reference: the seed path — row-major wire, blocking gather-then-unpack.
-  HplConfig ref = sweep_cfg(96, 16, p, q);
-  ref.pipeline = mode;
-  ref.swap_wire = SwapWireFormat::RowMajor;
-  ref.swap_chunk_bytes = -1;
-  const HplResult r0 = run_cfg(ref);
-  ASSERT_TRUE(r0.verify.passed) << "reference residual=" << r0.verify.residual;
-
-  // chunk -1 = unchunked blocking, 0 at the RowSwapper level = one chunk
-  // per rank segment (run_hpl resolves cfg 0 to the autotune probe, so
-  // drive a tiny explicit chunk for that shape instead), 1 KiB = many
-  // chunks per segment, 256 KiB = the shipping default.
-  for (const auto wire : {SwapWireFormat::RowMajor, SwapWireFormat::ColMajor}) {
-    for (const long chunk : {-1L, 1024L, 256L * 1024L}) {
-      for (const auto algo :
-           {RowSwapAlgo::SpreadRoll, RowSwapAlgo::BinaryExchange}) {
-        for (const int streams : {1, 2}) {
-          HplConfig cfg = ref;
-          cfg.swap_wire = wire;
-          cfg.swap_chunk_bytes = chunk;
-          cfg.swap = algo;
-          cfg.update_streams = streams;
-          const HplResult r = run_cfg(cfg);
-          EXPECT_TRUE(r.verify.passed)
-              << "wire=" << to_string(wire) << " chunk=" << chunk
-              << " algo=" << to_string(algo) << " streams=" << streams
-              << " residual=" << r.verify.residual;
-          // The scaled residual is a deterministic function of x:
-          // identical factors across RS transports → identical residual.
-          EXPECT_EQ(r0.verify.residual, r.verify.residual)
-              << "wire=" << to_string(wire) << " chunk=" << chunk
-              << " algo=" << to_string(algo) << " streams=" << streams;
-        }
+  // run_hpl resolves chunk 0 to the autotune probe, so the sweep drives
+  // explicit sizes: 1 KiB = many chunks per segment, 256 KiB = the
+  // shipping default (one chunk per segment at this size).
+  for (const long chunk : {1024L, 256L * 1024L}) {
+    for (const auto algo :
+         {RowSwapAlgo::SpreadRoll, RowSwapAlgo::BinaryExchange}) {
+      for (const int streams : {1, 2}) {
+        HplConfig cfg = ref;
+        cfg.swap_chunk_bytes = chunk;
+        cfg.swap = algo;
+        cfg.update_streams = streams;
+        const HplResult r = run_cfg(cfg);
+        EXPECT_TRUE(r.verify.passed)
+            << "chunk=" << chunk << " algo=" << to_string(algo)
+            << " streams=" << streams << " residual=" << r.verify.residual;
+        // The scaled residual is a deterministic function of x:
+        // identical factors across RS transports → identical residual.
+        EXPECT_EQ(residual, r.verify.residual)
+            << "chunk=" << chunk << " algo=" << to_string(algo)
+            << " streams=" << streams;
       }
     }
   }
@@ -167,10 +280,11 @@ TEST_P(RowSwapPipelineSweep, WireAndChunkConfigsAgreeBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridsAndModes, RowSwapPipelineSweep,
-    ::testing::Values(PipeShape{1, 2, PipelineMode::Lookahead},
-                      PipeShape{2, 1, PipelineMode::Lookahead},
-                      PipeShape{2, 2, PipelineMode::LookaheadSplit},
-                      PipeShape{2, 1, PipelineMode::Simple}));
+    ::testing::Values(
+        PipeShape{1, 2, PipelineMode::Lookahead, 0.010682657106307721},
+        PipeShape{2, 1, PipelineMode::Lookahead, 0.010205516094115316},
+        PipeShape{2, 2, PipelineMode::LookaheadSplit, 0.010682657106307721},
+        PipeShape{2, 1, PipelineMode::Simple, 0.010205516094115316}));
 
 }  // namespace
 }  // namespace hplx::core

@@ -151,7 +151,7 @@ TEST(Variants, BitwiseIdenticalAcrossExecutionKnobs) {
          {std::tuple<int, int, long>{1, 1, 256 * 1024},
           std::tuple<int, int, long>{4, 1, 256 * 1024},
           std::tuple<int, int, long>{1, 3, 4096},
-          std::tuple<int, int, long>{2, 2, -1}}) {
+          std::tuple<int, int, long>{2, 2, 1024}}) {
       HplConfig cfg = base_cfg(128, 16, 2, 2);
       cfg.pipeline = PipelineMode::LookaheadSplit;
       cfg.pivoting = c.pivoting;
