@@ -89,9 +89,9 @@ BENCHMARK(BM_Solver)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Multi-stream banded trailing update. Args: {N, NB, streams, band_cols};
-/// always the split pipeline on one rank — the configuration where the
-/// trailing update dominates and band/stream scheduling shows up directly.
+/// Multi-stream banded trailing update. Args: {N, NB, streams}; always the
+/// split pipeline on one rank — the configuration where the trailing
+/// update dominates and band/stream scheduling shows up directly.
 /// Per-stream wall-clock occupancy is exported so a snapshot shows how
 /// much of the update actually ran off the primary queue.
 void BM_SolverStreams(benchmark::State& state) {
@@ -102,7 +102,6 @@ void BM_SolverStreams(benchmark::State& state) {
   cfg.q = 1;
   cfg.pipeline = core::PipelineMode::LookaheadSplit;
   cfg.update_streams = static_cast<int>(state.range(2));
-  cfg.update_band_cols = state.range(3);
   cfg.fact_threads = 2;
 
   double gflops = 0.0, spare_s = 0.0, total_s = 0.0;
@@ -130,13 +129,12 @@ void BM_SolverStreams(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SolverStreams)
-    ->Args({1024, 128, 1, 0})
-    ->Args({1024, 128, 2, 0})
-    ->Args({1024, 128, 4, 0})
-    ->Args({1024, 128, 2, 64})
-    ->Args({2048, 256, 1, 0})
-    ->Args({2048, 256, 2, 0})
-    ->Args({2048, 256, 4, 0})
+    ->Args({1024, 128, 1})
+    ->Args({1024, 128, 2})
+    ->Args({1024, 128, 4})
+    ->Args({2048, 256, 1})
+    ->Args({2048, 256, 2})
+    ->Args({2048, 256, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -307,14 +305,11 @@ BENCHMARK(BM_SolverVariants)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Unified allocator ablation: pooled vs passthrough. Args: {N, NB, P,
-/// Q, pooled tag (1 = size-classed pool, 0 = every lease is a system
-/// malloc/free)}; always the split pipeline. Exports the steady-window
-/// upstream allocation count (must be 0 pooled — the zero-alloc hot
-/// path), the worst-rank steady hit rate, and the pools' peak footprint,
-/// next to GF/s — so a snapshot shows what the pool buys and what it
-/// costs in held memory. The two modes compute bitwise-identical
-/// residuals; only where scratch lives differs.
+/// Unified allocator accounting. Args: {N, NB, P, Q}; always the split
+/// pipeline. Exports the steady-window upstream allocation count (must be
+/// 0 — the zero-alloc hot path), the worst-rank steady hit rate, and the
+/// pools' peak footprint, next to GF/s — so a snapshot shows what the
+/// pool costs in held memory.
 void BM_SolverAlloc(benchmark::State& state) {
   core::HplConfig cfg;
   cfg.n = state.range(0);
@@ -322,7 +317,6 @@ void BM_SolverAlloc(benchmark::State& state) {
   cfg.p = static_cast<int>(state.range(2));
   cfg.q = static_cast<int>(state.range(3));
   cfg.pipeline = core::PipelineMode::LookaheadSplit;
-  cfg.alloc_pool = state.range(4) != 0;
   cfg.fact_threads = 2;
 
   double gflops = 0.0, hit_rate = 0.0, hwm_mib = 0.0;
@@ -351,16 +345,12 @@ void BM_SolverAlloc(benchmark::State& state) {
     state.counters["hit_rate"] = hit_rate * inv;
     state.counters["pool_hwm_mib"] = hwm_mib * inv;
   }
-  state.SetLabel(cfg.alloc_pool ? "pooled" : "passthrough");
 }
 
 BENCHMARK(BM_SolverAlloc)
-    // The acceptance pair: pooled vs passthrough at N=2048 on one rank.
-    ->Args({2048, 256, 1, 1, 1})
-    ->Args({2048, 256, 1, 1, 0})
+    ->Args({2048, 256, 1, 1})
     // Cross-rank: message pools carry the swap traffic too.
-    ->Args({1024, 128, 2, 2, 1})
-    ->Args({1024, 128, 2, 2, 0})
+    ->Args({1024, 128, 2, 2})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

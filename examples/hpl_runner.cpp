@@ -4,7 +4,12 @@
 ///
 ///   ./hpl_runner --dat=HPL.dat        # or run without a file to use the
 ///                                     # built-in container-scale default
+///
+/// Exits 0 when every run passes its residual check, 1 when one fails,
+/// and 2 on unreadable files or rejected input (the `hplx error` message
+/// goes to stderr).
 
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -53,9 +58,7 @@ const char kDefaultDat[] =
     "0.5          split fraction (rocHPL extension)\n"
     "2            FACT threads (rocHPL extension)\n";
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace hplx;
   Options opt(argc, argv);
 
@@ -115,4 +118,15 @@ int main(int argc, char** argv) {
   if (file.is_open())
     std::printf("\n(results also written to %s)\n", dat.output_file.c_str());
   return passed == static_cast<int>(configs.size()) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 }

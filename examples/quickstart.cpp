@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   cfg.fact_threads = static_cast<int>(opt.get_int("threads", 2));
   cfg.split_fraction = opt.get_double("split", 0.5);
   cfg.update_streams = static_cast<int>(opt.get_int("streams", 1));
-  cfg.update_band_cols = opt.get_int("band", 0);
   cfg.pipeline = core::PipelineMode::LookaheadSplit;
 
   std::printf("hplx quickstart: N=%ld NB=%d grid=%dx%d threads=%d\n", cfg.n,

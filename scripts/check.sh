@@ -6,7 +6,7 @@
 # ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
 # grid/rng/trace + the hazard-checker, chunked-transport, driver and
 # mixed-precision suites) under AddressSanitizer+LeakSanitizer+UBSan. The
-# driver suites hold every pipeline/stream/band bitwise sweep, so both
+# driver suites hold every pipeline/stream bitwise sweep, so both
 # legs run the real solve schedules. The mixed-precision suite also
 # carries the "mxp" label, surfaced as its own tier-1 step so a red MxP
 # gate is visible at a glance (ctest -L mxp re-runs only those tests); the

@@ -153,7 +153,6 @@ Communicator Communicator::split(int color, int key) {
              slot.color[static_cast<std::size_t>(order[j])] == c)
         ++j;
       auto child = std::make_shared<Fabric>(static_cast<int>(j - i));
-      child->set_direct_threshold(f.direct_threshold());
       if (v != nullptr) child->enable_verifier(v->config());
       for (std::size_t k = i; k < j; ++k) {
         const auto member = static_cast<std::size_t>(order[k]);

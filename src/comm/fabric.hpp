@@ -43,7 +43,8 @@ inline constexpr int kAnySource = -1;
 
 /// Default eager/direct cutover: below this, messages always travel
 /// through the pool; at or above it, a posted receiver gets the payload
-/// in one copy. Tunable per fabric (HplConfig::comm_eager_bytes).
+/// in one copy. Every fabric starts here; set_direct_threshold exists so
+/// tests can force the direct path.
 inline constexpr std::size_t kDefaultEagerThreshold = 32 * 1024;
 
 /// Largest pooled message class: 16 MiB. Larger payloads are oversize —
@@ -219,8 +220,7 @@ class Fabric {
   const int size_;
   // Declared before the mailboxes: envelopes queued in a mailbox hold
   // leases, so the pool must outlive them at destruction.
-  device::PoolAllocator alloc_{"comm", /*passthrough=*/false,
-                               kMaxMessageClassLog};
+  device::PoolAllocator alloc_{"comm", kMaxMessageClassLog};
   std::atomic<std::size_t> direct_threshold_{kDefaultEagerThreshold};
   std::atomic<std::uint64_t> direct_deliveries_{0};
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;

@@ -94,10 +94,9 @@ struct HplConfig {
   /// block, split into chunks of at most this many bytes, and the
   /// per-chunk device unpack is enqueued as each chunk lands, overlapping
   /// deserialization with the remaining wire traffic. The displaced-row
-  /// scatterv is split under the same cap. 0 = pick via the startup
-  /// autotune probe; negative values are rejected. Chunks are rounded to
-  /// whole wire columns (rows for the scatterv), so any value is
-  /// bitwise-identical.
+  /// scatterv is split under the same cap. Must be positive. Chunks are
+  /// rounded to whole wire columns (rows for the scatterv), so any value
+  /// is bitwise-identical.
   long swap_chunk_bytes = 256 * 1024;
 
   /// Optional user-supplied panel broadcast, overriding `bcast`. The
@@ -144,32 +143,20 @@ struct HplConfig {
   /// that configured blas threading themselves are not overridden.
   int blas_threads = 0;
 
-  /// Eager/direct cutover for the minimpi transport: messages of at least
-  /// this many bytes are copied straight into a posted receive instead of
-  /// staging through a pooled eager buffer.
-  std::size_t comm_eager_bytes = comm::kDefaultEagerThreshold;
-
   /// Column-tile width for the device row-swap/copy kernel engine
   /// (device::EngineConfig::tile_cols): the cache-blocking grain and the
-  /// unit of team parallelism inside one kernel. 0 = run the one-shot
-  /// startup probe (device::autotune_swap_tile_cols) and use its winner;
-  /// a nonzero value pins the width.
+  /// unit of team parallelism inside one kernel. Must be positive.
   long swap_tile_cols = 256;
 
   /// Streams in the trailing-update pool: rocHPL's U1/U2 stream split
   /// generalized to N in-order streams. 1 reproduces the seed
   /// single-stream schedule; with more streams the trailing update is cut
-  /// into column bands fanned out across the pool with event fencing, so
-  /// the look-ahead band completes (and releases FACT) while the remaining
-  /// bands still compute. Bands never alias columns — results are bitwise
-  /// identical for every value. Clamped to [1, trace::kMaxUpdateStreams].
+  /// into even column bands, one per usable stream, fanned out across the
+  /// pool with event fencing, so the look-ahead band completes (and
+  /// releases FACT) while the remaining bands still compute. Bands never
+  /// alias columns — results are bitwise identical for every value.
+  /// Clamped to [1, trace::kMaxUpdateStreams].
   int update_streams = 1;
-
-  /// Column width of one trailing-update band. 0 = split each update
-  /// window evenly, one band per usable pool stream; a nonzero width tiles
-  /// the window at that many columns (more bands than streams round-robin,
-  /// which evens out ragged windows). Any value is bitwise-identical.
-  long update_band_cols = 0;
 
   /// Team members one device data-motion kernel may use: 0 = the whole
   /// leased BLAS team (blas_threads), 1 = always sequential, n > 1 = cap.
@@ -195,17 +182,6 @@ struct HplConfig {
   double ir_tol = 16.0;
 
   bool verify = true;  ///< run the residual check after the solve
-
-  /// Pooled allocation (device::PoolAllocator) for device buffers, the
-  /// host arena, and the fabric message pools. On (default), steady-state
-  /// solve iterations perform zero system allocations; off is the
-  /// ablation mode — every acquire goes straight upstream (stats are
-  /// still tracked so the two modes are directly comparable).
-  bool alloc_pool = true;
-
-  /// Cap on bytes parked on the device/arena freelists; releases beyond
-  /// it free upstream. Negative (default) = unbounded.
-  long alloc_cache_bytes = -1;
 
   /// Attach the hazard-checking runtime (device::HazardTracker) to every
   /// rank's device: enqueued ops declare access sets, happens-before is

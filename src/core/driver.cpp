@@ -20,7 +20,6 @@
 #include "core/rowswap.hpp"
 #include "core/update.hpp"
 #include "device/alloc.hpp"
-#include "device/autotune.hpp"
 #include "device/engine.hpp"
 #include "device/kernels.hpp"
 #include "grid/process_grid.hpp"
@@ -50,15 +49,13 @@ struct IterStats {
 template <typename T>
 class Solver {
  public:
-  Solver(comm::Communicator& world, const HplConfig& cfg,
-         long swap_chunk_bytes)
+  Solver(comm::Communicator& world, const HplConfig& cfg)
       : cfg_(cfg),
         grid_(world, cfg.p, cfg.q,
               cfg.row_major_grid ? grid::GridOrder::RowMajor
                                  : grid::GridOrder::ColMajor),
         dev_("gcd" + std::to_string(world.rank()), cfg.hbm_bytes,
-             cfg.dev_model, cfg.hazard_check, cfg.alloc_pool,
-             cfg.alloc_cache_bytes),
+             cfg.dev_model, cfg.hazard_check),
         a_(dev_, grid_, cfg.n, cfg.nb, cfg.seed, cfg.nrhs,
            cfg.diag_dominant ? static_cast<double>(cfg.n) : 0.0),
         pool_(dev_,
@@ -66,8 +63,7 @@ class Solver {
               "compute"),
         compute_(pool_.primary()),
         data_(dev_, "data"),
-        team_(std::max(1, cfg.fact_threads)),
-        swap_chunk_bytes_(swap_chunk_bytes) {
+        team_(std::max(1, cfg.fact_threads)) {
     // Every pipeline mode runs the same schedule (DESIGN.md decision 3),
     // resolved here to two values: the look-ahead depth (0 for Simple, 1
     // otherwise) and csplit_, the local column where the right section
@@ -98,7 +94,7 @@ class Solver {
     }
     for (RowSwapperT<T>* rs : swappers) {
       rs->reserve(dev_.host_arena(), cfg.nb, a_.nloc(), cfg.p);
-      rs->set_pipeline(swap_chunk_bytes);
+      rs->set_pipeline(cfg.swap_chunk_bytes);
       rs->set_pivot_mode(cfg.pivoting);
     }
     w_.reserve(static_cast<std::size_t>(std::max<long>(a_.mloc(), 1)) *
@@ -432,7 +428,7 @@ class Solver {
     const std::size_t row_bytes =
         static_cast<std::size_t>(cfg_.n + cfg_.nrhs) * sizeof(T);
     const std::size_t swap_bound =
-        std::max(static_cast<std::size_t>(swap_chunk_bytes_), row_bytes);
+        std::max(static_cast<std::size_t>(cfg_.swap_chunk_bytes), row_bytes);
     for (comm::Communicator* c :
          {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
       c->fabric().allocator().prewarm(kPrewarmBlocks, swap_bound);
@@ -486,7 +482,6 @@ class Solver {
   /// rank reports the same (worst-rank) values, then copy the per-pool
   /// lifetime rows.
   void collect_alloc(HplResult& result) {
-    result.alloc.pool_enabled = cfg_.alloc_pool;
     result.alloc.steady_measured = steady_measured_;
     std::uint64_t worst_upstream = steady_upstream_delta_;
     double worst_hit_rate = steady_measured_ ? steady_hit_rate_ : 1.0;
@@ -628,8 +623,7 @@ class Solver {
     auto bands = [&](const device::Event& ready, T* u, long c0, long c1,
                      BandPlacement where) {
       return enqueue_update_bands(pool_, ready, a_, cur, u, cfg_.nb, c0,
-                                  c1 - c0, in_diag, u_row, tail,
-                                  cfg_.update_band_cols, where);
+                                  c1 - c0, in_diag, u_row, tail, where);
     };
     T* const u_right = u_right_.template data_as<T>();
 
@@ -868,7 +862,6 @@ class Solver {
   double real0_[trace::kMaxUpdateStreams] = {};
 
   // Steady-window allocation accounting (mark_steady / finish_steady).
-  long swap_chunk_bytes_ = 0;  ///< resolved RS chunk (prewarm bound)
   bool steady_marked_ = false;
   bool steady_measured_ = false;
   std::uint64_t steady_upstream0_ = 0;
@@ -882,8 +875,7 @@ class Solver {
 /// iterative refinement, fp64 re-run as the correctness safety net. The
 /// reported wall time covers everything the mode actually executed (HPL-MxP
 /// style: fp64-equivalent flops over the mixed-precision time).
-HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg,
-                  long chunk_bytes) {
+HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg) {
   HplConfig lp = cfg;
   lp.verify = false;  // verification happens on the *refined* solution
   if (cfg.precision == PrecisionMode::MXP16Sim) {
@@ -896,7 +888,7 @@ HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg,
   wall.start();
   int attempt_iters = 0;
   {
-    Solver<float> solver(world, lp, chunk_bytes);
+    Solver<float> solver(world, lp);
     HplResult result = solver.solve();
     RefineResult rr = iterative_refine(
         solver.grid(), solver.matrix(), solver.stream(), solver.pivots(),
@@ -922,7 +914,7 @@ HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg,
   // failed low-precision attempt stays on the clock.
   HplConfig full = cfg;
   full.precision = PrecisionMode::FP64;
-  Solver<double> solver(world, full, chunk_bytes);
+  Solver<double> solver(world, full);
   HplResult result = solver.solve();
   result.ir_iters = attempt_iters;
   result.ir_fallback = true;
@@ -946,9 +938,12 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
                      cfg.split_fraction >= 0.0 && cfg.split_fraction <= 1.0,
                  "split_fraction = " << cfg.split_fraction
                  << " is not a finite value in [0, 1]");
-  HPLX_CHECK_MSG(cfg.swap_chunk_bytes >= 0,
+  HPLX_CHECK_MSG(cfg.swap_tile_cols > 0,
+                 "swap_tile_cols = " << cfg.swap_tile_cols
+                 << " must be positive");
+  HPLX_CHECK_MSG(cfg.swap_chunk_bytes > 0,
                  "swap_chunk_bytes = " << cfg.swap_chunk_bytes
-                 << " is negative (0 = autotune, > 0 = chunk bytes)");
+                 << " must be positive");
   // The multi-RHS solve (backsolve, verify, refine) assumes every RHS
   // column shares the trailing column block with classic column N, so one
   // process column owns the whole b̂ panel contiguously.
@@ -956,32 +951,22 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
                      (cfg.n + static_cast<long>(cfg.nrhs) - 1) / cfg.nb,
                  "nrhs = " << cfg.nrhs << " spills past the trailing column "
                  "block (n = " << cfg.n << ", nb = " << cfg.nb << ")");
-  // Transport + BLAS knobs are process/fabric-global: the threshold is an
-  // atomic every rank stores identically, and set_num_threads is a no-op
-  // when the team already has the requested size.
-  world.fabric().set_direct_threshold(cfg.comm_eager_bytes);
   // Communication verifier: enabled on the world fabric here, before any
   // split — Communicator::split propagates enablement to every child
   // fabric (row, column, dup), so the whole comm tree of the run is
   // checked. Idempotent; every rank calls it.
   if (cfg.comm_check || comm::comm_check_env_enabled())
     world.fabric().enable_verifier(comm::Verifier::Config::from_env());
+  // BLAS and engine knobs are process-global: set_num_threads is a no-op
+  // when the team already has the requested size, and every rank installs
+  // the same engine configuration.
   if (cfg.blas_threads > 0) blas::set_num_threads(cfg.blas_threads);
-  // swap_tile_cols = 0 asks for the measured width: a one-shot ~10 ms
-  // startup probe shared by every rank (they are threads of one process).
-  long tile_cols = cfg.swap_tile_cols;
-  if (tile_cols == 0) tile_cols = device::autotune_swap_tile_cols();
-  device::configure_engine({tile_cols, cfg.kernel_threads});
-  // swap_chunk_bytes = 0 likewise resolves through the startup probe (the
-  // same kernel timings pick the chunk that balances unpack grain against
-  // per-chunk latency).
-  long chunk_bytes = cfg.swap_chunk_bytes;
-  if (chunk_bytes == 0) chunk_bytes = device::autotune_swap_chunk_bytes();
+  device::configure_engine({cfg.swap_tile_cols, cfg.kernel_threads});
   HplResult result;
   if (cfg.precision != PrecisionMode::FP64) {
-    result = run_mxp(world, cfg, chunk_bytes);
+    result = run_mxp(world, cfg);
   } else {
-    Solver<double> solver(world, cfg, chunk_bytes);
+    Solver<double> solver(world, cfg);
     result = solver.solve();
   }
   // Append the world fabric's own verifier records (mismatched splits,

@@ -41,11 +41,10 @@ struct AllocPoolReport {
 /// factorization loop after the warmup iterations (iteration 0 builds the
 /// freelist inventory, iteration 1 absorbs cross-rank skew); backsolve /
 /// refinement first-call leases happen after the loop and are excluded by
-/// construction. With the pool enabled, `steady_upstream_allocs == 0` is
-/// the guarantee the allocator exists for: no pooled subsystem touched
-/// the system allocator once warm.
+/// construction. `steady_upstream_allocs == 0` is the guarantee the
+/// allocator exists for: no pooled subsystem touched the system allocator
+/// once warm.
 struct AllocStats {
-  bool pool_enabled = true;   ///< cfg.alloc_pool (false = passthrough)
   bool steady_measured = false;  ///< run had iterations past warmup
   /// Process-wide upstream (system) allocations by any pool inside the
   /// steady window — max over ranks, identical on every rank.

@@ -1,7 +1,9 @@
 #include "core/hpldat.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <istream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -34,15 +36,21 @@ class DatReader {
     return t;
   }
 
-  long integer(const char* what) {
-    const std::string t = token();
-    try {
-      return std::stol(t);
-    } catch (...) {
-      HPLX_CHECK_MSG(false, "HPL.dat line " << lineno_ << " (" << what
-                     << "): not an integer: `" << t << "`");
-    }
-    return 0;
+  /// Consume one line holding one integer in [lo, hi].
+  template <typename I>
+  I integer(const char* what, I lo = std::numeric_limits<I>::min(),
+            I hi = std::numeric_limits<I>::max()) {
+    return to_integer(token(), what, lo, hi);
+  }
+
+  /// Consume a retired extension line. It keeps its place, because the
+  /// lines after it are positional, and accepts only the one value hplx
+  /// still implements.
+  void retired(const char* what, long only) {
+    const long v = integer<long>(what);
+    HPLX_CHECK_MSG(v == only, "HPL.dat line " << lineno_ << " (" << what
+                   << ") is retired and only holds its place: it must be "
+                   << only << ", got " << v);
   }
 
   double real(const char* what) {
@@ -56,25 +64,29 @@ class DatReader {
     return 0;
   }
 
-  /// Consume one line holding `count` integers.
-  std::vector<long> integers(std::size_t count, const char* what) {
+  /// Consume one line holding `count` integers, each in [lo, hi].
+  template <typename I>
+  std::vector<I> integers(std::size_t count, const char* what,
+                          I lo = std::numeric_limits<I>::min(),
+                          I hi = std::numeric_limits<I>::max()) {
     std::istringstream ls(line());
-    std::vector<long> out;
-    long v;
-    while (out.size() < count && ls >> v) out.push_back(v);
+    std::vector<I> out;
+    std::string t;
+    while (out.size() < count && ls >> t)
+      out.push_back(to_integer(t, what, lo, hi));
     HPLX_CHECK_MSG(out.size() == count,
                    "HPL.dat line " << lineno_ << " (" << what << "): expected "
                    << count << " values, found " << out.size());
     return out;
   }
 
-  /// Read "# of X" then the list line.
-  std::vector<long> counted_list(const char* what, long max_count = 64) {
-    const long n = integer(what);
-    HPLX_CHECK_MSG(n >= 1 && n <= max_count,
-                   "HPL.dat line " << lineno_ << ": count for " << what
-                   << " out of range: " << n);
-    return integers(static_cast<std::size_t>(n), what);
+  /// Read "# of X" (1 to 64) then the list line.
+  template <typename I>
+  std::vector<I> counted_list(const char* what,
+                              I lo = std::numeric_limits<I>::min(),
+                              I hi = std::numeric_limits<I>::max()) {
+    const int n = integer<int>(what, 1, 64);
+    return integers<I>(static_cast<std::size_t>(n), what, lo, hi);
   }
 
   bool eof() {
@@ -90,11 +102,28 @@ class DatReader {
   int lineno() const { return lineno_; }
 
  private:
+  /// The one integer parser: the whole token must be an integer (no
+  /// trailing junk), and the range check runs before narrowing to I, so
+  /// an out-of-range value is rejected instead of wrapping.
+  template <typename I>
+  I to_integer(const std::string& t, const char* what, I lo, I hi) const {
+    long long v = 0;
+    const char* end = t.data() + t.size();
+    const auto [ptr, ec] = std::from_chars(t.data(), end, v);
+    HPLX_CHECK_MSG(ec != std::errc::invalid_argument && ptr == end,
+                   "HPL.dat line " << lineno_ << " (" << what
+                   << "): not an integer: `" << t << "`");
+    HPLX_CHECK_MSG(ec != std::errc::result_out_of_range && v >= lo && v <= hi,
+                   "HPL.dat line " << lineno_ << " (" << what << "): " << t
+                   << " is out of range [" << lo << ", " << hi << "]");
+    return static_cast<I>(v);
+  }
+
   std::istream& in_;
   int lineno_ = 0;
 };
 
-FactVariant fact_from_code(long code, const char* what) {
+FactVariant fact_from_code(int code, const char* what) {
   switch (code) {
     case 0: return FactVariant::Left;
     case 1: return FactVariant::Crout;
@@ -107,7 +136,7 @@ FactVariant fact_from_code(long code, const char* what) {
   return FactVariant::Right;
 }
 
-comm::BcastAlgo bcast_from_code(long code) {
+comm::BcastAlgo bcast_from_code(int code) {
   switch (code) {
     case 0: return comm::BcastAlgo::Ring1;
     case 1: return comm::BcastAlgo::Ring1Mod;
@@ -157,60 +186,36 @@ HplDat parse_hpldat(std::istream& in) {
   r.line();  // "HPLinpack benchmark input file"
   r.line();  // institution line
   dat.output_file = r.token();
-  dat.device_out = static_cast<int>(r.integer("device out"));
+  dat.device_out = r.integer<int>("device out");
 
-  dat.ns = r.counted_list("problem sizes (N)");
-  for (long n : dat.ns)
-    HPLX_CHECK_MSG(n >= 1, "HPL.dat: N must be positive, got " << n);
+  dat.ns = r.counted_list<long>("problem sizes (N)", 1);
+  dat.nbs = r.counted_list<int>("NBs", 1);
 
-  for (long nb : r.counted_list("NBs")) {
-    HPLX_CHECK_MSG(nb >= 1, "HPL.dat: NB must be positive, got " << nb);
-    dat.nbs.push_back(static_cast<int>(nb));
-  }
+  dat.row_major_mapping = r.integer<int>("PMAP") == 0;
 
-  dat.row_major_mapping = r.integer("PMAP") == 0;
-
-  const long ngrids = r.integer("# of process grids");
-  HPLX_CHECK_MSG(ngrids >= 1 && ngrids <= 64,
-                 "HPL.dat: grid count out of range: " << ngrids);
-  for (long p : r.integers(static_cast<std::size_t>(ngrids), "Ps"))
-    dat.ps.push_back(static_cast<int>(p));
-  for (long q : r.integers(static_cast<std::size_t>(ngrids), "Qs"))
-    dat.qs.push_back(static_cast<int>(q));
-  for (std::size_t i = 0; i < dat.ps.size(); ++i)
-    HPLX_CHECK_MSG(dat.ps[i] >= 1 && dat.qs[i] >= 1,
-                   "HPL.dat: invalid grid " << dat.ps[i] << "x" << dat.qs[i]);
+  const int ngrids = r.integer<int>("# of process grids", 1, 64);
+  dat.ps = r.integers<int>(static_cast<std::size_t>(ngrids), "Ps", 1);
+  dat.qs = r.integers<int>(static_cast<std::size_t>(ngrids), "Qs", 1);
 
   dat.threshold = r.real("threshold");
 
-  for (long code : r.counted_list("PFACTs"))
+  for (int code : r.counted_list<int>("PFACTs"))
     dat.pfacts.push_back(fact_from_code(code, "PFACT"));
-  for (long v : r.counted_list("NBMINs")) {
-    HPLX_CHECK_MSG(v >= 1, "HPL.dat: NBMIN must be >= 1");
-    dat.nbmins.push_back(static_cast<int>(v));
-  }
-  for (long v : r.counted_list("NDIVs")) {
-    HPLX_CHECK_MSG(v >= 2, "HPL.dat: NDIV must be >= 2");
-    dat.ndivs.push_back(static_cast<int>(v));
-  }
-  for (long code : r.counted_list("RFACTs"))
+  dat.nbmins = r.counted_list<int>("NBMINs", 1);
+  dat.ndivs = r.counted_list<int>("NDIVs", 2);
+  for (int code : r.counted_list<int>("RFACTs"))
     dat.rfacts.push_back(fact_from_code(code, "RFACT"));
-  for (long v : r.counted_list("DEPTHs")) {
-    HPLX_CHECK_MSG(v >= 0 && v <= 1,
-                   "HPL.dat: only look-ahead depths 0 and 1 are supported");
-    dat.depths.push_back(static_cast<int>(v));
-  }
-  for (long code : r.counted_list("BCASTs"))
+  // Only look-ahead depths 0 and 1 are supported.
+  dat.depths = r.counted_list<int>("DEPTHs", 0, 1);
+  for (int code : r.counted_list<int>("BCASTs"))
     dat.bcasts.push_back(bcast_from_code(code));
 
-  dat.swap_algo = static_cast<int>(r.integer("SWAP"));
-  HPLX_CHECK_MSG(dat.swap_algo >= 0 && dat.swap_algo <= 2,
-                 "HPL.dat: SWAP must be 0, 1 or 2");
-  dat.swap_threshold = static_cast<int>(r.integer("swapping threshold"));
-  dat.l1_transposed = r.integer("L1 form") == 0;
-  dat.u_transposed = r.integer("U form") == 0;
-  dat.equilibration = r.integer("Equilibration") != 0;
-  dat.alignment = static_cast<int>(r.integer("alignment"));
+  dat.swap_algo = r.integer<int>("SWAP", 0, 2);
+  dat.swap_threshold = r.integer<int>("swapping threshold");
+  dat.l1_transposed = r.integer<int>("L1 form") == 0;
+  dat.u_transposed = r.integer<int>("U form") == 0;
+  dat.equilibration = r.integer<int>("Equilibration") != 0;
+  dat.alignment = r.integer<int>("alignment");
 
   // Optional rocHPL-style extension lines.
   if (!r.eof()) {
@@ -218,62 +223,19 @@ HplDat parse_hpldat(std::istream& in) {
     HPLX_CHECK_MSG(dat.split_fraction >= 0.0 && dat.split_fraction < 1.0,
                    "HPL.dat: split fraction must be in [0, 1)");
   }
-  if (!r.eof()) {
-    dat.fact_threads = static_cast<int>(r.integer("fact threads"));
-    HPLX_CHECK_MSG(dat.fact_threads >= 1,
-                   "HPL.dat: fact threads must be >= 1");
-  }
-  if (!r.eof()) {
-    dat.blas_threads = static_cast<int>(r.integer("blas threads"));
-    HPLX_CHECK_MSG(dat.blas_threads >= 0,
-                   "HPL.dat: blas threads must be >= 0");
-  }
-  if (!r.eof()) {
-    dat.comm_eager_bytes = r.integer("eager threshold");
-    HPLX_CHECK_MSG(dat.comm_eager_bytes >= 0,
-                   "HPL.dat: eager threshold must be >= 0");
-  }
-  if (!r.eof()) {
-    dat.swap_tile_cols = r.integer("swap tile cols");
-    HPLX_CHECK_MSG(dat.swap_tile_cols >= 0,
-                   "HPL.dat: swap tile cols must be >= 0 (0 = autotune)");
-  }
-  if (!r.eof()) {
-    dat.kernel_threads = static_cast<int>(r.integer("kernel threads"));
-    HPLX_CHECK_MSG(dat.kernel_threads >= 0,
-                   "HPL.dat: kernel threads must be >= 0");
-  }
-  if (!r.eof()) {
-    dat.update_streams = static_cast<int>(r.integer("update streams"));
-    HPLX_CHECK_MSG(dat.update_streams >= 1,
-                   "HPL.dat: update streams must be >= 1");
-  }
-  if (!r.eof()) {
-    dat.update_band_cols = r.integer("update band cols");
-    HPLX_CHECK_MSG(dat.update_band_cols >= 0,
-                   "HPL.dat: update band cols must be >= 0 (0 = even split)");
-  }
-  if (!r.eof()) {
-    dat.hazard_check = static_cast<int>(r.integer("hazard check"));
-    HPLX_CHECK_MSG(dat.hazard_check == 0 || dat.hazard_check == 1,
-                   "HPL.dat: hazard check must be 0 or 1");
-  }
-  if (!r.eof()) {
-    // Kept so the lines after it stay in place (like HPL's "L1 form"):
-    // col-major is the only wire format left.
-    const long wire = r.integer("swap wire format");
-    HPLX_CHECK_MSG(wire != 0,
-                   "HPL.dat: the row-major swap wire format was retired; "
-                   "set swap wire format to 1 (col-major)");
-    HPLX_CHECK_MSG(wire == 1, "HPL.dat: swap wire format must be 1 "
-                              "(col-major), got " << wire);
-  }
-  if (!r.eof()) {
-    dat.swap_chunk_bytes = r.integer("swap chunk bytes");
-    HPLX_CHECK_MSG(dat.swap_chunk_bytes >= 0,
-                   "HPL.dat: swap chunk bytes must be >= 0 (0 = autotune), "
-                   "got " << dat.swap_chunk_bytes);
-  }
+  if (!r.eof()) dat.fact_threads = r.integer<int>("fact threads", 1);
+  if (!r.eof()) dat.blas_threads = r.integer<int>("blas threads", 0);
+  if (!r.eof())
+    r.retired("eager threshold",
+              static_cast<long>(comm::kDefaultEagerThreshold));
+  if (!r.eof()) dat.swap_tile_cols = r.integer<long>("swap tile cols", 1);
+  if (!r.eof()) dat.kernel_threads = r.integer<int>("kernel threads", 0);
+  if (!r.eof()) dat.update_streams = r.integer<int>("update streams", 1);
+  if (!r.eof()) r.retired("update band cols", 0);
+  if (!r.eof()) dat.hazard_check = r.integer<int>("hazard check", 0, 1);
+  if (!r.eof()) r.retired("swap wire format", 1);
+  if (!r.eof())
+    dat.swap_chunk_bytes = r.integer<long>("swap chunk bytes", 1);
   if (!r.eof()) {
     dat.precision = r.token();
     HPLX_CHECK_MSG(dat.precision == "fp64" || dat.precision == "mxp32" ||
@@ -281,42 +243,17 @@ HplDat parse_hpldat(std::istream& in) {
                    "HPL.dat: precision must be fp64, mxp32 or mxp16-sim, "
                    "got `" << dat.precision << "`");
   }
-  if (!r.eof()) {
-    dat.ir_max_iters = static_cast<int>(r.integer("IR max iters"));
-    HPLX_CHECK_MSG(dat.ir_max_iters >= 0,
-                   "HPL.dat: IR max iters must be >= 0");
-  }
+  if (!r.eof()) dat.ir_max_iters = r.integer<int>("IR max iters", 0);
   if (!r.eof()) {
     dat.ir_tol = r.real("IR tolerance");
     HPLX_CHECK_MSG(dat.ir_tol > 0.0, "HPL.dat: IR tolerance must be > 0");
   }
-  if (!r.eof()) {
-    dat.pivoting = static_cast<int>(r.integer("pivoting"));
-    HPLX_CHECK_MSG(dat.pivoting == 0 || dat.pivoting == 1,
-                   "HPL.dat: pivoting must be 0 (full) or 1 (none)");
-  }
-  if (!r.eof()) {
-    dat.diag_dominant = static_cast<int>(r.integer("diag dominant"));
-    HPLX_CHECK_MSG(dat.diag_dominant == 0 || dat.diag_dominant == 1,
-                   "HPL.dat: diag dominant must be 0 or 1");
-  }
-  if (!r.eof()) {
-    dat.nrhs = static_cast<int>(r.integer("RHS count"));
-    HPLX_CHECK_MSG(dat.nrhs >= 1, "HPL.dat: RHS count must be >= 1");
-  }
-  if (!r.eof()) {
-    dat.alloc_pool = static_cast<int>(r.integer("alloc pool"));
-    HPLX_CHECK_MSG(dat.alloc_pool == 0 || dat.alloc_pool == 1,
-                   "HPL.dat: alloc pool must be 0 or 1");
-  }
-  if (!r.eof()) {
-    dat.alloc_cache_bytes = r.integer("alloc cache bytes");
-  }
-  if (!r.eof()) {
-    dat.comm_check = static_cast<int>(r.integer("comm check"));
-    HPLX_CHECK_MSG(dat.comm_check == 0 || dat.comm_check == 1,
-                   "HPL.dat: comm check must be 0 or 1");
-  }
+  if (!r.eof()) dat.pivoting = r.integer<int>("pivoting", 0, 1);
+  if (!r.eof()) dat.diag_dominant = r.integer<int>("diag dominant", 0, 1);
+  if (!r.eof()) dat.nrhs = r.integer<int>("RHS count", 1);
+  if (!r.eof()) r.retired("alloc pool", 1);
+  if (!r.eof()) r.retired("alloc cache bytes", -1);
+  if (!r.eof()) dat.comm_check = r.integer<int>("comm check", 0, 1);
   return dat;
 }
 
@@ -363,12 +300,9 @@ std::vector<HplConfig> expand_configs(const HplDat& dat) {
                   cfg.split_fraction = dat.split_fraction;
                   cfg.fact_threads = dat.fact_threads;
                   cfg.blas_threads = dat.blas_threads;
-                  cfg.comm_eager_bytes =
-                      static_cast<std::size_t>(dat.comm_eager_bytes);
                   cfg.swap_tile_cols = dat.swap_tile_cols;
                   cfg.kernel_threads = dat.kernel_threads;
                   cfg.update_streams = dat.update_streams;
-                  cfg.update_band_cols = dat.update_band_cols;
                   cfg.hazard_check = dat.hazard_check != 0;
                   cfg.swap_chunk_bytes = dat.swap_chunk_bytes;
                   cfg.precision = dat.precision == "mxp32"
@@ -382,8 +316,6 @@ std::vector<HplConfig> expand_configs(const HplDat& dat) {
                                                    : PivotMode::Full;
                   cfg.diag_dominant = dat.diag_dominant != 0;
                   cfg.nrhs = dat.nrhs;
-                  cfg.alloc_pool = dat.alloc_pool != 0;
-                  cfg.alloc_cache_bytes = dat.alloc_cache_bytes;
                   cfg.comm_check = dat.comm_check != 0;
                   out.push_back(cfg);
                 }
@@ -456,20 +388,18 @@ std::string format_hpldat(const HplDat& dat) {
   os << dat.split_fraction << "  split fraction (rocHPL extension)\n";
   os << dat.fact_threads << "  FACT threads (rocHPL extension)\n";
   os << dat.blas_threads << "  BLAS threads (hplx extension, 0=inherit)\n";
-  os << dat.comm_eager_bytes << "  eager threshold bytes (hplx extension)\n";
-  os << dat.swap_tile_cols
-     << "  swap tile cols (hplx extension, 0=autotune)\n";
+  os << comm::kDefaultEagerThreshold
+     << "  eager threshold bytes (hplx extension, retired)\n";
+  os << dat.swap_tile_cols << "  swap tile cols (hplx extension, >=1)\n";
   os << dat.kernel_threads
      << "  kernel threads (hplx extension, 0=whole team)\n";
   os << dat.update_streams
      << "  update streams (hplx extension, >=1)\n";
-  os << dat.update_band_cols
-     << "  update band cols (hplx extension, 0=even split)\n";
+  os << "0  update band cols (hplx extension, retired)\n";
   os << dat.hazard_check
      << "  hazard check (hplx extension, 0=off,1=on)\n";
-  os << "1  swap wire format (hplx extension, 1=col-major only)\n";
-  os << dat.swap_chunk_bytes
-     << "  swap chunk bytes (hplx extension, 0=autotune)\n";
+  os << "1  swap wire format (hplx extension, retired)\n";
+  os << dat.swap_chunk_bytes << "  swap chunk bytes (hplx extension, >=1)\n";
   os << dat.precision
      << "  precision (hplx extension, fp64|mxp32|mxp16-sim)\n";
   os << dat.ir_max_iters << "  IR max iters (hplx extension, mxp modes)\n";
@@ -478,10 +408,8 @@ std::string format_hpldat(const HplDat& dat) {
   os << dat.diag_dominant
      << "  diag dominant (hplx extension, 0=no,1=yes)\n";
   os << dat.nrhs << "  RHS count (hplx extension, >=1)\n";
-  os << dat.alloc_pool
-     << "  alloc pool (hplx extension, 0=passthrough,1=pooled)\n";
-  os << dat.alloc_cache_bytes
-     << "  alloc cache bytes (hplx extension, <0=unbounded)\n";
+  os << "1  alloc pool (hplx extension, retired)\n";
+  os << "-1  alloc cache bytes (hplx extension, retired)\n";
   os << dat.comm_check
      << "  comm check (hplx extension, 0=off,1=on)\n";
   return os.str();

@@ -51,19 +51,18 @@ struct HplDat {
   bool equilibration = true;
   int alignment = 8;
 
-  // rocHPL-style extension (non-classic, optional trailing lines).
+  // rocHPL-style extension (non-classic, optional trailing lines). Five
+  // retired lines have no field: eager threshold (32768), update band
+  // cols (0), swap wire format (1), alloc pool (1) and alloc cache bytes
+  // (-1) keep their places and accept only the value shown.
   double split_fraction = 0.5;
   int fact_threads = 1;
   int blas_threads = 0;           ///< 0 = leave the installed team alone
-  long comm_eager_bytes = 32768;  ///< transport eager/direct threshold
   long swap_tile_cols = 256;      ///< kernel-engine column tile width
-                                  ///< (0 = startup autotune probe)
   int kernel_threads = 0;         ///< kernel-engine team cap (0 = whole team)
   int update_streams = 1;         ///< trailing-update stream pool size
-  long update_band_cols = 0;      ///< update band width (0 = even split)
   int hazard_check = 0;           ///< 1 = attach the hazard-checking runtime
   long swap_chunk_bytes = 256 * 1024;  ///< pipelined RS chunk size
-                                       ///< (0 = autotune, > 0 = bytes)
   /// Working precision of the factorization: "fp64" (classic HPL),
   /// "mxp32" (fp32 factors + fp64 iterative refinement), or "mxp16-sim"
   /// (fp32 compute billed at the fp16 throughput curves).
@@ -79,12 +78,6 @@ struct HplDat {
   /// Right-hand sides per solve (>= 1): the backsolve runs blocked
   /// trsm/gemm over an n×nrhs panel instead of the single-vector path.
   int nrhs = 1;
-  /// 1 = pooled allocation (device buffers, host arena, message pools
-  /// share the unified size-classed allocator; zero steady-state system
-  /// allocations), 0 = passthrough ablation.
-  int alloc_pool = 1;
-  /// Cap on bytes parked on the pool freelists (< 0 = unbounded).
-  long alloc_cache_bytes = -1;
   /// 1 = attach the communication verifier (comm::Verifier) to every
   /// fabric of the run.
   int comm_check = 0;

@@ -202,8 +202,7 @@ void print_comm_report(std::ostream& os, const HplResult& result) {
 void print_alloc_report(std::ostream& os, const HplResult& result) {
   const AllocStats& a = result.alloc;
   if (a.pools.empty()) return;
-  os << kDash << "Memory pools ("
-     << (a.pool_enabled ? "pooled" : "passthrough ablation") << "):";
+  os << kDash << "Memory pools:";
   if (a.steady_measured) {
     os << " steady-state system allocations = " << a.steady_upstream_allocs
        << (a.steady_upstream_allocs == 0 ? " (zero-alloc hot path)" : "")

@@ -41,8 +41,7 @@ BandSection enqueue_update_bands(device::StreamPool& pool,
                                  DistMatrixT<T>& a, const PanelDataT<T>& panel,
                                  T* u_dev, long ldu, long jl0, long njl,
                                  bool in_diag_row, long u_row_off,
-                                 long tail_off, long band_cols,
-                                 BandPlacement placement) {
+                                 long tail_off, BandPlacement placement) {
   BandSection section;
   if (njl <= 0) return section;
 
@@ -53,33 +52,27 @@ BandSection enqueue_update_bands(device::StreamPool& pool,
   const int nuse =
       placement == BandPlacement::PrimaryOnly ? 1 : pool_n - first;
 
-  long width = band_cols > 0 ? std::min(band_cols, njl)
-                             : (njl + nuse - 1) / nuse;
-  width = std::max<long>(width, 1);
+  // ceil(njl / nuse) columns per band: at most nuse bands, one per
+  // stream, and fewer when the window is narrower than the pool.
+  const long width = (njl + nuse - 1) / nuse;
   const long nbands = (njl + width - 1) / width;
 
   // Fence every non-primary stream on the U scatter once, up front. The
   // primary needs no fence: u_ready was recorded on its own queue, after
-  // the scatter, so its bands are ordered already.
+  // the scatter, so its band is ordered already.
   for (int i = std::max(first, 1); i < first + nuse; ++i)
     pool.stream(i).wait_event(u_ready);
 
-  std::vector<bool> used(static_cast<std::size_t>(pool_n), false);
   for (long b = 0; b < nbands; ++b) {
-    const int si = first + static_cast<int>(b % nuse);
-    device::Stream& s = pool.stream(si);
-    used[static_cast<std::size_t>(si)] = true;
+    device::Stream& s = pool.stream(first + static_cast<int>(b));
     const long c0 = b * width;
     const long bc = std::min(width, njl - c0);
     enqueue_u_update(s, a, panel, u_dev + c0 * ldu, ldu, jl0 + c0, bc,
                      in_diag_row, u_row_off);
     enqueue_tail_gemm(s, a, panel, u_dev + c0 * ldu, ldu, jl0 + c0, bc,
                       tail_off);
+    section.done.push_back(s.record());
   }
-
-  for (int i = 0; i < pool_n; ++i)
-    if (used[static_cast<std::size_t>(i)])
-      section.done.push_back(pool.stream(i).record());
   return section;
 }
 
@@ -92,7 +85,7 @@ BandSection enqueue_update_bands(device::StreamPool& pool,
                                      long, long, long);                       \
   template BandSection enqueue_update_bands<T>(                               \
       device::StreamPool&, const device::Event&, DistMatrixT<T>&,             \
-      const PanelDataT<T>&, T*, long, long, long, bool, long, long, long,     \
+      const PanelDataT<T>&, T*, long, long, long, bool, long, long,           \
       BandPlacement);
 
 HPLX_INSTANTIATE_UPDATE(double)

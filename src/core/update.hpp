@@ -69,22 +69,20 @@ struct BandSection {
 };
 
 /// Banded trailing update of the column window [jl0, jl0+njl): the window
-/// is cut into `band_cols`-wide column bands (0 = split evenly, one band
-/// per usable stream) and each band runs the full
-/// trsm → diagonal-writeback → tail-gemm chain of
-/// enqueue_u_update + enqueue_tail_gemm on its round-robin pool stream.
+/// is split evenly into one column band per usable stream, and each band
+/// runs the full trsm → diagonal-writeback → tail-gemm chain of
+/// enqueue_u_update + enqueue_tail_gemm on its own pool stream.
 /// `u_ready` must be an event recorded on the primary after the U window
-/// scatter; every non-primary stream is fenced on it before its first
-/// band. Bands never alias columns (each owns a disjoint column slice of
-/// U and of A), so results are bitwise identical for every pool size,
-/// band width and placement.
+/// scatter; every non-primary stream is fenced on it before its band.
+/// Bands never alias columns (each owns a disjoint column slice of U and
+/// of A), so results are bitwise identical for every pool size and
+/// placement.
 template <typename T>
 BandSection enqueue_update_bands(device::StreamPool& pool,
                                  const device::Event& u_ready,
                                  DistMatrixT<T>& a, const PanelDataT<T>& panel,
                                  T* u_dev, long ldu, long jl0, long njl,
                                  bool in_diag_row, long u_row_off,
-                                 long tail_off, long band_cols,
-                                 BandPlacement placement);
+                                 long tail_off, BandPlacement placement);
 
 }  // namespace hplx::core

@@ -24,9 +24,8 @@ int PoolAllocator::class_of(std::size_t bytes) {
   return cls;  // kMaxClassLog + 1 == oversize
 }
 
-PoolAllocator::PoolAllocator(std::string name, bool passthrough,
-                             int max_class_log)
-    : name_(std::move(name)), passthrough_(passthrough) {
+PoolAllocator::PoolAllocator(std::string name, int max_class_log)
+    : name_(std::move(name)) {
   HPLX_CHECK(max_class_log >= kMinClassLog && max_class_log <= kMaxClassLog);
   max_log_ = max_class_log;
 }
@@ -78,8 +77,8 @@ PoolAllocator::Block PoolAllocator::acquire(std::size_t bytes) {
   ++stats_.acquires;
   const int cls = class_of(want);
 
-  if (passthrough_ || cls > max_log_) {
-    if (cls > max_log_) ++stats_.oversize;
+  if (cls > max_log_) {
+    ++stats_.oversize;
     if (cls <= kMaxClassLog) ++class_acquires_[cls];
     b.capacity = want;
     b.cls = -1;
@@ -142,10 +141,7 @@ void PoolAllocator::release(Block& b) {
   stats_.padding_bytes -= b.capacity - b.bytes;
   if (b.cls >= 0) class_outstanding_[b.cls] -= b.capacity;
 
-  const bool over_cap =
-      cache_limit_ >= 0 &&
-      stats_.cached_bytes + b.capacity > static_cast<std::size_t>(cache_limit_);
-  if (b.cls < 0 || over_cap) {
+  if (b.cls < 0) {
     upstream_free(b.data, b.capacity);
   } else {
     freelist_[b.cls].push_back(b.data);
@@ -159,14 +155,8 @@ void PoolAllocator::set_hazard(HazardTracker* hz) {
   hz_ = hz;
 }
 
-void PoolAllocator::set_cache_limit(long bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_limit_ = bytes;
-}
-
 void PoolAllocator::prewarm(int blocks_per_class, std::size_t floor_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (passthrough_) return;
   int top = -1;
   for (int c = kMinClassLog; c <= max_log_; ++c)
     if (class_acquires_[c] > 0) top = c;
@@ -175,10 +165,6 @@ void PoolAllocator::prewarm(int blocks_per_class, std::size_t floor_bytes) {
   for (int c = kMinClassLog; c <= top; ++c) {
     while (freelist_[c].size() <
            static_cast<std::size_t>(blocks_per_class)) {
-      if (cache_limit_ >= 0 &&
-          stats_.cached_bytes + class_capacity(c) >
-              static_cast<std::size_t>(cache_limit_))
-        return;
       freelist_[c].push_back(upstream_alloc(class_capacity(c)));
       stats_.cached_bytes += class_capacity(c);
       stats_.hwm_bytes = std::max(

@@ -64,15 +64,10 @@ class PoolAllocator {
   /// matrix-sized block.
   static constexpr int kMaxBorrowDistance = 4;
 
-  /// `passthrough` disables caching entirely (every acquire is an
-  /// upstream allocation, every release an upstream free) — the
-  /// ablation mode behind the `alloc_pool` config knob. Stats are still
-  /// tracked so the two modes are directly comparable. `max_class_log`
-  /// lowers the oversize threshold below kMaxClassLog (the comm adapter
-  /// keeps its historical 16 MiB cutoff so pathological message sizes
-  /// cannot pin memory).
-  explicit PoolAllocator(std::string name, bool passthrough = false,
-                         int max_class_log = kMaxClassLog);
+  /// `max_class_log` lowers the oversize threshold below kMaxClassLog
+  /// (the comm adapter keeps its historical 16 MiB cutoff so
+  /// pathological message sizes cannot pin memory).
+  explicit PoolAllocator(std::string name, int max_class_log = kMaxClassLog);
   ~PoolAllocator();
 
   PoolAllocator(const PoolAllocator&) = delete;
@@ -80,7 +75,7 @@ class PoolAllocator {
 
   /// A leased block. `bytes` is the requested size, `capacity` what the
   /// block really holds; `cls` is the size-class log2 the block returns
-  /// to on release (-1: oversize/passthrough, freed upstream).
+  /// to on release (-1: oversize, freed upstream).
   struct Block {
     std::byte* data = nullptr;
     std::size_t bytes = 0;
@@ -95,16 +90,12 @@ class PoolAllocator {
   Block acquire(std::size_t bytes);
 
   /// Return a lease. The block is cached on its class freelist (or
-  /// freed upstream if oversize, passthrough, or over the cache cap).
+  /// freed upstream if oversize).
   void release(Block& b);
 
   /// Attach (or detach with nullptr) a hazard tracker; lease
   /// acquire/release then flow through on_alloc/on_free.
   void set_hazard(HazardTracker* hz);
-
-  /// Cap on cached (parked) bytes; release frees upstream beyond it.
-  /// Negative: unbounded (default).
-  void set_cache_limit(long bytes);
 
   /// Free every cached block back to the system.
   void trim();
@@ -119,7 +110,6 @@ class PoolAllocator {
   /// is concurrently in flight. The driver calls this when the steady
   /// window opens with `floor_bytes` set to the largest message the
   /// remaining iterations can send, so the fills are charged to warmup.
-  /// No-op in passthrough mode; stops at the cache cap.
   void prewarm(int blocks_per_class, std::size_t floor_bytes = 0);
 
   struct ClassStats {
@@ -178,9 +168,7 @@ class PoolAllocator {
   void note_lease(int cls, std::size_t bytes, std::size_t capacity);
 
   std::string name_;
-  bool passthrough_ = false;
   int max_log_ = kMaxClassLog;
-  long cache_limit_ = -1;
   HazardTracker* hz_ = nullptr;
 
   mutable std::mutex mutex_;

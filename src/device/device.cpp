@@ -58,18 +58,14 @@ void Buffer::release() {
 }
 
 Device::Device(std::string name, std::size_t hbm_bytes, DeviceModel model,
-               bool hazard_check, bool pool_enabled, long pool_cache_bytes)
+               bool hazard_check)
     : name_(std::move(name)), hbm_bytes_(hbm_bytes), model_(model) {
   if (hazard_check || hazard_env_enabled())
     hazard_ = std::make_unique<HazardTracker>(name_);
-  hbm_pool_ =
-      std::make_unique<PoolAllocator>(name_ + ".hbm", !pool_enabled);
-  host_arena_ =
-      std::make_unique<PoolAllocator>(name_ + ".arena", !pool_enabled);
+  hbm_pool_ = std::make_unique<PoolAllocator>(name_ + ".hbm");
+  host_arena_ = std::make_unique<PoolAllocator>(name_ + ".arena");
   hbm_pool_->set_hazard(hazard_.get());
   host_arena_->set_hazard(hazard_.get());
-  hbm_pool_->set_cache_limit(pool_cache_bytes);
-  host_arena_->set_cache_limit(pool_cache_bytes);
 }
 
 Device::~Device() {

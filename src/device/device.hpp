@@ -77,14 +77,9 @@ class Device {
   /// HPLX_HAZARD environment override, so any run can be checked without
   /// a rebuild. When off, hazard() is null and every instrumentation site
   /// in the runtime is a single pointer test.
-  /// \param pool_enabled route Buffer storage and the host arena through
-  /// the size-classed pools (the `alloc_pool` config knob); off =
-  /// passthrough to the system allocator, for ablation.
-  /// \param pool_cache_bytes cap on parked bytes per pool (<0 unbounded).
   Device(std::string name, std::size_t hbm_bytes,
          DeviceModel model = DeviceModel::mi250x_gcd(),
-         bool hazard_check = false, bool pool_enabled = true,
-         long pool_cache_bytes = -1);
+         bool hazard_check = false);
 
   /// Reports leaked allocations (hbm_used() != 0) under the tracker.
   ~Device();

@@ -9,7 +9,7 @@
 /// look like had the fence been forgotten — and the checker must report
 /// it, for one chunk per segment and for many, since the fused per-chunk
 /// unpacks ride the same fence. The negative half sweeps the real
-/// schedules (streams × bands × pipelines × chunk sizes) and demands
+/// schedules (streams × pipelines × chunk sizes) and demands
 /// zero violations: the fences the driver
 /// actually places are sufficient, with no false positives from the
 /// conservative span envelopes.
@@ -172,23 +172,20 @@ class HazardSweep : public ::testing::TestWithParam<SweepShape> {};
 TEST_P(HazardSweep, FencedSchedulesAreViolationFree) {
   const auto [p, q, mode] = GetParam();
   for (int streams : {1, 2, 4}) {
-    for (long band : {0L, 8L}) {
-      for (long chunk : {4096L, 256L * 1024L}) {
-        HplConfig cfg = base_cfg(96, 16, p, q);
-        cfg.pipeline = mode;
-        cfg.update_streams = streams;
-        cfg.update_band_cols = band;
-        cfg.swap_chunk_bytes = chunk;
-        const HplResult r = run(cfg);
-        EXPECT_TRUE(r.verify.passed)
-            << "streams=" << streams << " band=" << band << " chunk=" << chunk;
-        ASSERT_TRUE(r.hazard_checked);
-        EXPECT_TRUE(r.hazards.empty())
-            << "streams=" << streams << " band=" << band << " chunk=" << chunk
-            << ": " << r.hazards.size() << " records, e.g. "
-            << r.hazards.front().op_a << " vs " << r.hazards.front().op_b
-            << ": " << r.hazards.front().detail;
-      }
+    for (long chunk : {4096L, 256L * 1024L}) {
+      HplConfig cfg = base_cfg(96, 16, p, q);
+      cfg.pipeline = mode;
+      cfg.update_streams = streams;
+      cfg.swap_chunk_bytes = chunk;
+      const HplResult r = run(cfg);
+      EXPECT_TRUE(r.verify.passed)
+          << "streams=" << streams << " chunk=" << chunk;
+      ASSERT_TRUE(r.hazard_checked);
+      EXPECT_TRUE(r.hazards.empty())
+          << "streams=" << streams << " chunk=" << chunk << ": "
+          << r.hazards.size() << " records, e.g. " << r.hazards.front().op_a
+          << " vs " << r.hazards.front().op_b << ": "
+          << r.hazards.front().detail;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -249,43 +250,42 @@ TEST(HplSolve, HbmExhaustionSurfacesAsError) {
   EXPECT_THROW(run(cfg), Error);
 }
 
-TEST(HplSolve, SplitFractionOutsideUnitIntervalRejected) {
-  // HPL.dat range-checks the split fraction; a config built in code must
-  // be rejected by run_hpl itself, with an error naming the field.
+TEST(HplSolve, OutOfRangeKnobsRejectedOnEveryRank) {
+  // HPL.dat range-checks these fields; a config built in code must be
+  // rejected by run_hpl itself, on every rank, with an error naming the
+  // field. The checks run before any collective: a rank that got past
+  // them would block in the grid split and hang the test.
+  struct Bad {
+    const char* field;
+    std::function<void(HplConfig&)> set;
+  };
+  const std::vector<Bad> bad = {
+      {"split_fraction",
+       [](HplConfig& c) { c.split_fraction = std::nan(""); }},
+      {"split_fraction", [](HplConfig& c) { c.split_fraction = -0.25; }},
+      {"split_fraction", [](HplConfig& c) { c.split_fraction = 1.5; }},
+      {"swap_tile_cols", [](HplConfig& c) { c.swap_tile_cols = 0; }},
+      {"swap_tile_cols", [](HplConfig& c) { c.swap_tile_cols = -1; }},
+      {"swap_chunk_bytes", [](HplConfig& c) { c.swap_chunk_bytes = 0; }},
+      {"swap_chunk_bytes", [](HplConfig& c) { c.swap_chunk_bytes = -1; }},
+  };
   for (const auto& [p, q] : {std::pair{1, 1}, std::pair{2, 2}}) {
-    for (double f : {std::nan(""), -0.25, 1.5}) {
+    for (std::size_t i = 0; i < bad.size(); ++i) {
       HplConfig cfg = base_cfg(64, 16, p, q);
-      cfg.split_fraction = f;
-      try {
-        comm::World::run(p * q, [&](comm::Communicator& world) {
-          run_hpl(world, cfg);
-        });
-        ADD_FAILURE() << "split_fraction=" << f << " accepted on " << p
-                      << "x" << q;
-      } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("split_fraction"),
-                  std::string::npos)
-            << e.what();
-      }
-    }
-  }
-}
-
-TEST(HplSolve, NegativeSwapChunkBytesRejected) {
-  // HPL.dat range-checks the chunk size; a config built in code must be
-  // rejected by run_hpl itself, with an error naming the field.
-  for (const auto& [p, q] : {std::pair{1, 1}, std::pair{2, 2}}) {
-    HplConfig cfg = base_cfg(64, 16, p, q);
-    cfg.swap_chunk_bytes = -1;
-    try {
+      bad[i].set(cfg);
+      std::vector<std::string> errors(static_cast<std::size_t>(p * q));
       comm::World::run(p * q, [&](comm::Communicator& world) {
-        run_hpl(world, cfg);
+        try {
+          run_hpl(world, cfg);
+        } catch (const Error& e) {
+          errors[static_cast<std::size_t>(world.rank())] = e.what();
+        }
       });
-      ADD_FAILURE() << "swap_chunk_bytes=-1 accepted on " << p << "x" << q;
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("swap_chunk_bytes"),
-                std::string::npos)
-          << e.what();
+      for (std::size_t r = 0; r < errors.size(); ++r) {
+        EXPECT_NE(errors[r].find(bad[i].field), std::string::npos)
+            << "input " << i << " on " << p << "x" << q << ", rank " << r
+            << ": `" << errors[r] << "`";
+      }
     }
   }
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "core/hpldat.hpp"
 #include "util/error.hpp"
@@ -168,16 +170,17 @@ TEST(HplDat, RoundTripsThroughFormat) {
   EXPECT_DOUBLE_EQ(again.threshold, dat.threshold);
 }
 
-// Every extension knob, in order, set to a non-default value.
+// Every extension line, in order: each live knob set to a non-default
+// value, each retired line to the one value it still accepts.
 const char kAllExtensions[] =
     "0.625        split fraction\n"
     "4            FACT threads\n"
     "3            BLAS threads\n"
-    "65536        eager threshold bytes\n"
+    "32768        eager threshold bytes\n"
     "128          swap tile cols\n"
     "2            kernel threads\n"
     "3            update streams\n"
-    "48           update band cols\n"
+    "0            update band cols\n"
     "1            hazard check\n"
     "1            swap wire format\n"
     "131072       swap chunk bytes\n"
@@ -187,8 +190,8 @@ const char kAllExtensions[] =
     "1            pivoting\n"
     "1            diag dominant\n"
     "4            RHS count\n"
-    "0            alloc pool\n"
-    "1048576      alloc cache bytes\n"
+    "1            alloc pool\n"
+    "-1           alloc cache bytes\n"
     "1            comm check\n";
 
 TEST(HplDat, ParsesEveryExtensionKnob) {
@@ -197,11 +200,9 @@ TEST(HplDat, ParsesEveryExtensionKnob) {
   EXPECT_DOUBLE_EQ(dat.split_fraction, 0.625);
   EXPECT_EQ(dat.fact_threads, 4);
   EXPECT_EQ(dat.blas_threads, 3);
-  EXPECT_EQ(dat.comm_eager_bytes, 65536);
   EXPECT_EQ(dat.swap_tile_cols, 128);
   EXPECT_EQ(dat.kernel_threads, 2);
   EXPECT_EQ(dat.update_streams, 3);
-  EXPECT_EQ(dat.update_band_cols, 48);
   EXPECT_EQ(dat.hazard_check, 1);
   EXPECT_EQ(dat.swap_chunk_bytes, 131072);
   EXPECT_EQ(dat.precision, "mxp32");
@@ -210,8 +211,6 @@ TEST(HplDat, ParsesEveryExtensionKnob) {
   EXPECT_EQ(dat.pivoting, 1);
   EXPECT_EQ(dat.diag_dominant, 1);
   EXPECT_EQ(dat.nrhs, 4);
-  EXPECT_EQ(dat.alloc_pool, 0);
-  EXPECT_EQ(dat.alloc_cache_bytes, 1048576);
   EXPECT_EQ(dat.comm_check, 1);
 }
 
@@ -244,11 +243,9 @@ TEST(HplDat, EveryKnobRoundTripsThroughFormat) {
   EXPECT_DOUBLE_EQ(again.split_fraction, dat.split_fraction);
   EXPECT_EQ(again.fact_threads, dat.fact_threads);
   EXPECT_EQ(again.blas_threads, dat.blas_threads);
-  EXPECT_EQ(again.comm_eager_bytes, dat.comm_eager_bytes);
   EXPECT_EQ(again.swap_tile_cols, dat.swap_tile_cols);
   EXPECT_EQ(again.kernel_threads, dat.kernel_threads);
   EXPECT_EQ(again.update_streams, dat.update_streams);
-  EXPECT_EQ(again.update_band_cols, dat.update_band_cols);
   EXPECT_EQ(again.hazard_check, dat.hazard_check);
   EXPECT_EQ(again.swap_chunk_bytes, dat.swap_chunk_bytes);
   EXPECT_EQ(again.precision, dat.precision);
@@ -257,8 +254,6 @@ TEST(HplDat, EveryKnobRoundTripsThroughFormat) {
   EXPECT_EQ(again.pivoting, dat.pivoting);
   EXPECT_EQ(again.diag_dominant, dat.diag_dominant);
   EXPECT_EQ(again.nrhs, dat.nrhs);
-  EXPECT_EQ(again.alloc_pool, dat.alloc_pool);
-  EXPECT_EQ(again.alloc_cache_bytes, dat.alloc_cache_bytes);
   EXPECT_EQ(again.comm_check, dat.comm_check);
 }
 
@@ -286,36 +281,87 @@ std::string parse_error(const std::string& text) {
   return "";
 }
 
-TEST(HplDat, RetiredRowMajorWireFormatRejected) {
-  // The wire line stays so the lines after it keep their places; only 1
-  // (col-major) is accepted, and 0 gets a message saying why.
-  std::string text = std::string(kClassic) + kAllExtensions;
-  const auto pos = text.find("1            swap wire format");
-  ASSERT_NE(pos, std::string::npos);
-  text[pos] = '0';
-  EXPECT_NE(parse_error(text).find("row-major swap wire format was retired"),
-            std::string::npos)
-      << parse_error(text);
-  text[pos] = '2';
-  EXPECT_NE(parse_error(text).find("swap wire format must be 1"),
-            std::string::npos)
-      << parse_error(text);
+/// `text` with the value of the line whose comment is `comment` replaced.
+std::string with_value(std::string text, const std::string& comment,
+                       const std::string& value) {
+  const auto end = text.find(comment);
+  EXPECT_NE(end, std::string::npos) << comment;
+  const auto begin = text.rfind('\n', end) + 1;
+  text.replace(begin, end - begin, value + " ");
+  return text;
 }
 
-TEST(HplDat, NegativeSwapChunkBytesRejected) {
-  std::string text = std::string(kClassic) + kAllExtensions;
-  const std::string line = "131072       swap chunk bytes";
-  const auto pos = text.find(line);
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 6, "-1    ");
-  EXPECT_NE(parse_error(text).find("swap chunk bytes must be >= 0"),
-            std::string::npos)
-      << parse_error(text);
-  // 0 (autotune) stays valid.
-  text.replace(pos, 6, "0     ");
+/// A retired extension line and a value it used to accept.
+struct RetiredLine {
+  const char* comment;
+  const char* old_value;
+};
+
+class HplDatRetiredLine : public ::testing::TestWithParam<RetiredLine> {};
+
+TEST_P(HplDatRetiredLine, AcceptsOnlyItsOneValue) {
+  // The line stays so the lines after it keep their places; any value
+  // but the one hplx still implements is rejected with a message saying
+  // why.
+  const std::string text = std::string(kClassic) + kAllExtensions;
   EXPECT_EQ(parse_error(text), "");
-  for (const HplConfig& cfg : expand_configs(parse_hpldat_string(text)))
-    EXPECT_EQ(cfg.swap_chunk_bytes, 0);
+  const std::string err =
+      parse_error(with_value(text, GetParam().comment, GetParam().old_value));
+  EXPECT_NE(err.find("is retired and only holds its place"),
+            std::string::npos)
+      << err;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllRetiredLines, HplDatRetiredLine,
+    ::testing::Values(RetiredLine{"eager threshold bytes", "65536"},
+                      RetiredLine{"update band cols", "48"},
+                      RetiredLine{"swap wire format", "0"},
+                      RetiredLine{"alloc pool", "0"},
+                      RetiredLine{"alloc cache bytes", "1048576"}),
+    [](const ::testing::TestParamInfo<RetiredLine>& info) {
+      std::string name = info.param.comment;
+      std::replace(name.begin(), name.end(), ' ', '_');
+      return name;
+    });
+
+TEST(HplDat, NonPositiveSwapSizesRejected) {
+  // Both sizes must be positive: 0 is rejected like -1.
+  const std::string text = std::string(kClassic) + kAllExtensions;
+  for (const char* comment : {"swap tile cols", "swap chunk bytes"}) {
+    for (const char* value : {"0", "-1"}) {
+      const std::string err = parse_error(with_value(text, comment, value));
+      EXPECT_NE(err.find(comment), std::string::npos) << err;
+      EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+    }
+  }
+}
+
+TEST(HplDat, IntegersAreWholeTokensRangeCheckedBeforeNarrowing) {
+  struct Case {
+    const char* line;         // the kClassic text to edit
+    std::size_t value_chars;  // length of its value field
+    const char* value;        // the replacement
+    const char* error;        // what the parse error must say
+  };
+  for (const Case& c : {
+           // 2^32 + 64: an unchecked narrowing to int reads NB = 64.
+           Case{"1 2 3 4      NBs", 7, "1 2 3 4294967360",
+                "4294967360 is out of range"},
+           // 2^32 + 1: an unchecked narrowing reads P = 1.
+           Case{"2 1 4        Ps", 5, "4294967297 1 4",
+                "4294967297 is out of range"},
+           // A prefix parse reads 64.
+           Case{"64           swapping threshold", 2, "64abc",
+                "not an integer: `64abc`"},
+       }) {
+    std::string text = kClassic;
+    const auto pos = text.find(c.line);
+    ASSERT_NE(pos, std::string::npos) << c.line;
+    text.replace(pos, c.value_chars, c.value);
+    const std::string err = parse_error(text);
+    EXPECT_NE(err.find(c.error), std::string::npos) << c.value << ": " << err;
+  }
 }
 
 TEST(HplDat, PrecisionExpandsIntoConfigs) {

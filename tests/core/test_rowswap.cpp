@@ -253,9 +253,8 @@ TEST_P(RowSwapPipelineSweep, WireAndChunkConfigsAgreeBitwise) {
     return c;
   }();
 
-  // run_hpl resolves chunk 0 to the autotune probe, so the sweep drives
-  // explicit sizes: 1 KiB = many chunks per segment, 256 KiB = the
-  // shipping default (one chunk per segment at this size).
+  // 1 KiB = many chunks per segment, 256 KiB = the shipping default (one
+  // chunk per segment at this size).
   for (const long chunk : {1024L, 256L * 1024L}) {
     for (const auto algo :
          {RowSwapAlgo::SpreadRoll, RowSwapAlgo::BinaryExchange}) {

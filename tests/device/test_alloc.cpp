@@ -1,9 +1,9 @@
 /// PoolAllocator unit tests: size-class mapping, alignment, pointer
-/// reuse, borrow-from-larger, oversize/passthrough/cache-limit paths,
-/// stats accounting, the ArenaBufT scratch wrapper, a multithreaded
-/// acquire/release stress (the comm adapter releases buffers from
-/// receiver threads), and the hazard-tracker integration that makes
-/// use-after-free and leak detection see *pooled* reuse.
+/// reuse, borrow-from-larger, the oversize path, stats accounting, the
+/// ArenaBufT scratch wrapper, a multithreaded acquire/release stress (the
+/// comm adapter releases buffers from receiver threads), and the
+/// hazard-tracker integration that makes use-after-free and leak
+/// detection see *pooled* reuse.
 
 #include <gtest/gtest.h>
 
@@ -132,37 +132,12 @@ TEST(Alloc, OversizeBypassesFreelists) {
 
 TEST(Alloc, LoweredMaxClassShrinksOversizeThreshold) {
   // The comm adapter's historical 16 MiB cutoff.
-  PoolAllocator pool("t", /*passthrough=*/false, /*max_class_log=*/24);
+  PoolAllocator pool("t", /*max_class_log=*/24);
   PoolAllocator::Block b = pool.acquire((16u << 20) + 1);
   EXPECT_EQ(b.cls, -1);
   pool.release(b);
   EXPECT_EQ(pool.stats().oversize, 1u);
   EXPECT_EQ(pool.stats().cached_bytes, 0u);
-}
-
-TEST(Alloc, PassthroughNeverCaches) {
-  PoolAllocator pool("t", /*passthrough=*/true);
-  for (int i = 0; i < 3; ++i) {
-    PoolAllocator::Block b = pool.acquire(1024);
-    EXPECT_EQ(b.cls, -1);
-    pool.release(b);
-  }
-  const auto s = pool.stats();
-  EXPECT_EQ(s.upstream_allocs, 3u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.cached_bytes, 0u);
-  EXPECT_DOUBLE_EQ(s.hit_rate(), 0.0);
-}
-
-TEST(Alloc, CacheLimitFreesBeyondCap) {
-  PoolAllocator pool("t");
-  pool.set_cache_limit(1024);
-  PoolAllocator::Block a = pool.acquire(1024);
-  PoolAllocator::Block b = pool.acquire(1024);
-  pool.release(a);  // parked: cache now 1024
-  pool.release(b);  // would exceed the cap: freed upstream
-  const auto s = pool.stats();
-  EXPECT_EQ(s.cached_bytes, 1024u);
 }
 
 TEST(Alloc, PrewarmStocksEveryClassBelowTheHighestUsed) {
@@ -197,26 +172,11 @@ TEST(Alloc, PrewarmFloorStocksClassesNeverYetRequested) {
     pool.release(b);
   }
   // The floor is clamped to the pool's max class, never into oversize.
-  PoolAllocator capped("t", /*passthrough=*/false, /*max_class_log=*/10);
+  PoolAllocator capped("t", /*max_class_log=*/10);
   capped.prewarm(1, std::size_t(1) << 20);
   EXPECT_EQ(capped.stats().cached_bytes,
             (std::size_t(1) << 8) + (std::size_t(1) << 9) +
                 (std::size_t(1) << 10));
-}
-
-TEST(Alloc, PrewarmRespectsPassthroughAndCacheCap) {
-  PoolAllocator ablated("t", /*passthrough=*/true);
-  PoolAllocator::Block b = ablated.acquire(4096);
-  ablated.release(b);
-  ablated.prewarm(4);
-  EXPECT_EQ(ablated.stats().cached_bytes, 0u);
-
-  PoolAllocator capped("t");
-  capped.set_cache_limit(1024);
-  PoolAllocator::Block c = capped.acquire(std::size_t(1) << 16);
-  capped.release(c);  // 64 KiB exceeds the cap: freed upstream
-  capped.prewarm(4);
-  EXPECT_LE(capped.stats().cached_bytes, 1024u);
 }
 
 TEST(Alloc, TrimReturnsEverythingUpstream) {
