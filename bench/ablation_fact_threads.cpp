@@ -33,18 +33,11 @@ int main(int argc, char** argv) {
     sim::ClusterConfig cfg = base;
     cfg.fact_threads = t;
     const sim::SimResult r = sim::simulate_hpl(node, cfg);
-    int crossover = -1;
-    for (const auto& it : r.trace.iterations) {
-      if (it.total_s > it.gpu_s * 1.05) {
-        crossover = it.iteration;
-        break;
-      }
-    }
     table.row()
         .add(static_cast<long>(t))
         .add(fm.seconds(base.n / base.p, base.nb, t) * 1e3, 1)
         .add(r.gflops / 1e3, 1)
-        .add(static_cast<long>(crossover))
+        .add(static_cast<long>(r.trace.crossover_iteration(0.05)))
         .add(100.0 * r.trace.hidden_time_fraction(0.05), 1);
     prev = r.gflops;
   }

@@ -31,26 +31,14 @@ int main(int argc, char** argv) {
   double best_score = 0.0, best_split = -1.0;
   for (double split : {0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875}) {
     sim::ClusterConfig cfg = base;
-    if (split == 0.0) {
-      cfg.pipeline = core::PipelineMode::Lookahead;
-    } else {
-      cfg.pipeline = core::PipelineMode::LookaheadSplit;
-      cfg.split_fraction = split;
-    }
+    cfg.split_fraction = split;
     const sim::SimResult r = sim::simulate_hpl(node, cfg);
-    int crossover = -1;
-    for (const auto& it : r.trace.iterations) {
-      if (it.total_s > it.gpu_s * 1.05) {
-        crossover = it.iteration;
-        break;
-      }
-    }
     table.row()
         .add(split, 3)
         .add(r.gflops / 1e3, 1)
         .add(100.0 * r.trace.hidden_fraction(0.05), 1)
         .add(100.0 * r.trace.hidden_time_fraction(0.05), 1)
-        .add(static_cast<long>(crossover));
+        .add(static_cast<long>(r.trace.crossover_iteration(0.05)));
     if (r.gflops > best_score) {
       best_score = r.gflops;
       best_split = split;

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
           .add(it.fact_s * 1e3, 3)
           .add(it.mpi_s * 1e3, 3)
           .add(it.transfer_s * 1e3, 3)
-          .add(it.total_s <= it.gpu_s * 1.05 ? "yes" : "no");
+          .add(it.hidden(0.05) ? "yes" : "no");
     };
     fill(full);
     if (i % static_cast<std::size_t>(stride) == 0) fill(table);
@@ -81,14 +81,6 @@ int main(int argc, char** argv) {
   chart.add(total);
   chart.print(std::cout);
 
-  int crossover = -1;
-  for (const auto& it : r.trace.iterations) {
-    if (it.total_s > it.gpu_s * 1.05) {
-      crossover = it.iteration;
-      break;
-    }
-  }
-
   std::printf("\nSummary (paper values in parentheses):\n");
   std::printf("  overall score               : %8.1f TFLOPS   (153)\n",
               r.gflops / 1e3);
@@ -97,7 +89,7 @@ int main(int argc, char** argv) {
   std::printf("  hidden-regime throughput    : %8.1f TFLOPS   (~175)\n",
               r.hidden_regime_gflops / 1e3);
   std::printf("  crossover iteration         : %8d          (~250 of 500)\n",
-              crossover);
+              r.trace.crossover_iteration(0.05));
   std::printf("  iterations fully hidden     : %8.1f %%        (~50)\n",
               100.0 * r.trace.hidden_fraction(0.05));
   std::printf("  time with all comm hidden   : %8.1f %%        (~75)\n",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "grid/block_cyclic.hpp"
 #include "util/error.hpp"
@@ -10,15 +11,35 @@ namespace hplx::sim {
 
 namespace {
 
-/// Per-iteration phase durations and the Fig. 3 / Fig. 6 composition.
+/// The preconditions both entry points share.
+void check_config(const NodeModel& node, const ClusterConfig& cfg) {
+  // NaN fails both comparisons and an infinity one, so this also rejects
+  // non-finite fractions.
+  HPLX_CHECK_MSG(cfg.split_fraction >= 0.0 && cfg.split_fraction <= 1.0,
+                 "split_fraction must be finite and in [0, 1], got "
+                     << cfg.split_fraction);
+  for (const auto& [field, value] :
+       {std::pair{"nb", cfg.nb}, {"p", cfg.p}, {"q", cfg.q},
+        {"nodes", cfg.nodes}, {"fact_threads", cfg.fact_threads}})
+    HPLX_CHECK_MSG(value >= 1, field << " must be >= 1, got " << value);
+  HPLX_CHECK_MSG(cfg.n >= cfg.nb,
+                 "n must be >= nb, got n=" << cfg.n << " nb=" << cfg.nb);
+  HPLX_CHECK_MSG(cfg.p_node * cfg.q_node == node.gcds || cfg.nodes == 1,
+                 "p_node*q_node must equal the node's " << node.gcds
+                                                        << " GCDs");
+}
+
+/// Per-iteration phase durations.
 class IterationModel {
  public:
   IterationModel(const NodeModel& node, const ClusterConfig& cfg)
-      : node_(node), cfg_(cfg), fact_(node.cpu) {
-    // A process column spans P/p_node nodes; communication inside it rides
-    // the NIC as soon as that exceeds one node. Same for process rows.
-    col_inter_ = cfg_.p > cfg_.p_node;
-    row_inter_ = cfg_.q > cfg_.q_node;
+      : node_(node),
+        cfg_(cfg),
+        fact_(node.cpu),
+        // A process column spans P/p_node nodes; communication inside it
+        // rides the NIC as soon as that exceeds one node. Same for rows.
+        col_(link(node.net, cfg.p > cfg.p_node)),
+        row_(link(node.net, cfg.q > cfg.q_node)) {
     // Element width on the wire / in HBM, and the billing precision of
     // device kernels. mxp16-sim moves fp32 bytes but bills fp16 rates.
     eb_ = cfg_.precision == core::PrecisionMode::FP64 ? 8.0 : 4.0;
@@ -28,8 +49,6 @@ class IterationModel {
                        ? device::Precision::FP32
                        : device::Precision::FP16);
   }
-
-  // --------------------------------------------------- phase primitives
 
   /// Trailing DGEMM + DTRSM on `cols` local columns with `m` local
   /// trailing rows.
@@ -56,22 +75,11 @@ class IterationModel {
   /// windows where latency dominates.
   double rs_comm_seconds(double cols) const {
     if (cols <= 0 || cfg_.p == 1) return 0.0;
-    const double bw =
-        (col_inter_ ? node_.net.inter_bw_gbs : node_.net.intra_bw_gbs) * 1e9;
-    const double lat =
-        col_inter_ ? node_.net.inter_lat_s : node_.net.intra_lat_s;
-    const double ubytes = static_cast<double>(cfg_.nb) * cols * eb_;
-    const double frac = static_cast<double>(cfg_.p - 1) / cfg_.p;
-
-    const bool binexch =
-        cfg_.swap == core::RowSwapAlgo::BinaryExchange ||
-        (cfg_.swap == core::RowSwapAlgo::Mix &&
-         cols <= static_cast<double>(cfg_.swap_threshold));
-    const double hops = binexch ? std::ceil(std::log2(cfg_.p))
-                                : static_cast<double>(cfg_.p - 1);
-    const double allgather = hops * lat + ubytes * frac / bw;
-    const double scatter = (cfg_.p - 1) * lat + ubytes * frac / bw;
-    return allgather + scatter;
+    const double allgather = binexch(cols)
+                                 ? std::ceil(std::log2(cfg_.p)) * col_.lat +
+                                       ring_bytes(cols) / col_.bw
+                                 : ring_seconds(cols);
+    return allgather + ring_seconds(cols);
   }
 
   /// Seconds of the U-unpack leg that the pipelined broadcast hides
@@ -84,215 +92,244 @@ class IterationModel {
   /// collective and earns no credit. The credit shortens the critical
   /// path only; device busy time is unchanged (overlapped, not removed).
   double rs_pipeline_credit_seconds(double cols) const {
-    if (cfg_.swap_chunk_bytes <= 0 || cols <= 0 || cfg_.p == 1) return 0.0;
-    const bool binexch =
-        cfg_.swap == core::RowSwapAlgo::BinaryExchange ||
-        (cfg_.swap == core::RowSwapAlgo::Mix &&
-         cols <= static_cast<double>(cfg_.swap_threshold));
-    if (binexch) return 0.0;
-    const double bw =
-        (col_inter_ ? node_.net.inter_bw_gbs : node_.net.intra_bw_gbs) * 1e9;
-    const double lat =
-        col_inter_ ? node_.net.inter_lat_s : node_.net.intra_lat_s;
-    const double ubytes = static_cast<double>(cfg_.nb) * cols * eb_;
-    const double frac = static_cast<double>(cfg_.p - 1) / cfg_.p;
-    const double wire = (cfg_.p - 1) * lat + ubytes * frac / bw;
-    const double chunks =
-        std::ceil(ubytes * frac / static_cast<double>(cfg_.swap_chunk_bytes));
+    if (cfg_.swap_chunk_bytes <= 0 || cols <= 0 || cfg_.p == 1 ||
+        binexch(cols))
+      return 0.0;
+    const double chunks = std::ceil(
+        ring_bytes(cols) / static_cast<double>(cfg_.swap_chunk_bytes));
     const double extra_lat =
-        std::max(0.0, chunks - static_cast<double>(cfg_.p - 1)) * lat;
-    const double unpack = rs_device_seconds(cols);
-    return std::max(0.0, std::min(unpack, wire) - extra_lat);
+        std::max(0.0, chunks - static_cast<double>(cfg_.p - 1)) * col_.lat;
+    return std::max(0.0, std::min(rs_device_seconds(cols),
+                                  ring_seconds(cols)) - extra_lat);
   }
 
-  /// FACT on the CPU: compute + the per-column pivot collectives.
+  /// FACT on the CPU.
   double fact_compute_seconds(double m) const {
-    if (m < cfg_.nb) m = cfg_.nb;
-    return fact_.seconds(static_cast<long>(m), cfg_.nb, cfg_.fact_threads,
+    return fact_.seconds(static_cast<long>(std::max<double>(m, cfg_.nb)),
+                         cfg_.nb, cfg_.fact_threads,
                          static_cast<std::size_t>(eb_));
   }
 
+  /// The per-column pivot collectives of FACT.
   double fact_comm_seconds() const {
     if (cfg_.p == 1) return 0.0;
-    const double lat =
-        col_inter_ ? node_.net.inter_lat_s : node_.net.intra_lat_s;
-    const double bw =
-        (col_inter_ ? node_.net.inter_bw_gbs : node_.net.intra_bw_gbs) * 1e9;
     const double hops = 2.0 * std::ceil(std::log2(cfg_.p));
     // Pivot slots stay 8 bytes in every precision mode (index + value
     // pairs, matching the real wire format).
     const double msg = 2.0 * cfg_.nb * 8.0 + 24.0;
-    return cfg_.nb * hops * (lat + msg / bw);
+    return cfg_.nb * hops * (col_.lat + msg / col_.bw);
   }
 
-  /// Host<->device staging of the panel (both directions).
-  double transfer_seconds(double m) const {
-    const double bytes = m * cfg_.nb * eb_;
-    return 2.0 * node_.gcd.hcopy_seconds(static_cast<std::size_t>(bytes));
+  /// Host<->device staging of the panel, one direction.
+  double staging_seconds(double m) const {
+    return node_.gcd.hcopy_seconds(
+        static_cast<std::size_t>(m * cfg_.nb * eb_));
   }
 
   /// LBCAST along the process row (modified-ring first hop: the critical
   /// consumer is the look-ahead neighbour).
   double lbcast_seconds(double m_tail) const {
     if (cfg_.q == 1) return 0.0;
-    const double bw =
-        (row_inter_ ? node_.net.inter_bw_gbs : node_.net.intra_bw_gbs) * 1e9;
-    const double lat =
-        row_inter_ ? node_.net.inter_lat_s : node_.net.intra_lat_s;
     const double bytes =
         (static_cast<double>(cfg_.nb) * cfg_.nb + m_tail * cfg_.nb +
          cfg_.nb) * eb_;
-    return lat + bytes / bw;
+    return row_.lat + bytes / row_.bw;
   }
 
-  const FactModel& fact_model() const { return fact_; }
-
  private:
+  struct Link {
+    double lat, bw;  ///< seconds per message, bytes per second
+  };
+
+  static Link link(const NetworkModel& net, bool inter) {
+    return inter ? Link{net.inter_lat_s, net.inter_bw_gbs * 1e9}
+                 : Link{net.intra_lat_s, net.intra_bw_gbs * 1e9};
+  }
+
+  /// Whether the U assembly of a `cols`-wide window uses binary exchange.
+  bool binexch(double cols) const {
+    return cfg_.swap == core::RowSwapAlgo::BinaryExchange ||
+           (cfg_.swap == core::RowSwapAlgo::Mix &&
+            cols <= static_cast<double>(cfg_.swap_threshold));
+  }
+
+  /// Bytes of a `cols`-wide U block each rank receives from the others.
+  double ring_bytes(double cols) const {
+    const double frac = static_cast<double>(cfg_.p - 1) / cfg_.p;
+    return static_cast<double>(cfg_.nb) * cols * eb_ * frac;
+  }
+
+  /// One pass of those bytes around the process-column ring.
+  double ring_seconds(double cols) const {
+    return (cfg_.p - 1) * col_.lat + ring_bytes(cols) / col_.bw;
+  }
+
   const NodeModel& node_;
   const ClusterConfig& cfg_;
   FactModel fact_;
-  bool col_inter_ = false;
-  bool row_inter_ = false;
+  Link col_;
+  Link row_;
   double eb_ = 8.0;
   device::Precision prec_ = device::Precision::FP64;
 };
 
+enum Lane { kGpu, kCpu, kMpi, kXfer, kLanes };
+constexpr const char* kLaneName[kLanes] = {"GPU", "CPU", "MPI", "XFER"};
+
+/// One iteration's schedule: the diagram's events, the busy seconds of
+/// each lane while they are laid out, and the record they sum to.
+struct Schedule {
+  std::vector<TimelineEvent> events;
+  double busy[kLanes] = {};
+  double end = 0.0;  ///< latest event end
+  trace::IterationRecord rec;
+
+  /// Place `dur` seconds of `label` on `lane` at `start`, shortened by a
+  /// pipelined-broadcast `credit`; returns the end. The lane stays busy
+  /// for the whole `dur`: overlapped work leaves only the critical path.
+  double add(Lane lane, const char* label, double start, double dur,
+             double credit = 0.0) {
+    const double stop = start + dur - credit;
+    busy[lane] += dur;
+    if (stop > start) {
+      events.push_back(TimelineEvent{kLaneName[lane], label, start, stop});
+      end = std::max(end, stop);
+    }
+    return stop;
+  }
+};
+
+/// The modeled schedule of iteration `iter`: Simple, Fig. 3 (look-ahead)
+/// or Fig. 6 (split update), in the driver's enqueue order. Its events
+/// draw the diagrams; its record is one row of Fig. 7.
+Schedule schedule_iteration(const IterationModel& m, const ClusterConfig& cfg,
+                            int iter) {
+  // Exact block-cyclic geometry of the rank recording this iteration —
+  // the diagonal-panel owner, as in the paper's Fig. 7 instrumentation.
+  // Its local row/column counts vary iteration to iteration, which is
+  // what gives the published curves their jagged texture.
+  const long j = static_cast<long>(iter) * cfg.nb;
+  const long j1 = std::min(j + cfg.nb, cfg.n);
+  const int prow = grid::indxg2p(j, cfg.nb, cfg.p);
+  const int pcol = grid::indxg2p(j, cfg.nb, cfg.q);
+  const long mloc = grid::numroc(cfg.n, cfg.nb, prow, cfg.p);
+  const double m_panel = static_cast<double>(
+      mloc - grid::numroc(j, cfg.nb, prow, cfg.p));       // FACT rows
+  const double m_tail = static_cast<double>(
+      mloc - grid::numroc(j1, cfg.nb, prow, cfg.p));      // update rows
+  const double nloc = static_cast<double>(
+      grid::numroc(cfg.n + 1, cfg.nb, pcol, cfg.q) -
+      grid::numroc(j1, cfg.nb, pcol, cfg.q));
+  const double la = std::min(nloc, static_cast<double>(j1 - j));
+  // The split is fixed for the run: the right section keeps its width
+  // and the left section (between look-ahead and right) shrinks to zero.
+  const double n2 =
+      cfg.pipeline == core::PipelineMode::LookaheadSplit
+          ? std::floor(static_cast<double>(cfg.n + 1) / cfg.q *
+                       cfg.split_fraction / cfg.nb) * cfg.nb
+          : 0.0;
+  const double left = std::max(0.0, nloc - la - n2);
+
+  const double xfer = m.staging_seconds(m_panel);
+  const double lbcast = m.lbcast_seconds(m_tail);
+  // The next panel's FACT chain from `t`: D2H, factor, pivot
+  // collectives, H2D, LBCAST. Returns its end.
+  auto host_chain = [&](Schedule& s, double t) {
+    t = s.add(kXfer, "panel D2H", t, xfer);
+    t = s.add(kCpu, "FACT", t, m.fact_compute_seconds(m_panel));
+    t = s.add(kMpi, "FACT pivots", t, m.fact_comm_seconds());
+    t = s.add(kXfer, "panel H2D", t, xfer);
+    return s.add(kMpi, "LBCAST", t, lbcast);
+  };
+  // The whole window's row swap on the critical path: gather, column
+  // collectives, then scatter + U unpack. Returns its end.
+  auto exposed_row_swap = [&](Schedule& s, double t, const char* gather) {
+    t = s.add(kGpu, gather, t, m.rs_device_seconds(nloc));
+    t = s.add(kMpi, "RS comm", t, m.rs_comm_seconds(nloc));
+    return s.add(kGpu, "RS scatter + U", t, 2.0 * m.rs_device_seconds(nloc),
+                 m.rs_pipeline_credit_seconds(nloc));
+  };
+
+  Schedule s;
+  if (cfg.pipeline == core::PipelineMode::Simple) {
+    // Every phase on the critical path.
+    const double t = exposed_row_swap(s, host_chain(s, 0.0), "RS gather");
+    s.add(kGpu, "UPDATE", t, m.update_seconds(m_tail, nloc));
+  } else if (n2 <= 0.0 || left <= 0.0) {
+    // Fig. 3, also for a split run without a right section (as in the
+    // driver) or past its left section: RS exposed up front; FACT/LBCAST
+    // hidden behind the trailing update of the non-look-ahead columns.
+    double t = exposed_row_swap(s, 0.0, "RS gather/scatter");
+    t = s.add(kGpu, "UPDATE(look-ahead)", t, m.update_seconds(m_tail, la));
+    s.add(kGpu, "UPDATE(rest)", t, m.update_seconds(m_tail, nloc - la));
+    host_chain(s, t);
+  } else {
+    // Fig. 6: RS1 (left) hides under UPDATE2 (right), and the next
+    // iteration's RS2 under UPDATE1 (left).
+    const double d_gathers = m.rs_device_seconds(la + left);
+    struct Marks {
+      double pre, la_comm, rs1, gather_next, up1, rs2;  ///< ends
+    };
+    auto fig6 = [&](Schedule& f, double cr_la, double cr_left,
+                    double cr_right) {
+      Marks k;
+      k.pre = f.add(kGpu, "gather LA+left / scatter RS2", 0.0,
+                    d_gathers + 2.0 * m.rs_device_seconds(n2), cr_right);
+      k.la_comm = f.add(kMpi, "RS(look-ahead) comm", d_gathers,
+                        m.rs_comm_seconds(la));
+      const double la_done = f.add(
+          kGpu, "UPDATE(look-ahead)", std::max(k.pre, k.la_comm),
+          m.rs_device_seconds(la) + m.update_seconds(m_tail, la), cr_la);
+      const double fact_done = host_chain(f, la_done);
+      const double up2_done = f.add(kGpu, "UPDATE2 (right)", la_done,
+                                    m.update_seconds(m_tail, n2));
+      k.rs1 = f.add(kMpi, "RS1 (left) comm", fact_done,
+                    m.rs_comm_seconds(left));
+      k.gather_next = f.add(kGpu, "gather RS2(next)",
+                            std::max(up2_done, fact_done),
+                            m.rs_device_seconds(n2));
+      k.up1 = f.add(kGpu, "UPDATE1 (left)", std::max(k.gather_next, k.rs1),
+                    2.0 * m.rs_device_seconds(left) +
+                        m.update_seconds(m_tail, left),
+                    cr_left);
+      k.rs2 = f.add(kMpi, "RS2(next) comm", k.gather_next,
+                    m.rs_comm_seconds(n2));
+      return k;
+    };
+    // Each section's fused chunk unpacks run inside its own comm window,
+    // but only shorten the path where the uncredited chain leaves that
+    // window exposed (the device must be idle while the chunks arrive).
+    // The right section's unpack sits in the first GPU block, under the
+    // previous iteration's RS2 wire tail (same shape at fixed geometry).
+    Schedule dry;
+    const Marks z = fig6(dry, 0.0, 0.0, 0.0);
+    fig6(s,
+         std::min(m.rs_pipeline_credit_seconds(la),
+                  std::max(0.0, z.la_comm - z.pre)),
+         std::min(m.rs_pipeline_credit_seconds(left),
+                  std::max(0.0, z.rs1 - z.gather_next)),
+         std::min(m.rs_pipeline_credit_seconds(n2),
+                  std::max(0.0, z.rs2 - z.up1)));
+  }
+
+  // Overlapped unpacks still occupy the device: it bounds the iteration.
+  s.rec = {.iteration = iter, .column = j,
+           .total_s = std::max(s.end, s.busy[kGpu]), .gpu_s = s.busy[kGpu],
+           .fact_s = s.busy[kCpu], .mpi_s = s.busy[kMpi],
+           .transfer_s = s.busy[kXfer]};
+  return s;
+}
+
 }  // namespace
 
 SimResult simulate_hpl(const NodeModel& node, const ClusterConfig& cfg) {
-  HPLX_CHECK(cfg.p >= 1 && cfg.q >= 1 && cfg.n >= cfg.nb);
-  HPLX_CHECK(cfg.p_node * cfg.q_node == node.gcds || cfg.nodes == 1);
-  IterationModel m(node, cfg);
+  check_config(node, cfg);
+  const IterationModel m(node, cfg);
 
   SimResult out;
-  const double nb = cfg.nb;
-
-  // Fixed split geometry (local columns per rank).
-  const double nloc0 = static_cast<double>(cfg.n + 1) / cfg.q;
-  const double n2 =
-      cfg.pipeline == core::PipelineMode::LookaheadSplit
-          ? std::floor(nloc0 * cfg.split_fraction / nb) * nb
-          : 0.0;
-
   double hidden_flops = 0.0, hidden_time = 0.0;
-
-  int iter = 0;
-  for (long j = 0; j < cfg.n; j += cfg.nb, ++iter) {
-    const double jb = std::min<double>(nb, static_cast<double>(cfg.n - j));
-    // Exact block-cyclic geometry of the rank recording this iteration —
-    // the diagonal-panel owner, as in the paper's Fig. 7 instrumentation.
-    // Its local row/column counts vary iteration to iteration, which is
-    // what gives the published curves their jagged texture.
-    const int prow = grid::indxg2p(j, cfg.nb, cfg.p);
-    const int pcol = grid::indxg2p(j, cfg.nb, cfg.q);
-    const double m_panel = static_cast<double>(
-        grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-        grid::numroc(j, cfg.nb, prow, cfg.p));             // FACT rows
-    const double m_tail = static_cast<double>(
-        grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-        grid::numroc(j + static_cast<long>(jb), cfg.nb, prow, cfg.p));
-    const double nloc = static_cast<double>(
-        grid::numroc(cfg.n + 1, cfg.nb, pcol, cfg.q) -
-        grid::numroc(j + static_cast<long>(jb), cfg.nb, pcol, cfg.q));
-    const double la = std::min(nloc, jb);                  // look-ahead cols
-
-    const double fact_cpu = m.fact_compute_seconds(m_panel);
-    const double fact_mpi = m.fact_comm_seconds();
-    const double xfer = m.transfer_seconds(m_panel);
-    const double lbcast = m.lbcast_seconds(m_tail);
-    const double host_chain = xfer + fact_cpu + fact_mpi + lbcast;
-
-    trace::IterationRecord rec;
-    rec.iteration = iter;
-    rec.column = j;
-    rec.fact_s = fact_cpu;
-    rec.transfer_s = xfer;
-
-    const double left = std::max(0.0, nloc - la - n2);
-    const bool split_active =
-        cfg.pipeline == core::PipelineMode::LookaheadSplit && left > 0.0;
-
-    if (cfg.pipeline == core::PipelineMode::Simple) {
-      // Everything sequential: fact chain, RS, update.
-      const double rs_dev = 3.0 * m.rs_device_seconds(nloc);
-      const double up = m.update_seconds(m_tail, nloc);
-      rec.mpi_s = fact_mpi + lbcast + m.rs_comm_seconds(nloc);
-      rec.gpu_s = rs_dev + up;
-      rec.total_s = host_chain + m.rs_comm_seconds(nloc) + rs_dev + up -
-                    m.rs_pipeline_credit_seconds(nloc);
-    } else if (!split_active) {
-      // Fig. 3: RS exposed up front; FACT/LBCAST hidden behind the
-      // trailing update of the non-look-ahead columns.
-      const double rs_comm = m.rs_comm_seconds(nloc);
-      const double rs_dev = 3.0 * m.rs_device_seconds(nloc);
-      const double up_la = m.update_seconds(m_tail, la);
-      const double up_rest = m.update_seconds(m_tail, nloc - la);
-      rec.mpi_s = fact_mpi + lbcast + rs_comm;
-      rec.gpu_s = rs_dev + up_la + up_rest;
-      rec.total_s = rs_comm + rs_dev - m.rs_pipeline_credit_seconds(nloc) +
-                    up_la + std::max(up_rest, host_chain);
-    } else {
-      // Fig. 6. Durations:
-      const double right = n2;
-      const double d_gathers = m.rs_device_seconds(la + left);
-      const double d_scatter_right = 2.0 * m.rs_device_seconds(right);
-      const double d_la =
-          m.rs_device_seconds(la) + m.update_seconds(m_tail, la);
-      const double d_up2 = m.update_seconds(m_tail, right);
-      const double d_gather_next = m.rs_device_seconds(right);
-      const double d_up1 =
-          2.0 * m.rs_device_seconds(left) + m.update_seconds(m_tail, left);
-      const double la_comm = m.rs_comm_seconds(la);
-      const double rs1_comm = m.rs_comm_seconds(left);
-      const double rs2_comm = m.rs_comm_seconds(right);
-
-      // Timeline (matches the driver's enqueue order): first uncredited,
-      // whose slack bounds how much unpack each comm window can hide.
-      const double gpu_pre0 = d_gathers + d_scatter_right;
-      const double la_ready0 = std::max(gpu_pre0, d_gathers + la_comm);
-      const double la_done0 = la_ready0 + d_la;
-      const double fact_done0 = la_done0 + host_chain;
-      const double up2_done0 = la_done0 + d_up2;
-      const double rs1_done0 = fact_done0 + rs1_comm;
-      const double gather_next_done0 =
-          std::max(up2_done0, fact_done0) + d_gather_next;
-      const double gpu_end0 = std::max(gather_next_done0, rs1_done0) + d_up1;
-      const double rs2_done0 = gather_next_done0 + rs2_comm;
-
-      // Each section's fused chunk unpacks run inside its own comm
-      // window, but only shorten the path where that window is exposed —
-      // the device must be idle while the chunks arrive. The right
-      // section's unpack sits in gpu_pre, overlapping the previous
-      // iteration's RS2 wire tail (same shape at fixed geometry).
-      const double cr_la =
-          std::min(m.rs_pipeline_credit_seconds(la),
-                   std::max(0.0, d_gathers + la_comm - gpu_pre0));
-      const double cr_left =
-          std::min(m.rs_pipeline_credit_seconds(left),
-                   std::max(0.0, rs1_done0 - gather_next_done0));
-      const double cr_right =
-          std::min(m.rs_pipeline_credit_seconds(right),
-                   std::max(0.0, rs2_done0 - gpu_end0));
-
-      const double gpu_pre = gpu_pre0 - cr_right;
-      const double la_ready = std::max(gpu_pre, d_gathers + la_comm);
-      const double la_done = la_ready + d_la - cr_la;
-      const double fact_done = la_done + host_chain;
-      const double up2_done = la_done + d_up2;
-      const double rs1_done = fact_done + rs1_comm;
-      const double gather_next_done =
-          std::max(up2_done, fact_done) + d_gather_next;
-      const double up1_start = std::max(gather_next_done, rs1_done);
-      const double gpu_end = up1_start + d_up1 - cr_left;
-      const double rs2_done = gather_next_done + rs2_comm;
-
-      rec.mpi_s = fact_mpi + lbcast + la_comm + rs1_comm + rs2_comm;
-      // Busy time counts the uncredited durations: overlapped unpacks
-      // still occupy the device, they just leave the critical path.
-      rec.gpu_s = gpu_pre0 + d_la + d_up2 + d_gather_next + d_up1;
-      rec.total_s = std::max({gpu_end, rs2_done, rec.gpu_s});
-    }
-
+  for (int iter = 0; static_cast<long>(iter) * cfg.nb < cfg.n; ++iter) {
+    const trace::IterationRecord rec = schedule_iteration(m, cfg, iter).rec;
     out.trace.iterations.push_back(rec);
     out.seconds += rec.total_s;
     out.gpu_seconds += rec.gpu_s;
@@ -300,11 +337,11 @@ SimResult simulate_hpl(const NodeModel& node, const ClusterConfig& cfg) {
     out.mpi_seconds += rec.mpi_s;
     out.transfer_seconds += rec.transfer_s;
 
-    // Global flops retired this iteration ≈ 2·mg·ng·jb.
-    const double mg = static_cast<double>(cfg.n - j);
-    const double iter_flops = 2.0 * mg * mg * jb;
-    if (rec.total_s <= rec.gpu_s * 1.05) {
-      hidden_flops += iter_flops;
+    if (rec.hidden()) {
+      // Global flops retired this iteration ≈ 2·mg·ng·jb.
+      const double mg = static_cast<double>(cfg.n - rec.column);
+      const double jb = std::min<double>(cfg.nb, mg);
+      hidden_flops += 2.0 * mg * mg * jb;
       hidden_time += rec.total_s;
     }
   }
@@ -318,149 +355,11 @@ SimResult simulate_hpl(const NodeModel& node, const ClusterConfig& cfg) {
 std::vector<TimelineEvent> iteration_timeline(const NodeModel& node,
                                               const ClusterConfig& cfg,
                                               int iteration) {
-  IterationModel m(node, cfg);
-  const double nb = cfg.nb;
-  const long j = static_cast<long>(iteration) * cfg.nb;
-  HPLX_CHECK(j >= 0 && j < cfg.n);
-
-  const double jb = std::min<double>(nb, static_cast<double>(cfg.n - j));
-  const int prow = grid::indxg2p(j, cfg.nb, cfg.p);
-  const int pcol = grid::indxg2p(j, cfg.nb, cfg.q);
-  const double m_panel = static_cast<double>(
-      grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-      grid::numroc(j, cfg.nb, prow, cfg.p));
-  const double m_tail = static_cast<double>(
-      grid::numroc(cfg.n, cfg.nb, prow, cfg.p) -
-      grid::numroc(j + static_cast<long>(jb), cfg.nb, prow, cfg.p));
-  const double nloc = static_cast<double>(
-      grid::numroc(cfg.n + 1, cfg.nb, pcol, cfg.q) -
-      grid::numroc(j + static_cast<long>(jb), cfg.nb, pcol, cfg.q));
-  const double la = std::min(nloc, jb);
-
-  const double nloc0 = static_cast<double>(cfg.n + 1) / cfg.q;
-  const double n2 =
-      cfg.pipeline == core::PipelineMode::LookaheadSplit
-          ? std::floor(nloc0 * cfg.split_fraction / nb) * nb
-          : 0.0;
-  const double left = std::max(0.0, nloc - la - n2);
-
-  const double xfer1 = m.transfer_seconds(m_panel) / 2.0;  // D2H
-  const double xfer2 = xfer1;                              // H2D
-  const double fact_cpu = m.fact_compute_seconds(m_panel);
-  const double fact_mpi = m.fact_comm_seconds();
-  const double lbcast = m.lbcast_seconds(m_tail);
-
-  std::vector<TimelineEvent> ev;
-  auto add = [&ev](const char* lane, std::string label, double s, double e) {
-    if (e > s) ev.push_back(TimelineEvent{lane, std::move(label), s, e});
-  };
-
-  if (cfg.pipeline == core::PipelineMode::LookaheadSplit && left > 0.0) {
-    // Fig. 6 schedule.
-    const double right = n2;
-    const double d_gathers = m.rs_device_seconds(la + left);
-    const double d_scatter_right = 2.0 * m.rs_device_seconds(right);
-    const double d_la =
-        m.rs_device_seconds(la) + m.update_seconds(m_tail, la);
-    const double d_up2 = m.update_seconds(m_tail, right);
-    const double d_gather_next = m.rs_device_seconds(right);
-    const double d_up1 =
-        2.0 * m.rs_device_seconds(left) + m.update_seconds(m_tail, left);
-    const double la_comm = m.rs_comm_seconds(la);
-    const double rs1_comm = m.rs_comm_seconds(left);
-    const double rs2_comm = m.rs_comm_seconds(right);
-
-    // Pipelined-broadcast credits, clamped by the exposed comm slack of
-    // the uncredited chain — same composition as simulate_hpl.
-    const double gpu_pre0 = d_gathers + d_scatter_right;
-    const double la_done0 = std::max(gpu_pre0, d_gathers + la_comm) + d_la;
-    const double fact_done0 = la_done0 + (xfer1 + fact_cpu + fact_mpi +
-                                          xfer2 + lbcast);
-    const double up2_done0 = la_done0 + d_up2;
-    const double rs1_done0 = fact_done0 + rs1_comm;
-    const double gather_next_done0 =
-        std::max(up2_done0, fact_done0) + d_gather_next;
-    const double gpu_end0 = std::max(gather_next_done0, rs1_done0) + d_up1;
-    const double cr_la =
-        std::min(m.rs_pipeline_credit_seconds(la),
-                 std::max(0.0, d_gathers + la_comm - gpu_pre0));
-    const double cr_left =
-        std::min(m.rs_pipeline_credit_seconds(left),
-                 std::max(0.0, rs1_done0 - gather_next_done0));
-    const double cr_right =
-        std::min(m.rs_pipeline_credit_seconds(right),
-                 std::max(0.0, gather_next_done0 + rs2_comm - gpu_end0));
-
-    const double gpu_pre = gpu_pre0 - cr_right;
-    add("GPU", "gather LA+left / scatter RS2", 0.0, gpu_pre);
-    add("MPI", "RS(look-ahead) comm", d_gathers, d_gathers + la_comm);
-    const double la_ready = std::max(gpu_pre, d_gathers + la_comm);
-    const double la_done = la_ready + d_la - cr_la;
-    add("GPU", "UPDATE(look-ahead)", la_ready, la_done);
-    add("XFER", "panel D2H", la_done, la_done + xfer1);
-    add("CPU", "FACT", la_done + xfer1, la_done + xfer1 + fact_cpu);
-    add("MPI", "FACT pivots", la_done + xfer1 + fact_cpu,
-        la_done + xfer1 + fact_cpu + fact_mpi);
-    const double h2d0 = la_done + xfer1 + fact_cpu + fact_mpi;
-    add("XFER", "panel H2D", h2d0, h2d0 + xfer2);
-    add("MPI", "LBCAST", h2d0 + xfer2, h2d0 + xfer2 + lbcast);
-    const double fact_done = h2d0 + xfer2 + lbcast;
-    const double up2_done = la_done + d_up2;
-    add("GPU", "UPDATE2 (right)", la_done, up2_done);
-    add("MPI", "RS1 (left) comm", fact_done, fact_done + rs1_comm);
-    const double rs1_done = fact_done + rs1_comm;
-    const double gather_next_done =
-        std::max(up2_done, fact_done) + d_gather_next;
-    add("GPU", "gather RS2(next)", std::max(up2_done, fact_done),
-        gather_next_done);
-    const double up1_start = std::max(gather_next_done, rs1_done);
-    add("GPU", "UPDATE1 (left)", up1_start, up1_start + d_up1 - cr_left);
-    add("MPI", "RS2(next) comm", gather_next_done,
-        gather_next_done + rs2_comm);
-  } else if (cfg.pipeline != core::PipelineMode::Simple) {
-    // Fig. 3 schedule.
-    const double rs_comm = m.rs_comm_seconds(nloc);
-    const double rs_dev = 3.0 * m.rs_device_seconds(nloc);
-    const double up_la = m.update_seconds(m_tail, la);
-    const double up_rest = m.update_seconds(m_tail, nloc - la);
-
-    // The fused chunk unpacks shorten the post-comm scatter+U leg: the
-    // comm window here is fully exposed, so the credit applies whole.
-    const double cr = m.rs_pipeline_credit_seconds(nloc);
-    add("MPI", "RS comm", rs_dev / 3.0, rs_dev / 3.0 + rs_comm);
-    add("GPU", "RS gather/scatter", 0.0, rs_dev / 3.0);
-    const double t0 = rs_dev / 3.0 + rs_comm;
-    add("GPU", "RS scatter + U", t0, t0 + 2.0 * rs_dev / 3.0 - cr);
-    const double up0 = t0 + 2.0 * rs_dev / 3.0 - cr;
-    add("GPU", "UPDATE(look-ahead)", up0, up0 + up_la);
-    add("GPU", "UPDATE(rest)", up0 + up_la, up0 + up_la + up_rest);
-    add("XFER", "panel D2H", up0 + up_la, up0 + up_la + xfer1);
-    const double f0 = up0 + up_la + xfer1;
-    add("CPU", "FACT", f0, f0 + fact_cpu);
-    add("MPI", "FACT pivots", f0 + fact_cpu, f0 + fact_cpu + fact_mpi);
-    add("XFER", "panel H2D", f0 + fact_cpu + fact_mpi,
-        f0 + fact_cpu + fact_mpi + xfer2);
-    add("MPI", "LBCAST", f0 + fact_cpu + fact_mpi + xfer2,
-        f0 + fact_cpu + fact_mpi + xfer2 + lbcast);
-  } else {
-    // Sequential: every phase on the critical path.
-    double t = 0.0;
-    auto step = [&](const char* lane, const char* label, double dur) {
-      add(lane, label, t, t + dur);
-      t += dur;
-    };
-    step("XFER", "panel D2H", xfer1);
-    step("CPU", "FACT", fact_cpu);
-    step("MPI", "FACT pivots", fact_mpi);
-    step("XFER", "panel H2D", xfer2);
-    step("MPI", "LBCAST", lbcast);
-    step("GPU", "RS gather", m.rs_device_seconds(nloc));
-    step("MPI", "RS comm", m.rs_comm_seconds(nloc));
-    step("GPU", "RS scatter + U", 2.0 * m.rs_device_seconds(nloc) -
-                                      m.rs_pipeline_credit_seconds(nloc));
-    step("GPU", "UPDATE", m.update_seconds(m_tail, nloc));
-  }
-  return ev;
+  check_config(node, cfg);
+  HPLX_CHECK_MSG(iteration >= 0 &&
+                     static_cast<long>(iteration) * cfg.nb < cfg.n,
+                 "iteration " << iteration << " is outside the run");
+  return schedule_iteration(IterationModel(node, cfg), cfg, iteration).events;
 }
 
 }  // namespace hplx::sim

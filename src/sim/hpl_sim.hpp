@@ -9,9 +9,14 @@
 /// driver's trace (total, GPU-active, FACT, MPI, transfer), which is how
 /// Figs. 7 and 8 are regenerated.
 ///
-/// Geometry uses per-rank averages (mg/P rows, ng/Q columns): at N/NB =
-/// 500 iterations the block-cyclic imbalance is sub-percent and irrelevant
-/// to the figure shapes.
+/// Each iteration's schedule is laid out once: simulate_hpl sums its
+/// records and iteration_timeline returns its events, so a record's
+/// total_s is the latest event end, floored by its GPU busy time.
+///
+/// Geometry is the exact block-cyclic share of the rank that owns each
+/// iteration's diagonal panel (the rank the paper's Fig. 7
+/// instrumentation records), so local row and column counts vary from
+/// iteration to iteration.
 
 #include <string>
 #include <vector>
@@ -64,7 +69,10 @@ struct SimResult {
   double hidden_regime_gflops = 0.0;
 };
 
-/// Replay one HPL run on `nodes` × NodeModel hardware.
+/// Replay one HPL run on `nodes` × NodeModel hardware. Throws hplx::Error
+/// naming the field when `cfg` is impossible: split_fraction outside
+/// [0, 1] or not finite; nb, p, q, nodes or fact_threads below 1; n < nb;
+/// or, on several nodes, p_node·q_node other than the node's GCD count.
 SimResult simulate_hpl(const NodeModel& node, const ClusterConfig& cfg);
 
 /// One bar of an execution-timeline diagram (Figs. 3 and 6 of the paper).
@@ -77,7 +85,7 @@ struct TimelineEvent {
 
 /// The modeled schedule of one iteration — the data behind the paper's
 /// Fig. 3 (look-ahead) and Fig. 6 (split update) diagrams. `iteration`
-/// indexes the N/NB panels.
+/// indexes the N/NB panels. Checks `cfg` as simulate_hpl does.
 std::vector<TimelineEvent> iteration_timeline(const NodeModel& node,
                                               const ClusterConfig& cfg,
                                               int iteration);

@@ -22,7 +22,9 @@ struct IterationRecord {
   int iteration = 0;       ///< 0-based iteration index
   long column = 0;         ///< global column at which the iteration starts
   double total_s = 0.0;    ///< wall time of the whole iteration
-  double gpu_s = 0.0;      ///< modeled GPU busy time within the iteration
+  /// GPU busy time within the iteration. run_hpl stores the update pool's
+  /// wall-clock busy delta; sim::simulate_hpl stores modeled device time.
+  double gpu_s = 0.0;
   /// CPU factorization time of the *next* panel, in every pipeline mode
   /// (panel 0 is factored before the first record).
   double fact_s = 0.0;
@@ -39,6 +41,13 @@ struct IterationRecord {
   double stream_busy_s[kMaxUpdateStreams] = {};
   /// Wall-clock busy seconds per pool stream within the iteration.
   double stream_real_s[kMaxUpdateStreams] = {};
+
+  /// Whether the non-GPU phases were fully hidden: total time within
+  /// `slack` of GPU busy time (the paper's "entirely hidden by GPU
+  /// activity" regime).
+  bool hidden(double slack = 0.05) const {
+    return total_s <= gpu_s * (1.0 + slack);
+  }
 };
 
 /// One deduplicated checker violation: a device::HazardTracker hazard or
@@ -71,14 +80,12 @@ struct RunTrace {
     return t;
   }
 
-  /// Fraction of iterations whose non-GPU phases were fully hidden: total
-  /// time within `slack` of GPU busy time (the paper's "entirely hidden by
-  /// GPU activity" regime).
+  /// Fraction of iterations that were hidden (IterationRecord::hidden).
   double hidden_fraction(double slack = 0.05) const {
     if (iterations.empty()) return 0.0;
     int hidden = 0;
     for (const auto& r : iterations) {
-      if (r.total_s <= r.gpu_s * (1.0 + slack)) ++hidden;
+      if (r.hidden(slack)) ++hidden;
     }
     return static_cast<double>(hidden) /
            static_cast<double>(iterations.size());
@@ -89,9 +96,18 @@ struct RunTrace {
     double hidden = 0.0, total = 0.0;
     for (const auto& r : iterations) {
       total += r.total_s;
-      if (r.total_s <= r.gpu_s * (1.0 + slack)) hidden += r.total_s;
+      if (r.hidden(slack)) hidden += r.total_s;
     }
     return total > 0.0 ? hidden / total : 0.0;
+  }
+
+  /// The first iteration that is not hidden — Fig. 7's crossover out of
+  /// the hidden regime — or -1 when every iteration is.
+  int crossover_iteration(double slack = 0.05) const {
+    for (const auto& r : iterations) {
+      if (!r.hidden(slack)) return r.iteration;
+    }
+    return -1;
   }
 };
 

@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <ostream>
+#include <string>
+
 #include "sim/hpl_sim.hpp"
 #include "sim/scaling.hpp"
+#include "util/error.hpp"
 
 namespace hplx::sim {
 namespace {
@@ -40,13 +46,7 @@ TEST(HplSim, CrossoverNearIteration250) {
   // small" — exposure starts near the middle of the 500 iterations.
   const SimResult r = single_node(core::PipelineMode::LookaheadSplit);
   ASSERT_EQ(r.trace.iterations.size(), 500u);
-  int crossover = -1;
-  for (const auto& it : r.trace.iterations) {
-    if (it.total_s > it.gpu_s * 1.05) {
-      crossover = it.iteration;
-      break;
-    }
-  }
+  const int crossover = r.trace.crossover_iteration(0.05);
   EXPECT_GT(crossover, 180);
   EXPECT_LT(crossover, 320);
 }
@@ -184,27 +184,114 @@ TEST(HplSim, PrecisionModesOrderModeledSpeedup) {
 }
 
 TEST(HplSim, TimelineEndMatchesSimulatedIterationWithChunking) {
-  // iteration_timeline duplicates simulate_hpl's composition; the credit
-  // must not let the two drift apart.
+  // Both entry points read one schedule: every iteration's record total
+  // is the latest event end of its timeline, floored by GPU busy time.
   const NodeModel node = NodeModel::crusher();
   for (const auto mode :
        {core::PipelineMode::Simple, core::PipelineMode::Lookahead,
         core::PipelineMode::LookaheadSplit}) {
-    ClusterConfig cfg = crusher_config(node, 1);
-    cfg.pipeline = mode;
-    cfg.swap_chunk_bytes = 256 * 1024;
-    const SimResult r = simulate_hpl(node, cfg);
-    for (const int iter : {10, 250, 400}) {
-      const auto ev = iteration_timeline(node, cfg, iter);
-      double end = 0.0;
-      for (const auto& e : ev) end = std::max(end, e.end);
-      const auto& rec =
-          r.trace.iterations[static_cast<std::size_t>(iter)];
-      EXPECT_NEAR(end, rec.total_s, rec.total_s * 0.02)
-          << "mode=" << static_cast<int>(mode) << " iter=" << iter;
+    for (const auto prec :
+         {core::PrecisionMode::FP64, core::PrecisionMode::MXP32}) {
+      for (const long chunk : {0L, 256L * 1024L}) {
+        ClusterConfig cfg = crusher_config(node, 1);
+        cfg.pipeline = mode;
+        cfg.precision = prec;
+        cfg.swap_chunk_bytes = chunk;
+        const SimResult r = simulate_hpl(node, cfg);
+        for (const auto& rec : r.trace.iterations) {
+          double end = 0.0;
+          for (const auto& e : iteration_timeline(node, cfg, rec.iteration))
+            end = std::max(end, e.end);
+          EXPECT_EQ(std::max(end, rec.gpu_s), rec.total_s)
+              << "mode=" << static_cast<int>(mode)
+              << " prec=" << static_cast<int>(prec) << " chunk=" << chunk
+              << " iter=" << rec.iteration;
+        }
+      }
     }
   }
 }
+
+TEST(HplSim, SplitWithoutRightSectionIsLookahead) {
+  // A zero split leaves no right section, so the driver runs the Fig. 3
+  // schedule; the model must too, to the bit.
+  const SimResult la = single_node(core::PipelineMode::Lookahead);
+  const SimResult split0 =
+      single_node(core::PipelineMode::LookaheadSplit, 0.0);
+  EXPECT_EQ(split0.seconds, la.seconds);
+  EXPECT_EQ(split0.hidden_regime_gflops, la.hidden_regime_gflops);
+  ASSERT_EQ(split0.trace.iterations.size(), la.trace.iterations.size());
+  for (std::size_t i = 0; i < la.trace.iterations.size(); ++i) {
+    const auto& a = split0.trace.iterations[i];
+    const auto& b = la.trace.iterations[i];
+    EXPECT_EQ(a.total_s, b.total_s) << "iter " << i;
+    EXPECT_EQ(a.gpu_s, b.gpu_s) << "iter " << i;
+    EXPECT_EQ(a.fact_s, b.fact_s) << "iter " << i;
+    EXPECT_EQ(a.mpi_s, b.mpi_s) << "iter " << i;
+    EXPECT_EQ(a.transfer_s, b.transfer_s) << "iter " << i;
+  }
+}
+
+struct BadConfig {
+  const char* name;   ///< test-name suffix
+  const char* field;  ///< what the error message must name
+  void (*spoil)(ClusterConfig&);
+};
+
+void PrintTo(const BadConfig& c, std::ostream* os) { *os << c.name; }
+
+class HplSimRejects : public ::testing::TestWithParam<BadConfig> {};
+
+template <class F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_P(HplSimRejects, ImpossibleConfig) {
+  const NodeModel node = NodeModel::crusher();
+  ClusterConfig cfg = crusher_config(node, 1);
+  GetParam().spoil(cfg);
+  const std::string field = GetParam().field;
+  EXPECT_NE(error_of([&] { simulate_hpl(node, cfg); }).find(field),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { iteration_timeline(node, cfg, 0); }).find(field),
+            std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Preconditions, HplSimRejects,
+    ::testing::Values(
+        BadConfig{"split_above_one", "split_fraction",
+                  [](ClusterConfig& c) { c.split_fraction = 1.5; }},
+        BadConfig{"split_negative", "split_fraction",
+                  [](ClusterConfig& c) { c.split_fraction = -0.25; }},
+        BadConfig{"split_nan", "split_fraction",
+                  [](ClusterConfig& c) {
+                    c.split_fraction = std::numeric_limits<double>::quiet_NaN();
+                  }},
+        BadConfig{"split_inf", "split_fraction",
+                  [](ClusterConfig& c) {
+                    c.split_fraction = std::numeric_limits<double>::infinity();
+                  }},
+        BadConfig{"nb_zero", "nb must", [](ClusterConfig& c) { c.nb = 0; }},
+        BadConfig{"nb_negative", "nb must",
+                  [](ClusterConfig& c) { c.nb = -512; }},
+        BadConfig{"n_below_nb", "n must be >= nb",
+                  [](ClusterConfig& c) { c.n = c.nb - 1; }},
+        BadConfig{"p_zero", "p must", [](ClusterConfig& c) { c.p = 0; }},
+        BadConfig{"q_zero", "q must", [](ClusterConfig& c) { c.q = 0; }},
+        BadConfig{"nodes_zero", "nodes must",
+                  [](ClusterConfig& c) { c.nodes = 0; }},
+        BadConfig{"fact_threads_zero", "fact_threads must",
+                  [](ClusterConfig& c) { c.fact_threads = 0; }}),
+    [](const ::testing::TestParamInfo<BadConfig>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace hplx::sim
