@@ -8,7 +8,6 @@
 #include "device/hazard.hpp"
 #include "device/kernels.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace hplx::core {
 
@@ -38,7 +37,8 @@ void copy_vector(T* dst, const T* src, long m) {
 
 template <typename T>
 std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
-                              device::Stream& stream, double* mpi_seconds) {
+                              device::Stream& stream,
+                              trace::PhaseLedger* ledger) {
   const long n = a.n();
   const int nb = a.nb();
   const long nrhs = a.nrhs();
@@ -48,8 +48,6 @@ std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
   // are contiguous.
   const int pc_b = a.cols().owner(n);
   const bool have_b = g.mycol() == pc_b;
-
-  Timer mpi;
 
   // All solve-path scratch leases from the device's host arena: on the
   // repeated backsolves of the refinement loop every panel below is a
@@ -103,13 +101,11 @@ std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
       if (have_b && !diag_col) {
         for (long r = 0; r < nrhs; ++r)
           copy_vector(xk.data() + r * jbk, bh.data() + il + r * ldb, jbk);
-        mpi.start();
+        trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
         g.row_comm().send(xk.data(), seg, pcol_k, kTagB);
-        mpi.stop();
       } else if (diag_col && !have_b) {
-        mpi.start();
+        trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
         g.row_comm().recv(xk.data(), seg, pc_b, kTagB);
-        mpi.stop();
       } else if (diag_col && have_b) {
         for (long r = 0; r < nrhs; ++r)
           copy_vector(xk.data() + r * jbk, bh.data() + il + r * ldb, jbk);
@@ -144,9 +140,8 @@ std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
         device::HostAccessScope bcast_guard(
             a.dev().hazard(), "backsolve.bcast_xk",
             {device::span_read(xk.data(), seg)});
-        mpi.start();
+        trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
         comm::bcast(g.col_comm(), xk.data(), seg, prow_k);
-        mpi.stop();
       }
       for (long r = 0; r < nrhs; ++r)
         copy_vector(x.data() + jk + r * n, xk.data() + r * jbk, jbk);
@@ -165,9 +160,8 @@ std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
       const std::size_t ycnt = static_cast<std::size_t>(m_above) *
                                static_cast<std::size_t>(nrhs);
       if (!have_b) {
-        mpi.start();
+        trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
         g.row_comm().send(y.data(), ycnt, pc_b, kTagY);
-        mpi.stop();
       } else {
         // y was produced by the device gemm above; its synchronize is the
         // ordering edge for this host read-modify-write.
@@ -180,12 +174,13 @@ std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
       }
     } else if (have_b) {
       const long m_above = a.row_offset(jk);
-      mpi.start();
-      g.row_comm().recv(y.data(),
-                        static_cast<std::size_t>(m_above) *
-                            static_cast<std::size_t>(nrhs),
-                        pcol_k, kTagY);
-      mpi.stop();
+      {
+        trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
+        g.row_comm().recv(y.data(),
+                          static_cast<std::size_t>(m_above) *
+                              static_cast<std::size_t>(nrhs),
+                          pcol_k, kTagY);
+      }
       for (long r = 0; r < nrhs; ++r)
         sub_vector(bh.data() + r * ldb, y.data() + r * m_above, m_above);
     }
@@ -203,12 +198,12 @@ std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
         copy_vector(xsum.data() + jk + r * n, x.data() + jk + r * n, jbk);
     }
   }
-  mpi.start();
-  comm::allreduce(g.all_comm(), xsum.data(), xsum.size(),
-                  comm::ReduceOp::Sum);
-  mpi.stop();
+  {
+    trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
+    comm::allreduce(g.all_comm(), xsum.data(), xsum.size(),
+                    comm::ReduceOp::Sum);
+  }
 
-  if (mpi_seconds != nullptr) *mpi_seconds += mpi.total();
   std::vector<double> out(xsum.size());
   for (std::size_t i = 0; i < xsum.size(); ++i)
     out[i] = static_cast<double>(xsum[i]);
@@ -217,9 +212,11 @@ std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
 
 template std::vector<double> backsolve<double>(grid::ProcessGrid&,
                                                DistMatrixT<double>&,
-                                               device::Stream&, double*);
+                                               device::Stream&,
+                                               trace::PhaseLedger*);
 template std::vector<double> backsolve<float>(grid::ProcessGrid&,
                                               DistMatrixT<float>&,
-                                              device::Stream&, double*);
+                                              device::Stream&,
+                                              trace::PhaseLedger*);
 
 }  // namespace hplx::core

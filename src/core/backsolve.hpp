@@ -22,6 +22,7 @@
 #include "core/matrix.hpp"
 #include "device/stream.hpp"
 #include "grid/process_grid.hpp"
+#include "trace/phase_ledger.hpp"
 
 namespace hplx::core {
 
@@ -32,9 +33,11 @@ namespace hplx::core {
 /// the same bottom-up sweep with every per-block stage blocked over the
 /// RHS panel: one device trsm (device::trsm_upper) per diagonal block, one
 /// m×nrhs GEMM per column contribution, one (jbk·nrhs)-element broadcast
-/// per segment. Adds communication time to *mpi_seconds.
+/// per segment. Charges communication time to `ledger`'s Phase::Mpi
+/// (when non-null).
 template <typename T>
 std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
-                              device::Stream& stream, double* mpi_seconds);
+                              device::Stream& stream,
+                              trace::PhaseLedger* ledger);
 
 }  // namespace hplx::core

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -18,11 +15,13 @@
 #include "core/pfact.hpp"
 #include "core/refine.hpp"
 #include "core/rowswap.hpp"
+#include "core/steady_window.hpp"
 #include "core/update.hpp"
 #include "device/alloc.hpp"
 #include "device/engine.hpp"
 #include "device/kernels.hpp"
 #include "grid/process_grid.hpp"
+#include "trace/phase_ledger.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
@@ -34,13 +33,6 @@ namespace {
 constexpr int kTagTrace = 201;
 constexpr int kTagHazard = 202;
 constexpr int kTagComm = 203;
-
-/// Per-iteration phase accumulators (the Fig. 7 timers).
-struct IterStats {
-  double fact = 0.0;
-  double mpi = 0.0;
-  RowSwapStats rs;  ///< row-swap wire/fused-unpack seconds
-};
 
 /// The whole factorization machine, templated over the working precision.
 /// Solver<double> is classic HPL; Solver<float> is the HPL-MxP
@@ -63,7 +55,8 @@ class Solver {
               "compute"),
         compute_(pool_.primary()),
         data_(dev_, "data"),
-        team_(std::max(1, cfg.fact_threads)) {
+        team_(std::max(1, cfg.fact_threads)),
+        steady_(cfg, sizeof(T), grid_, dev_) {
     // Every pipeline mode runs the same schedule (DESIGN.md decision 3),
     // resolved here to two values: the look-ahead depth (0 for Simple, 1
     // otherwise) and csplit_, the local column where the right section
@@ -133,18 +126,8 @@ class Solver {
     pool_.synchronize();
     data_.synchronize();
 
-    if (std::getenv("HPLX_DEBUG_DUMP") != nullptr) {
-      for (long jl = 0; jl < a_.nloc(); ++jl)
-        for (long il = 0; il < a_.mloc(); ++il)
-          std::fprintf(stderr, "DUMP %d %ld %ld %.17g\n",
-                       grid_.all_comm().rank(), il, jl,
-                       static_cast<double>(*a_.at(il, jl)));
-    }
-
     // Backsolve U x = b̂ and (optionally) verify against regenerated data.
-    double solve_mpi = 0.0;
-    x_ = backsolve(grid_, a_, compute_, &solve_mpi);
-    mpi_total_ += solve_mpi;
+    x_ = backsolve(grid_, a_, compute_, &ledger_);
 
     result.seconds = wall.stop();
     result.gflops =
@@ -156,38 +139,39 @@ class Solver {
                           /*threshold=*/16.0, cfg_.nrhs, a_.diag_shift());
     }
 
-    result.fact_seconds = fact_total_;
-    result.mpi_seconds = mpi_total_;
-    result.rs_wire_seconds = rs_wire_total_;
-    result.rs_wire_bytes = rs_wire_bytes_total_;
-    result.rs_unpack_seconds = rs_unpack_total_;
+    const double wire = ledger_.seconds(trace::Phase::RsWire);
+    const double unpack = ledger_.seconds(trace::Phase::RsUnpack);
+    result.fact_seconds = ledger_.seconds(trace::Phase::Fact);
+    result.mpi_seconds = ledger_.seconds(trace::Phase::Mpi);
+    result.rs_wire_seconds = wire;
+    result.rs_wire_bytes = ledger_.rs_wire_bytes();
+    result.rs_unpack_seconds = unpack;
     result.rs_overlap_efficiency =
-        rs_wire_total_ > 0.0
-            ? std::min(rs_unpack_total_, rs_wire_total_) / rs_wire_total_
-            : 0.0;
+        wire > 0.0 ? std::min(unpack, wire) / wire : 0.0;
     result.transfer_seconds = data_.real_busy_seconds();
-    result.gpu_seconds = pool_.real_busy_seconds();
     for (int i = 0; i < pool_.size(); ++i) {
       result.stream_busy_seconds.push_back(pool_.stream(i).busy_seconds());
       result.stream_real_seconds.push_back(
           pool_.stream(i).real_busy_seconds());
+      result.gpu_seconds += result.stream_real_seconds.back();
     }
     collect_trace(result);
     collect_hazards(result);
-    collect_alloc(result);
+    steady_.collect(result.alloc);
     collect_comm(result);
     return result;
   }
 
   // What the mixed-precision wrapper (run_hpl's IR loop) needs after the
   // low-precision solve: the factored matrix still in HBM, the replicated
-  // pivot history, and the low-precision solution.
+  // pivot history, the low-precision solution, and the phase ledger the
+  // refinement keeps charging.
   grid::ProcessGrid& grid() { return grid_; }
   DistMatrixT<T>& matrix() { return a_; }
   device::Stream& stream() { return compute_; }
   const std::vector<std::vector<long>>& pivots() const { return pivots_; }
   const std::vector<double>& solution() const { return x_; }
-  double* mpi_total() { return &mpi_total_; }
+  trace::PhaseLedger& ledger() { return ledger_; }
 
  private:
   // ------------------------------------------------------------- helpers
@@ -213,7 +197,7 @@ class Solver {
 
   /// Stage the panel to the host, factor it with the thread team, write
   /// the factors back, and fill `panel` for broadcasting.
-  void fact_and_pack(long j, int jb, PanelDataT<T>& panel, IterStats& st) {
+  void fact_and_pack(long j, int jb, PanelDataT<T>& panel) {
     const long ii = row_of(j);
     const long mw = a_.mloc() - ii;
     const long jlp = col_of(j);
@@ -268,10 +252,7 @@ class Solver {
     task.diag_root = a_.rows().owner(j);
     task.scratch = &dev_.host_arena();
 
-    FactTimers ft;
-    panel_factorize(grid_.col_comm(), cfg_, team_, task, &ft);
-    st.fact += ft.compute_s;
-    st.mpi += ft.comm_s;
+    panel_factorize(grid_.col_comm(), cfg_, team_, task, &ledger_);
 
     // Write the factors back: L2 rows below the top block, and (on the
     // diagonal row) the factored top block itself.
@@ -298,214 +279,68 @@ class Solver {
 
   /// Prepare `panel` on every rank for column `j` (factor on the owning
   /// column, receive elsewhere), then broadcast along the row.
-  void make_panel(long j, PanelDataT<T>& panel, IterStats& st) {
+  void make_panel(long j, PanelDataT<T>& panel) {
     const int jb = jb_at(j);
     const long ml2 = a_.mloc() - row_of(j + jb);
     if (my_col(j)) {
-      fact_and_pack(j, jb, panel, st);
+      fact_and_pack(j, jb, panel);
     } else {
       panel.j = j;
       panel.resize(jb, ml2);
     }
     panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(j), panel,
-                    &st.mpi, &cfg_.custom_bcast);
+                    &ledger_, &cfg_.custom_bcast);
     record_pivots(panel);
   }
 
-  /// Latch every pool stream's busy clocks at iteration start so
-  /// record_iteration can attribute per-stream deltas. The clocks advance
-  /// as ops *complete*, so with overlap enabled an op may be charged to
-  /// the iteration that drained it rather than the one that enqueued it —
-  /// the whole-run sums are exact either way.
-  void snapshot_stream_clocks() {
+  /// One sample of the clocks an iteration record is the difference of:
+  /// wall time, this rank's phase ledger, and the streams' wall-clock busy
+  /// clocks. The stream clocks advance as ops *complete*, so with overlap
+  /// enabled an op may be charged to the iteration that drained it rather
+  /// than the one that enqueued it — the whole-run sums are exact either
+  /// way.
+  struct ClockSample {
+    double wall = 0.0;
+    trace::PhaseLedger phases;
+    double transfer = 0.0;
+    double busy[trace::kMaxUpdateStreams] = {};
+    double real[trace::kMaxUpdateStreams] = {};
+  };
+
+  ClockSample sample_clocks() {
+    ClockSample c;
+    c.wall = wall_seconds();
+    c.phases = ledger_;
+    c.transfer = data_.real_busy_seconds();
     for (int i = 0; i < pool_.size(); ++i) {
-      busy0_[i] = pool_.stream(i).busy_seconds();
-      real0_[i] = pool_.stream(i).real_busy_seconds();
+      c.busy[i] = pool_.stream(i).busy_seconds();
+      c.real[i] = pool_.stream(i).real_busy_seconds();
     }
+    return c;
   }
 
-  /// Fold one iteration's (or the prologue's) phase timers into the
-  /// whole-run totals.
-  void accumulate(const IterStats& st) {
-    fact_total_ += st.fact;
-    mpi_total_ += st.mpi;
-    rs_wire_total_ += st.rs.wire_s;
-    rs_unpack_total_ += st.rs.unpack_s;
-    rs_wire_bytes_total_ += st.rs.wire_bytes;
-  }
-
-  void record_iteration(long j, int iter, double total, double gpu,
-                        const IterStats& st, double transfer) {
-    accumulate(st);
-    if (my_col(j) && my_row(j)) {
-      trace::IterationRecord rec;
-      rec.iteration = iter;
-      rec.column = j;
-      rec.total_s = total;
-      rec.gpu_s = gpu;
-      rec.fact_s = st.fact;
-      rec.mpi_s = st.mpi;
-      rec.transfer_s = transfer;
-      rec.rs_wire_s = st.rs.wire_s;
-      rec.rs_unpack_s = st.rs.unpack_s;
-      rec.update_streams = pool_.size();
-      for (int i = 0; i < pool_.size(); ++i) {
-        rec.stream_busy_s[i] = pool_.stream(i).busy_seconds() - busy0_[i];
-        rec.stream_real_s[i] =
-            pool_.stream(i).real_busy_seconds() - real0_[i];
-      }
-      my_records_.push_back(rec);
+  /// Iteration `iter` (panel column `j`) is recorded by the rank owning
+  /// its diagonal block, as the clocks now minus their sample `start`.
+  void record_iteration(long j, int iter, const ClockSample& start) {
+    if (!my_col(j) || !my_row(j)) return;
+    const ClockSample end = sample_clocks();
+    const trace::PhaseLedger d = end.phases.since(start.phases);
+    trace::IterationRecord rec;
+    rec.iteration = iter;
+    rec.column = j;
+    rec.total_s = end.wall - start.wall;
+    rec.fact_s = d.seconds(trace::Phase::Fact);
+    rec.mpi_s = d.seconds(trace::Phase::Mpi);
+    rec.transfer_s = end.transfer - start.transfer;
+    rec.rs_wire_s = d.seconds(trace::Phase::RsWire);
+    rec.rs_unpack_s = d.seconds(trace::Phase::RsUnpack);
+    rec.update_streams = pool_.size();
+    for (int i = 0; i < pool_.size(); ++i) {
+      rec.stream_busy_s[i] = end.busy[i] - start.busy[i];
+      rec.stream_real_s[i] = end.real[i] - start.real[i];
+      rec.gpu_s += rec.stream_real_s[i];
     }
-  }
-
-  // ------------------------------------------- steady-state alloc window
-
-  /// Warmup iterations before the zero-allocation window opens. Iteration
-  /// 0 builds the pools' freelist inventories (every lease is fresh);
-  /// iteration 1 absorbs cross-rank skew — the upstream counter is
-  /// process-wide, and a neighbor still finishing its own warmup while
-  /// this rank starts iteration 1 must not be charged to the window. On
-  /// a grid, roles rotate: panel ownership cycles through the q process
-  /// columns and pivot-row ownership through the p rows, so a rank's
-  /// *first* factorization (and its first-touch scratch leases) can come
-  /// as late as iteration max(p, q) - 1 — steady state begins only once
-  /// every rank has played every role it will play.
-  int alloc_warmup_iters() const {
-    return std::max({2, cfg_.p, cfg_.q});
-  }
-
-  /// Freelist depth the comm pool is stocked to when the steady window
-  /// opens: enough for every rank of the process plus overlapped
-  /// next-panel swaps to hold same-class blocks concurrently.
-  static constexpr int kPrewarmBlocks = 8;
-
-  /// Every distinct pool this rank's solve leases from: device HBM, host
-  /// arena, and the message pool of each fabric the grid's communicators
-  /// ride on. The row/col split communicators own their own fabric (and
-  /// pool) — the rowswap and panel-broadcast traffic flows there, not
-  /// through all_comm's fabric, so accounting only the latter would miss
-  /// most of the message leases. Shared fabrics are deduplicated by
-  /// allocator address.
-  std::vector<device::PoolAllocator*> rank_pools() {
-    std::vector<device::PoolAllocator*> pools = {&dev_.hbm_pool(),
-                                                 &dev_.host_arena()};
-    for (comm::Communicator* c :
-         {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
-      device::PoolAllocator* a = &c->fabric().allocator();
-      if (std::find(pools.begin(), pools.end(), a) == pools.end())
-        pools.push_back(a);
-    }
-    return pools;
-  }
-
-  /// Acquires + freelist hits summed over every pool in rank_pools().
-  void sample_pool_counters(std::uint64_t& acquires, std::uint64_t& hits) {
-    for (const device::PoolAllocator* p : rank_pools()) {
-      const device::PoolAllocator::Stats s = p->stats();
-      acquires += s.acquires;
-      hits += s.hits + s.borrows;
-    }
-  }
-
-  /// Latch the counters once the warmup iterations are done (called at
-  /// the bottom of every factorization-loop iteration).
-  void mark_steady(int iter) {
-    if (steady_marked_ || iter + 1 < alloc_warmup_iters()) return;
-    steady_marked_ = true;
-    // Comm message sizes are not deterministic per iteration: a rank's
-    // rowswap contribution scales with how many pivot rows it happens to
-    // own, which is not monotone in the iteration — a class can see its
-    // first request mid-run, above or below anything warmup touched,
-    // while every nearby larger block is in flight in the same
-    // collective (borrowing can't save that one). Stock every class up
-    // to the largest message the remaining iterations can send, on every
-    // fabric this rank touches, while the fills still count as warmup.
-    // Device and arena pools are skipped: their lease sizes are
-    // deterministic max-extent functions of the iteration, so warmup
-    // already covers them. The bound: every swap message — allgatherv
-    // chunk and scatterv piece alike — is capped at max(chunk, one grain =
-    // one packed matrix row incl. the B columns).
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(cfg_.n + cfg_.nrhs) * sizeof(T);
-    const std::size_t swap_bound =
-        std::max(static_cast<std::size_t>(cfg_.swap_chunk_bytes), row_bytes);
-    for (comm::Communicator* c :
-         {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
-      c->fabric().allocator().prewarm(kPrewarmBlocks, swap_bound);
-    }
-    // The upstream counter is process-wide, so the window must open after
-    // *every* rank's warmup: without the barrier a slow rank's last
-    // warmup allocation would land inside a fast rank's window. The
-    // barrier also warms the small-message class its twin in
-    // finish_steady reuses.
-    comm::barrier(grid_.all_comm());
-    steady_upstream0_ = device::upstream_alloc_count();
-    sample_pool_counters(steady_acquires0_, steady_hits0_);
-    if (std::getenv("HPLX_ALLOC_DEBUG") != nullptr) {
-      std::fprintf(stderr, "STEADY MARK rank=%d after #%llu\n",
-                   grid_.all_comm().rank(),
-                   static_cast<unsigned long long>(steady_upstream0_));
-    }
-  }
-
-  /// Read the steady-window deltas at the end of the factorization loop —
-  /// before backsolve/refinement, whose first-call arena leases are
-  /// legitimate one-time allocations outside the window.
-  void finish_steady(int iters_total) {
-    if (!steady_marked_ || iters_total <= alloc_warmup_iters()) return;
-    steady_measured_ = true;
-    // Mirror of mark_steady's fence: read first (backsolve has not
-    // started anywhere — it needs this barrier to pass), then hold every
-    // rank until all have read, so no rank's post-loop leases land in a
-    // slower rank's window. The barrier's messages hit the small-message
-    // freelist the mark-side barrier warmed.
-    steady_upstream_delta_ =
-        device::upstream_alloc_count() - steady_upstream0_;
-    if (std::getenv("HPLX_ALLOC_DEBUG") != nullptr) {
-      std::fprintf(stderr, "STEADY CLOSE rank=%d at #%llu delta=%llu\n",
-                   grid_.all_comm().rank(),
-                   static_cast<unsigned long long>(steady_upstream0_ +
-                                                  steady_upstream_delta_),
-                   static_cast<unsigned long long>(steady_upstream_delta_));
-    }
-    comm::barrier(grid_.all_comm());
-    std::uint64_t acquires = 0, hits = 0;
-    sample_pool_counters(acquires, hits);
-    const std::uint64_t dacq = acquires - steady_acquires0_;
-    const std::uint64_t dhit = hits - steady_hits0_;
-    steady_hit_rate_ = dacq == 0 ? 1.0
-                                 : static_cast<double>(dhit) /
-                                       static_cast<double>(dacq);
-  }
-
-  /// Fill HplResult::alloc: reduce the steady-window scalars so every
-  /// rank reports the same (worst-rank) values, then copy the per-pool
-  /// lifetime rows.
-  void collect_alloc(HplResult& result) {
-    result.alloc.steady_measured = steady_measured_;
-    std::uint64_t worst_upstream = steady_upstream_delta_;
-    double worst_hit_rate = steady_measured_ ? steady_hit_rate_ : 1.0;
-    comm::allreduce(grid_.all_comm(), &worst_upstream, 1,
-                    comm::ReduceOp::Max);
-    comm::allreduce(grid_.all_comm(), &worst_hit_rate, 1,
-                    comm::ReduceOp::Min);
-    result.alloc.steady_upstream_allocs = worst_upstream;
-    result.alloc.steady_hit_rate = worst_hit_rate;
-    for (const device::PoolAllocator* p : rank_pools()) {
-      const device::PoolAllocator::Stats s = p->stats();
-      AllocPoolReport row;
-      row.name = p->name();
-      row.acquires = s.acquires;
-      row.hits = s.hits + s.borrows;
-      row.oversize = s.oversize;
-      row.upstream_allocs = s.upstream_allocs;
-      row.hwm_bytes = s.hwm_bytes;
-      row.cached_bytes = s.cached_bytes;
-      row.outstanding_bytes = s.outstanding_bytes;
-      row.hit_rate = s.hit_rate();
-      row.fragmentation = s.fragmentation();
-      result.alloc.pools.push_back(std::move(row));
-    }
+    my_records_.push_back(rec);
   }
 
   // ------------------------------------------------------------ schedule
@@ -522,35 +357,22 @@ class Solver {
     PanelDataT<T>* cur = &panel_a;
     PanelDataT<T>* nxt = &panel_b;
 
-    {
-      IterStats st;
-      make_panel(0, *cur, st);
-      if (csplit_ < a_.nloc()) communicate_right(gather_right(0, *cur), st);
-      accumulate(st);
-    }
+    make_panel(0, *cur);
+    if (csplit_ < a_.nloc()) communicate_right(gather_right(0, *cur));
 
     int iter = 0;
     for (long j = 0; j < cfg_.n; j += cfg_.nb, ++iter) {
-      IterStats st;
-      Timer t_iter;
-      t_iter.start();
-      const double gpu0 = pool_.real_busy_seconds();
-      const double xfer0 = data_.real_busy_seconds();
-      snapshot_stream_clocks();
-
-      iterate(j, *cur, *nxt, st);
+      const ClockSample start = sample_clocks();
+      iterate(j, *cur, *nxt);
       // No host synchronize here: each iteration joins its banded sections
       // back into the primary stream, so the next iteration's gathers are
       // event-ordered behind this one's update while the host runs ahead
       // (the driver-level fan-in the multi-stream schedule relies on).
       std::swap(cur, nxt);
-
-      record_iteration(j, iter, t_iter.stop(),
-                       pool_.real_busy_seconds() - gpu0, st,
-                       data_.real_busy_seconds() - xfer0);
-      mark_steady(iter);
+      record_iteration(j, iter, start);
+      steady_.mark(iter);
     }
-    finish_steady(iter);
+    steady_.finish(iter);
 
     // Drain the pool before the panel double-buffers (locals of this
     // function) are destroyed: the last iteration's bands still read
@@ -577,10 +399,9 @@ class Solver {
 
   /// RS2 stage 2: communicate the gathered right section into u_right_;
   /// the next iteration scatters it.
-  void communicate_right(long start, IterStats& st) {
-    rs_right_next_->communicate(grid_.col_comm(), &st.mpi, compute_,
-                                u_right_.template data_as<T>(), cfg_.nb,
-                                &st.rs);
+  void communicate_right(long start) {
+    rs_right_next_->communicate(grid_.col_comm(), &ledger_, compute_,
+                                u_right_.template data_as<T>(), cfg_.nb);
     right_start_ = start;
     pending_right_ = true;
     std::swap(rs_right_, rs_right_next_);
@@ -601,8 +422,7 @@ class Solver {
   /// (UPDATE1) hides the next panel's right swap (RS2). When the right
   /// section has reached jl0 it covers the whole window and the iteration
   /// runs the Fig. 3 shape on its pre-communicated U.
-  void iterate(long j, PanelDataT<T>& cur, PanelDataT<T>& nxt,
-               IterStats& st) {
+  void iterate(long j, PanelDataT<T>& cur, PanelDataT<T>& nxt) {
     const int jb = jb_at(j);
     const long next = j + jb;
     const bool has_next = next < cfg_.n;
@@ -654,8 +474,7 @@ class Solver {
           right = bands(*right_ready, u_right, right_start, nloc,
                         BandPlacement::SparePrimary);
       }
-      rs_la_.communicate(grid_.col_comm(), &st.mpi, compute_, u, cfg_.nb,
-                         &st.rs);
+      rs_la_.communicate(grid_.col_comm(), &ledger_, compute_, u, cfg_.nb);
       rs_la_.scatter(compute_, a_, u, cfg_.nb);
     }
     const device::Event u_ready = compute_.record();
@@ -682,13 +501,13 @@ class Solver {
     // broadcast writes into it.
     if (la_cols > 0) {
       for (const device::Event& ev : la.done) data_.wait_event(ev);
-      fact_and_pack(next, jb_next, nxt, st);
+      fact_and_pack(next, jb_next, nxt);
     }
     if (!split) left.join(compute_);
     if (!lookahead_) pool_.synchronize();
     if (has_next && la_cols == 0) {
       if (my_col(next)) {
-        fact_and_pack(next, jb_next, nxt, st);
+        fact_and_pack(next, jb_next, nxt);
       } else {
         prev_update_.host_wait();
         device::HostAccessScope recv_guard(
@@ -701,7 +520,7 @@ class Solver {
     }
     if (has_next) {
       panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(next),
-                      nxt, &st.mpi, &cfg_.custom_bcast);
+                      nxt, &ledger_, &cfg_.custom_bcast);
       record_pivots(nxt);
     }
 
@@ -710,8 +529,8 @@ class Solver {
       // RS1, hidden by UPDATE2 (its rows were gathered up front). The
       // fused unpacks land on the primary and only write u_left_, which
       // nothing reads until UPDATE1's bands (gated on left_ready below).
-      rs_left_.communicate(grid_.col_comm(), &st.mpi, compute_, u_left,
-                           cfg_.nb, &st.rs);
+      rs_left_.communicate(grid_.col_comm(), &ledger_, compute_, u_left,
+                           cfg_.nb);
       // After UPDATE2: gather the next panel's right-section rows (RS2).
       // The gather reads columns UPDATE2 writes, and UPDATE2's bands live
       // on other streams now — join them into the primary first.
@@ -726,7 +545,7 @@ class Solver {
       // u_right_ for the next iteration; they are enqueued after
       // right.join(compute_), so they stay ordered behind this
       // iteration's reads of u_right_.
-      if (has_next) communicate_right(next_right, st);
+      if (has_next) communicate_right(next_right);
       left.join(compute_);
     }
 
@@ -824,6 +643,11 @@ class Solver {
   device::Stream& compute_;  ///< alias: pool_.primary()
   device::Stream data_;
   ThreadTeam team_;
+  /// This rank's phase sums: every timed step charges it, the iteration
+  /// records are differences of it, and the HplResult totals are its
+  /// final values.
+  trace::PhaseLedger ledger_;
+  SteadyWindow steady_;
 
   /// Schedule parameters resolved from cfg.pipeline (constructor).
   bool lookahead_ = true;  ///< look-ahead depth 1 (false: depth 0)
@@ -853,22 +677,6 @@ class Solver {
   std::vector<std::vector<long>> pivots_;  ///< per-panel global pivot rows
   std::vector<double> x_;                  ///< backsolve solution (fp64)
   std::vector<trace::IterationRecord> my_records_;
-  double fact_total_ = 0.0;
-  double mpi_total_ = 0.0;
-  double rs_wire_total_ = 0.0;
-  double rs_unpack_total_ = 0.0;
-  long rs_wire_bytes_total_ = 0;
-  double busy0_[trace::kMaxUpdateStreams] = {};
-  double real0_[trace::kMaxUpdateStreams] = {};
-
-  // Steady-window allocation accounting (mark_steady / finish_steady).
-  bool steady_marked_ = false;
-  bool steady_measured_ = false;
-  std::uint64_t steady_upstream0_ = 0;
-  std::uint64_t steady_acquires0_ = 0;
-  std::uint64_t steady_hits0_ = 0;
-  std::uint64_t steady_upstream_delta_ = 0;
-  double steady_hit_rate_ = 1.0;
 };
 
 /// Mixed-precision run: low-precision factorization + backsolve, fp64
@@ -892,8 +700,8 @@ HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg) {
     HplResult result = solver.solve();
     RefineResult rr = iterative_refine(
         solver.grid(), solver.matrix(), solver.stream(), solver.pivots(),
-        solver.solution(), cfg.ir_max_iters, cfg.ir_tol,
-        &result.mpi_seconds);
+        solver.solution(), cfg.ir_max_iters, cfg.ir_tol, &solver.ledger());
+    result.mpi_seconds = solver.ledger().seconds(trace::Phase::Mpi);
     result.ir_iters = rr.iters;
     if (rr.converged) {
       result.seconds = wall.stop();

@@ -66,7 +66,11 @@ struct HplResult {
   /// the union of all ranks' records.
   trace::RunTrace trace;
 
-  // Whole-run phase totals (seconds), summed over iterations.
+  /// Whole-run phase totals (seconds) of this rank: FACT and MPI are the
+  /// final sums of its trace::PhaseLedger, which also hold panel 0's
+  /// prologue, and for MPI the backsolve and refinement; transfer and GPU
+  /// are the data stream's and update pool's wall-clock busy seconds,
+  /// event waits excluded.
   double fact_seconds = 0.0;
   double mpi_seconds = 0.0;
   double transfer_seconds = 0.0;

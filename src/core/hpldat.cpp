@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <sstream>
@@ -53,15 +55,16 @@ class DatReader {
                    << only << ", got " << v);
   }
 
+  /// Consume one line holding one real. Like integers, the whole token
+  /// must parse (no trailing junk), and the value must be finite.
   double real(const char* what) {
     const std::string t = token();
-    try {
-      return std::stod(t);
-    } catch (...) {
-      HPLX_CHECK_MSG(false, "HPL.dat line " << lineno_ << " (" << what
-                     << "): not a number: `" << t << "`");
-    }
-    return 0;
+    char* end = nullptr;
+    const double v = std::strtod(t.c_str(), &end);
+    HPLX_CHECK_MSG(end == t.c_str() + t.size() && std::isfinite(v),
+                   "HPL.dat line " << lineno_ << " (" << what
+                   << "): not a finite number: `" << t << "`");
+    return v;
   }
 
   /// Consume one line holding `count` integers, each in [lo, hi].

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace hplx::core {
 
@@ -48,7 +47,8 @@ void PanelDataT<T>::reserve(int max_jb, long max_ml2) {
 
 template <typename T>
 void panel_broadcast(comm::Communicator& row_comm, comm::BcastAlgo algo,
-                     int root, PanelDataT<T>& panel, double* mpi_seconds,
+                     int root, PanelDataT<T>& panel,
+                     trace::PhaseLedger* ledger,
                      const BcastFn* custom) {
   HPLX_CHECK(panel.jb >= 1);
   if (row_comm.size() == 1) return;
@@ -72,15 +72,14 @@ void panel_broadcast(comm::Communicator& row_comm, comm::BcastAlgo algo,
     }
   }
 
-  Timer timer;
-  timer.start();
-  if (custom != nullptr && *custom) {
-    (*custom)(row_comm, panel.wire.data(), count * sizeof(double), root);
-  } else {
-    comm::bcast(row_comm, panel.wire.data(), count, root, algo);
+  {
+    trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
+    if (custom != nullptr && *custom) {
+      (*custom)(row_comm, panel.wire.data(), count * sizeof(double), root);
+    } else {
+      comm::bcast(row_comm, panel.wire.data(), count, root, algo);
+    }
   }
-  const double dt = timer.stop();
-  if (mpi_seconds != nullptr) *mpi_seconds += dt;
 
   if (!is_root) {
     const double* w = panel.wire.data();
@@ -106,10 +105,12 @@ void panel_broadcast(comm::Communicator& row_comm, comm::BcastAlgo algo,
 template struct PanelDataT<double>;
 template struct PanelDataT<float>;
 template void panel_broadcast<double>(comm::Communicator&, comm::BcastAlgo,
-                                      int, PanelDataT<double>&, double*,
+                                      int, PanelDataT<double>&,
+                                      trace::PhaseLedger*,
                                       const BcastFn*);
 template void panel_broadcast<float>(comm::Communicator&, comm::BcastAlgo,
-                                     int, PanelDataT<float>&, double*,
+                                     int, PanelDataT<float>&,
+                                     trace::PhaseLedger*,
                                      const BcastFn*);
 
 }  // namespace hplx::core

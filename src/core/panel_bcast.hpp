@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "comm/collectives.hpp"
+#include "trace/phase_ledger.hpp"
 
 namespace hplx::core {
 
@@ -59,11 +60,13 @@ using BcastFn = std::function<void(comm::Communicator& row_comm, void* buf,
 /// the row communicator) `panel` must be filled; on other ranks top/ipiv/l2
 /// are overwritten with the received panel. `panel.ml2` must be set by the
 /// caller on every rank (receivers know it from their own row counts).
-/// Elapsed communication time is accumulated into *mpi_seconds. When
-/// `custom` is non-null it replaces the built-in algorithm.
+/// Elapsed communication time is charged to `ledger`'s Phase::Mpi (when
+/// non-null). When `custom` is non-null it replaces the built-in
+/// algorithm.
 template <typename T>
 void panel_broadcast(comm::Communicator& row_comm, comm::BcastAlgo algo,
-                     int root, PanelDataT<T>& panel, double* mpi_seconds,
+                     int root, PanelDataT<T>& panel,
+                     trace::PhaseLedger* ledger,
                      const BcastFn* custom = nullptr);
 
 }  // namespace hplx::core

@@ -9,8 +9,8 @@
 
 #include "blas/blas.hpp"
 #include "comm/collectives.hpp"
+#include "trace/phase_ledger.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace hplx::core {
 
@@ -106,7 +106,7 @@ struct Shared {
 
   std::atomic<bool> failed{false};
   std::atomic<bool> dom_failed{false};
-  double comm_seconds = 0.0;
+  trace::PhaseLedger* ledger = nullptr;  ///< the caller's, or null
 
   Shared(const PanelTaskT<T>& task, const HplConfig& config,
          comm::Communicator& col_comm, ThreadTeam& thread_team)
@@ -226,8 +226,7 @@ void pivot_exchange(Shared<T>& s, int k) {
   }
 
   {
-    Timer timer;
-    timer.start();
+    trace::PhaseScope comm_scope(s.ledger, trace::Phase::Mpi);
     comm::allreduce_bytes(
         s.comm, s.msg.data(), s.msg.size(),
         [jb](void* inout, const void* in) {
@@ -249,7 +248,6 @@ void pivot_exchange(Shared<T>& s, int k) {
                         static_cast<std::size_t>(jb) * sizeof(T));
           }
         });
-    s.comm_seconds += timer.stop();
   }
 
   HPLX_CHECK_MSG(h->slot_glob != std::numeric_limits<long>::max(),
@@ -478,11 +476,9 @@ void factor_nopiv(Shared<T>& s, int tid) {
                                  static_cast<std::size_t>(jb) +
                              static_cast<std::size_t>(c)];
     {
-      Timer timer;
-      timer.start();
+      trace::PhaseScope comm_scope(s.ledger, trace::Phase::Mpi);
       comm::allreduce(s.comm, total, static_cast<std::size_t>(jb),
                       comm::ReduceOp::Sum);
-      s.comm_seconds += timer.stop();
     }
     bool dom_bad = false;
     if (s.t.is_curr) {
@@ -519,10 +515,8 @@ void factor_nopiv(Shared<T>& s, int tid) {
     }
     s.stage[cnt] = dom_bad ? T(1) : T(0);
     {
-      Timer timer;
-      timer.start();
+      trace::PhaseScope comm_scope(s.ledger, trace::Phase::Mpi);
       comm::bcast(s.comm, s.stage.data(), cnt + 1, s.t.diag_root);
-      s.comm_seconds += timer.stop();
     }
     if (!s.t.is_curr) {
       for (int c = 0; c < jb; ++c)
@@ -551,17 +545,16 @@ void factor_nopiv(Shared<T>& s, int tid) {
 template <typename T>
 void panel_factorize(comm::Communicator& col_comm, const HplConfig& cfg,
                      ThreadTeam& team, const PanelTaskT<T>& task,
-                     FactTimers* timers) {
+                     trace::PhaseLedger* ledger) {
   HPLX_CHECK(task.jb >= 1);
   HPLX_CHECK(task.w != nullptr || task.mw == 0);
   HPLX_CHECK(task.top != nullptr && task.ipiv != nullptr);
   HPLX_CHECK(task.ldtop >= task.jb);
   HPLX_CHECK(task.ldw >= task.mw || task.mw == 0);
 
-  Timer total;
-  total.start();
-
+  trace::PhaseScope fact_scope(ledger, trace::Phase::Fact);
   Shared<T> s(task, cfg, col_comm, team);
+  s.ledger = ledger;
   team.run([&](int tid) {
     if (cfg.pivoting == PivotMode::None) {
       factor_nopiv(s, tid);
@@ -580,19 +573,13 @@ void panel_factorize(comm::Communicator& col_comm, const HplConfig& cfg,
   HPLX_CHECK_MSG(!s.failed.load(),
                  "panel factorization hit an exactly-zero pivot at column "
                  << task.j << " (singular matrix?)");
-
-  const double elapsed = total.stop();
-  if (timers != nullptr) {
-    timers->comm_s += s.comm_seconds;
-    timers->compute_s += elapsed - s.comm_seconds;
-  }
 }
 
 template void panel_factorize<double>(comm::Communicator&, const HplConfig&,
                                       ThreadTeam&, const PanelTaskT<double>&,
-                                      FactTimers*);
+                                      trace::PhaseLedger*);
 template void panel_factorize<float>(comm::Communicator&, const HplConfig&,
                                      ThreadTeam&, const PanelTaskT<float>&,
-                                     FactTimers*);
+                                     trace::PhaseLedger*);
 
 }  // namespace hplx::core

@@ -34,6 +34,7 @@
 #include "comm/communicator.hpp"
 #include "core/config.hpp"
 #include "device/alloc.hpp"
+#include "trace/phase_ledger.hpp"
 #include "util/thread_team.hpp"
 
 namespace hplx::core {
@@ -68,18 +69,14 @@ struct PanelTaskT {
 
 using PanelTask = PanelTaskT<double>;
 
-/// Phase timers split the way Fig. 7 reports them.
-struct FactTimers {
-  double comm_s = 0.0;     ///< time in column-communicator calls
-  double compute_s = 0.0;  ///< remaining (local factorization) time
-};
-
 /// Collective over `col_comm` (all ranks of the panel's process column
 /// call with their local task). `team` supplies the T threads of §III.A;
-/// pass a 1-thread team for serial factorization.
+/// pass a 1-thread team for serial factorization. When `ledger` is
+/// non-null, time in column-communicator calls is charged to Phase::Mpi
+/// and the rest of the factorization to Phase::Fact.
 template <typename T>
 void panel_factorize(comm::Communicator& col_comm, const HplConfig& cfg,
                      ThreadTeam& team, const PanelTaskT<T>& task,
-                     FactTimers* timers = nullptr);
+                     trace::PhaseLedger* ledger = nullptr);
 
 }  // namespace hplx::core

@@ -10,7 +10,6 @@
 #include "device/kernels.hpp"
 #include "rng/matgen.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace hplx::core {
 
@@ -25,7 +24,7 @@ struct RefineCtx {
   DistMatrixT<T>& a;
   device::Stream& stream;
   const std::vector<std::vector<long>>& pivots;
-  Timer mpi;
+  trace::PhaseLedger* ledger;  ///< communication time goes here, or null
 
   long n, nrhs, nb, ml, nl, ldh;
   std::vector<double> ah;    ///< fp64 local [A|B], regenerated (ldh×nl)
@@ -41,11 +40,13 @@ struct RefineCtx {
 
   RefineCtx(grid::ProcessGrid& g_, DistMatrixT<T>& a_,
             device::Stream& stream_,
-            const std::vector<std::vector<long>>& pivots_)
+            const std::vector<std::vector<long>>& pivots_,
+            trace::PhaseLedger* ledger_)
       : g(g_),
         a(a_),
         stream(stream_),
         pivots(pivots_),
+        ledger(ledger_),
         y(a_.dev().host_arena()),
         acc(a_.dev().host_arena()),
         d(a_.dev().host_arena()) {
@@ -83,9 +84,7 @@ struct RefineCtx {
         bcol[igmap[static_cast<std::size_t>(il)]] =
             ah[static_cast<std::size_t>(il + jl * ldh)];
     }
-    mpi.start();
-    comm::allreduce(g.all_comm(), b.data(), b.size(), comm::ReduceOp::Sum);
-    mpi.stop();
+    sum_all(b.data(), b.size());
     norm_b.assign(static_cast<std::size_t>(nrhs), 0.0);
     for (long rhs = 0; rhs < nrhs; ++rhs)
       for (long i = 0; i < n; ++i)
@@ -103,10 +102,7 @@ struct RefineCtx {
         rowsum[static_cast<std::size_t>(
             igmap[static_cast<std::size_t>(il)])] += std::fabs(col[il]);
     }
-    mpi.start();
-    comm::allreduce(g.all_comm(), rowsum.data(), rowsum.size(),
-                    comm::ReduceOp::Sum);
-    mpi.stop();
+    sum_all(rowsum.data(), rowsum.size());
     for (long i = 0; i < n; ++i)
       norm_a = std::max(norm_a, rowsum[static_cast<std::size_t>(i)]);
   }
@@ -125,9 +121,7 @@ struct RefineCtx {
         r[static_cast<std::size_t>(
             igmap[static_cast<std::size_t>(il)])] += col[il] * xj;
     }
-    mpi.start();
-    comm::allreduce(g.all_comm(), r.data(), r.size(), comm::ReduceOp::Sum);
-    mpi.stop();
+    sum_all(r.data(), r.size());
 
     const double* bcol = b.data() + rhs * n;
     double norm_r = 0.0, norm_x = 0.0;
@@ -144,14 +138,20 @@ struct RefineCtx {
     return denom > 0.0 ? norm_r / denom : norm_r;
   }
 
+  /// Sum `count` values at `x` over the grid.
+  template <typename V>
+  void sum_all(V* x, std::size_t count) {
+    trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
+    comm::allreduce(g.all_comm(), x, count, comm::ReduceOp::Sum);
+  }
+
   /// Replicate d's segment [jk, jk+jbk): down the owning process column
   /// from the diagonal owner, then across every process row.
   void bcast_segment(T* seg, int jbk, int prow, int pcol) {
-    mpi.start();
+    trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
     if (g.mycol() == pcol)
       comm::bcast(g.col_comm(), seg, static_cast<std::size_t>(jbk), prow);
     comm::bcast(g.row_comm(), seg, static_cast<std::size_t>(jbk), pcol);
-    mpi.stop();
   }
 
   /// Solve L·U·d = P·r in precision T against the factors in device
@@ -226,10 +226,7 @@ struct RefineCtx {
                 y[static_cast<std::size_t>(i)];
         }
       }
-      mpi.start();
-      comm::allreduce(g.all_comm(), acc.data(), acc.size(),
-                      comm::ReduceOp::Sum);
-      mpi.stop();
+      sum_all(acc.data(), acc.size());
       for (long i = 0; i < tail; ++i)
         d[static_cast<std::size_t>(jk + jbk + i)] -=
             acc[static_cast<std::size_t>(i)];
@@ -277,10 +274,7 @@ struct RefineCtx {
                 y[static_cast<std::size_t>(i)];
         }
       }
-      mpi.start();
-      comm::allreduce(g.all_comm(), acc.data(), acc.size(),
-                      comm::ReduceOp::Sum);
-      mpi.stop();
+      sum_all(acc.data(), acc.size());
       for (long i = 0; i < jk; ++i)
         d[static_cast<std::size_t>(i)] -= acc[static_cast<std::size_t>(i)];
     }
@@ -296,8 +290,8 @@ RefineResult iterative_refine(grid::ProcessGrid& g, DistMatrixT<T>& a,
                               device::Stream& stream,
                               const std::vector<std::vector<long>>& pivots,
                               std::vector<double> x0, int max_iters,
-                              double tol, double* mpi_seconds) {
-  RefineCtx<T> ctx(g, a, stream, pivots);
+                              double tol, trace::PhaseLedger* ledger) {
+  RefineCtx<T> ctx(g, a, stream, pivots, ledger);
   const long n = a.n();
   const long nrhs = a.nrhs();
   RefineResult out;
@@ -349,17 +343,16 @@ RefineResult iterative_refine(grid::ProcessGrid& g, DistMatrixT<T>& a,
     if (rhs == 0 || resid > out.residual) out.residual = resid;
   }
 
-  if (mpi_seconds != nullptr) *mpi_seconds += ctx.mpi.total();
   return out;
 }
 
 template RefineResult iterative_refine<double>(
     grid::ProcessGrid&, DistMatrixT<double>&, device::Stream&,
     const std::vector<std::vector<long>>&, std::vector<double>, int, double,
-    double*);
+    trace::PhaseLedger*);
 template RefineResult iterative_refine<float>(
     grid::ProcessGrid&, DistMatrixT<float>&, device::Stream&,
     const std::vector<std::vector<long>>&, std::vector<double>, int, double,
-    double*);
+    trace::PhaseLedger*);
 
 }  // namespace hplx::core

@@ -30,6 +30,7 @@
 #include "core/matrix.hpp"
 #include "device/stream.hpp"
 #include "grid/process_grid.hpp"
+#include "trace/phase_ledger.hpp"
 
 namespace hplx::core {
 
@@ -47,12 +48,13 @@ struct RefineResult {
 /// Each RHS column is refined independently against its own regenerated b
 /// column, sharing one regenerated operator. `tol` is the HPL residual
 /// threshold the refined solution must pass; `max_iters` bounds the
-/// correction count per column. Communication time goes to *mpi_seconds.
+/// correction count per column. Communication time is charged to
+/// `ledger`'s Phase::Mpi (when non-null).
 template <typename T>
 RefineResult iterative_refine(grid::ProcessGrid& g, DistMatrixT<T>& a,
                               device::Stream& stream,
                               const std::vector<std::vector<long>>& pivots,
                               std::vector<double> x0, int max_iters,
-                              double tol, double* mpi_seconds);
+                              double tol, trace::PhaseLedger* ledger);
 
 }  // namespace hplx::core

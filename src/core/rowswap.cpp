@@ -285,17 +285,18 @@ void RowSwapperT<T>::gather(device::Stream& stream, DistMatrixT<T>& a) {
 
 template <typename T>
 void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
-                                 double* mpi_seconds, device::Stream& stream,
-                                 T* u_dev, long ldu, RowSwapStats* stats) {
+                                 trace::PhaseLedger* ledger,
+                                 device::Stream& stream, T* u_dev,
+                                 long ldu) {
   if (gather_pending_) {
     gather_done_.wait();
     gather_pending_ = false;
   }
   if (nopiv_) {
     // Broadcast the packed top block down the process column. This is the
-    // panel's U replication, not swap traffic: the time goes to the comm
-    // budget and `stats` stays untouched (zero wire seconds/bytes is the
-    // no-pivot invariant the tests assert).
+    // panel's U replication, not swap traffic: the time goes to Phase::Mpi
+    // alone (zero row-swap wire seconds/bytes is the no-pivot invariant
+    // the tests assert).
     if (nprow_ > 1 && njl_ > 0 && jb_ > 0) {
       const std::size_t cnt =
           static_cast<std::size_t>(jb_) * static_cast<std::size_t>(njl_);
@@ -305,11 +306,8 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
           hz_, "rowswap.nopiv_bcast",
           {in_diag_row_ ? device::span_read(gathered_u_.data(), cnt)
                         : device::span_write(gathered_u_.data(), cnt)});
-      Timer timer;
-      timer.start();
+      trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
       comm::bcast(col_comm, gathered_u_.data(), cnt, diag_root_);
-      const double dt = timer.stop();
-      if (mpi_seconds != nullptr) *mpi_seconds += dt;
     }
     return;
   }
@@ -330,8 +328,8 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
        device::span_write(disp_recv_.data(),
                           my_disp_dest_slots_.size() *
                               static_cast<std::size_t>(njl_))});
-  Timer timer;
-  timer.start();
+  trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
+  const double wire_t0 = wall_seconds();
   // U assembly: everyone ends up with all jb rows, rank-major, each rank's
   // segment an nr_r×njl column-major block. The indivisible wire unit of
   // a segment is one wire column of nr_r elements, so every delivered
@@ -369,8 +367,7 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
                            gathered_u_.data(),
                            static_cast<std::size_t>(chunk_bytes_), grains,
                            on_chunk, u_algo_);
-  const double wire_dt = timer.stop();
-  timer.start();
+  const double wire_s = wall_seconds() - wire_t0;
 
   // Displaced rows: scattered from the diagonal row to their destinations,
   // in whole-row messages under the same chunk cap as the U assembly (so
@@ -383,17 +380,15 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
                          disp_recv_.data(), diag_root_,
                          static_cast<std::size_t>(chunk_bytes_), row_bytes);
   }
-  const double dt = timer.stop();
-  if (mpi_seconds != nullptr) *mpi_seconds += wire_dt + dt;
-  if (stats != nullptr) {
-    stats->wire_s += wire_dt;
-    stats->unpack_s += unpack_modeled;
+  if (ledger != nullptr) {
+    ledger->add(trace::Phase::RsWire, wire_s);
+    ledger->add(trace::Phase::RsUnpack, unpack_modeled);
     // Wire traffic of this window: the full rank-packed U assembly every
     // rank receives plus the displaced rows scattered from the root.
     std::size_t wb = 0;
     for (std::size_t c : u_counts_) wb += c;
     for (std::size_t c : disp_counts_) wb += c;
-    stats->wire_bytes += static_cast<long>(wb);
+    ledger->add_wire_bytes(static_cast<long>(wb));
   }
 }
 

@@ -29,6 +29,7 @@
 #include "core/matrix.hpp"
 #include "device/alloc.hpp"
 #include "device/stream.hpp"
+#include "trace/phase_ledger.hpp"
 
 namespace hplx::core {
 
@@ -58,20 +59,6 @@ RowSwapPlan build_rowswap_plan(long j, int jb, const long* ipiv);
 /// first panel has sized them (the driver keeps one plan per pipeline
 /// slot and rebuilds it every iteration).
 void build_rowswap_plan(long j, int jb, const long* ipiv, RowSwapPlan& plan);
-
-/// Per-call timing of one communicate(): how long the U assembly spent on
-/// the wire and how much device unpack work was fused into the delivery
-/// (modeled seconds); the ratio min(unpack, wire)/wire is the overlap
-/// efficiency the report prints.
-struct RowSwapStats {
-  double wire_s = 0.0;    ///< wall seconds inside the U-assembly collective
-  double unpack_s = 0.0;  ///< modeled device seconds of fused chunk unpacks
-  /// Bytes this window's swap collectives put on the wire (U-assembly
-  /// allgatherv total + displaced scatterv). Stays zero on the no-pivot
-  /// path — its U replication is a plain panel broadcast charged to comm
-  /// time, not row-swap traffic.
-  long wire_bytes = 0;
-};
 
 /// Per-window workspace + this rank's precomputed index lists. One
 /// instance per concurrently in-flight section (look-ahead / left /
@@ -118,27 +105,27 @@ class RowSwapperT {
   /// U *is* the top block — nothing was swapped, nothing is displaced. The
   /// three stages collapse: gather() packs the diagonal row's jb×njl block
   /// (nprow > 1 only), communicate() broadcasts it down the process column
-  /// (time charged to *mpi_seconds, not to RowSwapStats — there is no swap
-  /// traffic), and scatter() lands it in the U buffer — a single
-  /// device-to-device copy when the column has one process row. Call once
-  /// before the first prepare().
+  /// (time charged to Phase::Mpi only, never to the row-swap wire sums —
+  /// there is no swap traffic), and scatter() lands it in the U buffer — a
+  /// single device-to-device copy when the column has one process row.
+  /// Call once before the first prepare().
   void set_pivot_mode(PivotMode mode) { nopiv_ = mode == PivotMode::None; }
 
   /// Stage 2: communication over the column communicator, gated on the
   /// event gather() recorded (a no-op wait when this rank had nothing to
-  /// pack). Adds the time spent inside communication calls to
-  /// *mpi_seconds.
+  /// pack).
   ///
   /// The U allgatherv runs chunked and the device unpack of each landed
   /// chunk into the replicated U (jb × njl at `u_dev`, ld >= jb, pivot
   /// order) is enqueued on `stream` immediately, so deserialization
   /// overlaps the remaining wire traffic. `stream` must be the stream
   /// scatter() is called with (its fence covers these unpacks). An empty
-  /// window still joins the collectives. `stats`, when non-null, receives
-  /// wire/unpack seconds for the overlap report.
-  void communicate(comm::Communicator& col_comm, double* mpi_seconds,
-                   device::Stream& stream, T* u_dev, long ldu,
-                   RowSwapStats* stats);
+  /// window still joins the collectives. When `ledger` is non-null it is
+  /// charged the time inside communication calls (Phase::Mpi), the
+  /// U-assembly part of it (Phase::RsWire), the modeled seconds of the
+  /// fused unpacks (Phase::RsUnpack) and the window's wire bytes.
+  void communicate(comm::Communicator& col_comm, trace::PhaseLedger* ledger,
+                   device::Stream& stream, T* u_dev, long ldu);
 
   /// Stage 3: enqueue the displaced-row scatter into A (and, in no-pivot
   /// mode, the copy of the top block into U). Records a completion event;

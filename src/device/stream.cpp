@@ -48,9 +48,13 @@ Stream::~Stream() {
 
 void Stream::enqueue(double modeled_seconds, std::function<void()> fn) {
   HPLX_CHECK(modeled_seconds >= 0.0);
+  push(Op{modeled_seconds, std::move(fn)});
+}
+
+void Stream::push(Op op) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(Op{modeled_seconds, std::move(fn)});
+    queue_.push_back(std::move(op));
   }
   cv_work_.notify_one();
 }
@@ -69,13 +73,13 @@ Event Stream::record() {
   // read it without locking.
   if (hz_ != nullptr)
     state->hazard = std::make_shared<EventHazard>(hz_->on_record(hz_id_));
-  Stream* self = this;
-  enqueue(0.0, [state, self] {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->done = true;
-    state->modeled_time = self->busy_seconds();
-    state->cv.notify_all();
-  });
+  push(Op{0.0,
+          [state] {
+            std::lock_guard<std::mutex> lock(state->mutex);
+            state->done = true;
+            state->cv.notify_all();
+          },
+          /*idle=*/true});
   return ev;
 }
 
@@ -86,10 +90,12 @@ void Stream::wait_event(Event ev) {
   // tracked wait joins the *host* clock, and this wait runs on the
   // stream's worker thread.
   auto state = ev.state_;
-  enqueue(0.0, [state] {
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->cv.wait(lock, [&] { return state->done; });
-  });
+  push(Op{0.0,
+          [state] {
+            std::unique_lock<std::mutex> lock(state->mutex);
+            state->cv.wait(lock, [&] { return state->done; });
+          },
+          /*idle=*/true});
 }
 
 void Stream::synchronize() {
@@ -110,12 +116,6 @@ double Stream::real_busy_seconds() const {
   return real_busy_seconds_;
 }
 
-void Stream::reset_busy() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  busy_seconds_ = 0.0;
-  real_busy_seconds_ = 0.0;
-}
-
 void Stream::worker_loop() {
   for (;;) {
     Op op;
@@ -132,7 +132,7 @@ void Stream::worker_loop() {
     }
     const double t0 = wall_seconds();
     if (op.fn) op.fn();
-    const double real = wall_seconds() - t0;
+    const double real = op.idle ? 0.0 : wall_seconds() - t0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       busy_seconds_ += op.modeled;
@@ -169,22 +169,6 @@ Event StreamPool::fan_in() {
 void StreamPool::synchronize() {
   // Primary last: its queue may hold fan-in waits on the other streams.
   for (int i = size() - 1; i >= 0; --i) stream(i).synchronize();
-}
-
-double StreamPool::busy_seconds() const {
-  double t = 0.0;
-  for (const auto& s : streams_) t += s->busy_seconds();
-  return t;
-}
-
-double StreamPool::real_busy_seconds() const {
-  double t = 0.0;
-  for (const auto& s : streams_) t += s->real_busy_seconds();
-  return t;
-}
-
-void StreamPool::reset_busy() {
-  for (const auto& s : streams_) s->reset_busy();
 }
 
 }  // namespace hplx::device

@@ -51,7 +51,6 @@ class Event {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
-    double modeled_time = 0.0;  ///< stream virtual clock at completion
     /// Happens-before payload, set once at record() before the handle
     /// escapes; null when tracking is off.
     std::shared_ptr<EventHazard> hazard;
@@ -97,18 +96,18 @@ class Stream {
 
   /// Total *wall-clock* seconds the stream worker spent executing ops
   /// (used by the real driver's per-iteration trace; the modeled clock is
-  /// what the calibrated figures use).
+  /// what the calibrated figures use). Time blocked in a wait_event() op
+  /// and record()'s completion markers are idle time, not busy time.
   double real_busy_seconds() const;
-
-  /// Reset both busy clocks (between benchmark iterations).
-  void reset_busy();
 
  private:
   struct Op {
     double modeled = 0.0;
     std::function<void()> fn;
+    bool idle = false;  ///< an event wait or marker: not busy time
   };
 
+  void push(Op op);
   void worker_loop();
 
   Device& device_;
@@ -162,11 +161,6 @@ class StreamPool {
 
   /// Host-side: drain every stream.
   void synchronize();
-
-  // Aggregate busy clocks (sums over members; see Stream::busy_seconds).
-  double busy_seconds() const;
-  double real_busy_seconds() const;
-  void reset_busy();
 
  private:
   std::vector<std::unique_ptr<Stream>> streams_;

@@ -29,7 +29,9 @@ struct IterationRecord {
   /// (panel 0 is factored before the first record).
   double fact_s = 0.0;
   double mpi_s = 0.0;      ///< time in communication calls
-  double transfer_s = 0.0; ///< host<->device transfer wait time
+  /// Wall-clock busy time of the data stream, which carries the panel's
+  /// host<->device copies (its event waits are idle time, not counted).
+  double transfer_s = 0.0;
   double rs_wire_s = 0.0;  ///< row-swap U-assembly wall time on the wire
   double rs_unpack_s = 0.0;  ///< modeled seconds of fused chunk unpacks
 

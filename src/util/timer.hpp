@@ -2,9 +2,9 @@
 /// \file timer.hpp
 /// \brief Wall-clock timing utilities.
 ///
-/// The HPL driver keeps per-iteration, per-phase timers (see Fig. 7 of the
-/// paper). Timer is a simple steady-clock stopwatch; PhaseAccumulator sums
-/// disjoint intervals attributed to a named phase within one iteration.
+/// Timer is a simple steady-clock stopwatch. The solver's per-phase sums
+/// (Fig. 7 of the paper) live in trace::PhaseLedger, built on
+/// wall_seconds().
 
 #include <chrono>
 
@@ -51,18 +51,6 @@ class Timer {
   double t0_ = 0.0;
   double total_ = 0.0;
   bool running_ = false;
-};
-
-/// RAII interval: adds to the timer for the lifetime of the guard.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer& timer) : timer_(timer) { timer_.start(); }
-  ~ScopedTimer() { timer_.stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Timer& timer_;
 };
 
 }  // namespace hplx

@@ -17,6 +17,7 @@
 #include "comm/verify.hpp"
 #include "comm/world.hpp"
 #include "core/driver.hpp"
+#include "tests/scoped_env.hpp"
 #include "util/error.hpp"
 
 namespace hplx::comm {
@@ -422,6 +423,7 @@ TEST(CommCheckSolve, CommAndHazardCheckersComposeCleanly) {
 }
 
 TEST(CommCheckSolve, CheckerOffLeavesResultUnchecked) {
+  const ScopedUnsetEnv no_env("HPLX_COMM_CHECK");
   core::HplConfig cfg = solve_cfg(64, 16, 1, 2);
   cfg.comm_check = false;
   const core::HplResult r = run_cfg(cfg);

@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "comm/world.hpp"
 #include "core/driver.hpp"
 
 namespace hplx::core {
 namespace {
 
-HplResult run(long n, int nb, int p, int q, PipelineMode mode) {
+HplResult run(long n, int nb, int p, int q, PipelineMode mode,
+              int update_streams = 1) {
   HplConfig cfg;
   cfg.n = n;
   cfg.nb = nb;
@@ -19,6 +22,7 @@ HplResult run(long n, int nb, int p, int q, PipelineMode mode) {
   cfg.pipeline = mode;
   cfg.fact_threads = 2;
   cfg.rfact_nbmin = 8;
+  cfg.update_streams = update_streams;
   HplResult out;
   comm::World::run(p * q, [&](comm::Communicator& world) {
     HplResult r = run_hpl(world, cfg);
@@ -68,6 +72,36 @@ TEST(DriverTrace, DiagonalOwnersRecordFactTime) {
     if (it.iteration % 4 == 0) rank0_fact += it.fact_s;
   EXPECT_GT(rank0_fact, 0.0);
   EXPECT_LE(rank0_fact, r.fact_seconds + 1e-9);
+}
+
+TEST(DriverTrace, OneRankRecordsReconcileWithTotals) {
+  // On a 1x1 grid every record is rank 0's, and records and totals come
+  // from the same phase ledger and stream clocks: each record is the
+  // difference over its iteration, so the records of a phase sum to at
+  // most the whole-run total, which also holds the prologue (panel 0's
+  // FACT and swap) and the backsolve. The 1e-9 absorbs the rounding of
+  // summed differences.
+  const HplResult r = run(128, 16, 1, 1, PipelineMode::LookaheadSplit, 2);
+  ASSERT_EQ(r.trace.iterations.size(), 8u);
+  double fact = 0.0, mpi = 0.0, wire = 0.0, unpack = 0.0;
+  std::vector<double> real(r.stream_real_seconds.size(), 0.0);
+  for (const auto& it : r.trace.iterations) {
+    fact += it.fact_s;
+    mpi += it.mpi_s;
+    wire += it.rs_wire_s;
+    unpack += it.rs_unpack_s;
+    ASSERT_EQ(it.update_streams, static_cast<int>(real.size()));
+    for (std::size_t i = 0; i < real.size(); ++i)
+      real[i] += it.stream_real_s[i];
+  }
+  EXPECT_GT(fact, 0.0);
+  EXPECT_LE(fact, r.fact_seconds + 1e-9);
+  EXPECT_LE(mpi, r.mpi_seconds + 1e-9);
+  EXPECT_LE(wire, r.rs_wire_seconds + 1e-9);
+  EXPECT_LE(unpack, r.rs_unpack_seconds + 1e-9);
+  ASSERT_EQ(real.size(), 2u);
+  for (std::size_t i = 0; i < real.size(); ++i)
+    EXPECT_LE(real[i], r.stream_real_seconds[i] + 1e-9) << "stream " << i;
 }
 
 TEST(DriverTrace, RaggedLastPanelTraced) {

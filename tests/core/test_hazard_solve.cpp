@@ -25,6 +25,7 @@
 #include "core/driver.hpp"
 #include "core/rowswap.hpp"
 #include "device/hazard.hpp"
+#include "tests/scoped_env.hpp"
 
 namespace hplx::core {
 namespace {
@@ -140,6 +141,7 @@ TEST(HazardSolve, MissingChunkFenceIsReported) {
 }
 
 TEST(HazardSolve, CheckerOffLeavesResultUnmarked) {
+  const ScopedUnsetEnv no_env("HPLX_HAZARD");
   HplConfig cfg = base_cfg(64, 16, 1, 1);
   cfg.hazard_check = false;
   const HplResult r = run(cfg);

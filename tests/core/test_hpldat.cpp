@@ -338,8 +338,9 @@ TEST(HplDat, NonPositiveSwapSizesRejected) {
 }
 
 TEST(HplDat, IntegersAreWholeTokensRangeCheckedBeforeNarrowing) {
+  // Reals follow the same whole-token rule and must also be finite.
   struct Case {
-    const char* line;         // the kClassic text to edit
+    const char* line;         // the text to edit
     std::size_t value_chars;  // length of its value field
     const char* value;        // the replacement
     const char* error;        // what the parse error must say
@@ -354,8 +355,24 @@ TEST(HplDat, IntegersAreWholeTokensRangeCheckedBeforeNarrowing) {
            // A prefix parse reads 64.
            Case{"64           swapping threshold", 2, "64abc",
                 "not an integer: `64abc`"},
+           // Reals: a prefix parse reads 16 / 0.5 / 8, and strtod alone
+           // accepts nan and inf.
+           Case{"16.0         threshold", 4, "16.0x",
+                "(threshold): not a finite number: `16.0x`"},
+           Case{"16.0         threshold", 4, "nan",
+                "(threshold): not a finite number: `nan`"},
+           Case{"0.625        split fraction", 5, "0.5abc",
+                "(split fraction): not a finite number: `0.5abc`"},
+           Case{"0.625        split fraction", 5, "-inf",
+                "(split fraction): not a finite number: `-inf`"},
+           Case{"8.0          IR tolerance", 3, "8.0e",
+                "(IR tolerance): not a finite number: `8.0e`"},
+           Case{"8.0          IR tolerance", 3, "inf",
+                "(IR tolerance): not a finite number: `inf`"},
+           Case{"8.0          IR tolerance", 3, "1e999",
+                "(IR tolerance): not a finite number: `1e999`"},
        }) {
-    std::string text = kClassic;
+    std::string text = std::string(kClassic) + kAllExtensions;
     const auto pos = text.find(c.line);
     ASSERT_NE(pos, std::string::npos) << c.line;
     text.replace(pos, c.value_chars, c.value);

@@ -35,14 +35,14 @@ TEST(PanelBcast, RootDataReachesWholeRow) {
         panel.j = j;
         panel.resize(jb, ml2);
       }
-      double mpi = 0.0;
-      panel_broadcast(row, algo, 1, panel, &mpi);
+      trace::PhaseLedger ledger;
+      panel_broadcast(row, algo, 1, panel, &ledger);
       const PanelData want = make_panel(j, jb, ml2, 5.0);
       EXPECT_EQ(panel.ipiv, want.ipiv);
       EXPECT_EQ(panel.top, want.top);
       EXPECT_EQ(panel.l2, want.l2);
       if (row.rank() != 1) {
-        EXPECT_GT(mpi, 0.0);
+        EXPECT_GT(ledger.seconds(trace::Phase::Mpi), 0.0);
       }
     });
   }
@@ -51,9 +51,9 @@ TEST(PanelBcast, RootDataReachesWholeRow) {
 TEST(PanelBcast, SingleRankRowIsNoop) {
   comm::World::run(1, [&](comm::Communicator& row) {
     PanelData panel = make_panel(0, 4, 6, 1.0);
-    double mpi = 0.0;
-    panel_broadcast(row, comm::BcastAlgo::Ring1Mod, 0, panel, &mpi);
-    EXPECT_DOUBLE_EQ(mpi, 0.0);
+    trace::PhaseLedger ledger;
+    panel_broadcast(row, comm::BcastAlgo::Ring1Mod, 0, panel, &ledger);
+    EXPECT_DOUBLE_EQ(ledger.seconds(trace::Phase::Mpi), 0.0);
     EXPECT_DOUBLE_EQ(panel.top[0], 1.0);
   });
 }

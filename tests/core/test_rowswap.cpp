@@ -158,7 +158,7 @@ TEST_P(RowSwapOracle, CycleMatchesSequentialSwaps) {
         rs.set_pipeline(chunk);
         rs.prepare(plan, a, g.myrow(), jl0, njl, algo);
         rs.gather(stream, a);
-        rs.communicate(g.col_comm(), nullptr, stream, u.data(), ldu, nullptr);
+        rs.communicate(g.col_comm(), nullptr, stream, u.data(), ldu);
         rs.scatter(stream, a, u.data(), ldu);
         stream.synchronize();
 

@@ -41,16 +41,6 @@ TEST(Timer, ResetClears) {
   EXPECT_FALSE(t.running());
 }
 
-TEST(ScopedTimer, AddsOnDestruction) {
-  Timer t;
-  {
-    ScopedTimer guard(t);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GT(t.total(), 0.0);
-  EXPECT_FALSE(t.running());
-}
-
 TEST(WallSeconds, Monotonic) {
   const double a = wall_seconds();
   const double b = wall_seconds();
