@@ -87,10 +87,11 @@ void dtrsm(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
 void strsm(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
            float alpha, const float* a, int lda, float* b, int ldb);
 
-/// Which clone of the packed gemm micro-kernel this host runs: "avx2" or
-/// "default" (baseline x86-64; always on non-x86 and ThreadSanitizer
-/// builds). Mirrors the load-time resolver's __builtin_cpu_supports("avx2")
-/// test; the choice never changes results.
+/// Which ISA version of the BLAS-3 kernels (packed gemm micro-kernel and
+/// trsm diagonal leaf) this host runs: "avx512f", "avx2" or "default"
+/// (baseline x86-64; always on non-x86). It is the resolver's own choice —
+/// the widest version __builtin_cpu_supports allows — and never changes
+/// results.
 const char* kernel_isa();
 
 // ------------------------------------------------------------- auxiliary

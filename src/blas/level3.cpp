@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <iterator>
+#include <span>
 
 #include "blas/blas.hpp"
 #include "blas/microkernel.hpp"
@@ -103,36 +105,79 @@ void gemm_small(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
   }
 }
 
-/// The micro-kernel's one generic body, compiled twice and picked once at
-/// load time by an ifunc resolver: an AVX2 clone (32-byte vectors) and the
-/// baseline x86-64 clone (16-byte SSE2) for hosts without AVX2. The avx2
-/// target carries no FMA and the build pins -ffp-contract=off, so each
-/// accumulator sees the same mul-then-add sequence in either clone as in
-/// gemm_small — residuals do not depend on which clone the host runs
-/// (DESIGN.md decision 12).
-/// ThreadSanitizer instruments the resolver, which runs during relocation,
-/// before its runtime exists, so TSan builds compile the default body only.
-#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
-#define HPLX_ISA_CLONES 1
-#define HPLX_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
-#else
-#define HPLX_ISA_CLONES 0
-#define HPLX_KERNEL_CLONES
-#endif
-
-HPLX_KERNEL_CLONES void micro_kernel_isa(int kb, const double* ap,
-                                         const double* bp, double* acc) {
-  micro_kernel(kb, ap, bp, acc);
+/// The micro-kernel and trsm leaf bodies, compiled once per ISA at that
+/// ISA's native vector width: avx512f 64 B (a float tile row clamps to
+/// 32 B), avx2 32 B, baseline x86-64 16 B. No target carries FMA into the
+/// arithmetic — the build pins -ffp-contract=off — so every version runs
+/// the same mul-then-add sequence as gemm_small and residuals do not depend
+/// on which one the host resolves (DESIGN.md decision 12).
+#if defined(__x86_64__)
+template <typename T>
+__attribute__((target("avx512f"))) void gemm_avx512f(int kb, const T* ap,
+                                                     const T* bp, T* acc) {
+  micro_kernel<T, 64>(kb, ap, bp, acc);
 }
-HPLX_KERNEL_CLONES void micro_kernel_isa(int kb, const float* ap,
-                                         const float* bp, float* acc) {
-  micro_kernel(kb, ap, bp, acc);
+template <typename T>
+__attribute__((target("avx512f"))) void trsm_leaf_avx512f(
+    Uplo uplo, Diag diag, int tb, int n, const T* a, int lda, T* b, int ldb) {
+  trsm_leaf<T, 64>(uplo, diag, tb, n, a, lda, b, ldb);
+}
+template <typename T>
+__attribute__((target("avx2"))) void gemm_avx2(int kb, const T* ap,
+                                               const T* bp, T* acc) {
+  micro_kernel<T, 32>(kb, ap, bp, acc);
+}
+template <typename T>
+__attribute__((target("avx2"))) void trsm_leaf_avx2(Uplo uplo, Diag diag,
+                                                     int tb, int n, const T* a,
+                                                     int lda, T* b, int ldb) {
+  trsm_leaf<T, 32>(uplo, diag, tb, n, a, lda, b, ldb);
+}
+bool has_avx512f() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+}
+bool has_avx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+#endif
+template <typename T>
+void gemm_default(int kb, const T* ap, const T* bp, T* acc) {
+  micro_kernel<T, 16>(kb, ap, bp, acc);
+}
+template <typename T>
+void trsm_leaf_default(Uplo uplo, Diag diag, int tb, int n, const T* a,
+                       int lda, T* b, int ldb) {
+  trsm_leaf<T, 16>(uplo, diag, tb, n, a, lda, b, ldb);
+}
+bool runs_anywhere() { return true; }
+
+template <typename T>
+constexpr detail::KernelVersion<T> kVersions[] = {
+#if defined(__x86_64__)
+    {"avx512f", has_avx512f, gemm_avx512f<T>, trsm_leaf_avx512f<T>},
+    {"avx2", has_avx2, gemm_avx2<T>, trsm_leaf_avx2<T>},
+#endif
+    {"default", runs_anywhere, gemm_default<T>, trsm_leaf_default<T>},
+};
+
+/// The version this process runs: the first, widest, that the CPU
+/// supports. Decided once; callers fetch it once per BLAS call, outside
+/// their tile loops.
+template <typename T>
+const detail::KernelVersion<T>& resolved() {
+  static const detail::KernelVersion<T>& kv = *std::find_if(
+      std::begin(kVersions<T>), std::end(kVersions<T>),
+      [](const detail::KernelVersion<T>& v) { return v.runs_here(); });
+  return kv;
 }
 
 /// Macro-kernel: one packed A block against one packed B panel.
 template <typename T>
-void macro_kernel(int mb, int nb, int kb, T alpha, const T* ap, const T* bp,
-                  T* c, int ldc, bool first_k, T beta) {
+void macro_kernel(const detail::KernelVersion<T>& kv, int mb, int nb, int kb,
+                  T alpha, const T* ap, const T* bp, T* c, int ldc,
+                  bool first_k, T beta) {
   constexpr int mr_t = Tile<T>::mr;
   constexpr int nr_t = Tile<T>::nr;
   for (int jr = 0, jt = 0; jr < nb; jr += nr_t, ++jt) {
@@ -142,7 +187,7 @@ void macro_kernel(int mb, int nb, int kb, T alpha, const T* ap, const T* bp,
       const int mr = std::min(mr_t, mb - ir);
       const T* app = ap + static_cast<long>(it) * kb * mr_t;
       T acc[mr_t * nr_t];
-      micro_kernel_isa(kb, app, bpp, acc);
+      kv.gemm(kb, app, bpp, acc);
       write_back(mr, nr, alpha, acc, c + ir + static_cast<long>(jr) * ldc,
                  ldc, first_k, beta);
     }
@@ -155,10 +200,11 @@ void macro_kernel(int mb, int nb, int kb, T alpha, const T* ap, const T* bp,
 /// barriers per (jc, pc) step keep the shared panel coherent. With
 /// nthreads == 1 and a no-op barrier this is the sequential path.
 template <typename T, typename BarrierFn>
-void gemm_packed_region(Trans ta, Trans tb, int m, int n, int k, T alpha,
-                        const T* a, int lda, const T* b, int ldb, T beta,
-                        T* c, int ldc, const BlockSizes& bs, int tid,
-                        int nthreads, T* bp_shared, BarrierFn&& barrier) {
+void gemm_packed_region(const detail::KernelVersion<T>& kv, Trans ta,
+                        Trans tb, int m, int n, int k, T alpha, const T* a,
+                        int lda, const T* b, int ldb, T beta, T* c, int ldc,
+                        const BlockSizes& bs, int tid, int nthreads,
+                        T* bp_shared, BarrierFn&& barrier) {
   constexpr int mr_t = Tile<T>::mr;
   constexpr int nr_t = Tile<T>::nr;
   T* ap = scratch<T>().a.template ensure<T>(
@@ -181,7 +227,7 @@ void gemm_packed_region(Trans ta, Trans tb, int m, int n, int k, T alpha,
         const int ic = blk * bs.mc;
         const int mb = std::min(bs.mc, m - ic);
         pack_a(ta, mb, kb, op_a_ptr(ta, a, lda, ic, pc), lda, ap);
-        macro_kernel(mb, nb, kb, alpha, ap, bp_shared,
+        macro_kernel(kv, mb, nb, kb, alpha, ap, bp_shared,
                      c + ic + static_cast<long>(jc) * ldc, ldc, first_k,
                      beta);
       }
@@ -190,21 +236,34 @@ void gemm_packed_region(Trans ta, Trans tb, int m, int n, int k, T alpha,
   }
 }
 
+}  // namespace
+
+/// The packed engine on the calling thread alone, with its own B panel.
+template <typename T>
+void detail::gemm_packed(const KernelVersion<T>& kv, Trans ta, Trans tb,
+                         int m, int n, int k, T alpha, const T* a, int lda,
+                         const T* b, int ldb, T beta, T* c, int ldc) {
+  const BlockSizes bs = block_sizes_for<T>();
+  T* bp = scratch<T>().b.template ensure<T>(
+      static_cast<std::size_t>(round_up(bs.nc, Tile<T>::nr)) * bs.kc);
+  gemm_packed_region(kv, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+                     bs, 0, 1, bp, [] {});
+}
+
+namespace {
+
 /// Internal gemm used by trsm's trailing updates: never tries to take
 /// the team (the caller may already hold the lease).
 template <typename T>
-void gemm_sequential(Trans ta, Trans tb, int m, int n, int k, T alpha,
-                     const T* a, int lda, const T* b, int ldb, T beta, T* c,
-                     int ldc) {
+void gemm_sequential(const detail::KernelVersion<T>& kv, Trans ta, Trans tb,
+                     int m, int n, int k, T alpha, const T* a, int lda,
+                     const T* b, int ldb, T beta, T* c, int ldc) {
   if (2.0 * m * n * k < kPackFlopCutoff) {
     gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }
-  const BlockSizes bs = block_sizes_for<T>();
-  T* bp = scratch<T>().b.template ensure<T>(
-      static_cast<std::size_t>(round_up(bs.nc, Tile<T>::nr)) * bs.kc);
-  gemm_packed_region(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                     bs, 0, 1, bp, [] {});
+  detail::gemm_packed(kv, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                      ldc);
 }
 
 template <typename T>
@@ -234,83 +293,42 @@ void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
     return;
   }
 
-  const BlockSizes bs = block_sizes_for<T>();
+  const detail::KernelVersion<T>& kv = resolved<T>();
   if (flops >= kTeamFlopCutoff) {
     detail::TeamLease lease;
     if (ThreadTeam* team = lease.team()) {
+      const BlockSizes bs = block_sizes_for<T>();
       const int nthreads = team->size();
       T* bp = team_b<T>().template ensure<T>(
           static_cast<std::size_t>(round_up(bs.nc, Tile<T>::nr)) * bs.kc);
       team->run([&](int tid) {
-        gemm_packed_region(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                           ldc, bs, tid, nthreads, bp,
+        gemm_packed_region(kv, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta,
+                           c, ldc, bs, tid, nthreads, bp,
                            [&] { team->barrier(); });
       });
       return;
     }
   }
-  T* bp = scratch<T>().b.template ensure<T>(
-      static_cast<std::size_t>(round_up(bs.nc, Tile<T>::nr)) * bs.kc);
-  gemm_packed_region(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                     bs, 0, 1, bp, [] {});
-}
-
-/// Unblocked forward substitution: L(tb×tb) * X = B on the block's rows,
-/// vectorized across the n right-hand sides.
-template <typename T>
-void trsm_unblocked_lower(Diag diag, int tb, int n, const T* a, int lda,
-                          T* b, int ldb) {
-  const bool unit = diag == Diag::Unit;
-  for (int p = 0; p < tb; ++p) {
-    if (!unit) {
-      const T d = a[static_cast<long>(p) * lda + p];
-      for (int j = 0; j < n; ++j) b[static_cast<long>(j) * ldb + p] /= d;
-    }
-    const T* acol = a + static_cast<long>(p) * lda;
-    for (int j = 0; j < n; ++j) {
-      T* bcol = b + static_cast<long>(j) * ldb;
-      const T t = bcol[p];
-      if (t == T(0)) continue;
-      for (int i = p + 1; i < tb; ++i) bcol[i] -= acol[i] * t;
-    }
-  }
-}
-
-/// Unblocked back substitution: U(tb×tb) * X = B on the block's rows.
-template <typename T>
-void trsm_unblocked_upper(Diag diag, int tb, int n, const T* a, int lda,
-                          T* b, int ldb) {
-  const bool unit = diag == Diag::Unit;
-  for (int p = tb - 1; p >= 0; --p) {
-    if (!unit) {
-      const T d = a[static_cast<long>(p) * lda + p];
-      for (int j = 0; j < n; ++j) b[static_cast<long>(j) * ldb + p] /= d;
-    }
-    const T* acol = a + static_cast<long>(p) * lda;
-    for (int j = 0; j < n; ++j) {
-      T* bcol = b + static_cast<long>(j) * ldb;
-      const T t = bcol[p];
-      if (t == T(0)) continue;
-      for (int i = 0; i < p; ++i) bcol[i] -= acol[i] * t;
-    }
-  }
+  detail::gemm_packed(kv, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                      ldc);
 }
 
 /// Right-looking blocked solve for the Side::Left, Trans::No cases: solve
-/// a kTrsmBlock diagonal block unblocked, then fold its rows into the
-/// remaining RHS rows with one packed gemm — the bulk of the flops runs
-/// at gemm speed instead of scalar-substitution speed.
+/// a kTrsmBlock diagonal block with the resolved version's trsm_leaf, then
+/// fold its rows into the remaining RHS rows with one packed gemm — the
+/// bulk of the flops runs at gemm speed instead of substitution speed.
 template <typename T>
 void trsm_left_notrans_blocked(Uplo uplo, Diag diag, int m, int n, const T* a,
                                int lda, T* b, int ldb) {
+  const detail::KernelVersion<T>& kv = resolved<T>();
   if (uplo == Uplo::Lower) {
     for (int p0 = 0; p0 < m; p0 += kTrsmBlock) {
       const int tb = std::min(kTrsmBlock, m - p0);
-      trsm_unblocked_lower(diag, tb, n, a + p0 + static_cast<long>(p0) * lda,
-                           lda, b + p0, ldb);
+      kv.trsm_leaf(uplo, diag, tb, n, a + p0 + static_cast<long>(p0) * lda,
+                   lda, b + p0, ldb);
       const int rem = m - p0 - tb;
       if (rem > 0) {
-        gemm_sequential(Trans::No, Trans::No, rem, n, tb, T(-1),
+        gemm_sequential(kv, Trans::No, Trans::No, rem, n, tb, T(-1),
                         a + p0 + tb + static_cast<long>(p0) * lda, lda,
                         b + p0, ldb, T(1), b + p0 + tb, ldb);
       }
@@ -319,10 +337,10 @@ void trsm_left_notrans_blocked(Uplo uplo, Diag diag, int m, int n, const T* a,
     for (int p1 = m; p1 > 0;) {
       const int tb = std::min(kTrsmBlock, p1);
       const int p0 = p1 - tb;
-      trsm_unblocked_upper(diag, tb, n, a + p0 + static_cast<long>(p0) * lda,
-                           lda, b + p0, ldb);
+      kv.trsm_leaf(uplo, diag, tb, n, a + p0 + static_cast<long>(p0) * lda,
+                   lda, b + p0, ldb);
       if (p0 > 0) {
-        gemm_sequential(Trans::No, Trans::No, p0, n, tb, T(-1),
+        gemm_sequential(kv, Trans::No, Trans::No, p0, n, tb, T(-1),
                         a + static_cast<long>(p0) * lda, lda, b + p0, ldb,
                         T(1), b, ldb);
       }
@@ -478,13 +496,25 @@ void trsm_impl(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
 
 }  // namespace
 
-const char* kernel_isa() {
-#if HPLX_ISA_CLONES
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return "avx2";
-#endif
-  return "default";
+const char* kernel_isa() { return resolved<double>().isa; }
+
+namespace detail {
+
+template <typename T>
+std::span<const KernelVersion<T>> kernel_versions() {
+  return kVersions<T>;
 }
+
+template std::span<const KernelVersion<double>> kernel_versions();
+template std::span<const KernelVersion<float>> kernel_versions();
+template void gemm_packed(const KernelVersion<double>&, Trans, Trans, int,
+                          int, int, double, const double*, int, const double*,
+                          int, double, double*, int);
+template void gemm_packed(const KernelVersion<float>&, Trans, Trans, int, int,
+                          int, float, const float*, int, const float*, int,
+                          float, float*, int);
+
+}  // namespace detail
 
 void dgemm(Trans ta, Trans tb, int m, int n, int k, double alpha,
            const double* a, int lda, const double* b, int ldb, double beta,

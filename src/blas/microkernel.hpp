@@ -1,6 +1,8 @@
 #pragma once
 /// \file microkernel.hpp
-/// \brief Register-blocked mr×nr gemm micro-kernel over packed panels.
+/// \brief Register-blocked mr×nr gemm micro-kernel over packed panels, the
+/// trsm diagonal leaf, and the per-ISA table that level3.cpp builds them
+/// into.
 ///
 /// The hot loop of the engine: one packed A row-panel (Tile<T>::mr
 /// elements per k step) against one packed B column-panel (Tile<T>::nr per
@@ -8,44 +10,98 @@
 /// memory until the write-back, so C traffic is one load/store pair per KC
 /// k-steps instead of one per tile row (the pre-pack kernel's ratio).
 ///
-/// The body is plain C++ with no intrinsics; gcc vectorizes it across the
-/// tile's nr columns. level3.cpp compiles it twice as load-time ISA clones
-/// (`micro_kernel_isa`): on AVX2 hosts each 8-wide accumulator row is two
-/// 32-byte ymm vectors for double and one for float (8 and 4 registers for
-/// the block); the baseline x86-64 clone uses 16-byte SSE2 vectors, twice
-/// as many per row. Both element types use the 4×8 tile because wider float
-/// tiles trip gcc's vectorizer cost model and run scalar. Each float row is
-/// half the bytes of a double row, so fp32 retires twice the elements per
-/// vector op — the mxp32 mode's 2x flop-density win.
+/// The bodies are written once on GCC vector extensions, with no
+/// intrinsics, and templated on the vector width VB in bytes. Each
+/// accumulator row is nr·sizeof(T)/VB vectors, and a[i] multiplies a whole
+/// B vector as one broadcast load, so the k loop issues no lane shuffles
+/// (gcc's auto-vectorized broadcasts of a[i] are shuffle-bound; DESIGN.md
+/// decision 12). level3.cpp compiles the bodies once per ISA at that
+/// ISA's native width (avx512f 64 B, avx2 32 B, baseline 16 B; a float
+/// tile row is 32 B, so it clamps there) and a resolver picks one version
+/// per process.
 ///
 /// Accumulation order is fixed: k runs sequentially within a KC block and
 /// KC blocks are visited in order, and every C tile is written by exactly
 /// one thread — so results are bitwise identical for every team size T.
-/// Products and sums stay separate instructions in every clone (no FMA
-/// target, -ffp-contract=off), which keeps them bitwise identical to
-/// gemm_small's per-element dot products too (tests/blas/test_threaded.cpp).
+/// Products and sums stay separate instructions in every version (the
+/// build pins -ffp-contract=off, so no target fuses them into FMA), which
+/// keeps them bitwise identical to gemm_small's per-element dot products
+/// and to each other (tests/blas/test_threaded.cpp).
 
 #include <algorithm>
+#include <span>
 
 #include "blas/pack.hpp"
 
 namespace hplx::blas {
 
-/// acc[i*nr + j] = sum_k ap[k*mr + i] * bp[k*nr + j] over kb steps.
-/// Always inlined, so each ISA clone compiles the body for its own target.
-template <typename T>
+/// acc[i*nr + j] = sum_k ap[k*mr + i] * bp[k*nr + j] over kb steps, on
+/// VB-byte vectors (clamped to one tile row). Packed panels and `acc` are
+/// only element-aligned, so memory is read and written through VM, an
+/// element-aligned, may_alias vector type; the accumulators are V and stay
+/// in registers. Always inlined, so each ISA version compiles the body for
+/// its own target.
+template <typename T, int VB>
 [[gnu::always_inline]] inline void micro_kernel(int kb, const T* ap,
                                                 const T* bp, T* acc) {
   constexpr int mr = Tile<T>::mr;
   constexpr int nr = Tile<T>::nr;
-  T c[mr * nr] = {};
+  constexpr int vb = std::min<int>(VB, nr * sizeof(T));
+  constexpr int lanes = vb / sizeof(T);
+  constexpr int nv = nr / lanes;
+  typedef T V __attribute__((vector_size(vb)));
+  typedef T VM
+      __attribute__((vector_size(vb), aligned(alignof(T)), may_alias));
+  V c[mr][nv] = {};
   for (int p = 0; p < kb; ++p) {
     const T* a = ap + static_cast<long>(p) * mr;
-    const T* b = bp + static_cast<long>(p) * nr;
+    const auto* b = reinterpret_cast<const VM*>(bp + static_cast<long>(p) * nr);
     for (int i = 0; i < mr; ++i)
-      for (int j = 0; j < nr; ++j) c[i * nr + j] += a[i] * b[j];
+      for (int v = 0; v < nv; ++v) c[i][v] += a[i] * b[v];
   }
-  for (int v = 0; v < mr * nr; ++v) acc[v] = c[v];
+  for (int i = 0; i < mr; ++i)
+    for (int v = 0; v < nv; ++v)
+      *reinterpret_cast<VM*>(acc + i * nr + v * lanes) = c[i][v];
+}
+
+/// y[i] -= x[i] * t for i < len: VB-byte vectors, then a scalar tail.
+template <typename T, int VB>
+[[gnu::always_inline]] inline void axpy_sub(int len, T t, const T* x, T* y) {
+  constexpr int lanes = VB / sizeof(T);
+  typedef T VM
+      __attribute__((vector_size(VB), aligned(alignof(T)), may_alias));
+  int i = 0;
+  for (; i + lanes <= len; i += lanes) {
+    *reinterpret_cast<VM*>(y + i) -= *reinterpret_cast<const VM*>(x + i) * t;
+  }
+  for (; i < len; ++i) y[i] -= x[i] * t;
+}
+
+/// Unblocked triangular solve op(A)(tb×tb) * X = B on a diagonal block,
+/// A lower (forward substitution) or upper (back substitution), not
+/// transposed. One right-hand-side column at a time runs through all tb
+/// rows, so the column stays in L1; each element sees the same subtraction
+/// order as a row-at-a-time sweep, so the result does not depend on VB.
+template <typename T, int VB>
+[[gnu::always_inline]] inline void trsm_leaf(Uplo uplo, Diag diag, int tb,
+                                             int n, const T* a, int lda, T* b,
+                                             int ldb) {
+  const bool unit = diag == Diag::Unit;
+  for (int j = 0; j < n; ++j) {
+    T* bcol = b + static_cast<long>(j) * ldb;
+    for (int s = 0; s < tb; ++s) {
+      const int p = uplo == Uplo::Lower ? s : tb - 1 - s;
+      const T* acol = a + static_cast<long>(p) * lda;
+      if (!unit) bcol[p] /= acol[p];
+      const T t = bcol[p];
+      if (t == T(0)) continue;
+      if (uplo == Uplo::Lower) {
+        axpy_sub<T, VB>(tb - p - 1, t, acol + p + 1, bcol + p + 1);
+      } else {
+        axpy_sub<T, VB>(p, t, acol, bcol);
+      }
+    }
+  }
 }
 
 /// Write an mr×nr corner of the accumulator into C.
@@ -78,5 +134,35 @@ inline void write_back(int mr, int nr, T alpha, const T* acc, T* c, int ldc,
     }
   }
 }
+
+namespace detail {
+
+/// One ISA version of the BLAS-3 kernels: micro_kernel and trsm_leaf
+/// compiled for one target at that target's vector width.
+template <typename T>
+struct KernelVersion {
+  const char* isa;     ///< "avx512f", "avx2" or "default"
+  bool (*runs_here)(); ///< the resolver's CPU test for this version
+  void (*gemm)(int kb, const T* ap, const T* bp, T* acc);
+  void (*trsm_leaf)(Uplo uplo, Diag diag, int tb, int n, const T* a, int lda,
+                    T* b, int ldb);
+};
+
+/// Every version this build carries, widest first. The last is "default"
+/// (baseline ISA) and runs anywhere; the resolver takes the first entry
+/// whose runs_here() holds, once per process.
+template <typename T>
+std::span<const KernelVersion<T>> kernel_versions();
+
+/// The packed gemm engine on the calling thread alone (no team), on a
+/// given version. dgemm/sgemm and trsm's updates pass the resolved
+/// version; tests pass every version the host supports. Requires
+/// m, n, k >= 1 and alpha != 0 (dgemm/sgemm handle the rest).
+template <typename T>
+void gemm_packed(const KernelVersion<T>& kv, Trans ta, Trans tb, int m, int n,
+                 int k, T alpha, const T* a, int lda, const T* b, int ldb,
+                 T beta, T* c, int ldc);
+
+}  // namespace detail
 
 }  // namespace hplx::blas

@@ -20,10 +20,10 @@
 ///
 /// The engine is instantiated per element type: `double` (the seed dgemm
 /// path) and `float` (the HPL-MxP mxp32 path). Both use the same 4×8
-/// micro-tile (see Tile below for why float does not go wider); the float
-/// cache-blocking defaults double every MC/KC/NC count so the packed
-/// panels hold twice the elements in comparable cache space, and fp32
-/// moves twice the elements per cache line and vector op.
+/// micro-tile (see Tile below); the float cache-blocking defaults double
+/// every MC/KC/NC count so the packed panels hold twice the elements in
+/// comparable cache space, and fp32 moves twice the elements per cache
+/// line.
 
 #include <cstddef>
 #include <new>
@@ -32,13 +32,12 @@
 
 namespace hplx::blas {
 
-/// Per-element-type micro-tile shape. Both engines use a 4×8 tile: in the
-/// AVX2 micro-kernel clone each accumulator row is two 32-byte vectors for
-/// double and one for float, and the 4-row unroll keeps the whole block in
-/// registers for either element type (the baseline SSE2 clone splits each
-/// row into 16-byte halves). An 8×8 float tile — byte-parity with the
-/// double tile — defeats gcc's vectorizer cost model and runs scalar, ~5x
-/// slower; the narrower tile is what realizes fp32's 2x flop-density win.
+/// Per-element-type micro-tile shape. Both engines use a 4×8 tile. The
+/// micro-kernel holds each accumulator row in vectors of its ISA's native
+/// width: one 64-byte zmm per double row on avx512f, two 32-byte ymm on
+/// avx2, four 16-byte halves on the baseline ISA; a float row is 32 bytes,
+/// one ymm on avx512f and avx2. The 4-row block stays in registers on
+/// every version (microkernel.hpp).
 template <typename T>
 struct Tile;
 template <>

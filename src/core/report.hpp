@@ -24,7 +24,7 @@ namespace hplx::core {
 std::string encode_tv(const HplConfig& cfg);
 
 /// Print the banner block (once per session), naming the BLAS
-/// micro-kernel ISA clone this host runs.
+/// kernel ISA version this host runs.
 void print_hpl_banner(std::ostream& os);
 
 /// Print the column header for result lines.

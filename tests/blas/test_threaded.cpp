@@ -2,9 +2,9 @@
 /// invariants: every team size must match the naive reference within
 /// tolerance AND reproduce the single-thread result bitwise, the engine
 /// choice (small vs packed vs teamed) must not depend on how a logical
-/// update is sliced into calls (in both precisions, whichever micro-kernel
-/// ISA clone runs), and beta == 0 must overwrite C without reading it even
-/// when C starts as NaN/Inf.
+/// update is sliced into calls (in both precisions, on every micro-kernel
+/// ISA version the host can run), and beta == 0 must overwrite C without
+/// reading it even when C starts as NaN/Inf.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "blas/blas.hpp"
+#include "blas/microkernel.hpp"
 #include "blas/pack.hpp"
 #include "blas/threading.hpp"
 #include "tests/blas/reference.hpp"
@@ -180,83 +181,181 @@ TEST(GemmBetaZero, OverwritesNanAndInfOnEveryPath) {
 
 /// The pipeline modes slice one logical update into calls that land on
 /// either side of the packed engine's flop cutoff (2*m*n*k = 65536), so the
-/// packed micro-kernel — whichever ISA clone this host resolved — and the
+/// packed micro-kernel — whichever ISA version this host resolved — and the
 /// small path must produce the same bits in both precisions. A fused
 /// multiply-add in either path (a target that implies FMA under gcc's
 /// default -ffp-contract=fast) shows up here as a last-bit mismatch.
 template <typename T>
-class PackedVsSmallGemm : public ::testing::Test {};
+class PackedVsSmallGemm : public ::testing::Test {
+ protected:
+  struct Scalars {
+    T alpha, beta;
+  };
+  /// One packed-sized problem and its reference: every C element computed
+  /// by its own 1×1×k call, which the flop cutoff routes to gemm_small.
+  struct Case {
+    Trans ta, tb;
+    Scalars sc;
+    int lda, ldb, ldc;
+    std::vector<T> a, b, c0, sliced;
+  };
+
+  // k crosses the type's KC block twice; m % 4 == 3 and n % 8 == 5 leave
+  // ragged micro-tiles on both edges.
+  const int m = 39, n = 45, k = 2 * block_sizes_for<T>().kc + 37;
+
+  /// Every transpose combination × three alpha/beta pairs; beta == 0
+  /// starts C as NaN, which both engines must overwrite without reading.
+  std::vector<Case> cases() const {
+    std::vector<Case> out;
+    const T nan = std::numeric_limits<T>::quiet_NaN();
+    for (Scalars sc : {Scalars{T(-1), T(1)}, Scalars{T(2.5), T(-0.5)},
+                       Scalars{T(0.75), T(0)}}) {
+      for (Trans ta : {Trans::No, Trans::Yes}) {
+        for (Trans tb : {Trans::No, Trans::Yes}) {
+          Rand rng(static_cast<std::uint64_t>(k) +
+                   (ta == Trans::Yes ? 5 : 0) + (tb == Trans::Yes ? 9 : 0));
+          Case c{ta, tb, sc, (ta == Trans::No ? m : k) + 1,
+                 (tb == Trans::No ? k : n) + 3, m + 2, {}, {}, {}, {}};
+          auto to_t = [](const std::vector<double>& v) {
+            return std::vector<T>(v.begin(), v.end());
+          };
+          c.a = to_t(rng.matrix(ta == Trans::No ? m : k,
+                                ta == Trans::No ? k : m, c.lda));
+          c.b = to_t(rng.matrix(tb == Trans::No ? k : n,
+                                tb == Trans::No ? n : k, c.ldb));
+          c.c0 = to_t(rng.matrix(m, n, c.ldc));
+          if (sc.beta == T(0)) std::fill(c.c0.begin(), c.c0.end(), nan);
+          // One call per element: 2*k flops, far below the cutoff.
+          c.sliced = c.c0;
+          for (int j = 0; j < n; ++j) {
+            for (int i = 0; i < m; ++i) {
+              const T* ai = c.a.data() + (ta == Trans::No
+                                              ? i
+                                              : static_cast<long>(i) * c.lda);
+              const T* bj = c.b.data() + (tb == Trans::No
+                                              ? static_cast<long>(j) * c.ldb
+                                              : j);
+              gemm(ta, tb, 1, 1, k, sc.alpha, ai, c.lda, bj, c.ldb, sc.beta,
+                   c.sliced.data() + i + static_cast<long>(j) * c.ldc, c.ldc);
+            }
+          }
+          out.push_back(std::move(c));
+        }
+      }
+    }
+    return out;
+  }
+
+  void expect_bitwise(const Case& c, const std::vector<T>& got,
+                      const char* isa) const {
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < m; ++i) {
+        const std::size_t idx = static_cast<std::size_t>(j) * c.ldc +
+                                static_cast<std::size_t>(i);
+        ASSERT_TRUE(std::isfinite(got[idx]));
+        ASSERT_EQ(got[idx], c.sliced[idx])
+            << isa << " (" << i << "," << j << ") ta=" << (c.ta == Trans::Yes)
+            << " tb=" << (c.tb == Trans::Yes) << " alpha=" << c.sc.alpha
+            << " beta=" << c.sc.beta;
+      }
+  }
+};
 using ElementTypes = ::testing::Types<double, float>;
 TYPED_TEST_SUITE(PackedVsSmallGemm, ElementTypes);
 
 TYPED_TEST(PackedVsSmallGemm, WholeCallAndSubCutoffSlicesAgreeBitwise) {
-  using T = TypeParam;
-  const T nan = std::numeric_limits<T>::quiet_NaN();
-  // k crosses the type's KC block twice; m % 4 == 3 and n % 8 == 5 leave
-  // ragged micro-tiles on both edges.
-  const int m = 39, n = 45, k = 2 * block_sizes_for<T>().kc + 37;
-  ASSERT_GE(2.0 * m * n * k, 65536.0) << "whole call must be packed";
-  struct Scalars {
-    T alpha, beta;
-  };
-  for (Scalars sc : {Scalars{T(-1), T(1)}, Scalars{T(2.5), T(-0.5)},
-                     Scalars{T(0.75), T(0)}}) {
-    for (Trans ta : {Trans::No, Trans::Yes}) {
-      for (Trans tb : {Trans::No, Trans::Yes}) {
-        Rand rng(static_cast<std::uint64_t>(k) + (ta == Trans::Yes ? 5 : 0) +
-                 (tb == Trans::Yes ? 9 : 0));
-        const int lda = (ta == Trans::No ? m : k) + 1;
-        const int ldb = (tb == Trans::No ? k : n) + 3;
-        const int ldc = m + 2;
-        auto to_t = [](const std::vector<double>& v) {
-          return std::vector<T>(v.begin(), v.end());
-        };
-        const auto a = to_t(rng.matrix(ta == Trans::No ? m : k,
-                                       ta == Trans::No ? k : m, lda));
-        const auto b = to_t(rng.matrix(tb == Trans::No ? k : n,
-                                       tb == Trans::No ? n : k, ldb));
-        auto c0 = to_t(rng.matrix(m, n, ldc));
-        // beta == 0 must overwrite C without reading it on both engines.
-        if (sc.beta == T(0)) std::fill(c0.begin(), c0.end(), nan);
+  ASSERT_GE(2.0 * this->m * this->n * this->k, 65536.0)
+      << "whole call must be packed";
+  for (const auto& c : this->cases()) {
+    auto whole = c.c0;
+    gemm(c.ta, c.tb, this->m, this->n, this->k, c.sc.alpha, c.a.data(), c.lda,
+         c.b.data(), c.ldb, c.sc.beta, whole.data(), c.ldc);
+    this->expect_bitwise(c, whole, kernel_isa());
+  }
+}
 
-        auto whole = c0;
-        gemm(ta, tb, m, n, k, sc.alpha, a.data(), lda, b.data(), ldb, sc.beta,
-             whole.data(), ldc);
-        // One call per element: 2*k flops, far below the cutoff.
-        auto sliced = c0;
+/// The resolver runs one version per host, so the check above never
+/// reaches the narrower ones on a wide host: run every version this CPU
+/// supports through the packed engine directly.
+TYPED_TEST(PackedVsSmallGemm, EveryKernelVersionTheCpuRunsAgreesBitwise) {
+  using T = TypeParam;
+  const auto cases = this->cases();
+  int ran = 0;
+  for (const auto& kv : detail::kernel_versions<T>()) {
+    if (!kv.runs_here()) continue;
+    ++ran;
+    for (const auto& c : cases) {
+      auto whole = c.c0;
+      detail::gemm_packed(kv, c.ta, c.tb, this->m, this->n, this->k,
+                          c.sc.alpha, c.a.data(), c.lda, c.b.data(), c.ldb,
+                          c.sc.beta, whole.data(), c.ldc);
+      this->expect_bitwise(c, whole, kv.isa);
+    }
+  }
+  EXPECT_GE(ran, 1) << "the default version runs anywhere";
+}
+
+/// Every version's trsm diagonal leaf against textbook substitution on
+/// the same data: a full and a ragged block, both triangles and both
+/// diagonals, lengths that leave a scalar tail at every vector width.
+template <typename T>
+class TrsmLeafVersions : public ::testing::Test {};
+TYPED_TEST_SUITE(TrsmLeafVersions, ElementTypes);
+
+TYPED_TEST(TrsmLeafVersions, EveryVersionTheCpuRunsMatchesSubstitution) {
+  using T = TypeParam;
+  for (int tb : {64, 37}) {
+    const int n = 13, lda = tb + 3, ldb = tb + 5;
+    Rand rng(static_cast<std::uint64_t>(tb));
+    std::vector<T> a(static_cast<std::size_t>(lda) * tb);
+    for (auto& v : a) v = static_cast<T>(rng.next());
+    for (int p = 0; p < tb; ++p)
+      a[static_cast<std::size_t>(p) * lda + p] = static_cast<T>(tb) + T(1);
+    std::vector<T> b0(static_cast<std::size_t>(ldb) * n);
+    for (auto& v : b0) v = static_cast<T>(rng.next());
+    // One zero right-hand side element exercises the t == 0 skip.
+    b0[3] = T(0);
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+      for (Diag diag : {Diag::Unit, Diag::NonUnit}) {
+        auto want = b0;
         for (int j = 0; j < n; ++j) {
-          for (int i = 0; i < m; ++i) {
-            const T* ai = a.data() + (ta == Trans::No
-                                          ? i
-                                          : static_cast<long>(i) * lda);
-            const T* bj = b.data() + (tb == Trans::No
-                                          ? static_cast<long>(j) * ldb
-                                          : j);
-            gemm(ta, tb, 1, 1, k, sc.alpha, ai, lda, bj, ldb, sc.beta,
-                 sliced.data() + i + static_cast<long>(j) * ldc, ldc);
+          T* x = want.data() + static_cast<std::size_t>(j) * ldb;
+          for (int s = 0; s < tb; ++s) {
+            const int i = uplo == Uplo::Lower ? s : tb - 1 - s;
+            for (int t = 0; t < s; ++t) {
+              const int p = uplo == Uplo::Lower ? t : tb - 1 - t;
+              x[i] -= a[static_cast<std::size_t>(p) * lda + i] * x[p];
+            }
+            if (diag == Diag::NonUnit)
+              x[i] /= a[static_cast<std::size_t>(i) * lda + i];
           }
         }
-        for (int j = 0; j < n; ++j)
-          for (int i = 0; i < m; ++i) {
-            const std::size_t idx = static_cast<std::size_t>(j) * ldc +
-                                    static_cast<std::size_t>(i);
-            ASSERT_TRUE(std::isfinite(whole[idx]));
-            ASSERT_EQ(whole[idx], sliced[idx])
-                << "(" << i << "," << j << ") ta=" << (ta == Trans::Yes)
-                << " tb=" << (tb == Trans::Yes) << " alpha=" << sc.alpha
-                << " beta=" << sc.beta;
-          }
+        int ran = 0;
+        for (const auto& kv : detail::kernel_versions<T>()) {
+          if (!kv.runs_here()) continue;
+          ++ran;
+          auto got = b0;
+          kv.trsm_leaf(uplo, diag, tb, n, a.data(), lda, got.data(), ldb);
+          for (std::size_t idx = 0; idx < got.size(); ++idx)
+            ASSERT_EQ(got[idx], want[idx])
+                << kv.isa << " tb=" << tb << " idx=" << idx
+                << " lower=" << (uplo == Uplo::Lower)
+                << " unit=" << (diag == Diag::Unit);
+        }
+        EXPECT_GE(ran, 1);
       }
     }
   }
 }
 
 TEST(KernelIsa, MirrorsTheResolversCpuTest) {
-  // Same condition as level3.cpp: TSan builds carry no clones.
-#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
+  // Same condition as level3.cpp: the widest version the CPU supports.
+#if defined(__x86_64__)
   __builtin_cpu_init();
-  EXPECT_STREQ(kernel_isa(),
-               __builtin_cpu_supports("avx2") ? "avx2" : "default");
+  EXPECT_STREQ(kernel_isa(), __builtin_cpu_supports("avx512f") ? "avx512f"
+                             : __builtin_cpu_supports("avx2") ? "avx2"
+                                                              : "default");
 #else
   EXPECT_STREQ(kernel_isa(), "default");
 #endif
