@@ -4,8 +4,10 @@
 # suites (ctest label "tsan": util/blas/comm/device + the chunked-transport
 # stress, driver (core + hpl) and mixed-precision suites) under
 # ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
-# grid/rng/trace + the hazard-checker, chunked-transport, driver and
-# mixed-precision suites) under AddressSanitizer+LeakSanitizer+UBSan. The
+# blas/grid/rng/trace + the hazard-checker, chunked-transport, driver and
+# mixed-precision suites) under AddressSanitizer+LeakSanitizer+UBSan (the
+# BLAS suite rides along so UBSan sees every kernel version's vector
+# loads and stores). The
 # driver suites hold every pipeline/stream bitwise sweep, so both
 # legs run the real solve schedules. The mixed-precision suite also
 # carries the "mxp" label, surfaced as its own tier-1 step so a red MxP
@@ -77,9 +79,9 @@ else
   cmake -B "$build_asan" -S "$repo" -DHPLX_SANITIZE=address,undefined \
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_asan" -j "$jobs" \
-    --target test_grid test_rng test_trace test_hazard test_comm_chunked \
-             test_core test_hpl test_alloc test_mxp test_variants \
-             test_commcheck
+    --target test_blas test_grid test_rng test_trace test_hazard \
+             test_comm_chunked test_core test_hpl test_alloc test_mxp \
+             test_variants test_commcheck
   # LSan rides along with ASan by default on Linux; halt_on_error keeps UB
   # findings fatal so the leg cannot silently pass over them.
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \

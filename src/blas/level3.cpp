@@ -64,6 +64,8 @@ const T* op_b_ptr(Trans tb, const T* b, int ldb, int p, int j) {
                          : b + j + static_cast<long>(p) * ldb;
 }
 
+}  // namespace
+
 /// Small-problem path. Must be bitwise-compatible with the packed engine:
 /// HPL's pipeline modes slice one logical update into differently shaped
 /// gemm calls and still expect identical results, and which engine runs
@@ -72,8 +74,9 @@ const T* op_b_ptr(Trans tb, const T* b, int ldb, int p, int j) {
 /// each KC block of k in order, beta applied with the first block only,
 /// alpha applied once per block at write-back (never folded into terms).
 template <typename T>
-void gemm_small(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
-                int lda, const T* b, int ldb, T beta, T* c, int ldc) {
+void detail::gemm_small(Trans ta, Trans tb, int m, int n, int k, T alpha,
+                        const T* a, int lda, const T* b, int ldb, T beta,
+                        T* c, int ldc) {
   auto A = [&](int i, int p) -> T {
     return ta == Trans::No ? a[static_cast<long>(p) * lda + i]
                            : a[static_cast<long>(i) * lda + p];
@@ -105,12 +108,46 @@ void gemm_small(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
   }
 }
 
+namespace {
+
+/// The m×1 product with op(A) = A (refinement corrections, single-RHS
+/// backsolve): a column-axpy sweep, acc += A(:, p)·op(B)(p) for p in
+/// order, that streams A once instead of packing it into mr-row panels
+/// and computing nr−1 zero-padded columns per tile. Per KC block each
+/// acc[i] starts from zero and sums its products in k order, and alpha/beta
+/// apply at write-back exactly as in gemm_small, so the bits match it. The
+/// accumulator is the calling thread's A-packing scratch, idle on this
+/// path.
+template <typename T>
+void gemm_column(Trans tb, int m, int k, T alpha, const T* a, int lda,
+                 const T* b, int ldb, T beta, T* c) {
+  const long bstride = tb == Trans::No ? 1 : ldb;
+  const int kc = block_sizes_for<T>().kc;
+  T* acc = scratch<T>().a.template ensure<T>(static_cast<std::size_t>(m));
+  for (int p0 = 0; p0 < k; p0 += kc) {
+    const int pe = std::min(k, p0 + kc);
+    std::fill(acc, acc + m, T(0));
+    for (int p = p0; p < pe; ++p) {
+      const T bp = b[p * bstride];
+      const T* acol = a + static_cast<long>(p) * lda;
+      for (int i = 0; i < m; ++i) acc[i] += acol[i] * bp;
+    }
+    if (p0 > 0) {
+      for (int i = 0; i < m; ++i) c[i] += alpha * acc[i];
+    } else if (beta == T(0)) {
+      for (int i = 0; i < m; ++i) c[i] = alpha * acc[i];
+    } else {
+      for (int i = 0; i < m; ++i) c[i] = alpha * acc[i] + beta * c[i];
+    }
+  }
+}
+
 /// The micro-kernel and trsm leaf bodies, compiled once per ISA at that
-/// ISA's native vector width: avx512f 64 B (a float tile row clamps to
-/// 32 B), avx2 32 B, baseline x86-64 16 B. No target carries FMA into the
-/// arithmetic — the build pins -ffp-contract=off — so every version runs
-/// the same mul-then-add sequence as gemm_small and residuals do not depend
-/// on which one the host resolves (DESIGN.md decision 12).
+/// ISA's native vector width: avx512f 64 B, avx2 32 B, baseline x86-64
+/// 16 B. No target carries FMA into the arithmetic — the build pins
+/// -ffp-contract=off — so every version runs the same mul-then-add
+/// sequence as gemm_small and residuals do not depend on which one the
+/// host resolves (DESIGN.md decision 12).
 #if defined(__x86_64__)
 template <typename T>
 __attribute__((target("avx512f"))) void gemm_avx512f(int kb, const T* ap,
@@ -259,7 +296,7 @@ void gemm_sequential(const detail::KernelVersion<T>& kv, Trans ta, Trans tb,
                      int m, int n, int k, T alpha, const T* a, int lda,
                      const T* b, int ldb, T beta, T* c, int ldc) {
   if (2.0 * m * n * k < kPackFlopCutoff) {
-    gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+    detail::gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }
   detail::gemm_packed(kv, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
@@ -287,9 +324,13 @@ void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
     return;
   }
 
+  if (n == 1 && ta == Trans::No) {
+    gemm_column(tb, m, k, alpha, a, lda, b, ldb, beta, c);
+    return;
+  }
   const double flops = 2.0 * m * n * k;
   if (flops < kPackFlopCutoff) {
-    gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+    detail::gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }
 
@@ -505,6 +546,10 @@ std::span<const KernelVersion<T>> kernel_versions() {
   return kVersions<T>;
 }
 
+template void gemm_small(Trans, Trans, int, int, int, double, const double*,
+                         int, const double*, int, double, double*, int);
+template void gemm_small(Trans, Trans, int, int, int, float, const float*, int,
+                         const float*, int, float, float*, int);
 template std::span<const KernelVersion<double>> kernel_versions();
 template std::span<const KernelVersion<float>> kernel_versions();
 template void gemm_packed(const KernelVersion<double>&, Trans, Trans, int,

@@ -16,9 +16,9 @@
 /// B vector as one broadcast load, so the k loop issues no lane shuffles
 /// (gcc's auto-vectorized broadcasts of a[i] are shuffle-bound; DESIGN.md
 /// decision 12). level3.cpp compiles the bodies once per ISA at that
-/// ISA's native width (avx512f 64 B, avx2 32 B, baseline 16 B; a float
-/// tile row is 32 B, so it clamps there) and a resolver picks one version
-/// per process.
+/// ISA's native width (avx512f 64 B, avx2 32 B, baseline 16 B; every tile
+/// row is 64 B, so each row is one, two or four vectors) and a resolver
+/// picks one version per process.
 ///
 /// Accumulation order is fixed: k runs sequentially within a KC block and
 /// KC blocks are visited in order, and every C tile is written by exactly
@@ -28,7 +28,6 @@
 /// keeps them bitwise identical to gemm_small's per-element dot products
 /// and to each other (tests/blas/test_threaded.cpp).
 
-#include <algorithm>
 #include <span>
 
 #include "blas/pack.hpp"
@@ -36,8 +35,8 @@
 namespace hplx::blas {
 
 /// acc[i*nr + j] = sum_k ap[k*mr + i] * bp[k*nr + j] over kb steps, on
-/// VB-byte vectors (clamped to one tile row). Packed panels and `acc` are
-/// only element-aligned, so memory is read and written through VM, an
+/// VB-byte vectors, nr·sizeof(T)/VB per tile row. Packed panels and `acc`
+/// are only element-aligned, so memory is read and written through VM, an
 /// element-aligned, may_alias vector type; the accumulators are V and stay
 /// in registers. Always inlined, so each ISA version compiles the body for
 /// its own target.
@@ -46,12 +45,12 @@ template <typename T, int VB>
                                                 const T* bp, T* acc) {
   constexpr int mr = Tile<T>::mr;
   constexpr int nr = Tile<T>::nr;
-  constexpr int vb = std::min<int>(VB, nr * sizeof(T));
-  constexpr int lanes = vb / sizeof(T);
+  constexpr int lanes = VB / sizeof(T);
   constexpr int nv = nr / lanes;
-  typedef T V __attribute__((vector_size(vb)));
+  static_assert(nv * lanes == nr, "a tile row is whole VB-byte vectors");
+  typedef T V __attribute__((vector_size(VB)));
   typedef T VM
-      __attribute__((vector_size(vb), aligned(alignof(T)), may_alias));
+      __attribute__((vector_size(VB), aligned(alignof(T)), may_alias));
   V c[mr][nv] = {};
   for (int p = 0; p < kb; ++p) {
     const T* a = ap + static_cast<long>(p) * mr;
@@ -153,6 +152,13 @@ struct KernelVersion {
 /// whose runs_here() holds, once per process.
 template <typename T>
 std::span<const KernelVersion<T>> kernel_versions();
+
+/// The small-problem gemm: per element, a register dot product over each
+/// KC block of k in order, alpha/beta applied at write-back. Every other
+/// gemm path reproduces its bits; tests use it as the reference.
+template <typename T>
+void gemm_small(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
+                int lda, const T* b, int ldb, T beta, T* c, int ldc);
 
 /// The packed gemm engine on the calling thread alone (no team), on a
 /// given version. dgemm/sgemm and trsm's updates pass the resolved

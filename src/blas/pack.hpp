@@ -19,11 +19,11 @@
 /// write-back masks the padding.
 ///
 /// The engine is instantiated per element type: `double` (the seed dgemm
-/// path) and `float` (the HPL-MxP mxp32 path). Both use the same 4×8
-/// micro-tile (see Tile below); the float cache-blocking defaults double
-/// every MC/KC/NC count so the packed panels hold twice the elements in
-/// comparable cache space, and fp32 moves twice the elements per cache
-/// line.
+/// path) and `float` (the HPL-MxP mxp32 path). Both tiles have 4 rows of
+/// 64 bytes (4×8 double, 4×16 float; see Tile below); the float
+/// cache-blocking defaults double every MC/KC/NC count so the packed
+/// panels hold twice the elements in comparable cache space, and fp32
+/// moves twice the elements per cache line.
 
 #include <cstddef>
 #include <new>
@@ -32,12 +32,12 @@
 
 namespace hplx::blas {
 
-/// Per-element-type micro-tile shape. Both engines use a 4×8 tile. The
-/// micro-kernel holds each accumulator row in vectors of its ISA's native
-/// width: one 64-byte zmm per double row on avx512f, two 32-byte ymm on
-/// avx2, four 16-byte halves on the baseline ISA; a float row is 32 bytes,
-/// one ymm on avx512f and avx2. The 4-row block stays in registers on
-/// every version (microkernel.hpp).
+/// Per-element-type micro-tile shape: 4 rows of 64 bytes, 4×8 double and
+/// 4×16 float. The micro-kernel holds each accumulator row in vectors of
+/// its ISA's native width — one zmm on avx512f, two ymm on avx2, four xmm
+/// on the baseline ISA, for either type — so the 4-row block stays in
+/// registers on every version and no version runs narrower than its ISA
+/// (microkernel.hpp).
 template <typename T>
 struct Tile;
 template <>
@@ -48,13 +48,8 @@ struct Tile<double> {
 template <>
 struct Tile<float> {
   static constexpr int mr = 4;
-  static constexpr int nr = 8;
+  static constexpr int nr = 16;
 };
-
-/// Micro-tile rows/columns of the double engine (compat aliases; the
-/// templated engine uses Tile<T>).
-inline constexpr int kMR = Tile<double>::mr;
-inline constexpr int kNR = Tile<double>::nr;
 
 /// Runtime cache-blocking parameters (the MC/KC/NC of the Goto loop
 /// ordering). Defaults keep one packed A block (MC×KC = 256 KiB) plus the
@@ -66,9 +61,10 @@ struct BlockSizes {
   int nc = 512;
 };
 
-/// Install new pack block sizes for the double engine (clamped to
-/// multiples of kMR/kNR, minimum one tile). Not thread-safe against
-/// in-flight dgemm calls; intended for configuration time.
+/// Install new pack block sizes for the double engine (MC and NC rounded
+/// down to multiples of the tile's mr/nr, minimum one tile). Not
+/// thread-safe against in-flight dgemm calls; intended for configuration
+/// time.
 void set_block_sizes(const BlockSizes& bs);
 BlockSizes block_sizes();
 

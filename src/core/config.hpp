@@ -48,10 +48,11 @@ const char* to_string(RowSwapAlgo a);
 /// classic benchmark. MXP32 runs the entire LU — panel factorization,
 /// broadcast, row swaps, trailing update, backsolve — in fp32 (half the
 /// flops' cost on matrix-engine hardware, half the wire and HBM bytes),
-/// then recovers fp64 accuracy with iterative refinement against the
-/// regenerated fp64 operator. MXP16Sim runs the same fp32 kernels but
-/// bills their modeled time at the device's fp16 throughput curve — the
-/// simulation-side stand-in for a tensor-core fp16/bf16 engine.
+/// then recovers fp64 accuracy with iterative refinement against the fp64
+/// operator the fp32 matrix was cast from. MXP16Sim runs the same fp32
+/// kernels but bills their modeled time at the device's fp16 throughput
+/// curve — the simulation-side stand-in for a tensor-core fp16/bf16
+/// engine.
 enum class PrecisionMode { FP64, MXP32, MXP16Sim };
 
 const char* to_string(PrecisionMode p);

@@ -701,6 +701,9 @@ HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg) {
     RefineResult rr = iterative_refine(
         solver.grid(), solver.matrix(), solver.stream(), solver.pivots(),
         solver.solution(), cfg.ir_max_iters, cfg.ir_tol, &solver.ledger());
+    // Refinement was the fp64 source's last reader; freeing it is part of
+    // the timed solve.
+    solver.matrix().release_fp64_source();
     result.mpi_seconds = solver.ledger().seconds(trace::Phase::Mpi);
     result.ir_iters = rr.iters;
     if (rr.converged) {

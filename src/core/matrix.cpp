@@ -1,36 +1,11 @@
 #include "core/matrix.hpp"
 
-#include <vector>
+#include <type_traits>
 
 #include "rng/matgen.hpp"
 #include "util/error.hpp"
 
 namespace hplx::core {
-namespace {
-
-// Fill the local tile with the seeded values. The fp64 stream is the one
-// source of truth: a float matrix is the element-wise cast of the double
-// one, never an independently generated stream, so every precision solves
-// (a rounding of) the same system.
-void fill_local(std::uint64_t seed, long n, long gn, int nb, int myrow,
-                int mycol, int nprow, int npcol, double* a, long lda,
-                long /*nloc*/, double diag_shift) {
-  rng::generate_local(seed, n, gn, nb, myrow, mycol, nprow, npcol, a, lda,
-                      diag_shift);
-}
-
-void fill_local(std::uint64_t seed, long n, long gn, int nb, int myrow,
-                int mycol, int nprow, int npcol, float* a, long lda,
-                long nloc, double diag_shift) {
-  std::vector<double> tmp(static_cast<std::size_t>(lda) *
-                          static_cast<std::size_t>(nloc > 0 ? nloc : 1));
-  rng::generate_local(seed, n, gn, nb, myrow, mycol, nprow, npcol,
-                      tmp.data(), lda, diag_shift);
-  for (std::size_t i = 0; i < tmp.size(); ++i)
-    a[i] = static_cast<float>(tmp[i]);
-}
-
-}  // namespace
 
 template <typename T>
 DistMatrixT<T>::DistMatrixT(device::Device& dev, const grid::ProcessGrid& g,
@@ -56,9 +31,23 @@ DistMatrixT<T>::DistMatrixT(device::Device& dev, const grid::ProcessGrid& g,
                                                                  : 1))) {
   HPLX_CHECK(n >= 1 && nb >= 1 && nrhs >= 1);
   // Generation is an init-time device fill (rocHPL generates on-device);
-  // it is not charged to any stream.
-  fill_local(seed_, n_, n_ + nrhs_, nb_, myrow_, mycol_, nprow_, npcol_,
-             local(), lda_, nloc_, diag_shift_);
+  // it is not charged to any stream. The fp64 stream is the one source of
+  // truth: a float matrix is the element-wise cast of the double one,
+  // never an independently generated stream, so every precision solves (a
+  // rounding of) the same system.
+  if constexpr (std::is_same_v<T, double>) {
+    rng::generate_local(seed_, n_, n_ + nrhs_, nb_, myrow_, mycol_, nprow_,
+                        npcol_, local(), lda_, diag_shift_);
+  } else {
+    fp64_source_.reset(new double[static_cast<std::size_t>(lda_) *
+                                  static_cast<std::size_t>(
+                                      nloc_ > 0 ? nloc_ : 1)]);
+    rng::generate_local(seed_, n_, n_ + nrhs_, nb_, myrow_, mycol_, nprow_,
+                        npcol_, fp64_source_.get(), lda_, diag_shift_);
+    for (long jl = 0; jl < nloc_; ++jl)
+      for (long il = 0; il < mloc_; ++il)
+        *at(il, jl) = static_cast<T>(fp64_source_[jl * lda_ + il]);
+  }
 }
 
 template <typename T>

@@ -12,11 +12,14 @@
 /// is classic HPL; `DistMatrixT<float>` is the HPL-MxP low-precision
 /// working matrix, filled with the *exact float casts* of the same seeded
 /// fp64 values — so the fp32 system is the rounded image of the fp64 one
-/// and iterative refinement against the regenerated fp64 operator
-/// converges. Storage is half the bytes, which is where MxP's capacity and
-/// bandwidth headroom comes from.
+/// and iterative refinement against that fp64 operator converges. The
+/// float matrix keeps the fp64 values it was cast from in host memory
+/// (fp64_source()): they are generated once per solve and refinement
+/// measures its residuals against them. Device storage is half the bytes,
+/// which is where MxP's capacity and bandwidth headroom comes from.
 
 #include <cstdint>
+#include <memory>
 
 #include "device/device.hpp"
 #include "grid/block_cyclic.hpp"
@@ -61,6 +64,14 @@ class DistMatrixT {
   /// Device pointer to local element (il, jl).
   T* at(long il, long jl) { return local() + jl * lda_ + il; }
 
+  /// The fp64 local [A|B] this matrix was cast from (lda()-strided, same
+  /// shape as local()), or null for a double matrix, which is its own
+  /// source. A plain host allocation outside every pool, alive until
+  /// release_fp64_source() or the matrix's end.
+  const double* fp64_source() const { return fp64_source_.get(); }
+  /// Free the fp64 source once nothing will read it again.
+  void release_fp64_source() { fp64_source_.reset(); }
+
   device::Device& dev() const { return dev_; }
 
  private:
@@ -75,6 +86,7 @@ class DistMatrixT {
   grid::CyclicDim cols_;
   long mloc_, nloc_, lda_;
   device::Buffer buf_;
+  std::unique_ptr<double[]> fp64_source_;
 };
 
 using DistMatrix = DistMatrixT<double>;

@@ -8,7 +8,6 @@
 #include "device/alloc.hpp"
 #include "device/hazard.hpp"
 #include "device/kernels.hpp"
-#include "rng/matgen.hpp"
 #include "util/error.hpp"
 
 namespace hplx::core {
@@ -16,8 +15,8 @@ namespace hplx::core {
 namespace {
 
 /// Everything the refinement loop reuses across iterations: the fp64
-/// operator regenerated once, replicated b, the local→global row map, and
-/// ||A||_∞ for the scaled-residual denominator.
+/// operator the low-precision matrix was cast from, replicated b, the
+/// local→global row map, and ||A||_∞ for the scaled-residual denominator.
 template <typename T>
 struct RefineCtx {
   grid::ProcessGrid& g;
@@ -27,8 +26,9 @@ struct RefineCtx {
   trace::PhaseLedger* ledger;  ///< communication time goes here, or null
 
   long n, nrhs, nb, ml, nl, ldh;
-  std::vector<double> ah;    ///< fp64 local [A|B], regenerated (ldh×nl)
+  const double* ah;          ///< fp64 local [A|B] (ldh×nl), a's source
   std::vector<long> igmap;   ///< local row il → global row index
+  std::vector<double> rloc;  ///< per-local-row sums before the scatter
   std::vector<double> b;     ///< replicated rhs panel (n×nrhs column-major)
   double norm_a = 0.0;       ///< ||A||_∞
   std::vector<double> norm_b;  ///< per-RHS ||b_r||_∞
@@ -47,6 +47,7 @@ struct RefineCtx {
         stream(stream_),
         pivots(pivots_),
         ledger(ledger_),
+        ah(a_.fp64_source()),
         y(a_.dev().host_arena()),
         acc(a_.dev().host_arena()),
         d(a_.dev().host_arena()) {
@@ -55,16 +56,12 @@ struct RefineCtx {
     nb = a.nb();
     ml = a.mloc();
     nl = a.nloc();
-    ldh = std::max<long>(ml, 1);
+    ldh = a.lda();
 
-    // One regeneration of the local fp64 operator — the residual is
-    // always measured against the original full-precision system,
-    // including its diagonal shift when the run is diagonally dominant.
-    ah.resize(static_cast<std::size_t>(ldh) *
-              static_cast<std::size_t>(std::max<long>(nl, 1)));
-    rng::generate_local(a.seed(), n, n + nrhs, static_cast<int>(nb),
-                        g.myrow(), g.mycol(), g.nprow(), g.npcol(), ah.data(),
-                        ldh, a.diag_shift());
+    // The residual is always measured against the original full-precision
+    // system, including its diagonal shift when the run is diagonally
+    // dominant: the fp64 values the working matrix was cast from.
+    HPLX_CHECK(ah != nullptr);
 
     igmap.resize(static_cast<std::size_t>(std::max<long>(ml, 1)));
     for (long il = 0; il < ml; ++il)
@@ -81,8 +78,7 @@ struct RefineCtx {
       if (jg < n || jg >= n + nrhs) continue;
       double* bcol = b.data() + (jg - n) * n;
       for (long il = 0; il < ml; ++il)
-        bcol[igmap[static_cast<std::size_t>(il)]] =
-            ah[static_cast<std::size_t>(il + jl * ldh)];
+        bcol[igmap[static_cast<std::size_t>(il)]] = ah[il + jl * ldh];
     }
     sum_all(b.data(), b.size());
     norm_b.assign(static_cast<std::size_t>(nrhs), 0.0);
@@ -94,33 +90,45 @@ struct RefineCtx {
 
     // ||A||_∞ over the replicated row sums.
     std::vector<double> rowsum(static_cast<std::size_t>(n), 0.0);
+    rloc.assign(static_cast<std::size_t>(ml), 0.0);
     for (long jl2 = 0; jl2 < nl; ++jl2) {
       const long jg = a.cols().to_global(jl2, g.mycol());
       if (jg >= n) continue;
-      const double* col = ah.data() + static_cast<std::size_t>(jl2) * ldh;
+      const double* col = ah + jl2 * ldh;
       for (long il = 0; il < ml; ++il)
-        rowsum[static_cast<std::size_t>(
-            igmap[static_cast<std::size_t>(il)])] += std::fabs(col[il]);
+        rloc[static_cast<std::size_t>(il)] += std::fabs(col[il]);
     }
+    scatter_rows(rowsum);
     sum_all(rowsum.data(), rowsum.size());
     for (long i = 0; i < n; ++i)
       norm_a = std::max(norm_a, rowsum[static_cast<std::size_t>(i)]);
+  }
+
+  /// Copy the per-local-row sums `rloc` into their global rows of the
+  /// zeroed length-n `out`. Each global row has exactly one local row, so
+  /// summing locally first and scattering once gives every row the same
+  /// additions, in the same column order, as scattering every element.
+  void scatter_rows(std::vector<double>& out) const {
+    for (long il = 0; il < ml; ++il)
+      out[static_cast<std::size_t>(igmap[static_cast<std::size_t>(il)])] =
+          rloc[static_cast<std::size_t>(il)];
   }
 
   /// r = b_rhs − A·x into `r` (replicated); `x` is one solution column
   /// (length n). Returns that column's HPL scaled residual.
   double residual(const std::vector<double>& x, std::vector<double>& r,
                   long rhs) {
-    r.assign(static_cast<std::size_t>(n), 0.0);
+    rloc.assign(static_cast<std::size_t>(ml), 0.0);
     for (long jl = 0; jl < nl; ++jl) {
       const long jg = a.cols().to_global(jl, g.mycol());
       if (jg >= n) continue;
       const double xj = x[static_cast<std::size_t>(jg)];
-      const double* col = ah.data() + static_cast<std::size_t>(jl) * ldh;
+      const double* col = ah + jl * ldh;
       for (long il = 0; il < ml; ++il)
-        r[static_cast<std::size_t>(
-            igmap[static_cast<std::size_t>(il)])] += col[il] * xj;
+        rloc[static_cast<std::size_t>(il)] += col[il] * xj;
     }
+    r.assign(static_cast<std::size_t>(n), 0.0);
+    scatter_rows(r);
     sum_all(r.data(), r.size());
 
     const double* bcol = b.data() + rhs * n;
@@ -300,8 +308,8 @@ RefineResult iterative_refine(grid::ProcessGrid& g, DistMatrixT<T>& a,
   out.converged = true;
 
   // Each RHS column refines independently against its own b column; the
-  // regenerated operator, row map, and pivot replay are shared through the
-  // one context. Reported iters/residual are the worst column's, and
+  // fp64 operator, row map, and pivot replay are shared through the one
+  // context. Reported iters/residual are the worst column's, and
   // `converged` requires every column to pass.
   std::vector<double> xcol(static_cast<std::size_t>(n)), r;
   for (long rhs = 0; rhs < nrhs; ++rhs) {
@@ -346,10 +354,6 @@ RefineResult iterative_refine(grid::ProcessGrid& g, DistMatrixT<T>& a,
   return out;
 }
 
-template RefineResult iterative_refine<double>(
-    grid::ProcessGrid&, DistMatrixT<double>&, device::Stream&,
-    const std::vector<std::vector<long>>&, std::vector<double>, int, double,
-    trace::PhaseLedger*);
 template RefineResult iterative_refine<float>(
     grid::ProcessGrid&, DistMatrixT<float>&, device::Stream&,
     const std::vector<std::vector<long>>&, std::vector<double>, int, double,

@@ -5,21 +5,21 @@
 /// The mixed-precision benchmark factors the system in low precision and
 /// recovers fp64 accuracy afterwards with classic iterative refinement:
 ///
-///   r     = b − A·x          (fp64, A regenerated from the seed)
+///   r     = b − A·x          (fp64, the A the factors were cast from)
 ///   L U d = P r              (low precision, reusing the factors in HBM)
 ///   x    += d                (fp64)
 ///
 /// repeated until the HPL scaled residual passes. The residual uses the
-/// *original* fp64 operator — regenerated once from the seeded stream, the
-/// same trick the verifier uses, so no fp64 copy of A is ever stored. The
-/// correction solve replays the factorization's row swaps on the
-/// replicated residual (the pivot lists every rank collected during the
-/// panel broadcasts), then runs a distributed forward (unit-lower) and
-/// backward (upper) substitution over the factors still resident in
-/// device memory, per diagonal block: the owner solves its NB×NB triangle
-/// on the device, broadcasts the solved segment, and every rank of the
-/// owning process column applies its local block-column contribution with
-/// an m×1 device GEMM.
+/// *original* fp64 operator: the host copy the low-precision matrix keeps
+/// of the values it was cast from (DistMatrixT::fp64_source), generated
+/// once per solve. The correction solve replays the factorization's row
+/// swaps on the replicated residual (the pivot lists every rank collected
+/// during the panel broadcasts), then runs a distributed forward
+/// (unit-lower) and backward (upper) substitution over the factors still
+/// resident in device memory, per diagonal block: the owner solves its
+/// NB×NB triangle on the device, broadcasts the solved segment, and every
+/// rank of the owning process column applies its local block-column
+/// contribution with an m×1 device GEMM.
 ///
 /// Convergence is guarded: if the scaled residual stops decreasing (or
 /// goes non-finite) before it passes, `converged` comes back false and the
@@ -45,11 +45,11 @@ struct RefineResult {
 /// matrix after the factorization); `pivots[k]` is panel k's global pivot
 /// row list (length = that panel's jb); `x0` is the low-precision solve's
 /// solution panel — n×nrhs column-major, replicated and widened to double.
-/// Each RHS column is refined independently against its own regenerated b
-/// column, sharing one regenerated operator. `tol` is the HPL residual
-/// threshold the refined solution must pass; `max_iters` bounds the
-/// correction count per column. Communication time is charged to
-/// `ledger`'s Phase::Mpi (when non-null).
+/// Each RHS column is refined independently against its own fp64 b column,
+/// sharing one fp64 operator. `tol` is the HPL residual threshold the
+/// refined solution must pass; `max_iters` bounds the correction count per
+/// column. Communication time is charged to `ledger`'s Phase::Mpi (when
+/// non-null).
 template <typename T>
 RefineResult iterative_refine(grid::ProcessGrid& g, DistMatrixT<T>& a,
                               device::Stream& stream,

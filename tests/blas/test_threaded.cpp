@@ -1,10 +1,10 @@
 /// Property tests for the packed BLAS-3 engine's threading and numerical
 /// invariants: every team size must match the naive reference within
 /// tolerance AND reproduce the single-thread result bitwise, the engine
-/// choice (small vs packed vs teamed) must not depend on how a logical
-/// update is sliced into calls (in both precisions, on every micro-kernel
-/// ISA version the host can run), and beta == 0 must overwrite C without
-/// reading it even when C starts as NaN/Inf.
+/// choice (small vs m×1 column sweep vs packed vs teamed) must not depend
+/// on how a logical update is sliced into calls (in both precisions, on
+/// every micro-kernel ISA version the host can run), and beta == 0 must
+/// overwrite C without reading it even when C starts as NaN/Inf.
 
 #include <gtest/gtest.h>
 
@@ -192,7 +192,7 @@ class PackedVsSmallGemm : public ::testing::Test {
     T alpha, beta;
   };
   /// One packed-sized problem and its reference: every C element computed
-  /// by its own 1×1×k call, which the flop cutoff routes to gemm_small.
+  /// by its own 1×1×k gemm_small call.
   struct Case {
     Trans ta, tb;
     Scalars sc;
@@ -200,8 +200,9 @@ class PackedVsSmallGemm : public ::testing::Test {
     std::vector<T> a, b, c0, sliced;
   };
 
-  // k crosses the type's KC block twice; m % 4 == 3 and n % 8 == 5 leave
-  // ragged micro-tiles on both edges.
+  // k crosses the type's KC block twice; m % 4 == 3 and n = 45 (13 past a
+  // 16-column float tile, 5 past an 8-column double one) leave ragged
+  // micro-tiles on both edges.
   const int m = 39, n = 45, k = 2 * block_sizes_for<T>().kc + 37;
 
   /// Every transpose combination × three alpha/beta pairs; beta == 0
@@ -236,8 +237,9 @@ class PackedVsSmallGemm : public ::testing::Test {
               const T* bj = c.b.data() + (tb == Trans::No
                                               ? static_cast<long>(j) * c.ldb
                                               : j);
-              gemm(ta, tb, 1, 1, k, sc.alpha, ai, c.lda, bj, c.ldb, sc.beta,
-                   c.sliced.data() + i + static_cast<long>(j) * c.ldc, c.ldc);
+              detail::gemm_small(
+                  ta, tb, 1, 1, k, sc.alpha, ai, c.lda, bj, c.ldb, sc.beta,
+                  c.sliced.data() + i + static_cast<long>(j) * c.ldc, c.ldc);
             }
           }
           out.push_back(std::move(c));
@@ -294,6 +296,57 @@ TYPED_TEST(PackedVsSmallGemm, EveryKernelVersionTheCpuRunsAgreesBitwise) {
     }
   }
   EXPECT_GE(ran, 1) << "the default version runs anywhere";
+}
+
+/// m×1 products with op(A) = A (refinement corrections, the single-RHS
+/// backsolve) take a column sweep instead of gemm_small or the packed
+/// engine, whatever their flop count; it must reproduce gemm_small's bits.
+/// k crosses the KC block twice, so an accumulator that is not restarted
+/// per block shows; m is ragged and lands on both sides of the cutoff.
+template <typename T>
+class ColumnGemm : public ::testing::Test {};
+TYPED_TEST_SUITE(ColumnGemm, ElementTypes);
+
+TYPED_TEST(ColumnGemm, MatchesGemmSmallBitwise) {
+  using T = TypeParam;
+  const int k = 2 * block_sizes_for<T>().kc + 37;
+  const int m_cut = 32768 / k;  // 2*m*k = 65536, the pack cutoff
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  for (int m : {m_cut - 3, 4 * m_cut + 3}) {
+    const int lda = m + 1;
+    Rand rng(static_cast<std::uint64_t>(m));
+    std::vector<T> a(static_cast<std::size_t>(lda) * k);
+    for (auto& v : a) v = static_cast<T>(rng.next());
+    for (Trans tb : {Trans::No, Trans::Yes}) {
+      // op(B) is k×1: a contiguous column, or a strided row.
+      const int ldb = tb == Trans::No ? k : 3;
+      std::vector<T> b(static_cast<std::size_t>(tb == Trans::No ? k
+                                                                : ldb * k));
+      for (auto& v : b) v = static_cast<T>(rng.next());
+      std::vector<T> c0(static_cast<std::size_t>(m));
+      for (auto& v : c0) v = static_cast<T>(rng.next());
+      for (T alpha : {T(1), T(-1)}) {
+        for (T beta : {T(0), T(1), T(0.5)}) {
+          auto want = c0, got = c0;
+          if (beta == T(0)) {
+            std::fill(want.begin(), want.end(), nan);
+            std::fill(got.begin(), got.end(), nan);
+          }
+          detail::gemm_small(Trans::No, tb, m, 1, k, alpha, a.data(), lda,
+                             b.data(), ldb, beta, want.data(), m);
+          gemm(Trans::No, tb, m, 1, k, alpha, a.data(), lda, b.data(), ldb,
+               beta, got.data(), m);
+          for (int i = 0; i < m; ++i) {
+            ASSERT_TRUE(std::isfinite(got[static_cast<std::size_t>(i)]));
+            ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                      want[static_cast<std::size_t>(i)])
+                << "m=" << m << " i=" << i << " tb=" << (tb == Trans::Yes)
+                << " alpha=" << alpha << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
 }
 
 /// Every version's trsm diagonal leaf against textbook substitution on

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "comm/world.hpp"
 #include "core/matrix.hpp"
 #include "rng/matgen.hpp"
@@ -37,6 +40,31 @@ TEST(DistMatrix, ContentsMatchSerialGeneration) {
                          global[static_cast<std::size_t>(jg * n + ig)]);
       }
     }
+    // A double matrix is its own fp64 source.
+    EXPECT_EQ(a.fp64_source(), nullptr);
+
+    // A float matrix keeps the fp64 values it was cast from (diagonal
+    // shift included): bitwise the rank's generate_local block, and every
+    // float entry is the cast of its source element.
+    const double shift = 2.0 * n;
+    DistMatrixT<float> af(dev, g, n, nb, 123, 1, shift);
+    ASSERT_NE(af.fp64_source(), nullptr);
+    ASSERT_EQ(af.lda(), a.lda());
+    const std::size_t count = static_cast<std::size_t>(af.lda()) *
+                              static_cast<std::size_t>(af.nloc());
+    std::vector<double> want(count);
+    rng::generate_local(123, n, n + 1, nb, g.myrow(), g.mycol(), g.nprow(),
+                        g.npcol(), want.data(), af.lda(), shift);
+    EXPECT_EQ(std::memcmp(af.fp64_source(), want.data(),
+                          count * sizeof(double)),
+              0);
+    for (long jl = 0; jl < af.nloc(); ++jl)
+      for (long il = 0; il < af.mloc(); ++il)
+        ASSERT_EQ(*af.at(il, jl),
+                  static_cast<float>(
+                      af.fp64_source()[jl * af.lda() + il]));
+    af.release_fp64_source();
+    EXPECT_EQ(af.fp64_source(), nullptr);
   });
 }
 
