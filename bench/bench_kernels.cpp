@@ -1,6 +1,6 @@
 /// \file bench_kernels.cpp
 /// \brief K-KERN: google-benchmark timings of the device data-motion
-/// kernels (row gather/scatter, pack/unpack, laswp, strided copies) on the
+/// kernels (row gather/scatter, laswp, strided copies) on the
 /// column-tiled engine, against the seed's row-outer naive loops. These
 /// are the kernels that bound the solver's non-GEMM phases once the
 /// trailing update is fast (§III; the Aurora HPL retrospective reports the
@@ -82,31 +82,12 @@ void naive_row_gather(const double* a, long lda, const std::vector<long>& rows,
   }
 }
 
-void naive_pack_rows(const double* a, long lda, const std::vector<long>& rows,
-                     long n, double* out_rowmajor) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const long src = rows[i];
-    double* out = out_rowmajor + static_cast<long>(i) * n;
-    for (long c = 0; c < n; ++c) out[c] = a[src + c * lda];
-  }
-}
-
 void naive_row_scatter(double* a, long lda, const std::vector<long>& rows,
                        long n, const double* in, long ldi) {
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const long dst_row = rows[r];
     for (long j = 0; j < n; ++j)
       a[dst_row + j * lda] = in[static_cast<long>(r) + j * ldi];
-  }
-}
-
-void naive_unpack_rows(const double* in_rowmajor,
-                       const std::vector<long>& rows, long n, double* a,
-                       long lda) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const long dst = rows[i];
-    const double* in = in_rowmajor + static_cast<long>(i) * n;
-    for (long c = 0; c < n; ++c) a[dst + c * lda] = in[c];
   }
 }
 
@@ -177,35 +158,6 @@ void BM_RowGatherNaive(benchmark::State& state) {
   set_mbs(state, jb, njl);
 }
 
-void BM_PackRows(benchmark::State& state) {
-  const long jb = state.range(0), njl = state.range(1);
-  EngineGuard guard(state);
-  device::Stream s(bench_device());
-  auto a = random_matrix(njl + 64, njl, 3);
-  const long lda = njl + 64;
-  auto rows = scattered_rows(jb, lda, 4);
-  std::vector<double> out(static_cast<std::size_t>(jb) * njl);
-  for (auto _ : state) {
-    device::pack_rows(s, a.data(), lda, rows, njl, out.data());
-    s.synchronize();
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_mbs(state, jb, njl);
-}
-
-void BM_PackRowsNaive(benchmark::State& state) {
-  const long jb = state.range(0), njl = state.range(1);
-  auto a = random_matrix(njl + 64, njl, 3);
-  const long lda = njl + 64;
-  auto rows = scattered_rows(jb, lda, 4);
-  std::vector<double> out(static_cast<std::size_t>(jb) * njl);
-  for (auto _ : state) {
-    naive_pack_rows(a.data(), lda, rows, njl, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  set_mbs(state, jb, njl);
-}
-
 void BM_RowScatter(benchmark::State& state) {
   const long jb = state.range(0), njl = state.range(1);
   EngineGuard guard(state);
@@ -230,35 +182,6 @@ void BM_RowScatterNaive(benchmark::State& state) {
   auto in = random_matrix(jb, njl, 9);
   for (auto _ : state) {
     naive_row_scatter(a.data(), lda, rows, njl, in.data(), jb);
-    benchmark::DoNotOptimize(a.data());
-  }
-  set_mbs(state, jb, njl);
-}
-
-void BM_UnpackRows(benchmark::State& state) {
-  const long jb = state.range(0), njl = state.range(1);
-  EngineGuard guard(state);
-  device::Stream s(bench_device());
-  std::vector<double> a(static_cast<std::size_t>(njl + 64) * njl);
-  const long lda = njl + 64;
-  auto rows = scattered_rows(jb, lda, 10);
-  auto in = random_matrix(jb, njl, 11);
-  for (auto _ : state) {
-    device::unpack_rows(s, in.data(), rows, njl, a.data(), lda);
-    s.synchronize();
-    benchmark::DoNotOptimize(a.data());
-  }
-  set_mbs(state, jb, njl);
-}
-
-void BM_UnpackRowsNaive(benchmark::State& state) {
-  const long jb = state.range(0), njl = state.range(1);
-  std::vector<double> a(static_cast<std::size_t>(njl + 64) * njl);
-  const long lda = njl + 64;
-  auto rows = scattered_rows(jb, lda, 10);
-  auto in = random_matrix(jb, njl, 11);
-  for (auto _ : state) {
-    naive_unpack_rows(in.data(), rows, njl, a.data(), lda);
     benchmark::DoNotOptimize(a.data());
   }
   set_mbs(state, jb, njl);
@@ -318,12 +241,8 @@ void BM_CopyMatrix(benchmark::State& state) {
 
 BENCHMARK(BM_RowGather)->HPL_SHAPES->UseRealTime();
 BENCHMARK(BM_RowGatherNaive)->Args({256, 2048, 0, 0})->Args({256, 4096, 0, 0})->Args({512, 2048, 0, 0})->Args({512, 4096, 0, 0});
-BENCHMARK(BM_PackRows)->HPL_SHAPES->UseRealTime();
-BENCHMARK(BM_PackRowsNaive)->Args({256, 2048, 0, 0})->Args({256, 4096, 0, 0})->Args({512, 2048, 0, 0})->Args({512, 4096, 0, 0});
 BENCHMARK(BM_RowScatter)->HPL_SHAPES->UseRealTime();
 BENCHMARK(BM_RowScatterNaive)->Args({256, 2048, 0, 0})->Args({256, 4096, 0, 0})->Args({512, 2048, 0, 0})->Args({512, 4096, 0, 0});
-BENCHMARK(BM_UnpackRows)->HPL_SHAPES->UseRealTime();
-BENCHMARK(BM_UnpackRowsNaive)->Args({256, 2048, 0, 0})->Args({256, 4096, 0, 0})->Args({512, 2048, 0, 0})->Args({512, 4096, 0, 0});
 BENCHMARK(BM_Laswp)->HPL_SHAPES->UseRealTime();
 BENCHMARK(BM_LaswpNaive)->Args({256, 2048, 0, 0})->Args({512, 2048, 0, 0})->Args({512, 4096, 0, 0});
 BENCHMARK(BM_CopyMatrix)->Args({2048, 2048, 256, 1})->Args({4096, 2048, 256, 1})->UseRealTime();

@@ -114,20 +114,12 @@ std::vector<double> backsolve(grid::ProcessGrid& g, DistMatrixT<T>& a,
 
     // 2. The diagonal owner solves its triangle in place on the device —
     //    the block is read straight from the distributed matrix with no
-    //    d2h staging copy. nrhs == 1 keeps the vector kernel so the
-    //    classic path stays bitwise untouched; wider panels run the
-    //    blocked trsm.
+    //    d2h staging copy.
     if (diag_row && diag_col) {
       const long il = a.rows().to_local(jk);
       const long jl = a.cols().to_local(jk);
-      if (nrhs == 1) {
-        device::trsv_upper(stream, static_cast<long>(jbk), a.at(il, jl),
-                           a.lda(), xk.data());
-      } else {
-        device::trsm_upper(stream, static_cast<long>(jbk), nrhs,
-                           a.at(il, jl), a.lda(), xk.data(),
-                           static_cast<long>(jbk));
-      }
+      device::trsm_upper(stream, static_cast<long>(jbk), nrhs, a.at(il, jl),
+                         a.lda(), xk.data(), static_cast<long>(jbk));
       stream.synchronize();
     }
 

@@ -7,7 +7,7 @@
 /// b carried along as column N, swapped and updated like any trailing
 /// column — lives on the process column owning global column N. The solve
 /// walks diagonal blocks bottom-up: the diagonal owner solves its NB×NB
-/// triangle directly on the device (device::trsv_upper — no host staging
+/// triangle directly on the device (device::trsm_upper — no host staging
 /// copy), broadcasts the x segment down its process column, every rank in
 /// that column applies its local U·x_k contribution on the device, and the
 /// partial results flow back to b̂'s owners.

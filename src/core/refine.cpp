@@ -249,8 +249,8 @@ struct RefineCtx {
       if (g.myrow() == prow && g.mycol() == pcol) {
         const long il = a.row_offset(jk);
         const long jl = a.col_offset(jk);
-        device::trsv_upper(stream, static_cast<long>(jbk), a.at(il, jl),
-                           a.lda(), d.data() + jk);
+        device::trsm_upper(stream, static_cast<long>(jbk), 1, a.at(il, jl),
+                           a.lda(), d.data() + jk, static_cast<long>(jbk));
         stream.synchronize();
       }
       {

@@ -270,8 +270,23 @@ void RowSwapperT<T>::gather(device::Stream& stream, DistMatrixT<T>& a) {
     enqueued = true;
   }
   if (in_diag_row_ && !disp_src_slots_.empty()) {
-    device::pack_rows(stream, window, a.lda(), disp_src_slots_, njl_,
-                      disp_send_.data());
+    // Displaced rows travel on the same wire: each destination owner's
+    // rows become one nd_r×njl column-major segment of the scatterv send
+    // buffer. disp_src_slots_ is grouped by owner (ascending dest within
+    // a group), and disp_counts_ gives each group's length in whole rows.
+    const std::size_t row_elems = static_cast<std::size_t>(njl_);
+    std::size_t first = 0;
+    for (std::size_t count : disp_counts_) {
+      const std::size_t nd = count / (row_elems * sizeof(T));
+      if (nd == 0) continue;
+      const auto src =
+          disp_src_slots_.begin() + static_cast<std::ptrdiff_t>(first);
+      device::pack_rows_cm(
+          stream, window, a.lda(),
+          std::vector<long>(src, src + static_cast<std::ptrdiff_t>(nd)), njl_,
+          disp_send_.data() + first * row_elems);
+      first += nd;
+    }
     enqueued = true;
   }
   // Record the fence immediately after the last pack: communicate() then
@@ -370,8 +385,9 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
   const double wire_s = wall_seconds() - wire_t0;
 
   // Displaced rows: scattered from the diagonal row to their destinations,
-  // in whole-row messages under the same chunk cap as the U assembly (so
-  // one message-size bound covers all swap traffic).
+  // one column-major segment each, in messages of whole-row size under the
+  // same chunk cap as the U assembly (so one message-size bound covers all
+  // swap traffic).
   bool any_disp = false;
   for (std::size_t c : disp_counts_)
     if (c != 0) any_disp = true;
@@ -420,8 +436,8 @@ void RowSwapperT<T>::scatter(device::Stream& stream, DistMatrixT<T>& a,
   // Displaced rows land back in A. The U rows were already unpacked into
   // pivot order per chunk by communicate(), on this same stream.
   if (!my_disp_dest_slots_.empty()) {
-    device::unpack_rows(stream, disp_recv_.data(), my_disp_dest_slots_, njl_,
-                        a.at(0, jl0_), a.lda());
+    device::unpack_rows_cm(stream, disp_recv_.data(), my_disp_dest_slots_,
+                           njl_, a.at(0, jl0_), a.lda());
   }
 
   // Fence for the next cycle's prepare(): the displaced-row unpack above

@@ -15,11 +15,15 @@
 /// other section starts, the MPI happens while the device is busy, and the
 /// scatter is enqueued behind it.
 ///
+/// Both halves of the traffic share one wire format: a column-major
+/// nr×njl segment per sending rank (U) or per destination owner
+/// (displaced rows), packed by device::pack_rows_cm and landed by
+/// device::unpack_rows_cm, so neither side crosses a layout.
+///
 /// RowSwapperT is a template over the element type: all staging buffers,
 /// wire counts, grains and chunk offsets are sized in sizeof(T), so the
-/// fp32 (MxP) pipeline's swap traffic is exactly half the fp64 bytes —
-/// on top of the 2x the transposed wire format already saves in unpack
-/// cost. The *plan* (pure index math) is precision-independent and shared.
+/// fp32 (MxP) pipeline's swap traffic is exactly half the fp64 bytes. The
+/// *plan* (pure index math) is precision-independent and shared.
 
 #include <utility>
 #include <vector>
@@ -176,7 +180,9 @@ class RowSwapperT {
   std::vector<long> disp_src_slots_;   ///< diag row only: local top rows
   std::vector<std::size_t> disp_counts_;
   std::vector<long> my_disp_dest_slots_;  ///< local destination rows
-  device::ArenaBufT<T> disp_send_;  ///< diag row: rows packed in rank order
+  /// Diag row: one column-major segment per destination owner, in rank
+  /// order.
+  device::ArenaBufT<T> disp_send_;
   device::ArenaBufT<T> disp_recv_;
 };
 

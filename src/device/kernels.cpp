@@ -55,45 +55,6 @@ void trsm_left_lower_unit(Stream& s, long nb, long n, const T* l1, long ldl,
 }
 
 template <typename T>
-void trsv_upper(Stream& s, long n, const T* u, long ldu, T* x) {
-  if (n <= 0) return;
-  const Precision prec = s.device().model().precision_for_elem(sizeof(T));
-  const double modeled = s.device().model().trsm_seconds(n, 1, prec);
-  s.enqueue_annotated(
-      modeled, "trsv_upper",
-      {span_matrix(u, n, n, ldu, false), span_write(x, static_cast<std::size_t>(n))},
-      [=] {
-        // Right-to-left over diagonal blocks: solve the block sequentially,
-        // then retire its contribution to every row above it. The prefix
-        // update is the engine-parallel part — disjoint row ranges of x
-        // never alias, so they tile like columns do in the data-motion
-        // kernels, and the per-row accumulation order (j ascending within
-        // the block, blocks right-to-left) is fixed regardless of tiling.
-        constexpr long kBlock = 64;
-        for (long j1 = n; j1 > 0; j1 -= kBlock) {
-          const long j0 = std::max<long>(0, j1 - kBlock);
-          // Unblocked solve of the diagonal block (back substitution).
-          for (long j = j1 - 1; j >= j0; --j) {
-            const T* ucol = u + j * ldu;
-            x[j] /= ucol[j];
-            const T t = x[j];
-            for (long i = j0; i < j; ++i) x[i] -= t * ucol[i];
-          }
-          // Prefix update: x[0..j0) -= U(0..j0, j0..j1) · x(j0..j1).
-          if (j0 > 0) {
-            run_column_tiles(j0, [&](long r0, long r1) {
-              for (long j = j0; j < j1; ++j) {
-                const T* ucol = u + j * ldu;
-                const T t = x[j];
-                for (long i = r0; i < r1; ++i) x[i] -= t * ucol[i];
-              }
-            });
-          }
-        }
-      });
-}
-
-template <typename T>
 void trsm_upper(Stream& s, long n, long nrhs, const T* u, long ldu, T* x,
                 long ldx) {
   if (n <= 0 || nrhs <= 0) return;
@@ -103,12 +64,13 @@ void trsm_upper(Stream& s, long n, long nrhs, const T* u, long ldu, T* x,
       modeled, "trsm_upper",
       {span_matrix(u, n, n, ldu, false), span_matrix(x, n, nrhs, ldx, true)},
       [=] {
-        // Same schedule as trsv_upper with an inner RHS-column loop: the
-        // diagonal block solves each column sequentially (identical
-        // per-element order to the vector kernel, so nrhs==1 is bitwise
-        // the trsv path), then the prefix update retires the block's
-        // contribution to every row above it, tiled over disjoint row
-        // ranges that never alias across RHS columns.
+        // Right-to-left over diagonal blocks: back-substitute the block
+        // sequentially in every RHS column, then retire its contribution
+        // to every row above it. The prefix update is the engine-parallel
+        // part — disjoint row ranges of X never alias, so they tile like
+        // columns do in the data-motion kernels, and the per-element
+        // accumulation order (j ascending within the block, blocks
+        // right-to-left) is fixed regardless of tiling.
         constexpr long kBlock = 64;
         for (long j1 = n; j1 > 0; j1 -= kBlock) {
           const long j0 = std::max<long>(0, j1 - kBlock);
@@ -135,29 +97,6 @@ void trsm_upper(Stream& s, long n, long nrhs, const T* u, long ldu, T* x,
           }
         }
       });
-}
-
-namespace {
-template <typename T>
-void linear_hcopy(Stream& s, const char* what, T* dst, const T* src,
-                  std::size_t count) {
-  if (count == 0) return;
-  const double modeled = s.device().model().hcopy_seconds(count * sizeof(T));
-  s.enqueue_annotated(modeled, what,
-                      {span_read(src, count), span_write(dst, count)},
-                      [=] { std::memcpy(dst, src, count * sizeof(T)); });
-}
-}  // namespace
-
-template <typename T>
-void copy_h2d(Stream& s, T* dst, const T* src, std::size_t count) {
-  linear_hcopy(s, "copy_h2d", dst, src, count);
-}
-
-template <typename T>
-void copy_d2h(Stream& s, T* dst, const T* src, std::size_t count) {
-  // symmetric link, same cost & mechanics
-  linear_hcopy(s, "copy_d2h", dst, src, count);
 }
 
 namespace {
@@ -224,15 +163,15 @@ void copy_matrix_d2h(Stream& s, long m, long n, const T* src, long lds,
 // with the row list in the inner loop: every inner iteration touches a
 // single column of the column-major matrix (one contiguous lda-spaced
 // region, so nearby pivot rows share cache lines) and the packed side is
-// walked at unit or tile-bounded stride. The seed kernels iterated rows
+// walked within one cache-resident column. The seed kernels iterated rows
 // outermost with columns inside — one cache line touched per element at
-// HPL trailing-window widths. Gather-side kernels additionally visit
-// their source rows in ascending address order (the row list is sorted
-// once per call) so each column is read as a monotone sweep the hardware
-// prefetcher can follow instead of a random walk.
+// HPL trailing-window widths. Both bodies visit the matrix rows in
+// ascending address order (the row list is sorted once per call) so each
+// column is a monotone sweep the hardware prefetcher can follow instead
+// of a random walk.
 
 namespace {
-/// (sorted source row, original slot) pairs for a gather row list.
+/// (sorted matrix row, original slot) pairs for a row list.
 std::vector<std::pair<long, long>> sorted_rows(const std::vector<long>& rows) {
   std::vector<std::pair<long, long>> order(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i)
@@ -258,11 +197,11 @@ inline void prefetch_row_w(T* acol, const std::pair<long, long>* op, long i,
   if (i + kPrefetchAhead < nr)
     __builtin_prefetch(acol + op[i + kPrefetchAhead].first, 1, 3);
 }
-}  // namespace
 
+/// Shared body of row_gather and pack_rows_cm: out(r, :) := a(rows[r], :).
 template <typename T>
-void row_gather(Stream& s, const T* a, long lda, std::vector<long> rows,
-                long n, T* out, long ldo) {
+void gather_rows(Stream& s, const char* what, const T* a, long lda,
+                 std::vector<long> rows, long n, T* out, long ldo) {
   if (rows.empty() || n <= 0) return;
   const double modeled = s.device().model().rowswap_seconds(
       static_cast<long>(rows.size()), n, sizeof(T));
@@ -272,7 +211,7 @@ void row_gather(Stream& s, const T* a, long lda, std::vector<long> rows,
   const long rmax = order.back().first;
   const long nr0 = static_cast<long>(order.size());
   s.enqueue_annotated(
-      modeled, "row_gather",
+      modeled, what,
       {span_matrix(a + rmin, rmax - rmin + 1, n, lda, false),
        span_matrix(out, nr0, n, ldo, true)},
       [=, order = std::move(order)] {
@@ -283,7 +222,7 @@ void row_gather(Stream& s, const T* a, long lda, std::vector<long> rows,
         const T* acol = a + c * lda;
         T* ocol = out + c * ldo;
         // Reads sweep the column upward; the shuffled writes stay inside
-        // one jb-length output column (a few KB, cache-resident).
+        // one nr-length output column (a few KB, cache-resident).
         for (long r = 0; r < nr; ++r) {
           prefetch_row(acol, op, r, nr);
           ocol[op[r].second] = acol[op[r].first];
@@ -293,9 +232,10 @@ void row_gather(Stream& s, const T* a, long lda, std::vector<long> rows,
   });
 }
 
+/// Shared body of row_scatter and unpack_rows_cm: a(rows[r], :) := in(r, :).
 template <typename T>
-void row_scatter(Stream& s, T* a, long lda, std::vector<long> rows, long n,
-                 const T* in, long ldi) {
+void scatter_rows(Stream& s, const char* what, T* a, long lda,
+                  std::vector<long> rows, long n, const T* in, long ldi) {
   if (rows.empty() || n <= 0) return;
   const double modeled = s.device().model().rowswap_seconds(
       static_cast<long>(rows.size()), n, sizeof(T));
@@ -304,7 +244,7 @@ void row_scatter(Stream& s, T* a, long lda, std::vector<long> rows, long n,
   const long rmax = order.back().first;
   const long nr0 = static_cast<long>(order.size());
   s.enqueue_annotated(
-      modeled, "row_scatter",
+      modeled, what,
       {span_matrix(a + rmin, rmax - rmin + 1, n, lda, true),
        span_matrix(in, nr0, n, ldi, false)},
       [=, order = std::move(order)] {
@@ -325,157 +265,33 @@ void row_scatter(Stream& s, T* a, long lda, std::vector<long> rows, long n,
     });
   });
 }
+}  // namespace
 
 template <typename T>
-void pack_rows(Stream& s, const T* a, long lda, std::vector<long> rows,
-               long n, T* out_rowmajor) {
-  if (rows.empty() || n <= 0) return;
-  const double modeled = s.device().model().rowswap_seconds(
-      static_cast<long>(rows.size()), n, sizeof(T));
-  auto order = sorted_rows(rows);
-  const long rmin = order.front().first;
-  const long rmax = order.back().first;
-  const long nr0 = static_cast<long>(order.size());
-  s.enqueue_annotated(
-      modeled, "pack_rows",
-      {span_matrix(a + rmin, rmax - rmin + 1, n, lda, false),
-       span_write(out_rowmajor,
-                  static_cast<std::size_t>(nr0) * static_cast<std::size_t>(n))},
-      [=, order = std::move(order)] {
-    const long nr = static_cast<long>(order.size());
-    const std::pair<long, long>* op = order.data();
-    // Column-major ↔ row-major crossing goes through a per-thread scratch
-    // tile: stage 1 gathers down contiguous matrix columns in ascending
-    // row order (the expensive, cache-line-wasting side of the seed loop),
-    // stage 2 transposes the L2-resident tile into the wire rows. Either
-    // stage alone would stride a cold array per element.
-    run_column_tiles(n, [&](long c0, long c1) {
-      const long tc = c1 - c0;
-      static thread_local std::vector<T> scratch;
-      if (static_cast<long>(scratch.size()) < nr * tc)
-        scratch.resize(static_cast<std::size_t>(nr) * tc);
-      T* t = scratch.data();
-      for (long c = c0; c < c1; ++c) {
-        const T* acol = a + c * lda;
-        T* tcol = t + (c - c0) * nr;
-        for (long i = 0; i < nr; ++i) {
-          prefetch_row(acol, op, i, nr);
-          tcol[i] = acol[op[i].first];
-        }
-      }
-      // Scratch slot i holds sorted-order row i; route it to its original
-      // wire slot while reading the tile at unit stride per destination.
-      for (long i = 0; i < nr; ++i) {
-        T* orow = out_rowmajor + op[i].second * n;
-        for (long c = c0; c < c1; ++c) orow[c] = t[i + (c - c0) * nr];
-      }
-    });
-  });
+void row_gather(Stream& s, const T* a, long lda, std::vector<long> rows,
+                long n, T* out, long ldo) {
+  gather_rows(s, "row_gather", a, lda, std::move(rows), n, out, ldo);
 }
 
 template <typename T>
-void unpack_rows(Stream& s, const T* in_rowmajor, std::vector<long> rows,
-                 long n, T* a, long lda) {
-  if (rows.empty() || n <= 0) return;
-  const double modeled = s.device().model().rowswap_seconds(
-      static_cast<long>(rows.size()), n, sizeof(T));
-  auto order = sorted_rows(rows);
-  const long rmin = order.front().first;
-  const long rmax = order.back().first;
-  const long nr0 = static_cast<long>(order.size());
-  s.enqueue_annotated(
-      modeled, "unpack_rows",
-      {span_read(in_rowmajor,
-                 static_cast<std::size_t>(nr0) * static_cast<std::size_t>(n)),
-       span_matrix(a + rmin, rmax - rmin + 1, n, lda, true)},
-      [=, order = std::move(order)] {
-    const long nr = static_cast<long>(order.size());
-    const std::pair<long, long>* op = order.data();
-    // Scatter each column in ascending destination order (rows are
-    // distinct, so the reorder cannot change which write wins). The wire
-    // reads in[i*n + c] look strided, but one cache line per wire row
-    // covers several successive c — across a column tile the whole jb-line
-    // working set stays resident, so only the first column of every
-    // line-wide group misses.
-    run_column_tiles(n, [&](long c0, long c1) {
-      for (long c = c0; c < c1; ++c) {
-        T* acol = a + c * lda;
-        for (long i = 0; i < nr; ++i) {
-          prefetch_row_w(acol, op, i, nr);
-          acol[op[i].first] = in_rowmajor[op[i].second * n + c];
-        }
-      }
-    });
-  });
+void row_scatter(Stream& s, T* a, long lda, std::vector<long> rows, long n,
+                 const T* in, long ldi) {
+  scatter_rows(s, "row_scatter", a, lda, std::move(rows), n, in, ldi);
 }
 
 template <typename T>
 void pack_rows_cm(Stream& s, const T* a, long lda, std::vector<long> rows,
                   long n, T* out_colmajor) {
-  if (rows.empty() || n <= 0) return;
-  const double modeled = s.device().model().rowswap_seconds(
-      static_cast<long>(rows.size()), n, sizeof(T));
-  auto order = sorted_rows(rows);
-  const long rmin = order.front().first;
-  const long rmax = order.back().first;
-  const long nr0 = static_cast<long>(order.size());
-  s.enqueue_annotated(
-      modeled, "pack_rows_cm",
-      {span_matrix(a + rmin, rmax - rmin + 1, n, lda, false),
-       span_write(out_colmajor,
-                  static_cast<std::size_t>(nr0) * static_cast<std::size_t>(n))},
-      [=, order = std::move(order)] {
-    const long nr = static_cast<long>(order.size());
-    const std::pair<long, long>* op = order.data();
-    // No layout crossing: reads sweep each matrix column upward in sorted
-    // row order, and the shuffled writes land inside one nr-length wire
-    // column (cache-resident). pack_rows needs a scratch transpose tile to
-    // get this access pattern; the column-major wire gets it for free.
-    run_column_tiles(n, [&](long c0, long c1) {
-      for (long c = c0; c < c1; ++c) {
-        const T* acol = a + c * lda;
-        T* ocol = out_colmajor + c * nr;
-        for (long i = 0; i < nr; ++i) {
-          prefetch_row(acol, op, i, nr);
-          ocol[op[i].second] = acol[op[i].first];
-        }
-      }
-    });
-  });
+  const long nr = static_cast<long>(rows.size());
+  gather_rows(s, "pack_rows_cm", a, lda, std::move(rows), n, out_colmajor, nr);
 }
 
 template <typename T>
 void unpack_rows_cm(Stream& s, const T* in_colmajor, std::vector<long> rows,
                     long n, T* a, long lda) {
-  if (rows.empty() || n <= 0) return;
-  const double modeled = s.device().model().rowswap_seconds(
-      static_cast<long>(rows.size()), n, sizeof(T));
-  auto order = sorted_rows(rows);
-  const long rmin = order.front().first;
-  const long rmax = order.back().first;
-  const long nr0 = static_cast<long>(order.size());
-  s.enqueue_annotated(
-      modeled, "unpack_rows_cm",
-      {span_read(in_colmajor,
-                 static_cast<std::size_t>(nr0) * static_cast<std::size_t>(n)),
-       span_matrix(a + rmin, rmax - rmin + 1, n, lda, true)},
-      [=, order = std::move(order)] {
-    const long nr = static_cast<long>(order.size());
-    const std::pair<long, long>* op = order.data();
-    // Contiguous column copies: each wire column is read at unit stride
-    // (shuffled only within its cache-resident nr elements) and scattered
-    // down the matrix column in ascending destination order.
-    run_column_tiles(n, [&](long c0, long c1) {
-      for (long c = c0; c < c1; ++c) {
-        T* acol = a + c * lda;
-        const T* icol = in_colmajor + c * nr;
-        for (long i = 0; i < nr; ++i) {
-          prefetch_row_w(acol, op, i, nr);
-          acol[op[i].first] = icol[op[i].second];
-        }
-      }
-    });
-  });
+  const long nr = static_cast<long>(rows.size());
+  scatter_rows(s, "unpack_rows_cm", a, lda, std::move(rows), n, in_colmajor,
+               nr);
 }
 
 template <typename T>
@@ -514,10 +330,7 @@ void laswp(Stream& s, T* a, long lda, long n, std::vector<long> ipiv) {
                         const T*, long, T, T*, long);                         \
   template void trsm_left_lower_unit<T>(Stream&, long, long, const T*, long,  \
                                         T*, long);                            \
-  template void trsv_upper<T>(Stream&, long, const T*, long, T*);             \
   template void trsm_upper<T>(Stream&, long, long, const T*, long, T*, long); \
-  template void copy_h2d<T>(Stream&, T*, const T*, std::size_t);              \
-  template void copy_d2h<T>(Stream&, T*, const T*, std::size_t);              \
   template void copy_matrix<T>(Stream&, long, long, const T*, long, T*,       \
                                long);                                         \
   template void copy_matrix_h2d<T>(Stream&, long, long, const T*, long, T*,   \
@@ -529,10 +342,6 @@ void laswp(Stream& s, T* a, long lda, long n, std::vector<long> ipiv) {
   template void row_scatter<T>(Stream&, T*, long, std::vector<long>, long,    \
                                const T*, long);                               \
   template void laswp<T>(Stream&, T*, long, long, std::vector<long>);         \
-  template void pack_rows<T>(Stream&, const T*, long, std::vector<long>,      \
-                             long, T*);                                       \
-  template void unpack_rows<T>(Stream&, const T*, std::vector<long>, long,    \
-                               T*, long);                                     \
   template void pack_rows_cm<T>(Stream&, const T*, long, std::vector<long>,   \
                                 long, T*);                                    \
   template void unpack_rows_cm<T>(Stream&, const T*, std::vector<long>,       \

@@ -20,9 +20,9 @@
 /// dimension in elements). Host-side index vectors are captured by value
 /// at enqueue time, so callers may reuse them immediately.
 ///
-/// The data-motion kernels (row gather/scatter/pack/unpack, laswp, and the
-/// strided matrix copies) execute on the column-tiled engine of
-/// engine.hpp: column tiles fan out over the leased BLAS thread team with
+/// The data-motion kernels (row gather/scatter and their packed-wire
+/// forms, laswp, and the strided matrix copies) execute on the
+/// column-tiled engine of engine.hpp: column tiles fan out over the leased BLAS thread team with
 /// a sequential fallback, and inner loops run down contiguous columns.
 /// Results are bitwise identical for every tile width and team size. The
 /// *modeled* durations still come from DeviceModel (they describe the
@@ -49,35 +49,19 @@ template <typename T>
 void trsm_left_lower_unit(Stream& s, long nb, long n, const T* l1, long ldl,
                           T* u, long ldu);
 
-/// Solve U·x = b in place (x overwrites b), U an n×n non-unit upper
-/// triangle read directly from device memory: backsolve's diagonal-block
-/// stage without the d2h staging copy. Blocked right-to-left: each
-/// diagonal block solves sequentially, then the prefix update
-/// x[0..j0) -= U(0..j0, j0..j1)·x(j0..j1) fans its disjoint row ranges
-/// out over the column-tiled engine. Bitwise identical for every tile
-/// width and team size (each x[i] is written by exactly one tile, inner
-/// accumulation order fixed).
-template <typename T>
-void trsv_upper(Stream& s, long n, const T* u, long ldu, T* x);
-
-/// Multi-RHS generalization of trsv_upper: solve U·X = B in place over an
-/// n×nrhs column-major RHS panel X (ld = ldx), U an n×n non-unit upper
-/// triangle in device memory. Same blocked right-to-left structure — each
+/// Solve U·X = B in place over an n×nrhs column-major RHS panel X
+/// (ld = ldx), U an n×n non-unit upper triangle read directly from device
+/// memory: backsolve's diagonal-block stage without the d2h staging copy,
+/// and (nrhs = 1) refinement's backward sweep. Blocked right-to-left: each
 /// diagonal block back-substitutes every RHS column sequentially, then the
-/// prefix update X[0..j0, :] -= U(0..j0, j0..j1)·X(j0..j1, :) fans out over
-/// the column-tiled engine. Bitwise identical for every tile width and
-/// team size, and bitwise identical to trsv_upper per column when nrhs==1
-/// (same per-element accumulation order).
+/// prefix update X[0..j0, :] -= U(0..j0, j0..j1)·X(j0..j1, :) fans its
+/// disjoint row ranges out over the column-tiled engine. Bitwise identical
+/// for every tile width and team size (each X element is written by
+/// exactly one tile, inner accumulation order fixed), and each RHS column
+/// is solved with the same per-element order whatever nrhs is.
 template <typename T>
 void trsm_upper(Stream& s, long n, long nrhs, const T* u, long ldu, T* x,
                 long ldx);
-
-/// Asynchronous copies. h2d/d2h are charged at host-link bandwidth, d2d at
-/// HBM bandwidth.
-template <typename T>
-void copy_h2d(Stream& s, T* dst, const T* src, std::size_t count);
-template <typename T>
-void copy_d2h(Stream& s, T* dst, const T* src, std::size_t count);
 
 /// Strided device-to-device matrix copy (m×n, column-major).
 template <typename T>
@@ -111,34 +95,20 @@ void row_scatter(Stream& s, T* a, long lda, std::vector<long> rows, long n,
 template <typename T>
 void laswp(Stream& s, T* a, long lda, long n, std::vector<long> ipiv);
 
-/// Pack selected rows of a column-major matrix into a row-major buffer:
-/// out[i*n + c] = a(rows[i], c). This is the gather kernel feeding the
-/// row-swap communication — each communicated row becomes one contiguous
-/// message segment.
-template <typename T>
-void pack_rows(Stream& s, const T* a, long lda, std::vector<long> rows,
-               long n, T* out_rowmajor);
-
-/// Inverse of pack_rows: a(rows[i], c) = in[i*n + c]. Like row_scatter,
-/// `rows` must be distinct.
-template <typename T>
-void unpack_rows(Stream& s, const T* in_rowmajor, std::vector<long> rows,
-                 long n, T* a, long lda);
-
 /// Column-major wire format: out[c*nr + i] = a(rows[i], c), i.e. the
 /// packed buffer is an nr×n column-major matrix (ld = nr = rows.size()).
-/// Unlike pack_rows there is no layout crossing — both sides walk
-/// contiguous columns — so no scratch transpose tile is needed, and the
-/// receive side can unpack any sub-range of wire columns independently
-/// (the per-chunk delivery path of the pipelined row swap).
+/// This is row_gather with ldo = nr: both sides walk contiguous columns,
+/// and the receive side can unpack any sub-range of wire columns
+/// independently (the per-chunk delivery path of the pipelined row swap).
+/// It packs both halves of the swap traffic — each rank's U rows for the
+/// allgatherv, and the diagonal row's displaced rows, one segment per
+/// destination owner, for the scatterv.
 template <typename T>
 void pack_rows_cm(Stream& s, const T* a, long lda, std::vector<long> rows,
                   long n, T* out_colmajor);
 
-/// Inverse of pack_rows_cm: a(rows[i], c) = in[c*nr + i]. `rows` must be
-/// distinct. The wire reads are unit-stride within each cache-resident
-/// nr-length column — this is the contiguous-column-copy receive side the
-/// transposed wire format buys.
+/// Inverse of pack_rows_cm: a(rows[i], c) = in[c*nr + i], i.e. row_scatter
+/// with ldi = nr. `rows` must be distinct.
 template <typename T>
 void unpack_rows_cm(Stream& s, const T* in_colmajor, std::vector<long> rows,
                     long n, T* a, long lda);

@@ -69,39 +69,34 @@ std::vector<long> distinct_rows(long jb, long m, std::uint64_t seed) {
   return all;
 }
 
-bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+template <typename T>
+std::vector<T> random_matrix_as(long rows, long cols, std::uint64_t seed) {
+  const auto a = random_matrix(rows, cols, seed);
+  return std::vector<T>(a.begin(), a.end());
+}
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
 // Naive sequential references: the seed's row-outer loops.
 
-void ref_row_gather(const double* a, long lda, const std::vector<long>& rows,
-                    long n, double* out, long ldo) {
+template <typename T>
+void ref_row_gather(const T* a, long lda, const std::vector<long>& rows,
+                    long n, T* out, long ldo) {
   for (std::size_t r = 0; r < rows.size(); ++r)
     for (long j = 0; j < n; ++j)
       out[static_cast<long>(r) + j * ldo] = a[rows[r] + j * lda];
 }
 
-void ref_row_scatter(double* a, long lda, const std::vector<long>& rows,
-                     long n, const double* in, long ldi) {
+template <typename T>
+void ref_row_scatter(T* a, long lda, const std::vector<long>& rows, long n,
+                     const T* in, long ldi) {
   for (std::size_t r = 0; r < rows.size(); ++r)
     for (long j = 0; j < n; ++j)
       a[rows[r] + j * lda] = in[static_cast<long>(r) + j * ldi];
-}
-
-void ref_pack_rows(const double* a, long lda, const std::vector<long>& rows,
-                   long n, double* out_rowmajor) {
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    for (long c = 0; c < n; ++c)
-      out_rowmajor[static_cast<long>(i) * n + c] = a[rows[i] + c * lda];
-}
-
-void ref_unpack_rows(const double* in_rowmajor, const std::vector<long>& rows,
-                     long n, double* a, long lda) {
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    for (long c = 0; c < n; ++c)
-      a[rows[i] + c * lda] = in_rowmajor[static_cast<long>(i) * n + c];
 }
 
 void ref_laswp(double* a, long lda, long n, const std::vector<long>& ipiv) {
@@ -120,52 +115,62 @@ struct Shape {
 };
 const Shape kShapes[] = {{37, 5, 23}, {128, 32, 96}, {301, 64, 257}};
 
-TEST(KernelEngine, RowGatherScatterPackUnpackMatchNaive) {
-  EngineState restore;
+/// Gather and scatter against the references for one element type, at
+/// two wire leading dimensions: ld = nr, the packed wire that
+/// pack_rows_cm/unpack_rows_cm use, and ld > nr, a strided buffer whose
+/// padding rows the gather must leave alone.
+template <typename T>
+void expect_gather_scatter_match_naive() {
   for (const Shape& sh : kShapes) {
     const long lda = sh.m + 3;
-    const auto a0 = random_matrix(lda, sh.n, 11 * sh.m);
+    const auto a0 = random_matrix_as<T>(lda, sh.n, 11 * sh.m);
     const auto rows = distinct_rows(sh.jb, sh.m, 13 * sh.jb);
-    const auto wire0 = random_matrix(sh.jb, sh.n, 17 * sh.n);
+    for (long ldw : {sh.jb, sh.jb + 2}) {
+      const auto wire0 = random_matrix_as<T>(ldw, sh.n, 17 * sh.n);
+      const std::size_t wire_size = static_cast<std::size_t>(ldw) * sh.n;
+      std::vector<T> want_gather(wire_size, T(-7));
+      ref_row_gather(a0.data(), lda, rows, sh.n, want_gather.data(), ldw);
+      auto want_scatter = a0;
+      ref_row_scatter(want_scatter.data(), lda, rows, sh.n, wire0.data(),
+                      ldw);
 
-    std::vector<double> want_gather(static_cast<std::size_t>(sh.jb) * sh.n);
-    ref_row_gather(a0.data(), lda, rows, sh.n, want_gather.data(), sh.jb);
-    std::vector<double> want_pack(static_cast<std::size_t>(sh.jb) * sh.n);
-    ref_pack_rows(a0.data(), lda, rows, sh.n, want_pack.data());
-    auto want_scatter = a0;
-    ref_row_scatter(want_scatter.data(), lda, rows, sh.n, wire0.data(), sh.jb);
-    auto want_unpack = a0;
-    ref_unpack_rows(want_pack.data(), rows, sh.n, want_unpack.data(), lda);
+      for (long tile : kTileSizes) {
+        for (int team : kTeamSizes) {
+          SCOPED_TRACE(::testing::Message()
+                       << "sizeof(T)=" << sizeof(T) << " m=" << sh.m
+                       << " jb=" << sh.jb << " n=" << sh.n << " ld=" << ldw
+                       << " tile=" << tile << " team=" << team);
+          blas::set_num_threads(team);
+          configure_engine({tile, 0});
+          Stream s(test_device());
 
-    for (long tile : kTileSizes) {
-      for (int team : kTeamSizes) {
-        SCOPED_TRACE(::testing::Message() << "m=" << sh.m << " jb=" << sh.jb
-                                          << " n=" << sh.n << " tile=" << tile
-                                          << " team=" << team);
-        blas::set_num_threads(team);
-        configure_engine({tile, 0});
-        Stream s(test_device());
+          std::vector<T> gout(wire_size, T(-7));
+          row_gather(s, a0.data(), lda, rows, sh.n, gout.data(), ldw);
+          auto sa = a0;
+          row_scatter(s, sa.data(), lda, rows, sh.n, wire0.data(), ldw);
+          s.synchronize();
+          EXPECT_TRUE(bitwise_equal(gout, want_gather));
+          EXPECT_TRUE(bitwise_equal(sa, want_scatter));
 
-        std::vector<double> gout(static_cast<std::size_t>(sh.jb) * sh.n, -7.0);
-        row_gather(s, a0.data(), lda, rows, sh.n, gout.data(), sh.jb);
-        std::vector<double> pout(static_cast<std::size_t>(sh.jb) * sh.n, -7.0);
-        pack_rows(s, a0.data(), lda, rows, sh.n, pout.data());
-        s.synchronize();
-        EXPECT_TRUE(bitwise_equal(gout, want_gather));
-        EXPECT_TRUE(bitwise_equal(pout, want_pack));
-
-        auto sa = a0;
-        row_scatter(s, sa.data(), lda, rows, sh.n, wire0.data(), sh.jb);
-        s.synchronize();
-        EXPECT_TRUE(bitwise_equal(sa, want_scatter));
-
-        auto ua = a0;
-        unpack_rows(s, want_pack.data(), rows, sh.n, ua.data(), lda);
-        s.synchronize();
-        EXPECT_TRUE(bitwise_equal(ua, want_unpack));
+          if (ldw != sh.jb) continue;
+          std::vector<T> pout(wire_size, T(-7));
+          pack_rows_cm(s, a0.data(), lda, rows, sh.n, pout.data());
+          auto ua = a0;
+          unpack_rows_cm(s, wire0.data(), rows, sh.n, ua.data(), lda);
+          s.synchronize();
+          EXPECT_TRUE(bitwise_equal(pout, want_gather));
+          EXPECT_TRUE(bitwise_equal(ua, want_scatter));
+        }
       }
     }
   }
+}
+
+TEST(KernelEngine, RowGatherScatterPackUnpackMatchNaive) {
+  EngineState restore;
+  expect_gather_scatter_match_naive<double>();
+  // mxp32 runs the float instantiations.
+  expect_gather_scatter_match_naive<float>();
 }
 
 TEST(KernelEngine, LaswpMatchesNaiveForAliasingPivotPatterns) {
@@ -206,6 +211,46 @@ TEST(KernelEngine, LaswpMatchesNaiveForAliasingPivotPatterns) {
       }
     }
   }
+}
+
+/// trsm_upper's prefix update tiles X's rows over the engine; every tile
+/// width and team size must give the single-tile, single-thread bits.
+template <typename T>
+void expect_trsm_upper_matches_across_tiles_and_teams() {
+  const long n = 203, nrhs = 3, ldx = n + 4;
+  auto u = random_matrix_as<T>(n, n, 43);
+  for (long j = 0; j < n; ++j)
+    u[static_cast<std::size_t>(j * n + j)] += static_cast<T>(n);
+  const auto b = random_matrix_as<T>(ldx, nrhs, 47);
+
+  blas::set_num_threads(1);
+  configure_engine({n, 0});
+  auto want = b;
+  {
+    Stream s(test_device());
+    trsm_upper(s, n, nrhs, u.data(), n, want.data(), ldx);
+    s.synchronize();
+  }
+  for (long tile : kTileSizes) {
+    for (int team : kTeamSizes) {
+      SCOPED_TRACE(::testing::Message() << "sizeof(T)=" << sizeof(T)
+                                        << " tile=" << tile
+                                        << " team=" << team);
+      blas::set_num_threads(team);
+      configure_engine({tile, 0});
+      Stream s(test_device());
+      auto x = b;
+      trsm_upper(s, n, nrhs, u.data(), n, x.data(), ldx);
+      s.synchronize();
+      EXPECT_TRUE(bitwise_equal(x, want));
+    }
+  }
+}
+
+TEST(KernelEngine, TrsmUpperBitwiseAcrossTilesAndTeams) {
+  EngineState restore;
+  expect_trsm_upper_matches_across_tiles_and_teams<double>();
+  expect_trsm_upper_matches_across_tiles_and_teams<float>();
 }
 
 TEST(KernelEngine, CopyKernelsMatchAcrossTilesAndTeams) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "device/kernels.hpp"
@@ -64,19 +67,73 @@ TEST(Kernels, TrsmLeftLowerUnit) {
             1e-9);
 }
 
-TEST(Kernels, HostDeviceCopies) {
-  Stream s(test_device());
-  Buffer dev_buf = test_device().alloc(64);
-  std::vector<double> host(64);
-  for (int i = 0; i < 64; ++i) host[static_cast<std::size_t>(i)] = i * 1.5;
-  std::vector<double> back(64, 0.0);
+/// n×n upper triangle with a dominant diagonal (strict lower part is
+/// garbage the solver must not read) and an n×nrhs RHS in ld = ldx whose
+/// padding rows hold a sentinel.
+struct UpperSystem {
+  long n, nrhs, ldx;
+  std::vector<double> u, b;
+  UpperSystem(long n_, long nrhs_, long ldx_, std::uint64_t seed)
+      : n(n_), nrhs(nrhs_), ldx(ldx_) {
+    testref::Rand rng(seed);
+    u = rng.matrix(static_cast<int>(n), static_cast<int>(n),
+                   static_cast<int>(n));
+    for (long j = 0; j < n; ++j) {
+      u[static_cast<std::size_t>(j * n + j)] += static_cast<double>(n);
+      for (long i = j + 1; i < n; ++i)
+        u[static_cast<std::size_t>(j * n + i)] = 1e300;
+    }
+    b.assign(static_cast<std::size_t>(ldx * nrhs), -5.0);
+    for (long r = 0; r < nrhs; ++r)
+      for (long i = 0; i < n; ++i)
+        b[static_cast<std::size_t>(r * ldx + i)] = rng.next();
+  }
+};
 
-  copy_h2d(s, dev_buf.data(), host.data(), 64);
-  copy_d2h(s, back.data(), dev_buf.data(), 64);
+TEST(Kernels, TrsmUpperSolvesUpperTriangular) {
+  Stream s(test_device());
+  // n spans three 64-wide diagonal blocks (the last one ragged), so both
+  // the in-block substitution and the prefix update run.
+  const UpperSystem sys(150, 3, 153, 31);
+  auto x = sys.b;
+  trsm_upper(s, sys.n, sys.nrhs, sys.u.data(), sys.n, x.data(), sys.ldx);
   s.synchronize();
-  for (int i = 0; i < 64; ++i)
-    EXPECT_DOUBLE_EQ(back[static_cast<std::size_t>(i)], i * 1.5);
   EXPECT_GT(s.busy_seconds(), 0.0);
+
+  // Multiply back with the upper triangle: U·X must reproduce B.
+  for (long r = 0; r < sys.nrhs; ++r) {
+    const double* xr = x.data() + r * sys.ldx;
+    for (long i = 0; i < sys.n; ++i) {
+      double acc = 0.0;
+      for (long j = i; j < sys.n; ++j)
+        acc += sys.u[static_cast<std::size_t>(j * sys.n + i)] * xr[j];
+      EXPECT_NEAR(acc, sys.b[static_cast<std::size_t>(r * sys.ldx + i)],
+                  1e-13)
+          << "i=" << i << " rhs=" << r;
+    }
+    // Padding rows past n are not part of X.
+    for (long i = sys.n; i < sys.ldx; ++i) EXPECT_EQ(xr[i], -5.0);
+  }
+}
+
+TEST(Kernels, TrsmUpperSingleRhsMatchesMultiRhsColumnsBitwise) {
+  Stream s(test_device());
+  // Backsolve with one RHS and refinement's backward sweep call
+  // trsm_upper with nrhs = 1; each column must come out exactly as it
+  // does inside a multi-RHS solve.
+  const UpperSystem sys(137, 4, 140, 37);
+  auto all = sys.b;
+  trsm_upper(s, sys.n, sys.nrhs, sys.u.data(), sys.n, all.data(), sys.ldx);
+  for (long r = 0; r < sys.nrhs; ++r) {
+    std::vector<double> one(sys.b.begin() + r * sys.ldx,
+                            sys.b.begin() + r * sys.ldx + sys.n);
+    trsm_upper(s, sys.n, 1, sys.u.data(), sys.n, one.data(), sys.n);
+    s.synchronize();
+    EXPECT_EQ(std::memcmp(one.data(), all.data() + r * sys.ldx,
+                          static_cast<std::size_t>(sys.n) * sizeof(double)),
+              0)
+        << "rhs=" << r;
+  }
 }
 
 TEST(Kernels, CopyMatrixStrided) {
@@ -124,61 +181,6 @@ TEST(Kernels, RowGatherScatterRoundTrip) {
   EXPECT_DOUBLE_EQ(a[5], orig[5]);
 }
 
-TEST(Kernels, PackRowsProducesRowMajorSegments) {
-  Stream s(test_device());
-  // 5x3 matrix; pack rows {4, 0, 2} into contiguous row-major segments.
-  std::vector<double> a(15);
-  for (int j = 0; j < 3; ++j)
-    for (int i = 0; i < 5; ++i)
-      a[static_cast<std::size_t>(j * 5 + i)] = i * 10 + j;
-  std::vector<double> out(9, -1.0);
-  pack_rows(s, a.data(), 5, {4, 0, 2}, 3, out.data());
-  s.synchronize();
-  // Segment 0 = row 4: 40, 41, 42; segment 1 = row 0; segment 2 = row 2.
-  EXPECT_DOUBLE_EQ(out[0], 40.0);
-  EXPECT_DOUBLE_EQ(out[1], 41.0);
-  EXPECT_DOUBLE_EQ(out[2], 42.0);
-  EXPECT_DOUBLE_EQ(out[3], 0.0);
-  EXPECT_DOUBLE_EQ(out[5], 2.0);
-  EXPECT_DOUBLE_EQ(out[6], 20.0);
-  EXPECT_DOUBLE_EQ(out[8], 22.0);
-}
-
-TEST(Kernels, PackUnpackRowsRoundTrip) {
-  Stream s(test_device());
-  const long m = 12, n = 6;
-  testref::Rand rng(21);
-  auto a = rng.matrix(static_cast<int>(m), static_cast<int>(n),
-                      static_cast<int>(m));
-  const auto orig = a;
-  const std::vector<long> rows{1, 7, 11, 3};
-  std::vector<double> packed(rows.size() * static_cast<std::size_t>(n));
-  pack_rows(s, a.data(), m, rows, n, packed.data());
-  // Wipe the rows, then restore from the packed buffer.
-  s.enqueue(0.0, [&] {
-    for (long r : rows)
-      for (long j = 0; j < n; ++j) a[static_cast<std::size_t>(j * m + r)] = -9.0;
-  });
-  unpack_rows(s, packed.data(), rows, n, a.data(), m);
-  s.synchronize();
-  for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], orig[i]);
-}
-
-TEST(Kernels, UnpackRowsScattersToArbitraryTargets) {
-  Stream s(test_device());
-  // Row-major input with 2 rows of 3 cols scattered to matrix rows 3, 0.
-  std::vector<double> rm{1, 2, 3, 4, 5, 6};
-  std::vector<double> a(12, 0.0);  // 4x3
-  unpack_rows(s, rm.data(), {3, 0}, 3, a.data(), 4);
-  s.synchronize();
-  EXPECT_DOUBLE_EQ(a[3], 1.0);   // (3,0)
-  EXPECT_DOUBLE_EQ(a[7], 2.0);   // (3,1)
-  EXPECT_DOUBLE_EQ(a[11], 3.0);  // (3,2)
-  EXPECT_DOUBLE_EQ(a[0], 4.0);   // (0,0)
-  EXPECT_DOUBLE_EQ(a[8], 6.0);   // (0,2)
-  EXPECT_DOUBLE_EQ(a[1], 0.0);   // untouched
-}
-
 TEST(Kernels, PackRowsCmProducesColumnMajorWire) {
   Stream s(test_device());
   // 5x3 matrix; pack rows {4, 0, 2} into a 3x3 column-major wire block
@@ -223,24 +225,67 @@ TEST(Kernels, PackUnpackRowsCmRoundTrip) {
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], orig[i]);
 }
 
-TEST(Kernels, ColumnMajorWireMatchesRowMajorTransposed) {
+TEST(Kernels, UnpackRowsCmScattersToArbitraryTargets) {
   Stream s(test_device());
-  const long m = 9, n = 4;
-  testref::Rand rng(23);
-  auto a = rng.matrix(static_cast<int>(m), static_cast<int>(n),
-                      static_cast<int>(m));
-  const std::vector<long> rows{6, 2, 8};
-  const auto nr = static_cast<long>(rows.size());
-  std::vector<double> rm(static_cast<std::size_t>(nr * n));
-  std::vector<double> cm(static_cast<std::size_t>(nr * n));
-  pack_rows(s, a.data(), m, rows, n, rm.data());
-  pack_rows_cm(s, a.data(), m, rows, n, cm.data());
+  // A 2x3 column-major wire block scattered to matrix rows 3, 0 of a 4x3
+  // matrix: a(rows[i], c) = in[c*2 + i]; rows 1 and 2 stay untouched.
+  std::vector<double> cm{1, 4, 2, 5, 3, 6};
+  std::vector<double> a(12, 0.0);
+  unpack_rows_cm(s, cm.data(), {3, 0}, 3, a.data(), 4);
   s.synchronize();
-  for (long i = 0; i < nr; ++i)
-    for (long c = 0; c < n; ++c)
-      EXPECT_DOUBLE_EQ(cm[static_cast<std::size_t>(c * nr + i)],
-                       rm[static_cast<std::size_t>(i * n + c)])
-          << "i=" << i << " c=" << c;
+  EXPECT_DOUBLE_EQ(a[3], 1.0);   // (3,0)
+  EXPECT_DOUBLE_EQ(a[7], 2.0);   // (3,1)
+  EXPECT_DOUBLE_EQ(a[11], 3.0);  // (3,2)
+  EXPECT_DOUBLE_EQ(a[0], 4.0);   // (0,0)
+  EXPECT_DOUBLE_EQ(a[4], 5.0);   // (0,1)
+  EXPECT_DOUBLE_EQ(a[8], 6.0);   // (0,2)
+  for (long c = 0; c < 3; ++c) {
+    EXPECT_DOUBLE_EQ(a[static_cast<std::size_t>(c * 4 + 1)], 0.0);
+    EXPECT_DOUBLE_EQ(a[static_cast<std::size_t>(c * 4 + 2)], 0.0);
+  }
+}
+
+TEST(Kernels, PerOwnerCmSegmentsRoundTrip) {
+  Stream s(test_device());
+  // The displaced-row scatterv send buffer: one nd_r×n column-major
+  // segment per destination owner, laid end to end. Each receiver lands
+  // its own segment with one unpack_rows_cm, whatever the other segments
+  // hold.
+  const long m = 16, n = 5;
+  testref::Rand rng(29);
+  const auto src = rng.matrix(static_cast<int>(m), static_cast<int>(n),
+                              static_cast<int>(m));
+  const std::vector<std::vector<long>> owners{{9, 2, 14}, {}, {5}, {0, 11}};
+  std::size_t total = 0;
+  for (const auto& rows : owners) total += rows.size();
+  std::vector<double> wire(total * static_cast<std::size_t>(n), -1.0);
+  std::vector<std::size_t> offset;
+  std::size_t at = 0;
+  for (const auto& rows : owners) {
+    offset.push_back(at);
+    if (!rows.empty())
+      pack_rows_cm(s, src.data(), m, rows, n, wire.data() + at);
+    at += rows.size() * static_cast<std::size_t>(n);
+  }
+  s.synchronize();
+  for (double v : wire) EXPECT_NE(v, -1.0);
+
+  for (std::size_t o = 0; o < owners.size(); ++o) {
+    const auto& rows = owners[o];
+    std::vector<double> dst(static_cast<std::size_t>(m * n), 0.0);
+    if (!rows.empty())
+      unpack_rows_cm(s, wire.data() + offset[o], rows, n, dst.data(), m);
+    s.synchronize();
+    for (long i = 0; i < m; ++i) {
+      const bool mine =
+          std::find(rows.begin(), rows.end(), i) != rows.end();
+      for (long c = 0; c < n; ++c) {
+        const auto k = static_cast<std::size_t>(c * m + i);
+        EXPECT_EQ(dst[k], mine ? src[k] : 0.0)
+            << "owner=" << o << " i=" << i << " c=" << c;
+      }
+    }
+  }
 }
 
 TEST(Kernels, UnpackRowsCmScattersColumnSubranges) {
