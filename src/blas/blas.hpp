@@ -31,10 +31,10 @@ enum class Diag { NonUnit, Unit };
 
 // ---------------------------------------------------------------- level 1
 
-/// Index of the element of largest absolute value in x (0-based).
+/// Index of the first element of largest absolute value in x (0-based).
 /// n == 0 returns -1. NaN-insensitive: comparisons use fabs and NaN never
-/// wins, matching HPL's tolerance of generated matrices (which contain no
-/// NaNs by construction).
+/// wins, at any position; an all-NaN x returns 0. HPL's generated matrices
+/// contain no NaNs by construction.
 int idamax(int n, const double* x, int incx);
 int isamax(int n, const float* x, int incx);
 

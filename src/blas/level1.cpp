@@ -1,6 +1,5 @@
-#include <cmath>
-
 #include "blas/blas.hpp"
+#include "blas/microkernel.hpp"
 #include "util/error.hpp"
 
 namespace hplx::blas {
@@ -11,16 +10,7 @@ template <typename T>
 int iamax_impl(int n, const T* x, int incx) {
   if (n <= 0) return -1;
   HPLX_CHECK(incx != 0);
-  int best = 0;
-  T bestval = std::fabs(x[0]);
-  for (int i = 1; i < n; ++i) {
-    const T v = std::fabs(x[static_cast<long>(i) * incx]);
-    if (v > bestval) {
-      bestval = v;
-      best = i;
-    }
-  }
-  return best;
+  return detail::resolved<T>().iamax(n, x, incx);
 }
 
 template <typename T>
@@ -32,11 +22,6 @@ void swap_impl(int n, T* x, int incx, T* y, int incy) {
     *xi = *yi;
     *yi = t;
   }
-}
-
-template <typename T>
-void scal_impl(int n, T alpha, T* x, int incx) {
-  for (int i = 0; i < n; ++i) x[static_cast<long>(i) * incx] *= alpha;
 }
 
 template <typename T>
@@ -73,10 +58,10 @@ void sswap(int n, float* x, int incx, float* y, int incy) {
 }
 
 void dscal(int n, double alpha, double* x, int incx) {
-  scal_impl(n, alpha, x, incx);
+  detail::resolved<double>().scal(n, alpha, x, incx);
 }
 void sscal(int n, float alpha, float* x, int incx) {
-  scal_impl(n, alpha, x, incx);
+  detail::resolved<float>().scal(n, alpha, x, incx);
 }
 
 void daxpy(int n, double alpha, const double* x, int incx, double* y,

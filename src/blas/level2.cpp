@@ -1,4 +1,5 @@
 #include "blas/blas.hpp"
+#include "blas/microkernel.hpp"
 #include "util/error.hpp"
 
 namespace hplx::blas {
@@ -10,17 +11,7 @@ void ger_impl(int m, int n, T alpha, const T* x, int incx, const T* y,
               int incy, T* a, int lda) {
   if (m <= 0 || n <= 0 || alpha == T(0)) return;
   HPLX_CHECK(lda >= m);
-  for (int j = 0; j < n; ++j) {
-    const T t = alpha * y[static_cast<long>(j) * incy];
-    if (t == T(0)) continue;
-    T* acol = a + static_cast<long>(j) * lda;
-    if (incx == 1) {
-      for (int i = 0; i < m; ++i) acol[i] += x[i] * t;
-    } else {
-      for (int i = 0; i < m; ++i)
-        acol[i] += x[static_cast<long>(i) * incx] * t;
-    }
-  }
+  detail::resolved<T>().ger(m, n, alpha, x, incx, y, incy, a, lda);
 }
 
 template <typename T>

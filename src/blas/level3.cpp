@@ -1,6 +1,4 @@
 #include <algorithm>
-#include <iterator>
-#include <span>
 
 #include "blas/blas.hpp"
 #include "blas/microkernel.hpp"
@@ -142,74 +140,6 @@ void gemm_column(Trans tb, int m, int k, T alpha, const T* a, int lda,
   }
 }
 
-/// The micro-kernel and trsm leaf bodies, compiled once per ISA at that
-/// ISA's native vector width: avx512f 64 B, avx2 32 B, baseline x86-64
-/// 16 B. No target carries FMA into the arithmetic — the build pins
-/// -ffp-contract=off — so every version runs the same mul-then-add
-/// sequence as gemm_small and residuals do not depend on which one the
-/// host resolves (DESIGN.md decision 12).
-#if defined(__x86_64__)
-template <typename T>
-__attribute__((target("avx512f"))) void gemm_avx512f(int kb, const T* ap,
-                                                     const T* bp, T* acc) {
-  micro_kernel<T, 64>(kb, ap, bp, acc);
-}
-template <typename T>
-__attribute__((target("avx512f"))) void trsm_leaf_avx512f(
-    Uplo uplo, Diag diag, int tb, int n, const T* a, int lda, T* b, int ldb) {
-  trsm_leaf<T, 64>(uplo, diag, tb, n, a, lda, b, ldb);
-}
-template <typename T>
-__attribute__((target("avx2"))) void gemm_avx2(int kb, const T* ap,
-                                               const T* bp, T* acc) {
-  micro_kernel<T, 32>(kb, ap, bp, acc);
-}
-template <typename T>
-__attribute__((target("avx2"))) void trsm_leaf_avx2(Uplo uplo, Diag diag,
-                                                     int tb, int n, const T* a,
-                                                     int lda, T* b, int ldb) {
-  trsm_leaf<T, 32>(uplo, diag, tb, n, a, lda, b, ldb);
-}
-bool has_avx512f() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f");
-}
-bool has_avx2() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-}
-#endif
-template <typename T>
-void gemm_default(int kb, const T* ap, const T* bp, T* acc) {
-  micro_kernel<T, 16>(kb, ap, bp, acc);
-}
-template <typename T>
-void trsm_leaf_default(Uplo uplo, Diag diag, int tb, int n, const T* a,
-                       int lda, T* b, int ldb) {
-  trsm_leaf<T, 16>(uplo, diag, tb, n, a, lda, b, ldb);
-}
-bool runs_anywhere() { return true; }
-
-template <typename T>
-constexpr detail::KernelVersion<T> kVersions[] = {
-#if defined(__x86_64__)
-    {"avx512f", has_avx512f, gemm_avx512f<T>, trsm_leaf_avx512f<T>},
-    {"avx2", has_avx2, gemm_avx2<T>, trsm_leaf_avx2<T>},
-#endif
-    {"default", runs_anywhere, gemm_default<T>, trsm_leaf_default<T>},
-};
-
-/// The version this process runs: the first, widest, that the CPU
-/// supports. Decided once; callers fetch it once per BLAS call, outside
-/// their tile loops.
-template <typename T>
-const detail::KernelVersion<T>& resolved() {
-  static const detail::KernelVersion<T>& kv = *std::find_if(
-      std::begin(kVersions<T>), std::end(kVersions<T>),
-      [](const detail::KernelVersion<T>& v) { return v.runs_here(); });
-  return kv;
-}
-
 /// Macro-kernel: one packed A block against one packed B panel.
 template <typename T>
 void macro_kernel(const detail::KernelVersion<T>& kv, int mb, int nb, int kb,
@@ -334,7 +264,7 @@ void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
     return;
   }
 
-  const detail::KernelVersion<T>& kv = resolved<T>();
+  const detail::KernelVersion<T>& kv = detail::resolved<T>();
   if (flops >= kTeamFlopCutoff) {
     detail::TeamLease lease;
     if (ThreadTeam* team = lease.team()) {
@@ -361,7 +291,7 @@ void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
 template <typename T>
 void trsm_left_notrans_blocked(Uplo uplo, Diag diag, int m, int n, const T* a,
                                int lda, T* b, int ldb) {
-  const detail::KernelVersion<T>& kv = resolved<T>();
+  const detail::KernelVersion<T>& kv = detail::resolved<T>();
   if (uplo == Uplo::Lower) {
     for (int p0 = 0; p0 < m; p0 += kTrsmBlock) {
       const int tb = std::min(kTrsmBlock, m - p0);
@@ -537,21 +467,12 @@ void trsm_impl(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
 
 }  // namespace
 
-const char* kernel_isa() { return resolved<double>().isa; }
-
 namespace detail {
-
-template <typename T>
-std::span<const KernelVersion<T>> kernel_versions() {
-  return kVersions<T>;
-}
 
 template void gemm_small(Trans, Trans, int, int, int, double, const double*,
                          int, const double*, int, double, double*, int);
 template void gemm_small(Trans, Trans, int, int, int, float, const float*, int,
                          const float*, int, float, float*, int);
-template std::span<const KernelVersion<double>> kernel_versions();
-template std::span<const KernelVersion<float>> kernel_versions();
 template void gemm_packed(const KernelVersion<double>&, Trans, Trans, int,
                           int, int, double, const double*, int, const double*,
                           int, double, double*, int);

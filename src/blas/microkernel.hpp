@@ -1,7 +1,8 @@
 #pragma once
 /// \file microkernel.hpp
 /// \brief Register-blocked mr×nr gemm micro-kernel over packed panels, the
-/// trsm diagonal leaf, and the per-ISA table that level3.cpp builds them
+/// trsm diagonal leaf, the BLAS-1/2 leaves of the panel factorization
+/// (ger, scal, iamax), and the per-ISA table that versions.cpp builds them
 /// into.
 ///
 /// The hot loop of the engine: one packed A row-panel (Tile<T>::mr
@@ -15,7 +16,7 @@
 /// accumulator row is nr·sizeof(T)/VB vectors, and a[i] multiplies a whole
 /// B vector as one broadcast load, so the k loop issues no lane shuffles
 /// (gcc's auto-vectorized broadcasts of a[i] are shuffle-bound; DESIGN.md
-/// decision 12). level3.cpp compiles the bodies once per ISA at that
+/// decision 12). versions.cpp compiles the bodies once per ISA at that
 /// ISA's native width (avx512f 64 B, avx2 32 B, baseline 16 B; every tile
 /// row is 64 B, so each row is one, two or four vectors) and a resolver
 /// picks one version per process.
@@ -28,7 +29,10 @@
 /// keeps them bitwise identical to gemm_small's per-element dot products
 /// and to each other (tests/blas/test_threaded.cpp).
 
+#include <cmath>
+#include <limits>
 #include <span>
+#include <type_traits>
 
 #include "blas/pack.hpp"
 
@@ -103,6 +107,97 @@ template <typename T, int VB>
   }
 }
 
+/// A(m×n) += x·(alpha·y)ᵀ, column by column: a column whose alpha·y[j] is
+/// zero is skipped, and every element gets x[i]·t added in one multiply
+/// and one add, so each version matches the scalar loop bit for bit.
+/// Unit-stride x runs on VB-byte vectors; other strides stay scalar.
+template <typename T, int VB>
+[[gnu::always_inline]] inline void ger_leaf(int m, int n, T alpha, const T* x,
+                                            int incx, const T* y, int incy,
+                                            T* a, int lda) {
+  constexpr int lanes = VB / sizeof(T);
+  typedef T VM
+      __attribute__((vector_size(VB), aligned(alignof(T)), may_alias));
+  for (int j = 0; j < n; ++j) {
+    const T t = alpha * y[static_cast<long>(j) * incy];
+    if (t == T(0)) continue;
+    T* acol = a + static_cast<long>(j) * lda;
+    if (incx != 1) {
+      for (int i = 0; i < m; ++i)
+        acol[i] += x[static_cast<long>(i) * incx] * t;
+      continue;
+    }
+    int i = 0;
+    for (; i + lanes <= m; i += lanes) {
+      *reinterpret_cast<VM*>(acol + i) +=
+          *reinterpret_cast<const VM*>(x + i) * t;
+    }
+    for (; i < m; ++i) acol[i] += x[i] * t;
+  }
+}
+
+/// x[i] *= alpha for i < n; VB-byte vectors when incx == 1.
+template <typename T, int VB>
+[[gnu::always_inline]] inline void scal_leaf(int n, T alpha, T* x, int incx) {
+  constexpr int lanes = VB / sizeof(T);
+  typedef T VM
+      __attribute__((vector_size(VB), aligned(alignof(T)), may_alias));
+  if (incx != 1) {
+    for (int i = 0; i < n; ++i) x[static_cast<long>(i) * incx] *= alpha;
+    return;
+  }
+  int i = 0;
+  for (; i + lanes <= n; i += lanes) *reinterpret_cast<VM*>(x + i) *= alpha;
+  for (; i < n; ++i) x[i] *= alpha;
+}
+
+/// Index of the first element of largest |x| among n >= 1 elements. NaN
+/// never wins: every comparison is a strict `>` against a running best
+/// that starts at -1, so an all-NaN x returns 0. With incx == 1 each lane
+/// of a VB-byte vector keeps its own first maximum, and the lanes merge
+/// by value, then by lowest index — the scalar scan's answer.
+template <typename T, int VB>
+[[gnu::always_inline]] inline int iamax_leaf(int n, const T* x, int incx) {
+  T best = T(-1);
+  int best_i = -1;
+  int i = 0;
+  if (incx == 1) {
+    constexpr int lanes = VB / sizeof(T);
+    using I = std::conditional_t<sizeof(T) == 8, long long, int>;
+    static_assert(sizeof(I) == sizeof(T));
+    typedef T V __attribute__((vector_size(VB)));
+    typedef I VI __attribute__((vector_size(VB)));
+    typedef I VMI
+        __attribute__((vector_size(VB), aligned(alignof(T)), may_alias));
+    constexpr I kAbs = std::numeric_limits<I>::max();  // all but the sign
+    V vbest = V{} - T(1);
+    VI ibest = VI{};
+    VI idx;
+    for (int l = 0; l < lanes; ++l) idx[l] = l;
+    for (; i + lanes <= n; i += lanes, idx += lanes) {
+      const V v = (V)(*reinterpret_cast<const VMI*>(x + i) & kAbs);
+      const VI gt = v > vbest;
+      vbest = gt ? v : vbest;
+      ibest = gt ? idx : ibest;
+    }
+    for (int l = 0; l < lanes; ++l) {
+      if (vbest[l] > best ||
+          (vbest[l] == best && best_i >= 0 && ibest[l] < best_i)) {
+        best = vbest[l];
+        best_i = static_cast<int>(ibest[l]);
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    const T v = std::fabs(x[static_cast<long>(i) * incx]);
+    if (v > best) {
+      best = v;
+      best_i = i;
+    }
+  }
+  return best_i < 0 ? 0 : best_i;
+}
+
 /// Write an mr×nr corner of the accumulator into C.
 ///
 /// `first_k` marks the first KC block of the k loop: it applies the
@@ -136,8 +231,8 @@ inline void write_back(int mr, int nr, T alpha, const T* acc, T* c, int ldc,
 
 namespace detail {
 
-/// One ISA version of the BLAS-3 kernels: micro_kernel and trsm_leaf
-/// compiled for one target at that target's vector width.
+/// One ISA version of the kernels: micro_kernel, trsm_leaf and the
+/// BLAS-1/2 leaves compiled for one target at that target's vector width.
 template <typename T>
 struct KernelVersion {
   const char* isa;     ///< "avx512f", "avx2" or "default"
@@ -145,6 +240,10 @@ struct KernelVersion {
   void (*gemm)(int kb, const T* ap, const T* bp, T* acc);
   void (*trsm_leaf)(Uplo uplo, Diag diag, int tb, int n, const T* a, int lda,
                     T* b, int ldb);
+  void (*ger)(int m, int n, T alpha, const T* x, int incx, const T* y,
+              int incy, T* a, int lda);
+  void (*scal)(int n, T alpha, T* x, int incx);
+  int (*iamax)(int n, const T* x, int incx);
 };
 
 /// Every version this build carries, widest first. The last is "default"
@@ -152,6 +251,12 @@ struct KernelVersion {
 /// whose runs_here() holds, once per process.
 template <typename T>
 std::span<const KernelVersion<T>> kernel_versions();
+
+/// The version this process runs: the first, widest, that the CPU
+/// supports. Decided once; callers fetch it once per BLAS call, outside
+/// their tile loops.
+template <typename T>
+const KernelVersion<T>& resolved();
 
 /// The small-problem gemm: per element, a register dot product over each
 /// KC block of k in order, alpha/beta applied at write-back. Every other

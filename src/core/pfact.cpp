@@ -168,24 +168,40 @@ struct Shared {
   }
 };
 
+/// A thread's running pivot candidate for one column: the largest |w(i, k)|
+/// seen so far over its tiles, ties to the lowest global row, NaN never.
+template <typename T>
+struct Candidate {
+  double val = -1.0;
+  long idx = -1;  ///< w row, or -1 for none yet
+
+  /// Fold in rows [r0, r1) of column k. One iamax finds the range's first
+  /// largest entry; w rows are in ascending global order, so within the
+  /// range that is also the lowest global row.
+  void scan(const Shared<T>& s, long r0, long r1, int k) {
+    const long r =
+        r0 + blas::iamax(static_cast<int>(r1 - r0), &s.W(r0, k), 1);
+    const double v = std::fabs(static_cast<double>(s.W(r, k)));
+    if (v > val || (v == val && idx >= 0 && s.t.glob[r] < s.t.glob[idx])) {
+      val = v;
+      idx = r;
+    }
+  }
+
+  void publish(Shared<T>& s, int tid) const {
+    s.cand_val[static_cast<std::size_t>(tid)] = val;
+    s.cand_idx[static_cast<std::size_t>(tid)] = idx;
+  }
+};
+
 /// Phase 1 of each column: every thread scans its tiles for the largest
 /// |w(i, k)| among active rows (parallel reduction of §III.A).
 template <typename T>
 void local_search(Shared<T>& s, int tid, int k) {
-  double best = -1.0;
-  long best_idx = -1;
-  s.for_tiles(tid, s.active_start(k), [&](long r0, long r1) {
-    for (long r = r0; r < r1; ++r) {
-      const double v = std::fabs(static_cast<double>(s.W(r, k)));
-      if (v > best ||
-          (v == best && best_idx >= 0 && s.t.glob[r] < s.t.glob[best_idx])) {
-        best = v;
-        best_idx = r;
-      }
-    }
-  });
-  s.cand_val[static_cast<std::size_t>(tid)] = best;
-  s.cand_idx[static_cast<std::size_t>(tid)] = best_idx;
+  Candidate<T> c;
+  s.for_tiles(tid, s.active_start(k),
+              [&](long r0, long r1) { c.scan(s, r0, r1, k); });
+  c.publish(s, tid);
 }
 
 /// Phase 2, main thread only: merge thread candidates, run the combined
@@ -270,31 +286,45 @@ void pivot_exchange(Shared<T>& s, int k) {
 }
 
 /// Phase 3: scale column k of active rows and (right-looking) apply the
-/// rank-1 update over columns (k, cend).
+/// rank-1 update over columns (k, cend). With `search_next`, each tile
+/// then runs the next column's phase 1 while it is still in cache:
+/// column k+1 of these rows is final once the update has touched it
+/// (HPL_dlocmax after the rank-1 update in HPL's pdpanrlN).
 template <typename T>
-void scale_and_update(Shared<T>& s, int tid, int k, int cend, bool do_ger) {
+void scale_and_update(Shared<T>& s, int tid, int k, int cend, bool do_ger,
+                      bool search_next = false) {
   const T pivk = s.Top(k, k);
+  Candidate<T> next;
   s.for_tiles(tid, s.active_start(k + 1), [&](long r0, long r1) {
     const long m = r1 - r0;
     blas::scal(static_cast<int>(m), T(1) / pivk, &s.W(r0, k), 1);
     if (do_ger && cend > k + 1) {
+      // y is the pivot row as the exchange delivered it, equal to top row
+      // k but contiguous: one or two cache lines to pull from the main
+      // thread's core instead of one per column.
       blas::ger(static_cast<int>(m), cend - (k + 1), T(-1), &s.W(r0, k), 1,
-                &s.Top(k, k + 1), static_cast<int>(s.t.ldtop),
-                &s.W(r0, k + 1), static_cast<int>(s.t.ldw));
+                s.pivot_row() + k + 1, 1, &s.W(r0, k + 1),
+                static_cast<int>(s.t.ldw));
     }
+    if (search_next) next.scan(s, r0, r1, k + 1);
   });
+  if (search_next) next.publish(s, tid);
 }
 
-/// Unblocked right-looking base over columns [k0, k0+kb).
+/// Unblocked right-looking base over columns [k0, k0+kb), two team
+/// barriers per column: the update pass of column k also finds column
+/// k+1's local candidates. Only the block's first column, which the
+/// recursion's gemm has just updated, needs a search of its own.
 template <typename T>
 void base_right(Shared<T>& s, int tid, int k0, int kb) {
+  local_search(s, tid, k0);
+  s.team.barrier();
   for (int k = k0; k < k0 + kb; ++k) {
-    local_search(s, tid, k);
-    s.team.barrier();
     if (tid == 0) pivot_exchange(s, k);
     s.team.barrier();
     if (s.failed.load()) return;
-    scale_and_update(s, tid, k, k0 + kb, /*do_ger=*/true);
+    scale_and_update(s, tid, k, k0 + kb, /*do_ger=*/true,
+                     /*search_next=*/k + 1 < k0 + kb);
     s.team.barrier();
   }
 }

@@ -4,20 +4,56 @@
 
 namespace hplx {
 
+namespace {
+
+/// Tell the core this is a spin-wait loop (x86 `pause`): it saves power
+/// and yields issue slots to a hyper-threaded sibling.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+}  // namespace
+
 Barrier::Barrier(int participants) : participants_(participants) {
   HPLX_CHECK(participants >= 1);
 }
 
 void Barrier::arrive_and_wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::uint64_t gen = generation_;
-  if (++waiting_ == participants_) {
-    waiting_ = 0;
-    ++generation_;
+  if (participants_ == 1) return;
+  // Read before arriving: the round cannot complete without this member,
+  // so `gen` is the generation of the round it is joining.
+  const std::uint64_t gen = generation_.load(std::memory_order_acquire);
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants_) {
+    // The reset precedes the release store below, so no member of the
+    // next round can arrive before the count is back at zero.
+    arrived_.store(0, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      generation_.store(gen + 1, std::memory_order_release);
+    }
     cv_.notify_all();
     return;
   }
-  cv_.wait(lock, [&] { return generation_ != gen; });
+  auto released = [&] {
+    return generation_.load(std::memory_order_acquire) != gen;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  for (unsigned spins = 1;; ++spins) {
+    if (released()) return;
+    cpu_relax();
+    // Reading the clock costs more than a pause; look every 64 spins.
+    // Yield there too: a peer that shares this CPU (where the kernel does
+    // not balance load, threads stay where they start) then runs and
+    // arrives, instead of waiting out the window behind this spin.
+    if (spins % 64 == 0) {
+      if (std::chrono::steady_clock::now() >= deadline) break;
+      std::this_thread::yield();
+    }
+  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_.wait(lock, released);
 }
 
 ThreadTeam::ThreadTeam(int size) : size_(size), region_barrier_(size) {

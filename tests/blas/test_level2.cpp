@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
-#include <cmath>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "blas/blas.hpp"
+#include "blas/microkernel.hpp"
 #include "tests/blas/reference.hpp"
 
 namespace hplx::blas {
@@ -125,6 +128,133 @@ INSTANTIATE_TEST_SUITE_P(
         TrsvCase{Uplo::Lower, Trans::Yes, Diag::NonUnit, 17},
         TrsvCase{Uplo::Upper, Trans::Yes, Diag::NonUnit, 17},
         TrsvCase{Uplo::Upper, Trans::Yes, Diag::Unit, 21}));
+
+// ------------------------------------------- per-ISA BLAS-1/2 leaves
+
+/// The scalar loops every ISA version of ger, scal and iamax must
+/// reproduce bit for bit (the bodies before they had vector versions).
+template <typename T>
+void scalar_ger(int m, int n, T alpha, const T* x, int incx, const T* y,
+                int incy, T* a, int lda) {
+  for (int j = 0; j < n; ++j) {
+    const T t = alpha * y[static_cast<long>(j) * incy];
+    if (t == T(0)) continue;
+    T* acol = a + static_cast<long>(j) * lda;
+    for (int i = 0; i < m; ++i) acol[i] += x[static_cast<long>(i) * incx] * t;
+  }
+}
+template <typename T>
+void scalar_scal(int n, T alpha, T* x, int incx) {
+  for (int i = 0; i < n; ++i) x[static_cast<long>(i) * incx] *= alpha;
+}
+template <typename T>
+int scalar_iamax(int n, const T* x, int incx) {
+  T best = T(-1);
+  int best_i = 0;
+  for (int i = 0; i < n; ++i) {
+    const T v = std::fabs(x[static_cast<long>(i) * incx]);
+    if (v > best) {
+      best = v;
+      best_i = i;
+    }
+  }
+  return best_i;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+template <typename T>
+std::vector<T> random_vector(Rand& rng, std::size_t n) {
+  std::vector<T> v(n);
+  for (auto& e : v) e = static_cast<T>(rng.next());
+  return v;
+}
+
+template <typename T>
+class Blas2Leaves : public ::testing::Test {
+ protected:
+  /// Ragged lengths around every version's lane count (2..16 elements).
+  static constexpr int kLengths[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64,
+                                     67, 130};
+  static constexpr int kIncs[] = {1, 3};
+};
+using LeafTypes = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(Blas2Leaves, LeafTypes);
+
+TYPED_TEST(Blas2Leaves, EveryKernelVersionTheCpuRunsAgreesBitwise) {
+  using T = TypeParam;
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T inf = std::numeric_limits<T>::infinity();
+  Rand rng(23);
+  int ran = 0;
+  for (const auto& kv : detail::kernel_versions<T>()) {
+    if (!kv.runs_here()) continue;
+    ++ran;
+    for (const int m : TestFixture::kLengths) {
+      for (const int inc : TestFixture::kIncs) {
+        SCOPED_TRACE(::testing::Message() << kv.isa << " m=" << m
+                                          << " inc=" << inc);
+        const std::size_t len = static_cast<std::size_t>(m) * inc;
+
+        // ger: lda > m, n = 5. y[2] == 0 must skip its column entirely:
+        // x carries an Inf, so a computed x·0 would leave a NaN behind.
+        const int n = 5, lda = m + 3;
+        auto x = random_vector<T>(rng, len);
+        x[len - 1] = inf;
+        auto y = random_vector<T>(rng, static_cast<std::size_t>(n) * 2);
+        y[2 * 2] = T(0);
+        const auto a0 =
+            random_vector<T>(rng, static_cast<std::size_t>(lda) * n);
+        auto want = a0, got = a0;
+        scalar_ger(m, n, T(-0.75), x.data(), inc, y.data(), 2, want.data(),
+                   lda);
+        kv.ger(m, n, T(-0.75), x.data(), inc, y.data(), 2, got.data(), lda);
+        EXPECT_TRUE(same_bits(want, got)) << "ger";
+        EXPECT_EQ(std::memcmp(got.data() + 2 * lda, a0.data() + 2 * lda,
+                              static_cast<std::size_t>(m) * sizeof(T)),
+                  0)
+            << "the y[j] == 0 column was touched";
+
+        // scal.
+        auto sw = random_vector<T>(rng, len), sg = sw;
+        scalar_scal(m, T(1) / T(3), sw.data(), inc);
+        kv.scal(m, T(1) / T(3), sg.data(), inc);
+        EXPECT_TRUE(same_bits(sw, sg)) << "scal";
+
+        // iamax on random data, then with planted ties and NaNs: the first
+        // of equal magnitudes wins, and a NaN never does, wherever it sits.
+        auto v = random_vector<T>(rng, len);
+        auto at = [&](int i) -> T& {
+          return v[static_cast<std::size_t>(i) * inc];
+        };
+        EXPECT_EQ(kv.iamax(m, v.data(), inc), scalar_iamax(m, v.data(), inc));
+        const int p1 = m / 3, p2 = m - 1;
+        at(p2) = T(4);
+        at(p1) = T(-4);
+        at(0) = nan;
+        if (p1 + 1 < p2) at(p1 + 1) = nan;
+        const int want_i = m == 1 ? 0 : p1 == 0 ? p2 : p1;
+        EXPECT_EQ(scalar_iamax(m, v.data(), inc), want_i);
+        EXPECT_EQ(kv.iamax(m, v.data(), inc), want_i) << "iamax ties/NaN";
+        for (int i = 0; i < m; ++i) at(i) = nan;
+        EXPECT_EQ(kv.iamax(m, v.data(), inc), 0) << "all NaN";
+      }
+    }
+  }
+  EXPECT_GE(ran, 1) << "the default version runs anywhere";
+}
+
+TEST(Idamax, NaNNeverWinsEvenFirst) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> x{nan, 1.0, -3.0, nan, 3.0};
+  EXPECT_EQ(idamax(5, x.data(), 1), 2);
+  std::vector<float> xf{2.0f, std::numeric_limits<float>::quiet_NaN(), -2.0f};
+  EXPECT_EQ(isamax(3, xf.data(), 1), 0);
+}
 
 }  // namespace
 }  // namespace hplx::blas

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -60,25 +62,26 @@ HplConfig make_cfg(FactVariant v, int threads,
 }
 
 /// Run panel_factorize on a single rank and return (top, w, ipiv).
-struct SingleResult {
-  std::vector<double> top, w;
+template <typename T>
+struct PanelResult {
+  std::vector<T> top, w;
   std::vector<long> ipiv;
 };
+using SingleResult = PanelResult<double>;
 
-SingleResult run_single(const std::vector<double>& a0, long m, int jb,
-                        FactVariant v, int threads, int tile_rows,
-                        PivotMode pivoting = PivotMode::Full) {
-  SingleResult out;
+template <typename T>
+PanelResult<T> run_panel(const std::vector<T>& a0, long m, int jb,
+                         const HplConfig& cfg, int tile_rows) {
+  PanelResult<T> out;
   out.w = a0;
-  out.top.assign(static_cast<std::size_t>(jb) * jb, 0.0);
+  out.top.assign(static_cast<std::size_t>(jb) * jb, T(0));
   out.ipiv.assign(static_cast<std::size_t>(jb), -1);
   std::vector<long> glob(static_cast<std::size_t>(m));
   for (long i = 0; i < m; ++i) glob[static_cast<std::size_t>(i)] = i;
 
   comm::World::run(1, [&](comm::Communicator& comm) {
-    const HplConfig cfg = make_cfg(v, threads, pivoting);
-    ThreadTeam team(threads);
-    PanelTask task;
+    ThreadTeam team(cfg.fact_threads);
+    PanelTaskT<T> task;
     task.j = 0;
     task.jb = jb;
     task.w = out.w.data();
@@ -93,6 +96,12 @@ SingleResult run_single(const std::vector<double>& a0, long m, int jb,
     panel_factorize(comm, cfg, team, task);
   });
   return out;
+}
+
+SingleResult run_single(const std::vector<double>& a0, long m, int jb,
+                        FactVariant v, int threads, int tile_rows,
+                        PivotMode pivoting = PivotMode::Full) {
+  return run_panel(a0, m, jb, make_cfg(v, threads, pivoting), tile_rows);
 }
 
 /// Check the factorization property: applying the pivot swaps to the
@@ -207,6 +216,64 @@ TEST(Pfact, ThreadCountDoesNotChangeBits) {
   }
   for (std::size_t i = 0; i < r1.top.size(); ++i)
     ASSERT_EQ(r1.top[i], r7.top[i]);
+}
+
+/// The right-looking base finds column k+1's candidates inside column k's
+/// update pass. Every row of this panel has an exact twin (the same row,
+/// or its negation, half the panel further down, in another thread's
+/// tile): the update keeps twins exact, so every column's search meets a
+/// tie across threads, which the lowest global row must win.
+template <typename T>
+void check_fused_search_ties() {
+  // Five 24-row tiles apart: a twin is never on its row's thread.
+  const long h = 120;
+  const long m = 2 * h;
+  const int jb = 64, tile_rows = 24;
+  testref::Rand rng(11);
+  std::vector<T> a0(static_cast<std::size_t>(m) * jb);
+  for (int c = 0; c < jb; ++c) {
+    for (long i = 0; i < h; ++i) {
+      const T v = static_cast<T>(rng.next());
+      a0[static_cast<std::size_t>(i + c * m)] = v;
+      a0[static_cast<std::size_t>(i + h + c * m)] = i % 3 == 0 ? -v : v;
+    }
+  }
+  std::vector<PanelResult<T>> runs;
+  for (int threads = 1; threads <= 4; ++threads) {
+    HplConfig cfg = make_cfg(FactVariant::RecursiveRight, threads);
+    cfg.rfact_nbmin = 16;  // four base blocks
+    runs.push_back(run_panel(a0, m, jb, cfg, tile_rows));
+  }
+  for (std::size_t t = 1; t < runs.size(); ++t) {
+    SCOPED_TRACE(::testing::Message() << "fact_threads " << t + 1);
+    EXPECT_EQ(runs[0].ipiv, runs[t].ipiv);
+    EXPECT_EQ(std::memcmp(runs[0].w.data(), runs[t].w.data(),
+                          runs[0].w.size() * sizeof(T)),
+              0);
+    EXPECT_EQ(std::memcmp(runs[0].top.data(), runs[t].top.data(),
+                          runs[0].top.size() * sizeof(T)),
+              0);
+  }
+  // Replay the row exchanges: content[r] is the original row now in w row
+  // r. The pivot's twin is still an active row, and the pivot, sharing
+  // its magnitude, must be the lower of the two.
+  std::vector<long> content(static_cast<std::size_t>(m));
+  for (long r = 0; r < m; ++r) content[static_cast<std::size_t>(r)] = r;
+  for (int k = 0; k < jb; ++k) {
+    const long p = runs[0].ipiv[static_cast<std::size_t>(k)];
+    const long twin = (content[static_cast<std::size_t>(p)] + h) % m;
+    const long q = static_cast<long>(
+        std::find(content.begin(), content.end(), twin) - content.begin());
+    ASSERT_GE(q, k) << "column " << k << ": twin was already a pivot";
+    EXPECT_LT(p, q) << "column " << k << ": a tie went to the higher row";
+    std::swap(content[static_cast<std::size_t>(k)],
+              content[static_cast<std::size_t>(p)]);
+  }
+}
+
+TEST(Pfact, FusedSearchKeepsBitsAndLowestRowTieBreak) {
+  check_fused_search_ties<double>();
+  check_fused_search_ties<float>();
 }
 
 TEST(Pfact, VariantsAgreeOnSamePivotSequence) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "util/thread_team.hpp"
@@ -77,6 +78,34 @@ TEST(ThreadTeam, RepeatedBarriersStayInLockstep) {
     }
   });
   EXPECT_FALSE(mismatch);
+}
+
+TEST(ThreadTeam, BarrierStressSpinAndParkStayInLockstep) {
+  // Ten thousand generations per team size. Every 61st round one member
+  // (a different one each time) sleeps past the spin window before it
+  // arrives, so the others park; every other round ends inside the spin.
+  // Double-buffered stamps let one barrier per generation be checked:
+  // a member can run one round ahead, never two. The stamps are plain
+  // ints, so under TSan the barrier alone must order them.
+  constexpr int kGenerations = 10000;
+  for (int T = 2; T <= 4; ++T) {
+    ThreadTeam team(T);
+    std::vector<int> stamp[2] = {std::vector<int>(T, -1),
+                                 std::vector<int>(T, -1)};
+    std::atomic<int> mismatches{0};
+    team.run([&](int tid) {
+      for (int r = 0; r < kGenerations; ++r) {
+        std::vector<int>& row = stamp[r % 2];
+        row[static_cast<std::size_t>(tid)] = r;
+        if (r % 61 == 0 && tid == (r / 61) % T)
+          std::this_thread::sleep_for(3 * Barrier::kSpinWindow);
+        team.barrier();
+        for (int t = 0; t < T; ++t)
+          if (row[static_cast<std::size_t>(t)] != r) mismatches++;
+      }
+    });
+    EXPECT_EQ(mismatches.load(), 0) << "team size " << T;
+  }
 }
 
 TEST(ThreadTeam, ExceptionInWorkerPropagatesToCaller) {
