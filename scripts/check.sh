@@ -18,7 +18,9 @@
 # legs, as does the unified-allocator suite ("alloc": size-class/stats
 # unit tests plus the zero-steady-state-allocation solve gates) and the
 # comm-verifier suite ("commcheck": adversarial injection tests for the
-# collective-matching/deadlock/leak checker plus clean solver sweeps).
+# collective-matching/deadlock/leak checker plus clean solver sweeps), and
+# the byte-for-byte golden files ("golden": the pure-model figure series
+# and the 92-line residual oracle), so a moved bit is visible at a glance.
 # A gcc -fanalyzer pass over the transport layer (scripts/analyze.sh,
 # baseline-gated) closes out the default build's steps.
 # This is what CI runs and what a perf PR must keep green.
@@ -52,6 +54,9 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" -L alloc
 
 echo "== commcheck gate: ctest -L commcheck ($build)"
 ctest --test-dir "$build" --output-on-failure -j "$jobs" -L commcheck
+
+echo "== golden gate: ctest -L golden ($build)"
+ctest --test-dir "$build" --output-on-failure -j "$jobs" -L golden
 
 if [ "${SKIP_ANALYZE:-0}" = "1" ]; then
   echo "== skipping static-analyzer pass (SKIP_ANALYZE=1)"

@@ -21,7 +21,10 @@ constexpr double kPackFlopCutoff = 2.0 * 32768;
 /// Below this flop count a thread team costs more in wakeups/barriers
 /// than it saves.
 constexpr double kTeamFlopCutoff = 2.0 * 4e6;
-/// Right-looking block size for the trsm diagonal solves.
+/// Right-looking block size for the trsm diagonal solves. Part of the
+/// arithmetic: the block boundaries decide which subtractions run one at a
+/// time in the leaf and which are summed first by a micro-kernel, so a
+/// different size moves bits.
 constexpr int kTrsmBlock = 64;
 /// Minimum per-member slice (columns for Left, rows for Right) before a
 /// teamed trsm is worthwhile.
@@ -217,21 +220,59 @@ void detail::gemm_packed(const KernelVersion<T>& kv, Trans ta, Trans tb,
                      bs, 0, 1, bp, [] {});
 }
 
-namespace {
-
-/// Internal gemm used by trsm's trailing updates: never tries to take
-/// the team (the caller may already hold the lease).
+/// Right-looking blocked solve, one kTrsmBlock diagonal block at a time
+/// (top-down for lower, bottom-up for upper; the block boundaries fix the
+/// rounding). Per block the rows it updates — L21 below it, or U01 above
+/// — are packed once with pack_a. Then each nr-wide strip of B is packed,
+/// solved in place by the version's packed leaf, copied back, and retired
+/// from those rows by micro-kernels against the same packed strip, with
+/// gemm's write-back C = alpha·acc + beta·C at alpha = −1, beta = 1 over
+/// KC blocks in order — each row gets the bits gemm(−1, L21, X1, 1, B2)
+/// would give it.
 template <typename T>
-void gemm_sequential(const detail::KernelVersion<T>& kv, Trans ta, Trans tb,
-                     int m, int n, int k, T alpha, const T* a, int lda,
-                     const T* b, int ldb, T beta, T* c, int ldc) {
-  if (2.0 * m * n * k < kPackFlopCutoff) {
-    detail::gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-    return;
+void detail::trsm_left_notrans(const KernelVersion<T>& kv, Uplo uplo,
+                               Diag diag, int m, int n, const T* a, int lda,
+                               T* b, int ldb) {
+  constexpr int mr_t = Tile<T>::mr;
+  constexpr int nr_t = Tile<T>::nr;
+  const int kc = block_sizes_for<T>().kc;
+  const bool lower = uplo == Uplo::Lower;
+  Scratch& s = scratch<T>();
+  T* bp = s.b.template ensure<T>(static_cast<std::size_t>(kTrsmBlock) * nr_t);
+  for (int done = 0; done < m; done += kTrsmBlock) {
+    const int tb = std::min(kTrsmBlock, m - done);
+    const int p0 = lower ? done : m - done - tb;
+    const int r0 = lower ? p0 + tb : 0;  // the rows this block updates
+    const int nrows = lower ? m - r0 : p0;
+    T* ap = s.a.template ensure<T>(
+        static_cast<std::size_t>(round_up(nrows, mr_t)) * tb);
+    pack_a(Trans::No, nrows, tb, a + r0 + static_cast<long>(p0) * lda, lda,
+           ap);
+    for (int j0 = 0; j0 < n; j0 += nr_t) {
+      const int nb = std::min(nr_t, n - j0);
+      T* bj = b + static_cast<long>(j0) * ldb;
+      pack_b(Trans::No, tb, nb, bj + p0, ldb, bp);
+      kv.trsm_leaf(uplo, diag, tb, a + p0 + static_cast<long>(p0) * lda, lda,
+                   bp);
+      for (int j = 0; j < nb; ++j) {
+        T* bcol = bj + p0 + static_cast<long>(j) * ldb;
+        for (int p = 0; p < tb; ++p) bcol[p] = bp[p * nr_t + j];
+      }
+      for (int ir = 0; ir < nrows; ir += mr_t) {
+        for (int pc = 0; pc < tb; pc += kc) {
+          T acc[mr_t * nr_t];
+          kv.gemm(std::min(kc, tb - pc), ap + static_cast<long>(ir) * tb +
+                                             static_cast<long>(pc) * mr_t,
+                  bp + static_cast<long>(pc) * nr_t, acc);
+          write_back(std::min(mr_t, nrows - ir), nb, T(-1), acc,
+                     bj + r0 + ir, ldb, pc == 0, T(1));
+        }
+      }
+    }
   }
-  detail::gemm_packed(kv, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                      ldc);
 }
+
+namespace {
 
 template <typename T>
 void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
@@ -284,42 +325,6 @@ void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
                       ldc);
 }
 
-/// Right-looking blocked solve for the Side::Left, Trans::No cases: solve
-/// a kTrsmBlock diagonal block with the resolved version's trsm_leaf, then
-/// fold its rows into the remaining RHS rows with one packed gemm — the
-/// bulk of the flops runs at gemm speed instead of substitution speed.
-template <typename T>
-void trsm_left_notrans_blocked(Uplo uplo, Diag diag, int m, int n, const T* a,
-                               int lda, T* b, int ldb) {
-  const detail::KernelVersion<T>& kv = detail::resolved<T>();
-  if (uplo == Uplo::Lower) {
-    for (int p0 = 0; p0 < m; p0 += kTrsmBlock) {
-      const int tb = std::min(kTrsmBlock, m - p0);
-      kv.trsm_leaf(uplo, diag, tb, n, a + p0 + static_cast<long>(p0) * lda,
-                   lda, b + p0, ldb);
-      const int rem = m - p0 - tb;
-      if (rem > 0) {
-        gemm_sequential(kv, Trans::No, Trans::No, rem, n, tb, T(-1),
-                        a + p0 + tb + static_cast<long>(p0) * lda, lda,
-                        b + p0, ldb, T(1), b + p0 + tb, ldb);
-      }
-    }
-  } else {
-    for (int p1 = m; p1 > 0;) {
-      const int tb = std::min(kTrsmBlock, p1);
-      const int p0 = p1 - tb;
-      kv.trsm_leaf(uplo, diag, tb, n, a + p0 + static_cast<long>(p0) * lda,
-                   lda, b + p0, ldb);
-      if (p0 > 0) {
-        gemm_sequential(kv, Trans::No, Trans::No, p0, n, tb, T(-1),
-                        a + static_cast<long>(p0) * lda, lda, b + p0, ldb,
-                        T(1), b, ldb);
-      }
-      p1 = p0;
-    }
-  }
-}
-
 /// Sequential trsm over one slice of B: alpha scaling plus the solve.
 /// Side::Left slices are column ranges of B; Side::Right slices are row
 /// ranges — both are independent across the slicing dimension, which is
@@ -341,7 +346,8 @@ void trsm_serial(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
 
   if (side == Side::Left) {
     if (trans == Trans::No) {
-      trsm_left_notrans_blocked(uplo, diag, m, n, a, lda, b, ldb);
+      detail::trsm_left_notrans(detail::resolved<T>(), uplo, diag, m, n, a,
+                                lda, b, ldb);
     } else {
       // op(A) = A^T. Solving A^T X = B with A lower is the same as solving
       // an upper system with A's transpose.
@@ -479,6 +485,10 @@ template void gemm_packed(const KernelVersion<double>&, Trans, Trans, int,
 template void gemm_packed(const KernelVersion<float>&, Trans, Trans, int, int,
                           int, float, const float*, int, const float*, int,
                           float, float*, int);
+template void trsm_left_notrans(const KernelVersion<double>&, Uplo, Diag, int,
+                                int, const double*, int, double*, int);
+template void trsm_left_notrans(const KernelVersion<float>&, Uplo, Diag, int,
+                                int, const float*, int, float*, int);
 
 }  // namespace detail
 

@@ -1,7 +1,7 @@
 #pragma once
 /// \file microkernel.hpp
 /// \brief Register-blocked mr×nr gemm micro-kernel over packed panels, the
-/// trsm diagonal leaf, the BLAS-1/2 leaves of the panel factorization
+/// packed trsm diagonal leaf, the BLAS-1/2 leaves of the panel factorization
 /// (ger, scal, iamax), and the per-ISA table that versions.cpp builds them
 /// into.
 ///
@@ -67,41 +67,50 @@ template <typename T, int VB>
       *reinterpret_cast<VM*>(acc + i * nr + v * lanes) = c[i][v];
 }
 
-/// y[i] -= x[i] * t for i < len: VB-byte vectors, then a scalar tail.
-template <typename T, int VB>
-[[gnu::always_inline]] inline void axpy_sub(int len, T t, const T* x, T* y) {
-  constexpr int lanes = VB / sizeof(T);
-  typedef T VM
-      __attribute__((vector_size(VB), aligned(alignof(T)), may_alias));
-  int i = 0;
-  for (; i + lanes <= len; i += lanes) {
-    *reinterpret_cast<VM*>(y + i) -= *reinterpret_cast<const VM*>(x + i) * t;
-  }
-  for (; i < len; ++i) y[i] -= x[i] * t;
-}
-
-/// Unblocked triangular solve op(A)(tb×tb) * X = B on a diagonal block,
-/// A lower (forward substitution) or upper (back substitution), not
-/// transposed. One right-hand-side column at a time runs through all tb
-/// rows, so the column stays in L1; each element sees the same subtraction
-/// order as a row-at-a-time sweep, so the result does not depend on VB.
+/// Unblocked triangular solve op(A)(tb×tb)·X = B in place on one packed
+/// tb×nr row panel of B — pack_b's layout, row p a whole nr-element tile
+/// row at bp + p·nr — A lower (forward substitution) or upper (back
+/// substitution), not transposed. The solve runs across the nr right-hand
+/// sides at once, nr·sizeof(T)/VB vectors per row, and each element sees
+/// the column substitution's sequence: x[i] -= a[i,p]·x[p] in p order,
+/// with x[p] divided by a[p,p] before its first use when the diagonal is
+/// not unit. A lane whose x[p] is zero skips row p's subtractions through
+/// a select, so a zero right-hand side never meets an Inf below it in L
+/// (and a −0 stays −0); the zero-padded lanes of a ragged strip stay
+/// inside their own lanes.
 template <typename T, int VB>
 [[gnu::always_inline]] inline void trsm_leaf(Uplo uplo, Diag diag, int tb,
-                                             int n, const T* a, int lda, T* b,
-                                             int ldb) {
-  const bool unit = diag == Diag::Unit;
-  for (int j = 0; j < n; ++j) {
-    T* bcol = b + static_cast<long>(j) * ldb;
-    for (int s = 0; s < tb; ++s) {
-      const int p = uplo == Uplo::Lower ? s : tb - 1 - s;
-      const T* acol = a + static_cast<long>(p) * lda;
-      if (!unit) bcol[p] /= acol[p];
-      const T t = bcol[p];
-      if (t == T(0)) continue;
-      if (uplo == Uplo::Lower) {
-        axpy_sub<T, VB>(tb - p - 1, t, acol + p + 1, bcol + p + 1);
-      } else {
-        axpy_sub<T, VB>(p, t, acol, bcol);
+                                             const T* a, int lda, T* bp) {
+  constexpr int nr = Tile<T>::nr;
+  constexpr int lanes = VB / sizeof(T);
+  constexpr int nv = nr / lanes;
+  using I = std::conditional_t<sizeof(T) == 8, long long, int>;
+  static_assert(sizeof(I) == sizeof(T));
+  typedef T V __attribute__((vector_size(VB)));
+  typedef I VI __attribute__((vector_size(VB)));
+  typedef T VM
+      __attribute__((vector_size(VB), aligned(alignof(T)), may_alias));
+  const bool lower = uplo == Uplo::Lower;
+  for (int s = 0; s < tb; ++s) {
+    const int p = lower ? s : tb - 1 - s;
+    const T* acol = a + static_cast<long>(p) * lda;
+    auto* xp = reinterpret_cast<VM*>(bp + static_cast<long>(p) * nr);
+    V x[nv];
+    VI live[nv];
+    for (int v = 0; v < nv; ++v) {
+      x[v] = xp[v];
+      if (diag == Diag::NonUnit) {
+        x[v] /= acol[p];
+        xp[v] = x[v];
+      }
+      live[v] = x[v] != T(0);
+    }
+    const int i1 = lower ? tb : p;
+    for (int i = lower ? p + 1 : 0; i < i1; ++i) {
+      auto* xi = reinterpret_cast<VM*>(bp + static_cast<long>(i) * nr);
+      for (int v = 0; v < nv; ++v) {
+        const V old = xi[v];
+        xi[v] = live[v] ? old - acol[i] * x[v] : old;
       }
     }
   }
@@ -231,15 +240,16 @@ inline void write_back(int mr, int nr, T alpha, const T* acc, T* c, int ldc,
 
 namespace detail {
 
-/// One ISA version of the kernels: micro_kernel, trsm_leaf and the
-/// BLAS-1/2 leaves compiled for one target at that target's vector width.
+/// One ISA version of the kernels: micro_kernel, the packed trsm_leaf and
+/// the BLAS-1/2 leaves compiled for one target at that target's vector
+/// width.
 template <typename T>
 struct KernelVersion {
   const char* isa;     ///< "avx512f", "avx2" or "default"
   bool (*runs_here)(); ///< the resolver's CPU test for this version
   void (*gemm)(int kb, const T* ap, const T* bp, T* acc);
-  void (*trsm_leaf)(Uplo uplo, Diag diag, int tb, int n, const T* a, int lda,
-                    T* b, int ldb);
+  void (*trsm_leaf)(Uplo uplo, Diag diag, int tb, const T* a, int lda,
+                    T* bp);
   void (*ger)(int m, int n, T alpha, const T* x, int incx, const T* y,
               int incy, T* a, int lda);
   void (*scal)(int n, T alpha, T* x, int incx);
@@ -273,6 +283,14 @@ template <typename T>
 void gemm_packed(const KernelVersion<T>& kv, Trans ta, Trans tb, int m, int n,
                  int k, T alpha, const T* a, int lda, const T* b, int ldb,
                  T beta, T* c, int ldc);
+
+/// The blocked Side::Left, Trans::No triangular solve op(A)·X = B on the
+/// calling thread alone, on a given version: dtrsm/strsm pass the
+/// resolved version (after their alpha scaling), tests pass every version
+/// the host supports. Requires m, n >= 1.
+template <typename T>
+void trsm_left_notrans(const KernelVersion<T>& kv, Uplo uplo, Diag diag,
+                       int m, int n, const T* a, int lda, T* b, int ldb);
 
 }  // namespace detail
 

@@ -18,9 +18,9 @@ namespace {
     micro_kernel<T, VB>(kb, ap, bp, acc);                                     \
   }                                                                           \
   template <typename T>                                                       \
-  TARGET void trsm_leaf_##ISA(Uplo uplo, Diag diag, int tb, int n,            \
-                              const T* a, int lda, T* b, int ldb) {           \
-    trsm_leaf<T, VB>(uplo, diag, tb, n, a, lda, b, ldb);                      \
+  TARGET void trsm_leaf_##ISA(Uplo uplo, Diag diag, int tb, const T* a,      \
+                              int lda, T* bp) {                               \
+    trsm_leaf<T, VB>(uplo, diag, tb, a, lda, bp);                             \
   }                                                                           \
   template <typename T>                                                       \
   TARGET void ger_##ISA(int m, int n, T alpha, const T* x, int incx,          \

@@ -21,6 +21,7 @@ void build_rowswap_plan(long j, int jb, const long* ipiv,
                         RowSwapPlan& plan) {
   plan.j = j;
   plan.jb = jb;
+  plan.ipiv.assign(ipiv, ipiv + jb);
 
   // Replay the sequential swaps on flat content arrays (the former
   // std::map allocated O(jb log jb) nodes on every panel of the hot
@@ -86,6 +87,10 @@ void RowSwapperT<T>::ensure_bound() {
 template <typename T>
 void RowSwapperT<T>::reserve(device::PoolAllocator& arena, int max_jb,
                              long max_njl, int nprow) {
+  if (nprow == 1) {
+    local_ipiv_.reserve(static_cast<std::size_t>(max_jb));
+    return;
+  }
   my_u_.bind(arena);
   gathered_u_.bind(arena);
   disp_send_.bind(arena);
@@ -113,6 +118,23 @@ template <typename T>
 void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
                              int myrow, long jl0, long njl, RowSwapAlgo algo,
                              long threshold) {
+  j_ = plan.j;
+  jb_ = plan.jb;
+  jl0_ = jl0;
+  njl_ = njl;
+  nprow_ = a.rows().nprocs();
+  myrow_ = myrow;
+  if (nprow_ == 1) {
+    // Every row of the window is local: scatter() replays the pivots in
+    // place. Identity pivots (always, in no-pivot mode) move no row.
+    bool moves = false;
+    for (int k = 0; k < jb_; ++k)
+      moves = moves || plan.ipiv[static_cast<std::size_t>(k)] != j_ + k;
+    local_ipiv_.clear();
+    if (moves)
+      for (long p : plan.ipiv) local_ipiv_.push_back(p - j_);
+    return;
+  }
   ensure_bound();
   // The previous cycle's scatter kernels captured raw pointers into
   // gathered_u_ / disp_recv_ at enqueue time. Before this cycle resizes
@@ -143,12 +165,6 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
                        (algo == RowSwapAlgo::Mix && njl <= threshold);
   u_algo_ = binexch ? comm::AllgatherAlgo::RecursiveDoubling
                     : comm::AllgatherAlgo::Ring;
-  j_ = plan.j;
-  jb_ = plan.jb;
-  jl0_ = jl0;
-  njl_ = njl;
-  nprow_ = a.rows().nprocs();
-  myrow_ = myrow;
 
   const grid::CyclicDim& rows = a.rows();
   diag_root_ = rows.owner(j_);
@@ -158,7 +174,7 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
     // No pivoting: U is the top block verbatim and nothing is displaced.
     // All index bookkeeping collapses to empty lists (so gather/scatter
     // take their no-op branches); the only workspace is the broadcast
-    // staging block, and only when the column actually has multiple rows.
+    // staging block.
     my_u_slots_.clear();
     u_dest_of_packed_.clear();
     u_counts_.assign(static_cast<std::size_t>(nprow_), 0);
@@ -166,9 +182,8 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
     disp_src_slots_.clear();
     my_disp_dest_slots_.clear();
     disp_counts_.assign(static_cast<std::size_t>(nprow_), 0);
-    if (nprow_ > 1)
-      gathered_u_.resize_discard(static_cast<std::size_t>(jb_) *
-                                 static_cast<std::size_t>(njl_));
+    gathered_u_.resize_discard(static_cast<std::size_t>(jb_) *
+                               static_cast<std::size_t>(njl_));
     return;
   }
 
@@ -243,13 +258,12 @@ template <typename T>
 void RowSwapperT<T>::gather(device::Stream& stream, DistMatrixT<T>& a) {
   hz_ = stream.device().hazard();
   gather_pending_ = false;
-  if (njl_ == 0) return;
+  if (njl_ == 0 || nprow_ == 1) return;
   if (nopiv_) {
-    // Single process row: scatter() copies the top block device-to-device,
-    // no staging at all. Otherwise the diagonal row stages its jb×njl top
-    // block (local rows of j_..j_+jb_-1 are contiguous — panels start on
-    // block boundaries) for the column broadcast.
-    if (nprow_ > 1 && in_diag_row_ && jb_ > 0) {
+    // The diagonal row stages its jb×njl top block (local rows of
+    // j_..j_+jb_-1 are contiguous — panels start on block boundaries) for
+    // the column broadcast.
+    if (in_diag_row_ && jb_ > 0) {
       const long il0 = a.rows().to_local(j_);
       device::copy_matrix_d2h(stream, static_cast<long>(jb_), njl_,
                               a.at(il0, jl0_), a.lda(), gathered_u_.data(),
@@ -303,6 +317,7 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
                                  trace::PhaseLedger* ledger,
                                  device::Stream& stream, T* u_dev,
                                  long ldu) {
+  if (nprow_ == 1) return;
   if (gather_pending_) {
     gather_done_.wait();
     gather_pending_ = false;
@@ -312,7 +327,7 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
     // panel's U replication, not swap traffic: the time goes to Phase::Mpi
     // alone (zero row-swap wire seconds/bytes is the no-pivot invariant
     // the tests assert).
-    if (nprow_ > 1 && njl_ > 0 && jb_ > 0) {
+    if (njl_ > 0 && jb_ > 0) {
       const std::size_t cnt =
           static_cast<std::size_t>(jb_) * static_cast<std::size_t>(njl_);
       // Root reads what its d2h pack wrote (ordered by the event wait
@@ -413,18 +428,21 @@ void RowSwapperT<T>::scatter(device::Stream& stream, DistMatrixT<T>& a,
                              T* u_dev, long ldu) {
   if (njl_ == 0) return;
   HPLX_CHECK(ldu >= jb_);
+  if (nprow_ == 1) {
+    // The window is resident: exchange its rows in place, then one d2d
+    // copy of the new top block. No staging, so no fence either.
+    T* top = a.at(a.rows().to_local(j_), jl0_);
+    if (!local_ipiv_.empty())
+      device::laswp(stream, top, a.lda(), njl_, local_ipiv_);
+    device::copy_matrix(stream, static_cast<long>(jb_), njl_, top, a.lda(),
+                        u_dev, ldu);
+    return;
+  }
   if (nopiv_) {
     if (jb_ > 0) {
-      if (nprow_ == 1) {
-        // The top block is already resident: one d2d copy, zero host hops.
-        const long il0 = a.rows().to_local(j_);
-        device::copy_matrix(stream, static_cast<long>(jb_), njl_,
-                            a.at(il0, jl0_), a.lda(), u_dev, ldu);
-      } else {
-        device::copy_matrix_h2d(stream, static_cast<long>(jb_), njl_,
-                                gathered_u_.data(), static_cast<long>(jb_),
-                                u_dev, ldu);
-      }
+      device::copy_matrix_h2d(stream, static_cast<long>(jb_), njl_,
+                              gathered_u_.data(), static_cast<long>(jb_),
+                              u_dev, ldu);
     }
     // Fence for the next prepare()/communicate() rewrite of gathered_u_
     // (the h2d copy reads it through a pointer captured at enqueue time).

@@ -20,6 +20,12 @@
 /// (displaced rows), packed by device::pack_rows_cm and landed by
 /// device::unpack_rows_cm, so neither side crosses a layout.
 ///
+/// A process column of one rank holds every row of the window, so there
+/// the swap is a local row exchange (HPL's dlaswp00N): gather() and
+/// communicate() do nothing, scatter() replays the pivots in place with
+/// device::laswp and copies the new top block into U. No staging is
+/// reserved and nothing is charged to the wire.
+///
 /// RowSwapperT is a template over the element type: all staging buffers,
 /// wire counts, grains and chunk offsets are sized in sizeof(T), so the
 /// fp32 (MxP) pipeline's swap traffic is exactly half the fp64 bytes. The
@@ -42,6 +48,10 @@ namespace hplx::core {
 struct RowSwapPlan {
   long j = 0;
   int jb = 0;
+
+  /// The swap sequence itself: ipiv[k] is the global row that row j+k
+  /// exchanges with at step k. One process row replays it in place.
+  std::vector<long> ipiv;
 
   /// u_source[k]: original global row whose content becomes U row k.
   std::vector<long> u_source;
@@ -74,7 +84,8 @@ class RowSwapperT {
   /// see (jb <= max_jb, njl <= max_njl, a process column of nprow ranks),
   /// so per-panel prepare() calls neither allocate nor re-zero. The
   /// staging buffers are leased from `arena` (the owning device's host
-  /// arena) and held for the swapper's lifetime. Optional: without it
+  /// arena) and held for the swapper's lifetime; one process row stages
+  /// nothing, so it leases nothing. Optional: without it
   /// the buffers bind to the process-wide default arena on first use and
   /// grow to their high-water mark (re-leasing through the pool, so the
   /// growth still stops allocating once the inventory is built).
@@ -107,11 +118,11 @@ class RowSwapperT {
 
   /// No-pivot mode (HplConfig::pivoting == PivotMode::None): the factored
   /// U *is* the top block — nothing was swapped, nothing is displaced. The
-  /// three stages collapse: gather() packs the diagonal row's jb×njl block
-  /// (nprow > 1 only), communicate() broadcasts it down the process column
-  /// (time charged to Phase::Mpi only, never to the row-swap wire sums —
-  /// there is no swap traffic), and scatter() lands it in the U buffer — a
-  /// single device-to-device copy when the column has one process row.
+  /// three stages collapse: gather() packs the diagonal row's jb×njl block,
+  /// communicate() broadcasts it down the process column (time charged to
+  /// Phase::Mpi only, never to the row-swap wire sums — there is no swap
+  /// traffic), and scatter() lands it in the U buffer. On one process row
+  /// the pivots are the identity, so scatter() is the top-block copy alone.
   /// Call once before the first prepare().
   void set_pivot_mode(PivotMode mode) { nopiv_ = mode == PivotMode::None; }
 
@@ -132,7 +143,9 @@ class RowSwapperT {
                    device::Stream& stream, T* u_dev, long ldu);
 
   /// Stage 3: enqueue the displaced-row scatter into A (and, in no-pivot
-  /// mode, the copy of the top block into U). Records a completion event;
+  /// mode, the copy of the top block into U). On one process row: the
+  /// in-place row exchange of the window (skipped for identity pivots)
+  /// and the copy of its top block into U. Records a completion event;
   /// the next cycle's prepare() waits on it before it resizes or lets
   /// communicate() rewrite the staging buffers these kernels and
   /// communicate()'s chunk unpacks read (they capture raw pointers at
@@ -175,6 +188,10 @@ class RowSwapperT {
   std::vector<std::size_t> u_counts_, u_displs_;  ///< allgatherv (bytes)
   device::ArenaBufT<T> my_u_;       ///< my rows, nr×njl column-major
   device::ArenaBufT<T> gathered_u_; ///< all jb rows, rank-major segments
+
+  /// One process row: the pivots relative to row j, laswp's form; empty
+  /// for identity pivots.
+  std::vector<long> local_ipiv_;
 
   // Displaced rows.
   std::vector<long> disp_src_slots_;   ///< diag row only: local top rows

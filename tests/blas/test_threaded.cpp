@@ -349,54 +349,199 @@ TYPED_TEST(ColumnGemm, MatchesGemmSmallBitwise) {
   }
 }
 
-/// Every version's trsm diagonal leaf against textbook substitution on
-/// the same data: a full and a ragged block, both triangles and both
-/// diagonals, lengths that leave a scalar tail at every vector width.
+/// Equal bits, told apart from == by the sign of zero.
+template <typename T>
+bool same_bits(T x, T y) {
+  return x == y && std::signbit(x) == std::signbit(y);
+}
+
+/// Textbook substitution on one column of a tb×tb block: element i takes
+/// x[i] -= a[i,p]·x[p] for every earlier row p of the sweep whose x[p] is
+/// nonzero, in sweep order, then its diagonal division.
+template <typename T>
+void substitute(Uplo uplo, Diag diag, int tb, const T* a, int lda, T* x) {
+  for (int s = 0; s < tb; ++s) {
+    const int i = uplo == Uplo::Lower ? s : tb - 1 - s;
+    for (int t = 0; t < s; ++t) {
+      const int p = uplo == Uplo::Lower ? t : tb - 1 - t;
+      if (x[p] != T(0)) x[i] -= a[static_cast<std::size_t>(p) * lda + i] * x[p];
+    }
+    if (diag == Diag::NonUnit) x[i] /= a[static_cast<std::size_t>(i) * lda + i];
+  }
+}
+
+/// Every version's packed trsm leaf against textbook substitution, one
+/// nr-column strip at a time as trsm packs them: both triangles, both
+/// diagonals, a full and a ragged block, widths that give every version
+/// two full strips and a ragged tail, padded lda/ldb. The first row the
+/// sweep solves is zero in every even column while its column of A holds
+/// an Inf on the side it updates: those lanes must skip it and stay
+/// finite, next to odd lanes that take the Inf.
 template <typename T>
 class TrsmLeafVersions : public ::testing::Test {};
 TYPED_TEST_SUITE(TrsmLeafVersions, ElementTypes);
 
 TYPED_TEST(TrsmLeafVersions, EveryVersionTheCpuRunsMatchesSubstitution) {
   using T = TypeParam;
+  constexpr int nr = Tile<T>::nr;
+  std::vector<T> strip(static_cast<std::size_t>(64) * nr);
   for (int tb : {64, 37}) {
-    const int n = 13, lda = tb + 3, ldb = tb + 5;
-    Rand rng(static_cast<std::uint64_t>(tb));
-    std::vector<T> a(static_cast<std::size_t>(lda) * tb);
-    for (auto& v : a) v = static_cast<T>(rng.next());
-    for (int p = 0; p < tb; ++p)
-      a[static_cast<std::size_t>(p) * lda + p] = static_cast<T>(tb) + T(1);
-    std::vector<T> b0(static_cast<std::size_t>(ldb) * n);
-    for (auto& v : b0) v = static_cast<T>(rng.next());
-    // One zero right-hand side element exercises the t == 0 skip.
-    b0[3] = T(0);
-    for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
-      for (Diag diag : {Diag::Unit, Diag::NonUnit}) {
-        auto want = b0;
-        for (int j = 0; j < n; ++j) {
-          T* x = want.data() + static_cast<std::size_t>(j) * ldb;
-          for (int s = 0; s < tb; ++s) {
-            const int i = uplo == Uplo::Lower ? s : tb - 1 - s;
-            for (int t = 0; t < s; ++t) {
-              const int p = uplo == Uplo::Lower ? t : tb - 1 - t;
-              x[i] -= a[static_cast<std::size_t>(p) * lda + i] * x[p];
+    for (int n : {1, 7, nr, 2 * nr + 3}) {
+      const int lda = tb + 3, ldb = tb + 5;
+      Rand rng(static_cast<std::uint64_t>(tb * 100 + n));
+      std::vector<T> a(static_cast<std::size_t>(lda) * tb);
+      for (auto& v : a) v = static_cast<T>(rng.next());
+      for (int p = 0; p < tb; ++p)
+        a[static_cast<std::size_t>(p) * lda + p] = static_cast<T>(tb) + T(1);
+      std::vector<T> b0(static_cast<std::size_t>(ldb) * n);
+      for (auto& v : b0) v = static_cast<T>(rng.next());
+      for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+        const bool lower = uplo == Uplo::Lower;
+        const int first = lower ? 0 : tb - 1;
+        const int far = lower ? tb - 1 : 0;
+        auto ai = a;
+        ai[static_cast<std::size_t>(first) * lda + far] =
+            std::numeric_limits<T>::infinity();
+        auto bz = b0;
+        for (int j = 0; j < n; j += 2)
+          bz[static_cast<std::size_t>(j) * ldb + first] = T(0);
+        for (Diag diag : {Diag::Unit, Diag::NonUnit}) {
+          auto want = bz;
+          for (int j = 0; j < n; ++j)
+            substitute(uplo, diag, tb, ai.data(), lda,
+                       want.data() + static_cast<std::size_t>(j) * ldb);
+          for (int j = 0; j < n; j += 2)
+            for (int i = 0; i < tb; ++i)
+              ASSERT_TRUE(std::isfinite(
+                  want[static_cast<std::size_t>(j) * ldb + i]));
+          int ran = 0;
+          for (const auto& kv : detail::kernel_versions<T>()) {
+            if (!kv.runs_here()) continue;
+            ++ran;
+            auto got = bz;
+            for (int j0 = 0; j0 < n; j0 += nr) {
+              const int nb = std::min(nr, n - j0);
+              T* bj = got.data() + static_cast<std::size_t>(j0) * ldb;
+              pack_b(Trans::No, tb, nb, bj, ldb, strip.data());
+              kv.trsm_leaf(uplo, diag, tb, ai.data(), lda, strip.data());
+              for (int j = 0; j < nb; ++j)
+                for (int p = 0; p < tb; ++p)
+                  bj[static_cast<std::size_t>(j) * ldb + p] =
+                      strip[static_cast<std::size_t>(p) * nr + j];
             }
-            if (diag == Diag::NonUnit)
-              x[i] /= a[static_cast<std::size_t>(i) * lda + i];
+            for (std::size_t idx = 0; idx < got.size(); ++idx)
+              ASSERT_TRUE(same_bits(got[idx], want[idx]))
+                  << kv.isa << " tb=" << tb << " n=" << n << " idx=" << idx
+                  << " lower=" << lower << " unit=" << (diag == Diag::Unit)
+                  << " got=" << got[idx] << " want=" << want[idx];
+          }
+          EXPECT_GE(ran, 1);
+        }
+      }
+    }
+  }
+}
+
+/// The whole Left/NoTrans solve against the arithmetic it is defined by,
+/// written out here: alpha scaling, then per 64-row diagonal block (top
+/// down for lower, bottom up for upper) textbook substitution and a
+/// gemm_small retiring the block from the rows it updates. Every version
+/// the host runs goes through the detail seam, and the public entry point
+/// through team sizes 1 and 3; both must match bit for bit, on shapes
+/// around the block size, a KC smaller than the block, and widths with
+/// ragged strips.
+template <typename T>
+class BlockedTrsm : public ::testing::Test {};
+TYPED_TEST_SUITE(BlockedTrsm, ElementTypes);
+
+template <typename T>
+void blocked_reference(Uplo uplo, Diag diag, int m, int n, T alpha,
+                       const T* a, int lda, T* b, int ldb) {
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < m; ++i) b[static_cast<std::size_t>(j) * ldb + i] *= alpha;
+  constexpr int kBlock = 64;
+  for (int done = 0; done < m; done += kBlock) {
+    const int tb = std::min(kBlock, m - done);
+    const int p0 = uplo == Uplo::Lower ? done : m - done - tb;
+    const T* diag_a = a + p0 + static_cast<std::size_t>(p0) * lda;
+    for (int j = 0; j < n; ++j)
+      substitute(uplo, diag, tb, diag_a, lda,
+                 b + p0 + static_cast<std::size_t>(j) * ldb);
+    const int r0 = uplo == Uplo::Lower ? p0 + tb : 0;
+    const int nrows = uplo == Uplo::Lower ? m - r0 : p0;
+    if (nrows > 0)
+      detail::gemm_small(Trans::No, Trans::No, nrows, n, tb, T(-1),
+                         a + r0 + static_cast<std::size_t>(p0) * lda, lda,
+                         b + p0, ldb, T(1), b + r0, ldb);
+  }
+}
+
+/// Restores the pack block sizes of both engines when a test exits.
+struct BlockSizeGuard {
+  BlockSizes d = block_sizes(), f = block_sizes_f32();
+  ~BlockSizeGuard() {
+    set_block_sizes(d);
+    set_block_sizes_f32(f);
+  }
+};
+
+TYPED_TEST(BlockedTrsm, VersionsAndTeamSizesMatchTheBlockedReference) {
+  using T = TypeParam;
+  TeamGuard team_guard;
+  BlockSizeGuard bs_guard;
+  for (int kc : {0, 24}) {
+    if (kc != 0) {
+      set_block_sizes({bs_guard.d.mc, kc, bs_guard.d.nc});
+      set_block_sizes_f32({bs_guard.f.mc, kc, bs_guard.f.nc});
+    }
+    for (int m : {1, 63, 64, 65, 256}) {
+      if (kc != 0 && m != 256) continue;
+      const int lda = m + 3;
+      Rand rng(static_cast<std::uint64_t>(m));
+      std::vector<T> a(static_cast<std::size_t>(lda) * m);
+      // Off-diagonal mass O(1/m) keeps the unit triangles well enough
+      // conditioned that nothing overflows at m = 256.
+      for (auto& v : a) v = static_cast<T>(rng.next() / m);
+      for (int p = 0; p < m; ++p)
+        a[static_cast<std::size_t>(p) * lda + p] = T(2) + static_cast<T>(p % 3);
+      for (int n : {1, 9, 300}) {
+        const int ldb = m + 2;
+        std::vector<T> b0(static_cast<std::size_t>(ldb) * n);
+        for (auto& v : b0) v = static_cast<T>(rng.next());
+        for (T alpha : {T(1), T(-0.5)}) {
+          for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+            for (Diag diag : {Diag::Unit, Diag::NonUnit}) {
+              auto want = b0;
+              blocked_reference(uplo, diag, m, n, alpha, a.data(), lda,
+                                want.data(), ldb);
+              auto check = [&](const std::vector<T>& got, const char* what) {
+                for (std::size_t idx = 0; idx < got.size(); ++idx)
+                  ASSERT_TRUE(same_bits(got[idx], want[idx]))
+                      << what << " m=" << m << " n=" << n << " kc=" << kc
+                      << " alpha=" << alpha << " lower="
+                      << (uplo == Uplo::Lower)
+                      << " unit=" << (diag == Diag::Unit) << " idx=" << idx;
+              };
+              for (const auto& kv : detail::kernel_versions<T>()) {
+                if (!kv.runs_here()) continue;
+                auto got = b0;
+                for (int j = 0; j < n; ++j)
+                  for (int i = 0; i < m; ++i)
+                    got[static_cast<std::size_t>(j) * ldb + i] *= alpha;
+                detail::trsm_left_notrans(kv, uplo, diag, m, n, a.data(),
+                                          lda, got.data(), ldb);
+                check(got, kv.isa);
+              }
+              for (int t : {1, 3}) {
+                set_num_threads(t);
+                auto got = b0;
+                trsm(Side::Left, uplo, Trans::No, diag, m, n, alpha,
+                     a.data(), lda, got.data(), ldb);
+                check(got, t == 1 ? "team 1" : "team 3");
+              }
+            }
           }
         }
-        int ran = 0;
-        for (const auto& kv : detail::kernel_versions<T>()) {
-          if (!kv.runs_here()) continue;
-          ++ran;
-          auto got = b0;
-          kv.trsm_leaf(uplo, diag, tb, n, a.data(), lda, got.data(), ldb);
-          for (std::size_t idx = 0; idx < got.size(); ++idx)
-            ASSERT_EQ(got[idx], want[idx])
-                << kv.isa << " tb=" << tb << " idx=" << idx
-                << " lower=" << (uplo == Uplo::Lower)
-                << " unit=" << (diag == Diag::Unit);
-        }
-        EXPECT_GE(ran, 1);
       }
     }
   }

@@ -165,9 +165,10 @@ TEST_P(RowSwapOracle, CycleMatchesSequentialSwaps) {
         long bad = 0;
         for (long il = 0; il < a.mloc(); ++il) {
           const long i = rows.to_global(il, g.myrow());
-          // The top block's A rows are not the swapper's to write: U
-          // carries their new content.
-          const bool top = i >= j && i < j + nb;
+          // One process row exchanges the window in place, top block
+          // included. A taller column leaves the top block's A rows
+          // alone: U carries their new content.
+          const bool top = p > 1 && i >= j && i < j + nb;
           for (long c = 0; c < a.nloc(); ++c) {
             const bool in_window = c >= jl0 && c < jl0 + njl;
             const double want = in_window && !top
@@ -210,6 +211,97 @@ INSTANTIATE_TEST_SUITE_P(
                   ? "_spreadroll"
                   : "_binexch");
     });
+
+// ---------------------------------------------------------------------------
+// One process row: no staging and no wire. The swapper exchanges the
+// window's rows in place and copies the new top block into U, so A (top
+// block included) and U must equal the sequential interchanges bitwise —
+// for random pivots, pivots inside the top block, one row picked
+// repeatedly and identity pivots (in both pivot modes) — and the host
+// arena must never be leased.
+
+TEST(RowSwapOneRow, InPlaceExchangeMatchesSequentialSwaps) {
+  const long n = 64;
+  const int nb = 8;
+  const long jl0 = 3;
+  const long ncols = n + 1;
+  const long njl = ncols - jl0 - 2;
+  const long ldu = nb + 2;
+  const double sentinel = -7.5;
+
+  comm::World::run(1, [&](comm::Communicator& world) {
+    grid::ProcessGrid g(world, 1, 1);
+    device::Device dev("d", 1ull << 24);
+    DistMatrix a(dev, g, n, nb, 3);
+    device::Stream stream(dev);
+    RowSwapper rs;
+    rs.reserve(dev.host_arena(), nb, a.nloc(), 1);
+
+    for (const long j : {0L, 16L, 40L}) {
+      std::mt19937 rng(static_cast<unsigned>(j) + 11u);
+      std::vector<std::pair<const char*, std::vector<long>>> sets;
+      std::vector<long> ipiv(static_cast<std::size_t>(nb));
+      for (int k = 0; k < nb; ++k)
+        ipiv[static_cast<std::size_t>(k)] =
+            std::uniform_int_distribution<long>(j + k, n - 1)(rng);
+      sets.emplace_back("random", ipiv);
+      for (int k = 0; k < nb; ++k)
+        ipiv[static_cast<std::size_t>(k)] =
+            std::uniform_int_distribution<long>(j + k, j + nb - 1)(rng);
+      sets.emplace_back("inside top block", ipiv);
+      for (int k = 0; k < nb; ++k)
+        ipiv[static_cast<std::size_t>(k)] = k % 2 == 0 ? n - 1 : j + nb + 1;
+      sets.emplace_back("repeated rows", ipiv);
+      for (int k = 0; k < nb; ++k) ipiv[static_cast<std::size_t>(k)] = j + k;
+      sets.emplace_back("identity", ipiv);
+      sets.emplace_back("identity, no-pivot mode", ipiv);
+
+      for (const auto& [what, piv] : sets) {
+        const bool nopiv = std::string(what) == "identity, no-pivot mode";
+        rs.set_pivot_mode(nopiv ? PivotMode::None : PivotMode::Full);
+        std::vector<std::vector<double>> ref(static_cast<std::size_t>(n));
+        for (long i = 0; i < n; ++i)
+          for (long c = 0; c < ncols; ++c)
+            ref[static_cast<std::size_t>(i)].push_back(oracle_value(i, c));
+        for (int k = 0; k < nb; ++k)
+          std::swap(ref[static_cast<std::size_t>(j + k)],
+                    ref[static_cast<std::size_t>(
+                        piv[static_cast<std::size_t>(k)])]);
+        for (long i = 0; i < n; ++i)
+          for (long c = 0; c < a.nloc(); ++c) *a.at(i, c) = oracle_value(i, c);
+        std::vector<double> u(static_cast<std::size_t>(ldu * njl), sentinel);
+
+        const RowSwapPlan plan = build_rowswap_plan(j, nb, piv.data());
+        rs.prepare(plan, a, 0, jl0, njl);
+        rs.gather(stream, a);
+        rs.communicate(g.col_comm(), nullptr, stream, u.data(), ldu);
+        rs.scatter(stream, a, u.data(), ldu);
+        stream.synchronize();
+
+        long bad = 0;
+        for (long i = 0; i < n; ++i)
+          for (long c = 0; c < a.nloc(); ++c) {
+            const bool in_window = c >= jl0 && c < jl0 + njl;
+            const double want =
+                in_window ? ref[static_cast<std::size_t>(i)]
+                               [static_cast<std::size_t>(c)]
+                          : oracle_value(i, c);
+            if (*a.at(i, c) != want) ++bad;
+          }
+        for (long c = 0; c < njl; ++c)
+          for (long k = 0; k < ldu; ++k) {
+            const double want =
+                k < nb ? ref[static_cast<std::size_t>(j + k)]
+                            [static_cast<std::size_t>(jl0 + c)]
+                       : sentinel;
+            if (u[static_cast<std::size_t>(c * ldu + k)] != want) ++bad;
+          }
+        EXPECT_EQ(bad, 0) << what << " j=" << j;
+      }
+    }
+    EXPECT_EQ(dev.host_arena().stats().acquires, 0u);
+  });
+}
 
 // ---------------------------------------------------------------------------
 // Pipelined-broadcast equivalence: the chunk size, U-assembly algorithm
