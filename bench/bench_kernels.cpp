@@ -214,20 +214,6 @@ void BM_LaswpNaive(benchmark::State& state) {
   set_mbs(state, jb, njl);
 }
 
-void BM_CopyMatrix(benchmark::State& state) {
-  const long m = state.range(0), n = state.range(1);
-  EngineGuard guard(state);
-  device::Stream s(bench_device());
-  auto src = random_matrix(m + 8, n, 7);
-  std::vector<double> dst(static_cast<std::size_t>(m + 8) * n);
-  for (auto _ : state) {
-    device::copy_matrix(s, m, n, src.data(), m + 8, dst.data(), m + 8);
-    s.synchronize();
-    benchmark::DoNotOptimize(dst.data());
-  }
-  set_mbs(state, m, n);
-}
-
 // Args: {jb rows, njl cols, tile_cols, team}. The acceptance shapes are
 // jb = NB in {256, 512} and njl in {2048, 4096}; team rows document the
 // knob (this container has one core, so they demonstrate determinism).
@@ -245,7 +231,6 @@ BENCHMARK(BM_RowScatter)->HPL_SHAPES->UseRealTime();
 BENCHMARK(BM_RowScatterNaive)->Args({256, 2048, 0, 0})->Args({256, 4096, 0, 0})->Args({512, 2048, 0, 0})->Args({512, 4096, 0, 0});
 BENCHMARK(BM_Laswp)->HPL_SHAPES->UseRealTime();
 BENCHMARK(BM_LaswpNaive)->Args({256, 2048, 0, 0})->Args({512, 2048, 0, 0})->Args({512, 4096, 0, 0});
-BENCHMARK(BM_CopyMatrix)->Args({2048, 2048, 256, 1})->Args({4096, 2048, 256, 1})->UseRealTime();
 
 }  // namespace
 

@@ -16,13 +16,12 @@ constexpr int kTagAllreduce = 2;
 constexpr int kTagScatterv = 3;
 constexpr int kTagAllgatherv = 4;
 constexpr int kTagGather = 5;
-constexpr int kTagAllgathervChunk = 6;
 
 /// RAII registration of one collective call with the fabric's verifier
 /// (single pointer test when checking is off). Nested implementations —
-/// Ring2Mod delegating to Ring1Mod, chunked allgatherv falling back to the
-/// blocking collective — register only their outermost call. On the
-/// outermost call the payload envelope is also declared to the rank's
+/// Ring2Mod delegating to Ring1Mod — register only their outermost call,
+/// and a wrapper that only forwards (allgatherv_bytes) registers none. On
+/// the outermost call the payload envelope is also declared to the rank's
 /// device::HazardTracker (the buffer-hazard bridge): a collective touching
 /// a buffer that unfenced in-flight device work still uses is reported
 /// even when the caller forgot its own HostAccessScope. `label` must have
@@ -507,72 +506,43 @@ bool displs_packed(const std::vector<std::size_t>& counts,
   return true;
 }
 
+/// Binary exchange: at round k each rank holds the 2^k consecutive
+/// segments of its aligned group and swaps them with its partner's. Needs
+/// a power-of-two size and packed displs; returns false, having sent
+/// nothing, when either is missing.
+bool recursive_doubling(Communicator& comm,
+                        const std::vector<std::size_t>& counts,
+                        const std::vector<std::size_t>& displs,
+                        std::byte* base) {
+  const int n = comm.size();
+  if ((n & (n - 1)) != 0 || !displs_packed(counts, displs)) return false;
+  const int me = comm.rank();
+  for (int mask = 1; mask < n; mask <<= 1) {
+    const int partner = me ^ mask;
+    const int my_start = me & ~(mask - 1);
+    const int partner_start = partner & ~(mask - 1);
+    auto run_bytes = [&](int start) {
+      std::size_t total = 0;
+      for (int i = start; i < start + mask; ++i)
+        total += counts[static_cast<std::size_t>(i)];
+      return total;
+    };
+    comm.send_internal(base + displs[static_cast<std::size_t>(my_start)],
+                       run_bytes(my_start), partner, kTagAllgatherv);
+    comm.recv_internal(base + displs[static_cast<std::size_t>(partner_start)],
+                       run_bytes(partner_start), partner, kTagAllgatherv);
+  }
+  return true;
+}
+
 }  // namespace
 
 void allgatherv_bytes(Communicator& comm, const void* sendbuf,
                       const std::vector<std::size_t>& counts,
                       const std::vector<std::size_t>& displs, void* recvbuf,
                       AllgatherAlgo algo) {
-  const int n = comm.size();
-  HPLX_CHECK(static_cast<int>(counts.size()) == n);
-  HPLX_CHECK(static_cast<int>(displs.size()) == n);
-  const int me = comm.rank();
-  std::byte* base = static_cast<std::byte*>(recvbuf);
-  std::size_t extent = 0;
-  for (int i = 0; i < n; ++i)
-    extent = std::max(extent, displs[static_cast<std::size_t>(i)] +
-                                  counts[static_cast<std::size_t>(i)]);
-  const std::uint64_t total = counts_sum(counts);
-  CollGuard guard(comm, Verifier::Coll::Allgatherv, -1,
-                  static_cast<std::size_t>(total), total, "comm.allgatherv",
-                  recvbuf, extent, /*write=*/true);
-
-  // Own contribution lands first.
-  const std::size_t mine = counts[static_cast<std::size_t>(me)];
-  if (mine > 0 &&
-      base + displs[static_cast<std::size_t>(me)] != sendbuf) {
-    std::memcpy(base + displs[static_cast<std::size_t>(me)], sendbuf, mine);
-  }
-  if (n == 1) return;
-
-  const bool power_of_two = (n & (n - 1)) == 0;
-  if (algo == AllgatherAlgo::RecursiveDoubling && power_of_two &&
-      displs_packed(counts, displs)) {
-    // Binary exchange: at round k each rank holds the 2^k consecutive
-    // segments of its aligned group and swaps them with its partner's.
-    for (int mask = 1; mask < n; mask <<= 1) {
-      const int partner = me ^ mask;
-      const int my_start = me & ~(mask - 1);
-      const int partner_start = partner & ~(mask - 1);
-      auto run_bytes = [&](int start) {
-        std::size_t total = 0;
-        for (int i = start; i < start + mask; ++i)
-          total += counts[static_cast<std::size_t>(i)];
-        return total;
-      };
-      const std::size_t send_bytes = run_bytes(my_start);
-      const std::size_t recv_bytes = run_bytes(partner_start);
-      comm.send_internal(base + displs[static_cast<std::size_t>(my_start)],
-                         send_bytes, partner, kTagAllgatherv);
-      comm.recv_internal(
-          base + displs[static_cast<std::size_t>(partner_start)], recv_bytes,
-          partner, kTagAllgatherv);
-    }
-    return;
-  }
-
-  // Ring: at step s, forward segment (me - s) mod n to the right neighbour
-  // and receive segment (me - s - 1) mod n from the left.
-  const int next = (me + 1) % n;
-  const int prev = (me - 1 + n) % n;
-  for (int s = 0; s < n - 1; ++s) {
-    const std::size_t send_seg = static_cast<std::size_t>(((me - s) % n + n) % n);
-    const std::size_t recv_seg = static_cast<std::size_t>(((me - s - 1) % n + n) % n);
-    comm.send_internal(base + displs[send_seg], counts[send_seg], next,
-                       kTagAllgatherv);
-    comm.recv_internal(base + displs[recv_seg], counts[recv_seg], prev,
-                       kTagAllgatherv);
-  }
+  allgatherv_chunked(comm, sendbuf, counts, displs, recvbuf, 0,
+                     std::vector<std::size_t>(counts.size(), 0), {}, algo);
 }
 
 namespace {
@@ -611,9 +581,8 @@ void allgatherv_chunked(
     extent = std::max(extent, displs[static_cast<std::size_t>(i)] +
                                   counts[static_cast<std::size_t>(i)]);
   const std::uint64_t total = counts_sum(counts);
-  // Same descriptor as the blocking allgatherv: chunking is an
-  // implementation detail (the RecursiveDoubling path even delegates to
-  // allgatherv_bytes, which nests under this registration).
+  // One descriptor for every allgatherv: chunking and the schedule are
+  // implementation details.
   CollGuard guard(comm, Verifier::Coll::Allgatherv, -1,
                   static_cast<std::size_t>(total), total, "comm.allgatherv",
                   recvbuf, extent, /*write=*/true);
@@ -626,15 +595,11 @@ void allgatherv_chunked(
     on_chunk({me, displs[static_cast<std::size_t>(me)], mine});
   if (n == 1) return;
 
-  if (algo != AllgatherAlgo::Ring) {
-    // RecursiveDoubling exchanges runs of segments, so a partially landed
-    // chunk may belong to several ranks — not worth untangling here. Run
-    // the blocking collective and deliver whole remote segments. The own
-    // segment already landed and was delivered above, and on_chunk may
-    // have handed it to an asynchronous reader: pass it as the in-place
-    // send buffer so the collective does not copy over it again.
-    allgatherv_bytes(comm, base + displs[static_cast<std::size_t>(me)],
-                     counts, displs, recvbuf, algo);
+  if (algo == AllgatherAlgo::RecursiveDoubling &&
+      recursive_doubling(comm, counts, displs, base)) {
+    // The exchange moves runs of segments, so a partially landed run may
+    // belong to several ranks — not worth untangling here. Deliver whole
+    // remote segments once it is done.
     for (int r = 0; r < n; ++r) {
       if (r == me) continue;
       const std::size_t c = counts[static_cast<std::size_t>(r)];
@@ -662,12 +627,12 @@ void allgatherv_chunked(
     for (std::size_t c = 0; c < rounds; ++c) {
       if (c + 1 < sb.size()) {
         comm.send_internal(base + displs[send_seg] + sb[c], sb[c + 1] - sb[c],
-                           next, kTagAllgathervChunk);
+                           next, kTagAllgatherv);
       }
       if (c + 1 < rb.size()) {
         const std::size_t off = displs[recv_seg] + rb[c];
         const std::size_t len = rb[c + 1] - rb[c];
-        comm.recv_internal(base + off, len, prev, kTagAllgathervChunk);
+        comm.recv_internal(base + off, len, prev, kTagAllgatherv);
         if (on_chunk) on_chunk({static_cast<int>(recv_seg), off, len});
       }
     }

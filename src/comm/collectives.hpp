@@ -115,6 +115,8 @@ enum class AllgatherAlgo { Ring, RecursiveDoubling };
 
 /// Each rank contributes counts[rank] bytes (its segment of recvbuf, at
 /// offset displs[rank]); on return every rank holds all segments.
+/// allgatherv_chunked with chunk 0 and no callback: one message per
+/// segment and ring step.
 void allgatherv_bytes(Communicator& comm, const void* sendbuf,
                       const std::vector<std::size_t>& counts,
                       const std::vector<std::size_t>& displs, void* recvbuf,
@@ -145,8 +147,9 @@ struct ChunkDelivery {
 ///
 /// The local segment is delivered first (one callback, no wire traffic).
 /// Chunked delivery is implemented for the Ring schedule; RecursiveDoubling
-/// falls back to the blocking collective followed by one whole-segment
-/// delivery per remote rank.
+/// exchanges whole runs of segments and then delivers one whole segment
+/// per remote rank. Where it does not apply (non-power-of-two size or
+/// unpacked displs) the chunked ring runs instead.
 void allgatherv_chunked(Communicator& comm, const void* sendbuf,
                         const std::vector<std::size_t>& counts,
                         const std::vector<std::size_t>& displs, void* recvbuf,

@@ -71,20 +71,20 @@ class Solver {
       csplit_ = (want_left / cfg.nb) * cfg.nb;
     }
     // Reserve only the staging the schedule uses: the look-ahead swapper
-    // and U buffer always (they carry the whole window without a right
-    // section), the left/right pair and their U buffers only for Fig. 6.
-    // All swap staging is reserved once at its maximum size, so the
-    // per-iteration prepare() calls reuse the same allocations instead
-    // of reallocating (and re-zeroing) per panel.
-    const std::size_t ucap = static_cast<std::size_t>(cfg.nb) *
-                             static_cast<std::size_t>(std::max<long>(a_.nloc(), 1));
-    u_la_ = dev_.alloc_elems<T>(ucap);
-    std::vector<RowSwapperT<T>*> swappers = {&rs_la_};
-    if (csplit_ < a_.nloc()) {
-      u_left_ = dev_.alloc_elems<T>(ucap);
-      u_right_ = dev_.alloc_elems<T>(ucap);
-      swappers = {&rs_la_, &rs_left_, rs_right_, rs_right_next_};
+    // always (it carries the whole window without a right section), the
+    // left/right swappers only for Fig. 6, and the shared U strip only
+    // where some panel's diagonal row is another rank (u_of). All swap
+    // staging is reserved once at its maximum size, so the per-iteration
+    // prepare() calls reuse the same allocations instead of reallocating
+    // (and re-zeroing) per panel.
+    if (cfg.p > 1) {
+      u_strip_ = dev_.alloc_elems<T>(
+          static_cast<std::size_t>(cfg.nb) *
+          static_cast<std::size_t>(std::max<long>(a_.nloc(), 1)));
     }
+    std::vector<RowSwapperT<T>*> swappers = {&rs_la_};
+    if (csplit_ < a_.nloc())
+      swappers = {&rs_la_, &rs_left_, rs_right_, rs_right_next_};
     for (RowSwapperT<T>* rs : swappers) {
       rs->reserve(dev_.host_arena(), cfg.nb, a_.nloc(), cfg.p);
       rs->set_pipeline(cfg.swap_chunk_bytes);
@@ -186,6 +186,22 @@ class Solver {
   }
   bool my_row(long j) const {
     return a_.rows().owner(j) == grid_.myrow();
+  }
+
+  /// Where U of panel `j` lives (DESIGN.md decision 3): a jb×nloc strip
+  /// whose column c belongs to local column c of A. The diagonal process
+  /// row keeps it in A's own rows j..j+jb-1; every other row uses the one
+  /// shared strip. Sharing is safe because the sections of an iteration
+  /// are column-disjoint, a panel's right section never starts left of
+  /// its predecessor's, and a strip column range is rewritten only on the
+  /// primary stream after the bands that read it have been joined there.
+  struct UStrip {
+    T* u;
+    long ld;
+  };
+  UStrip u_of(long j) {
+    if (my_row(j)) return {a_.at(row_of(j), 0), a_.lda()};
+    return {u_strip_.template data_as<T>(), cfg_.nb};
   }
 
   /// Every rank sees every panel's pivots (they ride the row broadcast);
@@ -358,7 +374,7 @@ class Solver {
     PanelDataT<T>* nxt = &panel_b;
 
     make_panel(0, *cur);
-    if (csplit_ < a_.nloc()) communicate_right(gather_right(0, *cur));
+    if (csplit_ < a_.nloc()) communicate_right(0, gather_right(0, *cur));
 
     int iter = 0;
     for (long j = 0; j < cfg_.n; j += cfg_.nb, ++iter) {
@@ -397,11 +413,12 @@ class Solver {
     return start;
   }
 
-  /// RS2 stage 2: communicate the gathered right section into u_right_;
-  /// the next iteration scatters it.
-  void communicate_right(long start) {
-    rs_right_next_->communicate(grid_.col_comm(), &ledger_, compute_,
-                                u_right_.template data_as<T>(), cfg_.nb);
+  /// RS2 stage 2: communicate panel `j`'s gathered right section into its
+  /// U strip; the iteration of panel `j` scatters it.
+  void communicate_right(long j, long start) {
+    const UStrip u = u_of(j);
+    rs_right_next_->communicate(grid_.col_comm(), &ledger_, compute_, u.u,
+                                u.ld);
     right_start_ = start;
     pending_right_ = true;
     std::swap(rs_right_, rs_right_next_);
@@ -437,25 +454,22 @@ class Solver {
     pending_right_ = false;
     const bool split = pending && jl0 < right_start_;
     const long right_start = split ? right_start_ : nloc;
-    const bool in_diag = my_row(j);
-    const long u_row = row_of(j);
     const long tail = row_of(next);
-    auto bands = [&](const device::Event& ready, T* u, long c0, long c1,
+    // One U strip carries every section of this panel.
+    const UStrip u = u_of(j);
+    auto bands = [&](const device::Event& ready, long c0, long c1,
                      BandPlacement where) {
-      return enqueue_update_bands(pool_, ready, a_, cur, u, cfg_.nb, c0,
-                                  c1 - c0, in_diag, u_row, tail, where);
+      return enqueue_update_bands(pool_, ready, a_, cur, u.u, u.ld, c0,
+                                  c1 - c0, tail, where);
     };
-    T* const u_right = u_right_.template data_as<T>();
 
     // Swap stage: assemble U of the look-ahead band, and of the left
     // section too unless its swap is deferred.
-    T* u = u_la_.template data_as<T>();
     std::optional<device::Event> right_ready;
     BandSection right;
     if (pending && !split) {
       HPLX_CHECK(right_start_ == jl0);
-      rs_right_->scatter(compute_, a_, u_right, cfg_.nb);
-      u = u_right;
+      rs_right_->scatter(compute_, a_, u.u, u.ld);
     } else {
       build_rowswap_plan(j, jb, cur.ipiv.data(), plan_);
       prepare_and_gather(rs_la_, plan_, jl0, split ? left_start : nloc);
@@ -463,7 +477,7 @@ class Solver {
         // Gather the left rows now; scatter the pre-communicated right
         // rows (they must land before UPDATE2 reads the window).
         prepare_and_gather(rs_left_, plan_, left_start, right_start);
-        rs_right_->scatter(compute_, a_, u_right, cfg_.nb);
+        rs_right_->scatter(compute_, a_, u.u, u.ld);
         right_ready = compute_.record();
         // UPDATE2 — the work that hides everything below. With spare
         // streams it launches *now*, off the primary, so the device is
@@ -471,11 +485,11 @@ class Solver {
         // keep the seed order (look-ahead first, or its completion event
         // — and with it FACT — would wait behind the whole right section).
         if (pool_.size() > 1)
-          right = bands(*right_ready, u_right, right_start, nloc,
+          right = bands(*right_ready, right_start, nloc,
                         BandPlacement::SparePrimary);
       }
-      rs_la_.communicate(grid_.col_comm(), &ledger_, compute_, u, cfg_.nb);
-      rs_la_.scatter(compute_, a_, u, cfg_.nb);
+      rs_la_.communicate(grid_.col_comm(), &ledger_, compute_, u.u, u.ld);
+      rs_la_.scatter(compute_, a_, u.u, u.ld);
     }
     const device::Event u_ready = compute_.record();
 
@@ -484,13 +498,12 @@ class Solver {
     // of the window still computes (Fig. 3). A left section sharing the
     // swap fans out across the whole pool.
     const BandSection la =
-        bands(u_ready, u, jl0, left_start, BandPlacement::PrimaryOnly);
+        bands(u_ready, jl0, left_start, BandPlacement::PrimaryOnly);
     BandSection left;
     if (!split) {
-      left = bands(u_ready, u + la_cols * cfg_.nb, left_start, nloc,
-                   BandPlacement::Spread);
+      left = bands(u_ready, left_start, nloc, BandPlacement::Spread);
     } else if (pool_.size() == 1) {
-      right = bands(*right_ready, u_right, right_start, nloc,
+      right = bands(*right_ready, right_start, nloc,
                     BandPlacement::SparePrimary);
     }
 
@@ -525,27 +538,26 @@ class Solver {
     }
 
     if (split) {
-      T* const u_left = u_left_.template data_as<T>();
       // RS1, hidden by UPDATE2 (its rows were gathered up front). The
-      // fused unpacks land on the primary and only write u_left_, which
-      // nothing reads until UPDATE1's bands (gated on left_ready below).
-      rs_left_.communicate(grid_.col_comm(), &ledger_, compute_, u_left,
-                           cfg_.nb);
+      // fused unpacks land on the primary and only write the left columns
+      // of the strip, which nothing reads until UPDATE1's bands (gated on
+      // left_ready below) — UPDATE2 reads the right columns.
+      rs_left_.communicate(grid_.col_comm(), &ledger_, compute_, u.u, u.ld);
       // After UPDATE2: gather the next panel's right-section rows (RS2).
       // The gather reads columns UPDATE2 writes, and UPDATE2's bands live
       // on other streams now — join them into the primary first.
       right.join(compute_);
       const long next_right = has_next ? gather_right(next, nxt) : nloc;
       // UPDATE1: scatter the RS1 rows, update across the pool.
-      rs_left_.scatter(compute_, a_, u_left, cfg_.nb);
+      rs_left_.scatter(compute_, a_, u.u, u.ld);
       const device::Event left_ready = compute_.record();
-      left = bands(left_ready, u_left, left_start, right_start,
+      left = bands(left_ready, left_start, right_start,
                    BandPlacement::Spread);
-      // RS2 communication, hidden by UPDATE1. Its fused unpacks write
-      // u_right_ for the next iteration; they are enqueued after
-      // right.join(compute_), so they stay ordered behind this
-      // iteration's reads of u_right_.
-      if (has_next) communicate_right(next_right);
+      // RS2 communication, hidden by UPDATE1. Its fused unpacks write the
+      // next panel's strip columns [next_right, nloc): right of every
+      // column UPDATE1 reads, and enqueued after right.join(compute_), so
+      // ordered behind this iteration's reads of those columns.
+      if (has_next) communicate_right(next, next_right);
       left.join(compute_);
     }
 
@@ -657,7 +669,9 @@ class Solver {
   /// there is no right section; the split update adds the deferred left
   /// swap and a right pair (one scattering this iteration's pre-
   /// communicated section while the other gathers the next panel's).
-  device::Buffer u_la_, u_left_, u_right_;
+  /// All of them land U in u_of(j): A itself, or the shared strip (only
+  /// leased when P > 1).
+  device::Buffer u_strip_;
   RowSwapperT<T> rs_la_, rs_left_, rs_right_a_, rs_right_b_;
   RowSwapperT<T>* rs_right_ = &rs_right_a_;
   RowSwapperT<T>* rs_right_next_ = &rs_right_b_;

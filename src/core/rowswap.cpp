@@ -124,6 +124,9 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
   njl_ = njl;
   nprow_ = a.rows().nprocs();
   myrow_ = myrow;
+  const grid::CyclicDim& rows = a.rows();
+  diag_root_ = rows.owner(j_);
+  in_diag_row_ = diag_root_ == myrow_;
   if (nprow_ == 1) {
     // Every row of the window is local: scatter() replays the pivots in
     // place. Identity pivots (always, in no-pivot mode) move no row.
@@ -165,10 +168,6 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
                        (algo == RowSwapAlgo::Mix && njl <= threshold);
   u_algo_ = binexch ? comm::AllgatherAlgo::RecursiveDoubling
                     : comm::AllgatherAlgo::Ring;
-
-  const grid::CyclicDim& rows = a.rows();
-  diag_root_ = rows.owner(j_);
-  in_diag_row_ = diag_root_ == myrow_;
 
   if (nopiv_) {
     // No pivoting: U is the top block verbatim and nothing is displaced.
@@ -315,8 +314,7 @@ void RowSwapperT<T>::gather(device::Stream& stream, DistMatrixT<T>& a) {
 template <typename T>
 void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
                                  trace::PhaseLedger* ledger,
-                                 device::Stream& stream, T* u_dev,
-                                 long ldu) {
+                                 device::Stream& stream, T* u, long ldu) {
   if (nprow_ == 1) return;
   if (gather_pending_) {
     gather_done_.wait();
@@ -374,7 +372,9 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
   auto on_chunk = [&](const comm::ChunkDelivery& d) {
     // The chunk is resident in gathered_u_[d.offset, d.offset+d.bytes) =
     // wire columns [c0, c0+nc) of rank d.rank's segment; enqueue its
-    // scatter into the U buffer while later chunks are still on the wire.
+    // scatter into the U strip while later chunks are still on the wire.
+    // On the diagonal row the strip is A's top block: the packs that read
+    // it were waited on above and run earlier on this same stream.
     // Packed positions are rank-major, so the rank's rows start at packed
     // index u_displs_[rank]/row_bytes.
     const std::size_t displ = u_displs_[static_cast<std::size_t>(d.rank)];
@@ -391,7 +391,7 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
         static_cast<long>(nr), nc, sizeof(T));
     device::unpack_rows_cm(
         stream, gathered_u_.data() + displ / sizeof(T) + c0 * nr,
-        std::move(rows), nc, u_dev + static_cast<long>(c0) * ldu, ldu);
+        std::move(rows), nc, u + (jl0_ + static_cast<long>(c0)) * ldu, ldu);
   };
   comm::allgatherv_chunked(col_comm, my_u_.data(), u_counts_, u_displs_,
                            gathered_u_.data(),
@@ -425,24 +425,26 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
 
 template <typename T>
 void RowSwapperT<T>::scatter(device::Stream& stream, DistMatrixT<T>& a,
-                             T* u_dev, long ldu) {
+                             T* u, long ldu) {
   if (njl_ == 0) return;
-  HPLX_CHECK(ldu >= jb_);
+  // U has one home: the diagonal row's is A's own top block.
+  HPLX_CHECK(in_diag_row_
+                 ? u == a.at(a.rows().to_local(j_), 0) && ldu == a.lda()
+                 : ldu >= jb_);
   if (nprow_ == 1) {
-    // The window is resident: exchange its rows in place, then one d2d
-    // copy of the new top block. No staging, so no fence either.
-    T* top = a.at(a.rows().to_local(j_), jl0_);
+    // The window is resident: exchange its rows in place, and its top
+    // block is U. No staging, so no fence either.
     if (!local_ipiv_.empty())
-      device::laswp(stream, top, a.lda(), njl_, local_ipiv_);
-    device::copy_matrix(stream, static_cast<long>(jb_), njl_, top, a.lda(),
-                        u_dev, ldu);
+      device::laswp(stream, u + jl0_ * ldu, ldu, njl_, local_ipiv_);
     return;
   }
   if (nopiv_) {
-    if (jb_ > 0) {
+    // The diagonal row's top block is U already; the other rows land the
+    // broadcast block in their strip.
+    if (!in_diag_row_ && jb_ > 0) {
       device::copy_matrix_h2d(stream, static_cast<long>(jb_), njl_,
                               gathered_u_.data(), static_cast<long>(jb_),
-                              u_dev, ldu);
+                              u + jl0_ * ldu, ldu);
     }
     // Fence for the next prepare()/communicate() rewrite of gathered_u_
     // (the h2d copy reads it through a pointer captured at enqueue time).

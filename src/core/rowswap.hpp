@@ -20,11 +20,17 @@
 /// (displaced rows), packed by device::pack_rows_cm and landed by
 /// device::unpack_rows_cm, so neither side crosses a layout.
 ///
+/// U lands in a jb-row *strip* whose column c belongs to local column c
+/// of A (DESIGN.md decision 3). On the diagonal process row the strip is
+/// A's own top block (rows j..j+jb-1, ld = lda): U is assembled in place
+/// and nothing copies it out or back. Every other row passes the driver's
+/// one shared strip.
+///
 /// A process column of one rank holds every row of the window, so there
 /// the swap is a local row exchange (HPL's dlaswp00N): gather() and
-/// communicate() do nothing, scatter() replays the pivots in place with
-/// device::laswp and copies the new top block into U. No staging is
-/// reserved and nothing is charged to the wire.
+/// communicate() do nothing, and scatter() is device::laswp alone, after
+/// which the window's top block is U. No staging is reserved and nothing
+/// is charged to the wire.
 ///
 /// RowSwapperT is a template over the element type: all staging buffers,
 /// wire counts, grains and chunk offsets are sized in sizeof(T), so the
@@ -121,8 +127,9 @@ class RowSwapperT {
   /// three stages collapse: gather() packs the diagonal row's jb×njl block,
   /// communicate() broadcasts it down the process column (time charged to
   /// Phase::Mpi only, never to the row-swap wire sums — there is no swap
-  /// traffic), and scatter() lands it in the U buffer. On one process row
-  /// the pivots are the identity, so scatter() is the top-block copy alone.
+  /// traffic), and scatter() lands it in the other rows' strips; the
+  /// diagonal row's top block is U already. On one process row the pivots
+  /// are the identity, so scatter() does nothing.
   /// Call once before the first prepare().
   void set_pivot_mode(PivotMode mode) { nopiv_ = mode == PivotMode::None; }
 
@@ -131,27 +138,29 @@ class RowSwapperT {
   /// pack).
   ///
   /// The U allgatherv runs chunked and the device unpack of each landed
-  /// chunk into the replicated U (jb × njl at `u_dev`, ld >= jb, pivot
-  /// order) is enqueued on `stream` immediately, so deserialization
-  /// overlaps the remaining wire traffic. `stream` must be the stream
+  /// chunk into the U strip (`u`, ld >= jb, column-aligned with A: the
+  /// window's columns [jl0, jl0+njl) of its rows 0..jb-1, pivot order) is
+  /// enqueued on `stream` immediately, so deserialization overlaps the
+  /// remaining wire traffic. On the diagonal row `u` is A's top block; its
+  /// packs were waited on before the first unpack can land. `stream` must be the stream
   /// scatter() is called with (its fence covers these unpacks). An empty
   /// window still joins the collectives. When `ledger` is non-null it is
   /// charged the time inside communication calls (Phase::Mpi), the
   /// U-assembly part of it (Phase::RsWire), the modeled seconds of the
   /// fused unpacks (Phase::RsUnpack) and the window's wire bytes.
   void communicate(comm::Communicator& col_comm, trace::PhaseLedger* ledger,
-                   device::Stream& stream, T* u_dev, long ldu);
+                   device::Stream& stream, T* u, long ldu);
 
   /// Stage 3: enqueue the displaced-row scatter into A (and, in no-pivot
-  /// mode, the copy of the top block into U). On one process row: the
-  /// in-place row exchange of the window (skipped for identity pivots)
-  /// and the copy of its top block into U. Records a completion event;
-  /// the next cycle's prepare() waits on it before it resizes or lets
-  /// communicate() rewrite the staging buffers these kernels and
-  /// communicate()'s chunk unpacks read (they capture raw pointers at
-  /// enqueue time).
-  void scatter(device::Stream& stream, DistMatrixT<T>& a, T* u_dev,
-               long ldu);
+  /// mode off the diagonal row, the copy of the broadcast block into the
+  /// strip). On one process row: the in-place row exchange of the window,
+  /// skipped for identity pivots. `u`/`ldu` are communicate()'s strip;
+  /// on the diagonal row they must be A's own top block (checked).
+  /// Records a completion event; the next cycle's prepare() waits on it
+  /// before it resizes or lets communicate() rewrite the staging buffers
+  /// these kernels and communicate()'s chunk unpacks read (they capture
+  /// raw pointers at enqueue time).
+  void scatter(device::Stream& stream, DistMatrixT<T>& a, T* u, long ldu);
 
   long njl() const { return njl_; }
   int jb() const { return jb_; }

@@ -75,7 +75,8 @@ void SteadyWindow::mark(int iter) {
   // while every nearby larger block is in flight in the same
   // collective (borrowing can't save that one). Stock every class up
   // to the largest message the remaining iterations can send, on every
-  // fabric this rank touches, while the fills still count as warmup.
+  // fabric this rank touches, while the fills still count as warmup. A
+  // one-rank communicator never sends, so its fabric is left empty.
   // Device and arena pools are skipped: their lease sizes are
   // deterministic max-extent functions of the iteration, so warmup
   // already covers them. The bound: every swap message — allgatherv
@@ -87,7 +88,8 @@ void SteadyWindow::mark(int iter) {
       std::max(static_cast<std::size_t>(cfg_.swap_chunk_bytes), row_bytes);
   for (comm::Communicator* c :
        {&grid_.all_comm(), &grid_.row_comm(), &grid_.col_comm()}) {
-    c->fabric().allocator().prewarm(kPrewarmBlocks, swap_bound);
+    if (c->size() > 1)
+      c->fabric().allocator().prewarm(kPrewarmBlocks, swap_bound);
   }
   // The upstream counter is process-wide, so the window must open after
   // *every* rank's warmup: without the barrier a slow rank's last

@@ -8,21 +8,17 @@
 namespace hplx::core {
 
 template <typename T>
-void enqueue_u_update(device::Stream& s, DistMatrixT<T>& a,
-                      const PanelDataT<T>& panel, T* u_dev, long ldu,
-                      long jl0, long njl, bool in_diag_row, long u_row_off) {
+void enqueue_u_update(device::Stream& s, const PanelDataT<T>& panel, T* u,
+                      long ldu, long jl0, long njl) {
   if (njl <= 0) return;
   device::trsm_left_lower_unit(s, panel.jb, njl, panel.top.data(),
-                               static_cast<long>(panel.jb), u_dev, ldu);
-  if (in_diag_row) {
-    device::copy_matrix(s, panel.jb, njl, u_dev, ldu, a.at(u_row_off, jl0),
-                        a.lda());
-  }
+                               static_cast<long>(panel.jb), u + jl0 * ldu,
+                               ldu);
 }
 
 template <typename T>
 void enqueue_tail_gemm(device::Stream& s, DistMatrixT<T>& a,
-                       const PanelDataT<T>& panel, const T* u_dev, long ldu,
+                       const PanelDataT<T>& panel, const T* u, long ldu,
                        long jl0, long njl, long tail_off) {
   if (njl <= 0) return;
   const long mtail = a.mloc() - tail_off;
@@ -31,7 +27,7 @@ void enqueue_tail_gemm(device::Stream& s, DistMatrixT<T>& a,
                  "L2 rows (" << panel.ml2 << ") do not match trailing rows ("
                  << mtail << ") at panel j=" << panel.j);
   device::gemm(s, mtail, njl, static_cast<long>(panel.jb), T(-1),
-               panel.l2.data(), panel.ml2, u_dev, ldu, T(1),
+               panel.l2.data(), panel.ml2, u + jl0 * ldu, ldu, T(1),
                a.at(tail_off, jl0), a.lda());
 }
 
@@ -39,8 +35,7 @@ template <typename T>
 BandSection enqueue_update_bands(device::StreamPool& pool,
                                  const device::Event& u_ready,
                                  DistMatrixT<T>& a, const PanelDataT<T>& panel,
-                                 T* u_dev, long ldu, long jl0, long njl,
-                                 bool in_diag_row, long u_row_off,
+                                 T* u, long ldu, long jl0, long njl,
                                  long tail_off, BandPlacement placement) {
   BandSection section;
   if (njl <= 0) return section;
@@ -67,26 +62,22 @@ BandSection enqueue_update_bands(device::StreamPool& pool,
     device::Stream& s = pool.stream(first + static_cast<int>(b));
     const long c0 = b * width;
     const long bc = std::min(width, njl - c0);
-    enqueue_u_update(s, a, panel, u_dev + c0 * ldu, ldu, jl0 + c0, bc,
-                     in_diag_row, u_row_off);
-    enqueue_tail_gemm(s, a, panel, u_dev + c0 * ldu, ldu, jl0 + c0, bc,
-                      tail_off);
+    enqueue_u_update(s, panel, u, ldu, jl0 + c0, bc);
+    enqueue_tail_gemm(s, a, panel, u, ldu, jl0 + c0, bc, tail_off);
     section.done.push_back(s.record());
   }
   return section;
 }
 
 #define HPLX_INSTANTIATE_UPDATE(T)                                            \
-  template void enqueue_u_update<T>(device::Stream&, DistMatrixT<T>&,         \
-                                    const PanelDataT<T>&, T*, long, long,     \
-                                    long, bool, long);                        \
+  template void enqueue_u_update<T>(device::Stream&, const PanelDataT<T>&,   \
+                                    T*, long, long, long);                    \
   template void enqueue_tail_gemm<T>(device::Stream&, DistMatrixT<T>&,        \
                                      const PanelDataT<T>&, const T*, long,    \
                                      long, long, long);                       \
   template BandSection enqueue_update_bands<T>(                               \
       device::StreamPool&, const device::Event&, DistMatrixT<T>&,             \
-      const PanelDataT<T>&, T*, long, long, long, bool, long, long,           \
-      BandPlacement);
+      const PanelDataT<T>&, T*, long, long, long, long, BandPlacement);
 
 HPLX_INSTANTIATE_UPDATE(double)
 HPLX_INSTANTIATE_UPDATE(float)

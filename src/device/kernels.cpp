@@ -117,22 +117,7 @@ void tiled_matrix_copy(long m, long n, const T* src, long lds, T* dst,
                   static_cast<std::size_t>(m) * sizeof(T));
   });
 }
-}  // namespace
 
-template <typename T>
-void copy_matrix(Stream& s, long m, long n, const T* src, long lds, T* dst,
-                 long ldd) {
-  if (m <= 0 || n <= 0) return;
-  const std::size_t bytes = 2ul * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(n) * sizeof(T);
-  const double modeled = s.device().model().dmove_seconds(bytes);
-  s.enqueue_annotated(
-      modeled, "copy_matrix",
-      {span_matrix(src, m, n, lds, false), span_matrix(dst, m, n, ldd, true)},
-      [=] { tiled_matrix_copy(m, n, src, lds, dst, ldd); });
-}
-
-namespace {
 template <typename T>
 void strided_hcopy(Stream& s, const char* what, long m, long n, const T* src,
                    long lds, T* dst, long ldd) {
@@ -331,8 +316,6 @@ void laswp(Stream& s, T* a, long lda, long n, std::vector<long> ipiv) {
   template void trsm_left_lower_unit<T>(Stream&, long, long, const T*, long,  \
                                         T*, long);                            \
   template void trsm_upper<T>(Stream&, long, long, const T*, long, T*, long); \
-  template void copy_matrix<T>(Stream&, long, long, const T*, long, T*,       \
-                               long);                                         \
   template void copy_matrix_h2d<T>(Stream&, long, long, const T*, long, T*,   \
                                    long);                                     \
   template void copy_matrix_d2h<T>(Stream&, long, long, const T*, long, T*,   \

@@ -63,13 +63,10 @@ template <typename T>
 void trsm_upper(Stream& s, long n, long nrhs, const T* u, long ldu, T* x,
                 long ldx);
 
-/// Strided device-to-device matrix copy (m×n, column-major).
-template <typename T>
-void copy_matrix(Stream& s, long m, long n, const T* src, long lds, T* dst,
-                 long ldd);
-
 /// Strided matrix copies across the host link (charged at host<->device
-/// bandwidth): the panel staging transfers of the FACT phase.
+/// bandwidth): the panel staging transfers of the FACT phase, and the
+/// no-pivot U broadcast's staging. U needs no device-to-device copy: it
+/// is assembled where the update reads it (core/update.hpp).
 template <typename T>
 void copy_matrix_h2d(Stream& s, long m, long n, const T* src, long lds,
                      T* dst, long ldd);

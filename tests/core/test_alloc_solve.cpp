@@ -60,6 +60,15 @@ void expect_zero_steady_allocs(const HplResult& r, const char* what) {
 TEST(AllocSolve, SteadyStateZeroAllocsSingleRank) {
   const HplResult r = run(base_cfg(512, 64, 1, 1));
   expect_zero_steady_allocs(r, "fp64 1x1");
+  // Every communicator of a 1x1 grid has one rank and never sends, so
+  // none of the three fabric pools is stocked for swap traffic.
+  int comm_pools = 0;
+  for (const AllocPoolReport& p : r.alloc.pools) {
+    if (p.name != "comm") continue;
+    ++comm_pools;
+    EXPECT_EQ(p.hwm_bytes, 0u) << "a one-rank fabric pool was stocked";
+  }
+  EXPECT_EQ(comm_pools, 3);
 }
 
 TEST(AllocSolve, SteadyStateZeroAllocsGrid) {
@@ -117,6 +126,29 @@ TEST(AllocSolve, SteadyStateZeroAllocsBenchmarkGrid) {
                              std::to_string(rep);
     expect_zero_steady_allocs(run(cfg), what.c_str());
     if (HasFailure()) return;
+  }
+}
+
+TEST(AllocSolve, UHasOneHomeInHbm) {
+  // U of a panel lives in A on its diagonal process row and in one shared
+  // strip on every other row, so rank 0's HBM holds the matrix plus at
+  // most one strip — and no strip at all on one process row.
+  struct Shape {
+    int p, q;
+    std::uint64_t hbm_acquires;
+  };
+  for (const Shape& s : {Shape{1, 1, 1}, Shape{1, 3, 1}, Shape{2, 2, 2}}) {
+    HplConfig cfg = base_cfg(512, 64, s.p, s.q);
+    cfg.pipeline = PipelineMode::LookaheadSplit;
+    const HplResult r = run(cfg);
+    EXPECT_TRUE(r.verify.passed);
+    bool found = false;
+    for (const AllocPoolReport& pool : r.alloc.pools) {
+      if (pool.name != "gcd0.hbm") continue;
+      found = true;
+      EXPECT_EQ(pool.acquires, s.hbm_acquires) << s.p << "x" << s.q;
+    }
+    EXPECT_TRUE(found) << s.p << "x" << s.q;
   }
 }
 

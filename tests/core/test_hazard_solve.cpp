@@ -210,7 +210,12 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepShape{1, 1, PipelineMode::LookaheadSplit},
                       SweepShape{1, 2, PipelineMode::Lookahead},
                       SweepShape{2, 2, PipelineMode::LookaheadSplit},
-                      SweepShape{2, 1, PipelineMode::Simple}));
+                      SweepShape{2, 1, PipelineMode::Simple},
+                      SweepShape{1, 3, PipelineMode::LookaheadSplit},
+                      // A rank alternates between the diagonal row (U in
+                      // A) and the shared strip while two panels'
+                      // sections use it.
+                      SweepShape{3, 1, PipelineMode::LookaheadSplit}));
 
 }  // namespace
 }  // namespace hplx::core

@@ -101,7 +101,9 @@ TEST(RowSwapPlan, PivotAboveCurrentRowRejected) {
 // a RowSwapper on a P×1 grid must leave exactly what the NB sequential
 // swaps (rows j+k <-> ipiv[k]) leave in a replicated host copy — the
 // displaced rows in A's window, the pivot rows in U — for every chunk size
-// and U-assembly algorithm. No other swap path is involved.
+// and U-assembly algorithm. U is a column-aligned strip: the diagonal row
+// passes A's own top block, so its whole window must equal the oracle;
+// the other rows pass a separate strip. No other swap path is involved.
 
 /// Exact, distinct content for global element (i, jg).
 double oracle_value(long i, long jg) {
@@ -119,7 +121,7 @@ TEST_P(RowSwapOracle, CycleMatchesSequentialSwaps) {
   const long jl0 = 3;        // window starts off the first column...
   const long ncols = n + 1;  // (augmented width, Q = 1)
   const long njl = ncols - jl0 - 2;  // ...and stops short of the last
-  const long ldu = nb + 2;           // rows [nb, ldu) of U stay untouched
+  const long ldu = nb + 2;  // rows [nb, ldu) of a strip stay untouched
   const double sentinel = -7.5;
 
   for (const long j : {0L, 16L, 40L}) {
@@ -151,40 +153,42 @@ TEST_P(RowSwapOracle, CycleMatchesSequentialSwaps) {
         for (long il = 0; il < a.mloc(); ++il)
           for (long c = 0; c < a.nloc(); ++c)
             *a.at(il, c) = oracle_value(rows.to_global(il, g.myrow()), c);
-        std::vector<double> u(static_cast<std::size_t>(ldu * njl), sentinel);
+        const bool diag = rows.owner(j) == g.myrow();
+        std::vector<double> strip(static_cast<std::size_t>(ldu * a.nloc()),
+                                  sentinel);
+        double* const u = diag ? a.at(rows.to_local(j), 0) : strip.data();
+        const long ld = diag ? a.lda() : ldu;
 
         RowSwapper rs;
         rs.reserve(dev.host_arena(), nb, a.nloc(), p);
         rs.set_pipeline(chunk);
         rs.prepare(plan, a, g.myrow(), jl0, njl, algo);
         rs.gather(stream, a);
-        rs.communicate(g.col_comm(), nullptr, stream, u.data(), ldu);
-        rs.scatter(stream, a, u.data(), ldu);
+        rs.communicate(g.col_comm(), nullptr, stream, u, ld);
+        rs.scatter(stream, a, u, ld);
         stream.synchronize();
 
         long bad = 0;
         for (long il = 0; il < a.mloc(); ++il) {
           const long i = rows.to_global(il, g.myrow());
-          // One process row exchanges the window in place, top block
-          // included. A taller column leaves the top block's A rows
-          // alone: U carries their new content.
-          const bool top = p > 1 && i >= j && i < j + nb;
           for (long c = 0; c < a.nloc(); ++c) {
             const bool in_window = c >= jl0 && c < jl0 + njl;
-            const double want = in_window && !top
+            const double want = in_window
                                     ? ref[static_cast<std::size_t>(i)]
                                          [static_cast<std::size_t>(c)]
                                     : oracle_value(i, c);
             if (*a.at(il, c) != want) ++bad;
           }
         }
-        for (long c = 0; c < njl; ++c) {
+        for (long c = 0; c < a.nloc(); ++c) {
           for (long k = 0; k < ldu; ++k) {
+            const bool in_window = c >= jl0 && c < jl0 + njl;
             const double want =
-                k < nb ? ref[static_cast<std::size_t>(j + k)]
-                            [static_cast<std::size_t>(jl0 + c)]
-                       : sentinel;
-            if (u[static_cast<std::size_t>(c * ldu + k)] != want) ++bad;
+                in_window && k < nb && !diag
+                    ? ref[static_cast<std::size_t>(j + k)]
+                         [static_cast<std::size_t>(c)]
+                    : sentinel;
+            if (strip[static_cast<std::size_t>(c * ldu + k)] != want) ++bad;
           }
         }
         mismatches += bad;
@@ -213,9 +217,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// One process row: no staging and no wire. The swapper exchanges the
-// window's rows in place and copies the new top block into U, so A (top
-// block included) and U must equal the sequential interchanges bitwise —
+// One process row: no staging, no wire and no copy. The swapper exchanges
+// the window's rows in place, and its new top block is U, so A (top block
+// included) must equal the sequential interchanges bitwise —
 // for random pivots, pivots inside the top block, one row picked
 // repeatedly and identity pivots (in both pivot modes) — and the host
 // arena must never be leased.
@@ -226,8 +230,6 @@ TEST(RowSwapOneRow, InPlaceExchangeMatchesSequentialSwaps) {
   const long jl0 = 3;
   const long ncols = n + 1;
   const long njl = ncols - jl0 - 2;
-  const long ldu = nb + 2;
-  const double sentinel = -7.5;
 
   comm::World::run(1, [&](comm::Communicator& world) {
     grid::ProcessGrid g(world, 1, 1);
@@ -269,13 +271,12 @@ TEST(RowSwapOneRow, InPlaceExchangeMatchesSequentialSwaps) {
                         piv[static_cast<std::size_t>(k)])]);
         for (long i = 0; i < n; ++i)
           for (long c = 0; c < a.nloc(); ++c) *a.at(i, c) = oracle_value(i, c);
-        std::vector<double> u(static_cast<std::size_t>(ldu * njl), sentinel);
 
         const RowSwapPlan plan = build_rowswap_plan(j, nb, piv.data());
         rs.prepare(plan, a, 0, jl0, njl);
         rs.gather(stream, a);
-        rs.communicate(g.col_comm(), nullptr, stream, u.data(), ldu);
-        rs.scatter(stream, a, u.data(), ldu);
+        rs.communicate(g.col_comm(), nullptr, stream, a.at(j, 0), a.lda());
+        rs.scatter(stream, a, a.at(j, 0), a.lda());
         stream.synchronize();
 
         long bad = 0;
@@ -287,14 +288,6 @@ TEST(RowSwapOneRow, InPlaceExchangeMatchesSequentialSwaps) {
                                [static_cast<std::size_t>(c)]
                           : oracle_value(i, c);
             if (*a.at(i, c) != want) ++bad;
-          }
-        for (long c = 0; c < njl; ++c)
-          for (long k = 0; k < ldu; ++k) {
-            const double want =
-                k < nb ? ref[static_cast<std::size_t>(j + k)]
-                            [static_cast<std::size_t>(jl0 + c)]
-                       : sentinel;
-            if (u[static_cast<std::size_t>(c * ldu + k)] != want) ++bad;
           }
         EXPECT_EQ(bad, 0) << what << " j=" << j;
       }

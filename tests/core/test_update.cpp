@@ -10,7 +10,9 @@ namespace hplx::core {
 namespace {
 
 /// Build a 1×1-grid DistMatrix and exercise the trailing-update helpers
-/// against dense reference arithmetic.
+/// against dense reference arithmetic. The rank is the diagonal row, so
+/// U is A's own top block: the trsm solves it in place and the gemm reads
+/// it from there.
 TEST(Update, TrsmGemmAndWritebackMatchReference) {
   const long n = 24;
   const int nb = 8;
@@ -35,22 +37,21 @@ TEST(Update, TrsmGemmAndWritebackMatchReference) {
     for (auto& v : panel.l2) v = rng.next();
     for (int k = 0; k < nb; ++k) panel.ipiv[static_cast<std::size_t>(k)] = k;
 
-    // U window = trailing columns [nb, n+1).
+    // U window = trailing columns [nb, n+1) of A's rows [0, nb).
     const long jl0 = nb;
     const long njl = a.nloc() - jl0;
-    std::vector<double> u(static_cast<std::size_t>(nb) * njl);
-    for (auto& v : u) v = rng.next();
-    const auto u0 = u;
+    std::vector<double> uref(static_cast<std::size_t>(nb) * njl);
+    for (long jl = 0; jl < njl; ++jl)
+      for (long i = 0; i < nb; ++i)
+        uref[static_cast<std::size_t>(jl * nb + i)] = *a.at(i, jl0 + jl);
 
-    enqueue_u_update(stream, a, panel, u.data(), nb, jl0, njl,
-                     /*in_diag_row=*/true, /*u_row_off=*/0);
-    enqueue_tail_gemm(stream, a, panel, u.data(), nb, jl0, njl,
+    enqueue_u_update(stream, panel, a.at(0, 0), a.lda(), jl0, njl);
+    enqueue_tail_gemm(stream, a, panel, a.at(0, 0), a.lda(), jl0, njl,
                       /*tail_off=*/nb);
     stream.synchronize();
 
     // Reference: U' = L1^{-1} U0 (unit lower), then rows [0, nb) of the
     // window == U', and rows [nb, n) == orig - L2·U'.
-    std::vector<double> uref = u0;
     blas::dtrsm(blas::Side::Left, blas::Uplo::Lower, blas::Trans::No,
                 blas::Diag::Unit, nb, static_cast<int>(njl), 1.0,
                 panel.top.data(), nb, uref.data(), nb);
@@ -86,7 +87,7 @@ TEST(Update, EmptyWindowIsNoop) {
     PanelData panel;
     panel.j = 0;
     panel.resize(8, 8);
-    enqueue_u_update<double>(stream, a, panel, nullptr, 8, 0, 0, true, 0);
+    enqueue_u_update<double>(stream, panel, nullptr, 8, 0, 0);
     enqueue_tail_gemm<double>(stream, a, panel, nullptr, 8, 0, 0, 8);
     stream.synchronize();
     EXPECT_DOUBLE_EQ(stream.busy_seconds(), 0.0);

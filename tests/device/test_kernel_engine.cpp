@@ -267,15 +267,12 @@ TEST(KernelEngine, CopyKernelsMatchAcrossTilesAndTeams) {
       blas::set_num_threads(team);
       configure_engine({tile, 0});
       Stream s(test_device());
-      std::vector<double> d1(static_cast<std::size_t>(ldd) * n, 0.0);
-      copy_matrix(s, m, n, src.data(), lds, d1.data(), ldd);
       std::vector<double> d2(static_cast<std::size_t>(ldd) * n, 0.0);
       copy_matrix_h2d(s, m, n, src.data(), lds, d2.data(), ldd);
       // Gap-free fast path (lds == ldd == m).
       std::vector<double> packed(static_cast<std::size_t>(m) * n, 0.0);
       copy_matrix_d2h(s, m, n, want.data(), ldd, packed.data(), m);
       s.synchronize();
-      EXPECT_TRUE(bitwise_equal(d1, want));
       EXPECT_TRUE(bitwise_equal(d2, want));
       for (long j = 0; j < n; ++j)
         ASSERT_EQ(std::memcmp(packed.data() + j * m, want.data() + j * ldd,

@@ -141,7 +141,7 @@ TEST(Kernels, CopyMatrixStrided) {
   // 3x2 source in ld=4, dest ld=3.
   std::vector<double> src{1, 2, 3, 99, 4, 5, 6, 99};
   std::vector<double> dst(6, 0.0);
-  copy_matrix(s, 3, 2, src.data(), 4, dst.data(), 3);
+  copy_matrix_h2d(s, 3, 2, src.data(), 4, dst.data(), 3);
   s.synchronize();
   EXPECT_DOUBLE_EQ(dst[0], 1.0);
   EXPECT_DOUBLE_EQ(dst[2], 3.0);
