@@ -144,6 +144,8 @@ class Solver {
     result.fact_seconds = ledger_.seconds(trace::Phase::Fact);
     result.mpi_seconds = ledger_.seconds(trace::Phase::Mpi);
     result.rs_wire_seconds = wire;
+    result.pivot_seconds = ledger_.seconds(trace::Phase::Pivot);
+    result.panel_bcast_seconds = ledger_.seconds(trace::Phase::PanelBcast);
     result.rs_wire_bytes = ledger_.rs_wire_bytes();
     result.rs_unpack_seconds = unpack;
     result.rs_overlap_efficiency =
@@ -350,6 +352,8 @@ class Solver {
     rec.transfer_s = end.transfer - start.transfer;
     rec.rs_wire_s = d.seconds(trace::Phase::RsWire);
     rec.rs_unpack_s = d.seconds(trace::Phase::RsUnpack);
+    rec.pivot_s = d.seconds(trace::Phase::Pivot);
+    rec.panel_bcast_s = d.seconds(trace::Phase::PanelBcast);
     rec.update_streams = pool_.size();
     for (int i = 0; i < pool_.size(); ++i) {
       rec.stream_busy_s[i] = end.busy[i] - start.busy[i];

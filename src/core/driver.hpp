@@ -84,6 +84,11 @@ struct HplResult {
   double rs_wire_seconds = 0.0;
   double rs_unpack_seconds = 0.0;
   double rs_overlap_efficiency = 0.0;
+  /// Parts of mpi_seconds: FACT's column collectives (the per-column pivot
+  /// allreduce, or the no-pivot colsum allreduce and top-block broadcast)
+  /// and the panel broadcast along the process row.
+  double pivot_seconds = 0.0;
+  double panel_bcast_seconds = 0.0;
   /// Bytes the row-swap collectives put on the wire (this rank), summed
   /// over every window: U-assembly allgatherv + displaced scatterv. Zero
   /// when pivoting == PivotMode::None — the no-pivot path replaces the

@@ -74,6 +74,7 @@ void panel_broadcast(comm::Communicator& row_comm, comm::BcastAlgo algo,
 
   {
     trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
+    trace::SubPhaseScope bcast_scope(ledger, trace::Phase::PanelBcast);
     if (custom != nullptr && *custom) {
       (*custom)(row_comm, panel.wire.data(), count * sizeof(double), root);
     } else {

@@ -60,8 +60,8 @@ using BcastFn = std::function<void(comm::Communicator& row_comm, void* buf,
 /// the row communicator) `panel` must be filled; on other ranks top/ipiv/l2
 /// are overwritten with the received panel. `panel.ml2` must be set by the
 /// caller on every rank (receivers know it from their own row counts).
-/// Elapsed communication time is charged to `ledger`'s Phase::Mpi (when
-/// non-null). When `custom` is non-null it replaces the built-in
+/// Elapsed communication time is charged to `ledger`'s Phase::Mpi and its
+/// PanelBcast part (when non-null). When `custom` is non-null it replaces the built-in
 /// algorithm.
 template <typename T>
 void panel_broadcast(comm::Communicator& row_comm, comm::BcastAlgo algo,

@@ -243,6 +243,7 @@ void pivot_exchange(Shared<T>& s, int k) {
 
   {
     trace::PhaseScope comm_scope(s.ledger, trace::Phase::Mpi);
+    trace::SubPhaseScope pivot_scope(s.ledger, trace::Phase::Pivot);
     comm::allreduce_bytes(
         s.comm, s.msg.data(), s.msg.size(),
         [jb](void* inout, const void* in) {
@@ -507,6 +508,7 @@ void factor_nopiv(Shared<T>& s, int tid) {
                              static_cast<std::size_t>(c)];
     {
       trace::PhaseScope comm_scope(s.ledger, trace::Phase::Mpi);
+      trace::SubPhaseScope pivot_scope(s.ledger, trace::Phase::Pivot);
       comm::allreduce(s.comm, total, static_cast<std::size_t>(jb),
                       comm::ReduceOp::Sum);
     }
@@ -546,6 +548,7 @@ void factor_nopiv(Shared<T>& s, int tid) {
     s.stage[cnt] = dom_bad ? T(1) : T(0);
     {
       trace::PhaseScope comm_scope(s.ledger, trace::Phase::Mpi);
+      trace::SubPhaseScope pivot_scope(s.ledger, trace::Phase::Pivot);
       comm::bcast(s.comm, s.stage.data(), cnt + 1, s.t.diag_root);
     }
     if (!s.t.is_curr) {

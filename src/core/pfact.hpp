@@ -73,7 +73,7 @@ using PanelTask = PanelTaskT<double>;
 /// call with their local task). `team` supplies the T threads of §III.A;
 /// pass a 1-thread team for serial factorization. When `ledger` is
 /// non-null, time in column-communicator calls is charged to Phase::Mpi
-/// and the rest of the factorization to Phase::Fact.
+/// and its Pivot part, and the rest of the factorization to Phase::Fact.
 template <typename T>
 void panel_factorize(comm::Communicator& col_comm, const HplConfig& cfg,
                      ThreadTeam& team, const PanelTaskT<T>& task,

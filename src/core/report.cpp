@@ -124,6 +124,10 @@ void print_phase_breakdown(std::ostream& os, const HplResult& result) {
   line("CPU panel factorization", result.fact_seconds);
   line("communication", result.mpi_seconds);
   line("host<->device transfers", result.transfer_seconds);
+  if (result.pivot_seconds > 0.0)
+    line("pivot collectives (FACT)", result.pivot_seconds);
+  if (result.panel_bcast_seconds > 0.0)
+    line("panel broadcast", result.panel_bcast_seconds);
   if (result.rs_wire_seconds > 0.0) {
     line("row-swap wire (U gather)", result.rs_wire_seconds);
     if (result.rs_unpack_seconds > 0.0) {

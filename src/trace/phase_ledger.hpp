@@ -19,9 +19,16 @@ namespace hplx::trace {
 ///  - Mpi: wall time inside communication calls;
 ///  - RsWire: the part of Mpi spent in the row-swap U-assembly collective;
 ///  - RsUnpack: modeled device seconds of the chunk unpacks fused into
-///    that collective.
-enum class Phase { Fact, Mpi, RsWire, RsUnpack };
-inline constexpr int kPhaseCount = 4;
+///    that collective;
+///  - Pivot: the part of Mpi spent in FACT's column collectives (the
+///    per-column pivot allreduce, or the no-pivot colsum allreduce and
+///    top-block broadcast);
+///  - PanelBcast: the part of Mpi spent broadcasting the factored panel
+///    along the process row.
+/// RsWire, Pivot and PanelBcast are parts of Mpi, charged inside its
+/// scopes with SubPhaseScope; they are not left out of Mpi.
+enum class Phase { Fact, Mpi, RsWire, RsUnpack, Pivot, PanelBcast };
+inline constexpr int kPhaseCount = 6;
 
 class PhaseLedger {
  public:
@@ -78,6 +85,28 @@ class PhaseScope {
   Phase phase_;
   double t0_ = 0.0;
   double scoped0_ = 0.0;
+};
+
+/// Charges the wall time of its lifetime to a sub-phase (Pivot,
+/// PanelBcast) of the phase whose PhaseScope encloses it. Unlike a nested
+/// PhaseScope it takes nothing out of the enclosing scope: the enclosing
+/// phase keeps the whole time and the sub-phase names a part of it.
+class SubPhaseScope {
+ public:
+  SubPhaseScope(PhaseLedger* ledger, Phase phase)
+      : ledger_(ledger), phase_(phase) {
+    if (ledger_ != nullptr) t0_ = wall_seconds();
+  }
+  ~SubPhaseScope() {
+    if (ledger_ != nullptr) ledger_->add(phase_, wall_seconds() - t0_);
+  }
+  SubPhaseScope(const SubPhaseScope&) = delete;
+  SubPhaseScope& operator=(const SubPhaseScope&) = delete;
+
+ private:
+  PhaseLedger* ledger_;
+  Phase phase_;
+  double t0_ = 0.0;
 };
 
 }  // namespace hplx::trace

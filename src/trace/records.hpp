@@ -34,6 +34,8 @@ struct IterationRecord {
   double transfer_s = 0.0;
   double rs_wire_s = 0.0;  ///< row-swap U-assembly wall time on the wire
   double rs_unpack_s = 0.0;  ///< modeled seconds of fused chunk unpacks
+  double pivot_s = 0.0;  ///< part of mpi_s in FACT's column collectives
+  double panel_bcast_s = 0.0;  ///< part of mpi_s in the panel broadcast
 
   /// Streams in the trailing-update pool this iteration ran with; entries
   /// [0, update_streams) of the arrays below are meaningful.

@@ -104,6 +104,44 @@ TEST(DriverTrace, OneRankRecordsReconcileWithTotals) {
     EXPECT_LE(real[i], r.stream_real_seconds[i] + 1e-9) << "stream " << i;
 }
 
+TEST(DriverTrace, MpiSplitsIntoPivotPanelBcastAndWire) {
+  // On a 2x2 grid every iteration's FACT allreduces pivots down the
+  // process column and broadcasts the panel along the process row; both
+  // are parts of Mpi, as is the row-swap wire, so together they never
+  // exceed it, in the totals and in each record. (Iteration j's record
+  // carries panel j+1's FACT, which on two process columns runs on the
+  // other column, so the records' pivot time may be zero here.)
+  const HplResult r = run(128, 16, 2, 2, PipelineMode::LookaheadSplit);
+  EXPECT_GT(r.pivot_seconds, 0.0);
+  EXPECT_GT(r.panel_bcast_seconds, 0.0);
+  EXPECT_LE(r.pivot_seconds + r.panel_bcast_seconds + r.rs_wire_seconds,
+            r.mpi_seconds + 1e-9);
+  double bcast = 0.0;
+  for (const auto& it : r.trace.iterations) {
+    EXPECT_GE(it.pivot_s, 0.0);
+    EXPECT_GE(it.panel_bcast_s, 0.0);
+    EXPECT_LE(it.pivot_s + it.panel_bcast_s + it.rs_wire_s, it.mpi_s + 1e-9)
+        << "iteration " << it.iteration;
+    bcast += it.panel_bcast_s;
+  }
+  EXPECT_GT(bcast, 0.0);
+}
+
+TEST(DriverTrace, NoPanelBcastOnOneProcessColumn) {
+  // One process column has no row peer: the panel broadcast returns
+  // before any wire, so nothing is charged to it. Every rank factors
+  // every panel there, so the records carry the pivot allreduces.
+  const HplResult r = run(96, 16, 2, 1, PipelineMode::Lookahead);
+  EXPECT_GT(r.pivot_seconds, 0.0);
+  EXPECT_EQ(r.panel_bcast_seconds, 0.0);
+  double pivot = 0.0;
+  for (const auto& it : r.trace.iterations) {
+    EXPECT_EQ(it.panel_bcast_s, 0.0);
+    pivot += it.pivot_s;
+  }
+  EXPECT_GT(pivot, 0.0);
+}
+
 TEST(DriverTrace, RaggedLastPanelTraced) {
   const HplResult r = run(100, 16, 2, 2, PipelineMode::Simple);
   ASSERT_EQ(r.trace.iterations.size(), 7u);  // ceil(100/16)

@@ -103,6 +103,26 @@ TEST(Report, PhaseBreakdownShowsAllPhases) {
   EXPECT_NE(s.find("30.0 %"), std::string::npos);   // 3/10
 }
 
+TEST(Report, PhaseBreakdownSplitsCommunication) {
+  HplResult r;
+  r.seconds = 10.0;
+  r.mpi_seconds = 4.0;
+  std::ostringstream quiet;
+  print_phase_breakdown(quiet, r);
+  EXPECT_EQ(quiet.str().find("pivot collectives"), std::string::npos);
+  EXPECT_EQ(quiet.str().find("panel broadcast"), std::string::npos);
+
+  r.pivot_seconds = 2.5;
+  r.panel_bcast_seconds = 0.5;
+  std::ostringstream os;
+  print_phase_breakdown(os, r);
+  const std::string s = os.str();
+  EXPECT_NE(s.find("pivot collectives (FACT)"), std::string::npos);
+  EXPECT_NE(s.find("25.0 %"), std::string::npos);  // 2.5/10
+  EXPECT_NE(s.find("panel broadcast"), std::string::npos);
+  EXPECT_NE(s.find("5.0 %"), std::string::npos);   // 0.5/10
+}
+
 TEST(Report, FooterCountsFailures) {
   std::ostringstream os;
   print_hpl_footer(os, 5, 3);

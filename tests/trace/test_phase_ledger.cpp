@@ -71,5 +71,36 @@ TEST(PhaseScope, NestedScopesAreExclusive) {
   EXPECT_LE(l.seconds(Phase::Fact) + l.seconds(Phase::Mpi), wall);
 }
 
+TEST(SubPhaseScope, NamesAPartOfTheEnclosingPhase) {
+  PhaseLedger l;
+  const double t0 = wall_seconds();
+  {
+    PhaseScope fact(&l, Phase::Fact);
+    sleep_ms(2);
+    {
+      PhaseScope mpi(&l, Phase::Mpi);
+      SubPhaseScope pivot(&l, Phase::Pivot);
+      sleep_ms(10);
+    }
+    {
+      PhaseScope mpi(&l, Phase::Mpi);
+      sleep_ms(2);
+    }
+  }
+  const double wall = wall_seconds() - t0;
+  EXPECT_GE(l.seconds(Phase::Pivot), 0.010);
+  // The sub-phase stays inside Mpi: Mpi holds both of its scopes, and
+  // Fact still leaves all of Mpi out.
+  EXPECT_GE(l.seconds(Phase::Mpi), l.seconds(Phase::Pivot) + 0.002);
+  EXPECT_GE(l.seconds(Phase::Fact), 0.002);
+  EXPECT_LE(l.seconds(Phase::Fact) + l.seconds(Phase::Mpi), wall);
+  EXPECT_EQ(l.seconds(Phase::PanelBcast), 0.0);
+}
+
+TEST(SubPhaseScope, NullLedgerIsANoOp) {
+  SubPhaseScope s(nullptr, Phase::PanelBcast);
+  SUCCEED();
+}
+
 }  // namespace
 }  // namespace hplx::trace
