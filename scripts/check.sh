@@ -4,11 +4,12 @@
 # suites (ctest label "tsan": util/blas/comm/device + the chunked-transport
 # stress, driver (core + hpl) and mixed-precision suites) under
 # ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
-# util/blas/grid/rng/trace + the hazard-checker, chunked-transport, driver
-# and mixed-precision suites) under AddressSanitizer+LeakSanitizer+UBSan
-# (the BLAS suite rides along so UBSan sees every kernel version's vector
-# loads and stores, the util suite so it sees the team barrier's spin and
-# park paths). The
+# util/blas/grid/rng/trace + the hazard-checker, transport, chunked-transport,
+# driver and mixed-precision suites) under AddressSanitizer+LeakSanitizer+
+# UBSan (the BLAS suite rides along so UBSan sees every kernel version's
+# vector loads and stores, the util suite so it sees the team barrier's
+# spin and park paths, the transport suite so it sees a mailbox receive
+# spin with its stack-held posted receive still reachable by senders). The
 # driver suites hold every pipeline/stream bitwise sweep, so both
 # legs run the real solve schedules. The mixed-precision suite also
 # carries the "mxp" label, surfaced as its own tier-1 step so a red MxP
@@ -96,7 +97,7 @@ else
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_asan" -j "$jobs" \
     --target test_util test_blas test_grid test_rng test_trace test_hazard \
-             test_comm_chunked test_core test_hpl test_alloc test_mxp \
+             test_comm test_comm_chunked test_core test_hpl test_alloc test_mxp \
              test_variants test_commcheck
   # LSan rides along with ASan by default on Linux; halt_on_error keeps UB
   # findings fatal so the leg cannot silently pass over them.

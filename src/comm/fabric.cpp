@@ -1,8 +1,10 @@
 #include "comm/fabric.hpp"
 
+#include <chrono>
 #include <cstring>
 
 #include "util/error.hpp"
+#include "util/spin_wait.hpp"
 
 namespace hplx::comm {
 
@@ -10,6 +12,7 @@ void Mailbox::deposit(MessageEnvelope msg) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(msg));
+    arrivals_.fetch_add(1, std::memory_order_release);
   }
   cv_.notify_all();
 }
@@ -47,6 +50,7 @@ void Mailbox::deliver(int src, int tag, const void* data, std::size_t bytes,
       if (bytes != 0) std::memcpy(pr->dst, data, bytes);
       pr->done = true;
       posted_.erase(it);
+      arrivals_.fetch_add(1, std::memory_order_release);
       direct_count.fetch_add(1, std::memory_order_relaxed);
       lock.unlock();
       cv_.notify_all();
@@ -62,6 +66,7 @@ void Mailbox::deliver(int src, int tag, const void* data, std::size_t bytes,
     std::memcpy(msg.payload.data(), data, bytes);
   }
   queue_.push_back(std::move(msg));
+  arrivals_.fetch_add(1, std::memory_order_release);
   lock.unlock();
   cv_.notify_all();
 }
@@ -107,26 +112,45 @@ void Mailbox::wait_verified(std::unique_lock<std::mutex>& lock, int src,
   HPLX_CHECK(satisfied);
 }
 
+template <class Pred>
+void Mailbox::wait_arrival(std::unique_lock<std::mutex>& lock, Pred&& pred) {
+  // One window for the whole wait: traffic for other (src, tag) pairs
+  // moves the counter too, and must not keep this waiter spinning.
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  for (;;) {
+    const std::uint64_t seen = arrivals_.load(std::memory_order_relaxed);
+    lock.unlock();
+    const bool moved = spin_until(
+        [&] { return arrivals_.load(std::memory_order_acquire) != seen; },
+        deadline);
+    lock.lock();
+    if (pred()) return;
+    if (!moved) break;
+  }
+  // The window closed: park. pred() is re-checked under the lock before
+  // each sleep, and every arrival changes it under the same lock before
+  // notifying, so no wakeup is lost.
+  cv_.wait(lock, pred);
+}
+
 MessageEnvelope Mailbox::match(int src, int tag) {
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (matches(*it, src, tag)) {
-        MessageEnvelope out = std::move(*it);
-        queue_.erase(it);
-        return out;
-      }
-    }
+  std::deque<MessageEnvelope>::iterator it;
+  auto pred = [&] {
+    for (it = queue_.begin(); it != queue_.end(); ++it)
+      if (matches(*it, src, tag)) return true;
+    return false;
+  };
+  if (!pred()) {
     if (verifier_ == nullptr) {
-      cv_.wait(lock);
+      wait_arrival(lock, pred);
     } else {
-      wait_verified(lock, src, tag, "recv", /*done=*/nullptr, [&] {
-        for (const auto& m : queue_)
-          if (matches(m, src, tag)) return true;
-        return false;
-      });
+      wait_verified(lock, src, tag, "recv", /*done=*/nullptr, pred);
     }
   }
+  MessageEnvelope out = std::move(*it);
+  queue_.erase(it);
+  return out;
 }
 
 void Mailbox::recv_into(int src, int tag, void* dst, std::size_t bytes) {
@@ -171,7 +195,7 @@ void Mailbox::recv_into(int src, int tag, void* dst, std::size_t bytes) {
     return qit != queue_.end();
   };
   if (verifier_ == nullptr) {
-    cv_.wait(lock, pred);
+    wait_arrival(lock, pred);
   } else {
     try {
       wait_verified(lock, src, tag, "recv", &pr.done, pred);

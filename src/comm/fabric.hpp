@@ -23,6 +23,12 @@
 /// Matching is FIFO among messages with the same (source, tag), which
 /// gives the same non-overtaking guarantee MPI provides and is what the
 /// collective algorithms rely on.
+///
+/// A blocking receive waits by the one wait policy (util/spin_wait.hpp):
+/// it spins for at most kSpinWindow on the mailbox's arrival counter, then
+/// parks on the mailbox condvar. A small-message hop between two rank
+/// threads thus costs a cache-line handoff, not a kernel wakeup, which is
+/// what the per-column pivot allreduce on FACT's critical path pays.
 
 #include <atomic>
 #include <condition_variable>
@@ -143,8 +149,21 @@ class Mailbox {
   void wait_verified(std::unique_lock<std::mutex>& lock, int src, int tag,
                      const char* what, const bool* done, Pred&& pred);
 
+  /// Unverified blocking wait, spin then park. With the lock dropped it
+  /// spins on arrivals_ for at most kSpinWindow; each time the counter
+  /// moves it relocks and evaluates pred(). When the window closes it
+  /// parks on cv_ with pred as the condvar predicate. Entered with `lock`
+  /// held and pred() false; returns with `lock` held and pred() true, as
+  /// evaluated under the lock held continuously since, so iterators it
+  /// cached are valid.
+  template <class Pred>
+  void wait_arrival(std::unique_lock<std::mutex>& lock, Pred&& pred);
+
   mutable std::mutex mutex_;
   std::condition_variable cv_;
+  /// Bumped under mutex_ by every deposit() and deliver(), queued or
+  /// direct: the spinning waiter's lock-free "something changed" test.
+  std::atomic<std::uint64_t> arrivals_{0};
   std::deque<MessageEnvelope> queue_;
   std::deque<PostedRecv*> posted_;  // waiting blocking receives, FIFO
   Verifier* verifier_ = nullptr;    // guarded by mutex_

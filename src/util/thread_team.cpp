@@ -1,20 +1,9 @@
 #include "util/thread_team.hpp"
 
 #include "util/error.hpp"
+#include "util/spin_wait.hpp"
 
 namespace hplx {
-
-namespace {
-
-/// Tell the core this is a spin-wait loop (x86 `pause`): it saves power
-/// and yields issue slots to a hyper-threaded sibling.
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
-}
-
-}  // namespace
 
 Barrier::Barrier(int participants) : participants_(participants) {
   HPLX_CHECK(participants >= 1);
@@ -39,19 +28,7 @@ void Barrier::arrive_and_wait() {
   auto released = [&] {
     return generation_.load(std::memory_order_acquire) != gen;
   };
-  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
-  for (unsigned spins = 1;; ++spins) {
-    if (released()) return;
-    cpu_relax();
-    // Reading the clock costs more than a pause; look every 64 spins.
-    // Yield there too: a peer that shares this CPU (where the kernel does
-    // not balance load, threads stay where they start) then runs and
-    // arrives, instead of waiting out the window behind this spin.
-    if (spins % 64 == 0) {
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      std::this_thread::yield();
-    }
-  }
+  if (spin_until(released)) return;
   std::unique_lock<std::mutex> lock(mutex_);
   cv_.wait(lock, released);
 }

@@ -13,7 +13,6 @@
 /// meet at a spin-then-park Barrier.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -21,31 +20,23 @@
 #include <thread>
 #include <vector>
 
+#include "util/spin_wait.hpp"
+
 namespace hplx {
 
 /// Reusable barrier for a fixed number of participants: spin, then park.
 ///
 /// An arriving member bumps an atomic count; the last one to arrive resets
 /// it and advances an atomic generation, under the mutex, then notifies.
-/// Everyone else first spins on the generation with a CPU pause for at
-/// most kSpinWindow, then parks on the condvar. In the panel
-/// factorization's column loop the team meets every few microseconds, so
-/// most waits end inside the spin and skip the kernel wakeup that a
-/// condvar-only barrier pays on every round.
-///
-/// The spin is bounded in time, not in iterations, so it stays safe when
-/// hplx oversubscribes hardware threads (ranks are threads too): a member
-/// whose peer is descheduled burns at most kSpinWindow before it parks,
-/// and it yields its core every few microseconds of that window, so a
-/// peer queued on the same core runs and arrives instead of waiting the
-/// window out. The generation changes only under the mutex, and a parked
-/// member re-checks it under the same mutex, so no wakeup is lost.
+/// Everyone else waits by the one wait policy (util/spin_wait.hpp): spin
+/// on the generation for at most kSpinWindow, then park on the condvar.
+/// In the panel factorization's column loop the team meets every few
+/// microseconds, so most waits end inside the spin and skip the kernel
+/// wakeup that a condvar-only barrier pays on every round. The generation
+/// changes only under the mutex, and a parked member re-checks it under
+/// the same mutex, so no wakeup is lost.
 class Barrier {
  public:
-  /// How long a waiter spins before it parks: a few hundred column-loop
-  /// barrier round trips, far below a scheduler time slice.
-  static constexpr std::chrono::microseconds kSpinWindow{50};
-
   explicit Barrier(int participants);
 
   /// Block until all participants arrive. Reusable immediately.

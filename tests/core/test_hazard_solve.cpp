@@ -179,15 +179,15 @@ TEST(HazardSolve, EnvVarEnablesCheckerAndPipelinedRunIsClean) {
                                  << r.hazards.front().detail;
 }
 
-using SweepShape = std::tuple<int /*p*/, int /*q*/, PipelineMode>;
+using SweepShape = std::tuple<int /*p*/, int /*q*/, PipelineMode, long /*n*/>;
 
 class HazardSweep : public ::testing::TestWithParam<SweepShape> {};
 
 TEST_P(HazardSweep, FencedSchedulesAreViolationFree) {
-  const auto [p, q, mode] = GetParam();
+  const auto [p, q, mode, n] = GetParam();
   for (int streams : {1, 2, 4}) {
     for (long chunk : {4096L, 256L * 1024L}) {
-      HplConfig cfg = base_cfg(96, 16, p, q);
+      HplConfig cfg = base_cfg(n, 16, p, q);
       cfg.pipeline = mode;
       cfg.update_streams = streams;
       cfg.swap_chunk_bytes = chunk;
@@ -206,16 +206,23 @@ TEST_P(HazardSweep, FencedSchedulesAreViolationFree) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridsAndModes, HazardSweep,
-    ::testing::Values(SweepShape{1, 1, PipelineMode::Lookahead},
-                      SweepShape{1, 1, PipelineMode::LookaheadSplit},
-                      SweepShape{1, 2, PipelineMode::Lookahead},
-                      SweepShape{2, 2, PipelineMode::LookaheadSplit},
-                      SweepShape{2, 1, PipelineMode::Simple},
-                      SweepShape{1, 3, PipelineMode::LookaheadSplit},
+    ::testing::Values(SweepShape{1, 1, PipelineMode::Lookahead, 96},
+                      SweepShape{1, 1, PipelineMode::LookaheadSplit, 96},
+                      SweepShape{1, 2, PipelineMode::Lookahead, 96},
+                      // At N=96 a 2x2 rank holds 48-49 local columns and
+                      // csplit_ = 16, so the left section beside the
+                      // right one is rarely more than the look-ahead
+                      // band, and a dropped fence between them goes
+                      // unseen. At N=192 (96 local columns, csplit_ =
+                      // 48) both sections sit side by side for most
+                      // iterations.
+                      SweepShape{2, 2, PipelineMode::LookaheadSplit, 192},
+                      SweepShape{2, 1, PipelineMode::Simple, 96},
+                      SweepShape{1, 3, PipelineMode::LookaheadSplit, 96},
                       // A rank alternates between the diagonal row (U in
                       // A) and the shared strip while two panels'
                       // sections use it.
-                      SweepShape{3, 1, PipelineMode::LookaheadSplit}));
+                      SweepShape{3, 1, PipelineMode::LookaheadSplit, 96}));
 
 }  // namespace
 }  // namespace hplx::core

@@ -98,7 +98,7 @@ TEST(ThreadTeam, BarrierStressSpinAndParkStayInLockstep) {
         std::vector<int>& row = stamp[r % 2];
         row[static_cast<std::size_t>(tid)] = r;
         if (r % 61 == 0 && tid == (r / 61) % T)
-          std::this_thread::sleep_for(3 * Barrier::kSpinWindow);
+          std::this_thread::sleep_for(3 * kSpinWindow);
         team.barrier();
         for (int t = 0; t < T; ++t)
           if (row[static_cast<std::size_t>(t)] != r) mismatches++;
