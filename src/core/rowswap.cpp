@@ -7,7 +7,6 @@
 #include "device/hazard.hpp"
 #include "device/kernels.hpp"
 #include "util/error.hpp"
-#include "util/timer.hpp"
 
 namespace hplx::core {
 
@@ -357,7 +356,6 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
                           my_disp_dest_slots_.size() *
                               static_cast<std::size_t>(njl_))});
   trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
-  const double wire_t0 = wall_seconds();
   // U assembly: everyone ends up with all jb rows, rank-major, each rank's
   // segment an nr_r×njl column-major block. The indivisible wire unit of
   // a segment is one wire column of nr_r elements, so every delivered
@@ -393,11 +391,13 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
         stream, gathered_u_.data() + displ / sizeof(T) + c0 * nr,
         std::move(rows), nc, u + (jl0_ + static_cast<long>(c0)) * ldu, ldu);
   };
-  comm::allgatherv_chunked(col_comm, my_u_.data(), u_counts_, u_displs_,
-                           gathered_u_.data(),
-                           static_cast<std::size_t>(chunk_bytes_), grains,
-                           on_chunk, u_algo_);
-  const double wire_s = wall_seconds() - wire_t0;
+  {
+    trace::SubPhaseScope wire_scope(ledger, trace::Phase::RsWire);
+    comm::allgatherv_chunked(col_comm, my_u_.data(), u_counts_, u_displs_,
+                             gathered_u_.data(),
+                             static_cast<std::size_t>(chunk_bytes_), grains,
+                             on_chunk, u_algo_);
+  }
 
   // Displaced rows: scattered from the diagonal row to their destinations,
   // one column-major segment each, in messages of whole-row size under the
@@ -412,7 +412,6 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
                          static_cast<std::size_t>(chunk_bytes_), row_bytes);
   }
   if (ledger != nullptr) {
-    ledger->add(trace::Phase::RsWire, wire_s);
     ledger->add(trace::Phase::RsUnpack, unpack_modeled);
     // Wire traffic of this window: the full rank-packed U assembly every
     // rank receives plus the displaced rows scattered from the root.

@@ -87,7 +87,7 @@ class PhaseScope {
   double scoped0_ = 0.0;
 };
 
-/// Charges the wall time of its lifetime to a sub-phase (Pivot,
+/// Charges the wall time of its lifetime to a sub-phase (RsWire, Pivot,
 /// PanelBcast) of the phase whose PhaseScope encloses it. Unlike a nested
 /// PhaseScope it takes nothing out of the enclosing scope: the enclosing
 /// phase keeps the whole time and the sub-phase names a part of it.
