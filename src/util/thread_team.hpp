@@ -20,8 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/spin_wait.hpp"
-
 namespace hplx {
 
 /// Reusable barrier for a fixed number of participants: spin, then park.

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/spin_wait.hpp"
 #include "util/thread_team.hpp"
 
 namespace hplx {
