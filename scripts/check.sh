@@ -97,8 +97,8 @@ else
     -DHPLX_WERROR=ON >/dev/null
   cmake --build "$build_asan" -j "$jobs" \
     --target test_util test_blas test_grid test_rng test_trace test_hazard \
-             test_comm test_comm_chunked test_core test_hpl test_alloc test_mxp \
-             test_variants test_commcheck
+             test_comm test_comm_chunked test_device test_core test_hpl \
+             test_alloc test_mxp test_variants test_commcheck
   # LSan rides along with ASan by default on Linux; halt_on_error keeps UB
   # findings fatal so the leg cannot silently pass over them.
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \

@@ -23,6 +23,7 @@
 #include "grid/process_grid.hpp"
 #include "trace/phase_ledger.hpp"
 #include "util/error.hpp"
+#include "util/large_alloc.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
@@ -690,7 +691,7 @@ class Solver {
   /// fence non-owner ranks take before recycling the panel double-buffer.
   BandSection prev_update_;
 
-  std::vector<T> w_;
+  LargeVector<T> w_;
   std::vector<long> glob_;
   std::vector<std::vector<long>> pivots_;  ///< per-panel global pivot rows
   std::vector<double> x_;                  ///< backsolve solution (fp64)

@@ -39,9 +39,9 @@ DistMatrixT<T>::DistMatrixT(device::Device& dev, const grid::ProcessGrid& g,
     rng::generate_local(seed_, n_, n_ + nrhs_, nb_, myrow_, mycol_, nprow_,
                         npcol_, local(), lda_, diag_shift_);
   } else {
-    fp64_source_.reset(new double[static_cast<std::size_t>(lda_) *
-                                  static_cast<std::size_t>(
-                                      nloc_ > 0 ? nloc_ : 1)]);
+    fp64_source_ = make_large_array<double>(
+        static_cast<std::size_t>(lda_) *
+        static_cast<std::size_t>(nloc_ > 0 ? nloc_ : 1));
     rng::generate_local(seed_, n_, n_ + nrhs_, nb_, myrow_, mycol_, nprow_,
                         npcol_, fp64_source_.get(), lda_, diag_shift_);
     for (long jl = 0; jl < nloc_; ++jl)

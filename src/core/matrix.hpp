@@ -19,11 +19,11 @@
 /// which is where MxP's capacity and bandwidth headroom comes from.
 
 #include <cstdint>
-#include <memory>
 
 #include "device/device.hpp"
 #include "grid/block_cyclic.hpp"
 #include "grid/process_grid.hpp"
+#include "util/large_alloc.hpp"
 
 namespace hplx::core {
 
@@ -66,8 +66,9 @@ class DistMatrixT {
 
   /// The fp64 local [A|B] this matrix was cast from (lda()-strided, same
   /// shape as local()), or null for a double matrix, which is its own
-  /// source. A plain host allocation outside every pool, alive until
-  /// release_fp64_source() or the matrix's end.
+  /// source. A host allocation outside every pool (huge-page backed,
+  /// util/large_alloc.hpp), alive until release_fp64_source() or the
+  /// matrix's end.
   const double* fp64_source() const { return fp64_source_.get(); }
   /// Free the fp64 source once nothing will read it again.
   void release_fp64_source() { fp64_source_.reset(); }
@@ -86,7 +87,7 @@ class DistMatrixT {
   grid::CyclicDim cols_;
   long mloc_, nloc_, lda_;
   device::Buffer buf_;
-  std::unique_ptr<double[]> fp64_source_;
+  LargeArray<double> fp64_source_;
 };
 
 using DistMatrix = DistMatrixT<double>;

@@ -23,24 +23,26 @@
 
 #include "comm/collectives.hpp"
 #include "trace/phase_ledger.hpp"
+#include "util/large_alloc.hpp"
 
 namespace hplx::core {
 
 /// One factored panel as seen by every rank in a process row. Buffers are
 /// device-resident workspaces (the transport is GPU-aware, as on Crusher
-/// where NICs attach directly to the GPUs).
+/// where NICs attach directly to the GPUs); the big ones take huge pages
+/// once they reach 2 MiB (util/large_alloc.hpp).
 template <typename T>
 struct PanelDataT {
   long j = 0;
   int jb = 0;
 
-  std::vector<T> top;        ///< jb×jb factored diagonal block (ld = jb)
+  LargeVector<T> top;        ///< jb×jb factored diagonal block (ld = jb)
   std::vector<long> ipiv;    ///< jb global pivot rows
-  std::vector<T> l2;         ///< ml2×jb local L2 rows (ld = ml2)
+  LargeVector<T> l2;         ///< ml2×jb local L2 rows (ld = ml2)
   long ml2 = 0;
 
   /// Scratch for the packed wire format; reused across iterations.
-  std::vector<double> wire;
+  LargeVector<double> wire;
 
   void resize(int jb_, long ml2_);
 

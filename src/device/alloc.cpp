@@ -2,9 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 
 #include "device/hazard.hpp"
+#include "util/large_alloc.hpp"
 
 namespace hplx::device {
 
@@ -33,24 +33,25 @@ PoolAllocator::PoolAllocator(std::string name, int max_class_log)
 PoolAllocator::~PoolAllocator() { trim(); }
 
 std::byte* PoolAllocator::upstream_alloc(std::size_t bytes) {
-  auto* p = static_cast<std::byte*>(
-      ::operator new(bytes, std::align_val_t{kAlignment}));
+  // Blocks of 2 MiB and up take huge pages (util/large_alloc.hpp).
+  auto* p = static_cast<std::byte*>(allocate_large(bytes, kAlignment));
   const std::uint64_t seq =
       g_upstream_allocs.fetch_add(1, std::memory_order_relaxed);
   ++stats_.upstream_allocs;
   // Diagnostic for zero-steady-state regressions: every system
   // allocation with its pool and global sequence number, correlatable
-  // with the driver's steady-window marks.
+  // with the driver's steady-window marks, and whether the huge-page rule
+  // applied to it.
   if (std::getenv("HPLX_ALLOC_DEBUG") != nullptr) {
-    std::fprintf(stderr, "ALLOC #%llu pool=%s bytes=%zu\n",
+    std::fprintf(stderr, "ALLOC #%llu pool=%s bytes=%zu huge=%d\n",
                  static_cast<unsigned long long>(seq + 1), name_.c_str(),
-                 bytes);
+                 bytes, is_large(bytes) ? 1 : 0);
   }
   return p;
 }
 
 void PoolAllocator::upstream_free(std::byte* p, std::size_t bytes) {
-  ::operator delete(p, bytes, std::align_val_t{kAlignment});
+  free_large(p, bytes, kAlignment);
 }
 
 void PoolAllocator::note_lease(int cls, std::size_t bytes,

@@ -56,7 +56,8 @@ class PoolAllocator {
   /// are released straight back to the system.
   static constexpr int kMaxClassLog = 28;
   /// Every pooled block is aligned to a cache line pair (covers SIMD
-  /// loads and keeps device-style buffers alignment-clean).
+  /// loads and keeps device-style buffers alignment-clean); a block of
+  /// 2 MiB or more is huge-page aligned and backed (util/large_alloc.hpp).
   static constexpr std::size_t kAlignment = 64;
   /// A request whose class is empty may borrow from at most this many
   /// classes above its own (16x the request) — enough to absorb the
