@@ -23,8 +23,9 @@
 # the byte-for-byte golden files ("golden": the pure-model figure series
 # and the 92-line residual oracle), so a moved bit is visible at a glance.
 # A checker-env gate re-runs the driver suites (hazard, hpl, core,
-# variants) with every solve under HPLX_HAZARD=1 and then under
-# HPLX_COMM_CHECK=1, the sweeps an overlap or transport change owes.
+# variants) and the mixed-precision suite with every solve under
+# HPLX_HAZARD=1 and then under HPLX_COMM_CHECK=1, the sweeps an overlap,
+# transport or refinement change owes.
 # A gcc -fanalyzer pass over the transport layer (scripts/analyze.sh,
 # baseline-gated) closes out the default build's steps.
 # This is what CI runs and what a perf PR must keep green.
@@ -64,7 +65,7 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" -L golden
 
 for checker in HPLX_HAZARD HPLX_COMM_CHECK; do
   echo "== checker-env gate: driver suites under $checker=1 ($build)"
-  for suite in test_hazard test_hpl test_core test_variants; do
+  for suite in test_hazard test_hpl test_core test_variants test_mxp; do
     env "$checker=1" "$build/tests/$suite" --gtest_brief=1
   done
 done

@@ -49,14 +49,14 @@ class Solver {
                                  : grid::GridOrder::ColMajor),
         dev_("gcd" + std::to_string(world.rank()), cfg.hbm_bytes,
              cfg.dev_model, cfg.hazard_check),
-        a_(dev_, grid_, cfg.n, cfg.nb, cfg.seed, cfg.nrhs,
+        team_(std::max(1, cfg.fact_threads)),
+        a_(dev_, grid_, team_, cfg.n, cfg.nb, cfg.seed, cfg.nrhs,
            cfg.diag_dominant ? static_cast<double>(cfg.n) : 0.0),
         pool_(dev_,
               std::clamp(cfg.update_streams, 1, trace::kMaxUpdateStreams),
               "compute"),
         compute_(pool_.primary()),
         data_(dev_, "data"),
-        team_(std::max(1, cfg.fact_threads)),
         steady_(cfg, sizeof(T), grid_, dev_) {
     // Every pipeline mode runs the same schedule (DESIGN.md decision 3),
     // resolved here to two values: the look-ahead depth (0 for Simple, 1
@@ -171,6 +171,7 @@ class Solver {
   // refinement keeps charging.
   grid::ProcessGrid& grid() { return grid_; }
   DistMatrixT<T>& matrix() { return a_; }
+  ThreadTeam& team() { return team_; }
   device::Stream& stream() { return compute_; }
   const std::vector<std::vector<long>>& pivots() const { return pivots_; }
   const std::vector<double>& solution() const { return x_; }
@@ -652,6 +653,9 @@ class Solver {
   const HplConfig& cfg_;
   grid::ProcessGrid grid_;
   device::Device dev_;
+  /// FACT's thread team; it also builds a_ and runs refinement's residual
+  /// passes, so it is constructed first.
+  ThreadTeam team_;
   DistMatrixT<T> a_;
   /// Trailing-update stream pool; pool_.primary() carries the row-swap
   /// gather/scatter chain and U assembly (the legacy "compute" stream),
@@ -659,7 +663,6 @@ class Solver {
   device::StreamPool pool_;
   device::Stream& compute_;  ///< alias: pool_.primary()
   device::Stream data_;
-  ThreadTeam team_;
   /// This rank's phase sums: every timed step charges it, the iteration
   /// records are differences of it, and the HplResult totals are its
   /// final values.
@@ -718,8 +721,9 @@ HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg) {
     Solver<float> solver(world, lp);
     HplResult result = solver.solve();
     RefineResult rr = iterative_refine(
-        solver.grid(), solver.matrix(), solver.stream(), solver.pivots(),
-        solver.solution(), cfg.ir_max_iters, cfg.ir_tol, &solver.ledger());
+        solver.grid(), solver.matrix(), solver.team(), solver.stream(),
+        solver.pivots(), solver.solution(), cfg.ir_max_iters, cfg.ir_tol,
+        &solver.ledger());
     // Refinement was the fp64 source's last reader; freeing it is part of
     // the timed solve.
     solver.matrix().release_fp64_source();

@@ -17,13 +17,24 @@
 /// (fp64_source()): they are generated once per solve and refinement
 /// measures its residuals against them. Device storage is half the bytes,
 /// which is where MxP's capacity and bandwidth headroom comes from.
+///
+/// Construction runs on the rank's thread team, each member owning the
+/// whole local row blocks member_rows() gives it. For a float matrix one
+/// pass per member walks every local column in order: it generates its
+/// rows of the column into the fp64 source, casts them into A while they
+/// are still in cache, and adds their magnitudes into its rows of the
+/// ‖A‖∞ row sums (row_abs_sums()), which refinement then reads instead of
+/// passing over the source again. Every element and every row sum gets
+/// the same operations in the same order at any team size.
 
 #include <cstdint>
+#include <utility>
 
 #include "device/device.hpp"
 #include "grid/block_cyclic.hpp"
 #include "grid/process_grid.hpp"
 #include "util/large_alloc.hpp"
+#include "util/thread_team.hpp"
 
 namespace hplx::core {
 
@@ -31,12 +42,13 @@ template <typename T>
 class DistMatrixT {
  public:
   /// Allocates the local piece on `dev` (throws if it exceeds HBM) and
-  /// fills it with the seeded random augmented system (cast to T). The
-  /// augmented width is N+nrhs — columns N..N+nrhs-1 are the RHS panel —
-  /// and `diag_shift` is added to the diagonal of A (the diagonally-
-  /// dominant generator mode; see rng::generate_local).
-  DistMatrixT(device::Device& dev, const grid::ProcessGrid& g, long n, int nb,
-              std::uint64_t seed, int nrhs = 1, double diag_shift = 0.0);
+  /// fills it on `team` with the seeded random augmented system (cast to
+  /// T). The augmented width is N+nrhs — columns N..N+nrhs-1 are the RHS
+  /// panel — and `diag_shift` is added to the diagonal of A (the
+  /// diagonally-dominant generator mode; see rng::generate_local).
+  DistMatrixT(device::Device& dev, const grid::ProcessGrid& g,
+              ThreadTeam& team, long n, int nb, std::uint64_t seed,
+              int nrhs = 1, double diag_shift = 0.0);
 
   long n() const { return n_; }
   int nb() const { return nb_; }
@@ -64,14 +76,30 @@ class DistMatrixT {
   /// Device pointer to local element (il, jl).
   T* at(long il, long jl) { return local() + jl * lda_ + il; }
 
+  /// The local rows [first, second) that member `member` of a team of
+  /// `team_size` owns in the rank-local host passes over A and its fp64
+  /// source: a contiguous share of the whole local row blocks (nb rows
+  /// each, the last one possibly short), empty when the team has more
+  /// members than the rank has row blocks.
+  std::pair<long, long> member_rows(int member, int team_size) const;
+
   /// The fp64 local [A|B] this matrix was cast from (lda()-strided, same
   /// shape as local()), or null for a double matrix, which is its own
   /// source. A host allocation outside every pool (huge-page backed,
   /// util/large_alloc.hpp), alive until release_fp64_source() or the
   /// matrix's end.
   const double* fp64_source() const { return fp64_source_.get(); }
-  /// Free the fp64 source once nothing will read it again.
-  void release_fp64_source() { fp64_source_.reset(); }
+  /// ‖A‖∞ partial row sums of the fp64 source: for each local row, the
+  /// sum of |a| over this rank's columns of A (global columns < N, after
+  /// the diagonal shift), added in column order. mloc() values, or null
+  /// for a double matrix; released with the fp64 source.
+  const double* row_abs_sums() const { return row_abs_sums_.get(); }
+  /// Free the fp64 source and its row sums once nothing will read them
+  /// again.
+  void release_fp64_source() {
+    fp64_source_.reset();
+    row_abs_sums_.reset();
+  }
 
   device::Device& dev() const { return dev_; }
 
@@ -88,6 +116,7 @@ class DistMatrixT {
   long mloc_, nloc_, lda_;
   device::Buffer buf_;
   LargeArray<double> fp64_source_;
+  LargeArray<double> row_abs_sums_;
 };
 
 using DistMatrix = DistMatrixT<double>;

@@ -15,27 +15,6 @@ namespace hplx::core {
 
 namespace {
 
-/// acc[i] += |col[i]| for i < m: one column of the ‖A‖∞ row sums. The
-/// body runs on explicit vectors because gcc's -O2 cost model leaves the
-/// plain loop scalar (it will not add the epilogue a runtime trip count
-/// needs). Every row still adds its columns one at a time, in column
-/// order, so the sums keep their bits.
-void add_abs_column(long m, const double* col, double* acc) {
-  typedef double V __attribute__((vector_size(32)));
-  typedef double VM __attribute__((vector_size(32), aligned(8), may_alias));
-  typedef long long VI __attribute__((vector_size(32)));
-  typedef long long VMI
-      __attribute__((vector_size(32), aligned(8), may_alias));
-  constexpr long lanes = sizeof(V) / sizeof(double);
-  constexpr long long kAbs = std::numeric_limits<long long>::max();
-  long i = 0;
-  for (; i + lanes <= m; i += lanes) {
-    const VI bits = *reinterpret_cast<const VMI*>(col + i) & kAbs;
-    *reinterpret_cast<VM*>(acc + i) += (V)bits;
-  }
-  for (; i < m; ++i) acc[i] += std::fabs(col[i]);
-}
-
 /// Everything the refinement loop reuses across iterations: the fp64
 /// operator the low-precision matrix was cast from, replicated b, the
 /// local→global row map, and ||A||_∞ for the scaled-residual denominator.
@@ -43,6 +22,7 @@ template <typename T>
 struct RefineCtx {
   grid::ProcessGrid& g;
   DistMatrixT<T>& a;
+  ThreadTeam& team;  ///< splits the residual's rows (a.member_rows)
   device::Stream& stream;
   const std::vector<std::vector<long>>& pivots;
   trace::PhaseLedger* ledger;  ///< communication time goes here, or null
@@ -60,12 +40,13 @@ struct RefineCtx {
   /// used to assign() fresh vectors per block).
   device::ArenaBufT<T> y, acc, d;
 
-  RefineCtx(grid::ProcessGrid& g_, DistMatrixT<T>& a_,
+  RefineCtx(grid::ProcessGrid& g_, DistMatrixT<T>& a_, ThreadTeam& team_,
             device::Stream& stream_,
             const std::vector<std::vector<long>>& pivots_,
             trace::PhaseLedger* ledger_)
       : g(g_),
         a(a_),
+        team(team_),
         stream(stream_),
         pivots(pivots_),
         ledger(ledger_),
@@ -110,47 +91,50 @@ struct RefineCtx {
             std::max(norm_b[static_cast<std::size_t>(rhs)],
                      std::fabs(b[static_cast<std::size_t>(i + rhs * n)]));
 
-    // ||A||_∞ over the replicated row sums.
+    // ||A||_∞ over the replicated row sums, which the matrix added up
+    // while it generated the source.
+    HPLX_CHECK(a.row_abs_sums() != nullptr);
     std::vector<double> rowsum(static_cast<std::size_t>(n), 0.0);
-    rloc.assign(static_cast<std::size_t>(ml), 0.0);
-    for (long jl2 = 0; jl2 < nl; ++jl2) {
-      const long jg = a.cols().to_global(jl2, g.mycol());
-      if (jg >= n) continue;
-      add_abs_column(ml, ah + jl2 * ldh, rloc.data());
-    }
-    scatter_rows(rowsum);
+    scatter_rows(a.row_abs_sums(), rowsum);
     sum_all(rowsum.data(), rowsum.size());
     for (long i = 0; i < n; ++i)
       norm_a = std::max(norm_a, rowsum[static_cast<std::size_t>(i)]);
+    rloc.resize(static_cast<std::size_t>(ml));
   }
 
-  /// Copy the per-local-row sums `rloc` into their global rows of the
-  /// zeroed length-n `out`. Each global row has exactly one local row, so
-  /// summing locally first and scattering once gives every row the same
-  /// additions, in the same column order, as scattering every element.
-  void scatter_rows(std::vector<double>& out) const {
+  /// Copy the per-local-row sums `sums` (ml values) into their global rows
+  /// of the zeroed length-n `out`. Each global row has exactly one local
+  /// row, so summing locally first and scattering once gives every row the
+  /// same additions, in the same column order, as scattering every
+  /// element.
+  void scatter_rows(const double* sums, std::vector<double>& out) const {
     for (long il = 0; il < ml; ++il)
       out[static_cast<std::size_t>(igmap[static_cast<std::size_t>(il)])] =
-          rloc[static_cast<std::size_t>(il)];
+          sums[il];
   }
 
   /// r = b_rhs − A·x into `r` (replicated); `x` is one solution column
   /// (length n). Returns that column's HPL scaled residual.
   double residual(const std::vector<double>& x, std::vector<double>& r,
                   long rhs) {
-    rloc.assign(static_cast<std::size_t>(ml), 0.0);
-    for (long jl = 0; jl < nl; ++jl) {
-      const long jg = a.cols().to_global(jl, g.mycol());
-      if (jg >= n) continue;
-      // rloc += col · x[jg] on the vector-width ger leaf. It skips a zero
-      // x[jg], which leaves every sum's bits alone: rloc starts at +0 and
-      // a sum of finite terms never becomes −0.
-      blas::dger(static_cast<int>(ml), 1, 1.0, ah + jl * ldh, 1,
-                 &x[static_cast<std::size_t>(jg)], 1, rloc.data(),
-                 static_cast<int>(ml));
-    }
+    // Each member sums its own rows, every row over its columns in order,
+    // so the sums do not depend on the team size.
+    team.run([this, &x](int member) {
+      const auto [r0, r1] = a.member_rows(member, team.size());
+      std::fill(rloc.begin() + r0, rloc.begin() + r1, 0.0);
+      for (long jl = 0; jl < nl; ++jl) {
+        const long jg = a.cols().to_global(jl, g.mycol());
+        if (jg >= n) continue;
+        // rloc += col · x[jg] on the vector-width ger leaf. It skips a
+        // zero x[jg], which leaves every sum's bits alone: rloc starts at
+        // +0 and a sum of finite terms never becomes −0.
+        blas::dger(static_cast<int>(r1 - r0), 1, 1.0, ah + jl * ldh + r0, 1,
+                   &x[static_cast<std::size_t>(jg)], 1, rloc.data() + r0,
+                   static_cast<int>(ml));
+      }
+    });
     r.assign(static_cast<std::size_t>(n), 0.0);
-    scatter_rows(r);
+    scatter_rows(rloc.data(), r);
     sum_all(r.data(), r.size());
 
     const double* bcol = b.data() + rhs * n;
@@ -317,11 +301,11 @@ struct RefineCtx {
 
 template <typename T>
 RefineResult iterative_refine(grid::ProcessGrid& g, DistMatrixT<T>& a,
-                              device::Stream& stream,
+                              ThreadTeam& team, device::Stream& stream,
                               const std::vector<std::vector<long>>& pivots,
                               std::vector<double> x0, int max_iters,
                               double tol, trace::PhaseLedger* ledger) {
-  RefineCtx<T> ctx(g, a, stream, pivots, ledger);
+  RefineCtx<T> ctx(g, a, team, stream, pivots, ledger);
   const long n = a.n();
   const long nrhs = a.nrhs();
   RefineResult out;
@@ -377,7 +361,7 @@ RefineResult iterative_refine(grid::ProcessGrid& g, DistMatrixT<T>& a,
 }
 
 template RefineResult iterative_refine<float>(
-    grid::ProcessGrid&, DistMatrixT<float>&, device::Stream&,
+    grid::ProcessGrid&, DistMatrixT<float>&, ThreadTeam&, device::Stream&,
     const std::vector<std::vector<long>>&, std::vector<double>, int, double,
     trace::PhaseLedger*);
 

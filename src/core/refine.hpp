@@ -31,6 +31,7 @@
 #include "device/stream.hpp"
 #include "grid/process_grid.hpp"
 #include "trace/phase_ledger.hpp"
+#include "util/thread_team.hpp"
 
 namespace hplx::core {
 
@@ -48,11 +49,12 @@ struct RefineResult {
 /// Each RHS column is refined independently against its own fp64 b column,
 /// sharing one fp64 operator. `tol` is the HPL residual threshold the
 /// refined solution must pass; `max_iters` bounds the correction count per
-/// column. Communication time is charged to `ledger`'s Phase::Mpi (when
-/// non-null).
+/// column. The residual's pass over the fp64 source runs on `team`, its
+/// rows split by DistMatrixT::member_rows. Communication time is charged
+/// to `ledger`'s Phase::Mpi (when non-null).
 template <typename T>
 RefineResult iterative_refine(grid::ProcessGrid& g, DistMatrixT<T>& a,
-                              device::Stream& stream,
+                              ThreadTeam& team, device::Stream& stream,
                               const std::vector<std::vector<long>>& pivots,
                               std::vector<double> x0, int max_iters,
                               double tol, trace::PhaseLedger* ledger);

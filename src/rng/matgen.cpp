@@ -41,21 +41,34 @@ void generate_serial(std::uint64_t seed, long gm, long gn, double* a,
 void generate_local(std::uint64_t seed, long gm, long gn, int nb, int myrow,
                     int mycol, int nprow, int npcol, double* a, long lda,
                     double diag_shift) {
+  generate_local_rows(seed, gm, gn, nb, myrow, mycol, nprow, npcol, 0,
+                      grid::numroc(gm, nb, myrow, nprow), 0,
+                      grid::numroc(gn, nb, mycol, npcol), a, lda, diag_shift);
+}
+
+void generate_local_rows(std::uint64_t seed, long gm, long gn, int nb,
+                         int myrow, int mycol, int nprow, int npcol,
+                         long il_begin, long il_end, long jl_begin,
+                         long jl_end, double* a, long lda,
+                         double diag_shift) {
   const grid::CyclicDim rows(gm, nb, nprow);
   const grid::CyclicDim cols(gn, nb, npcol);
   const long ml = rows.local_count(myrow);
-  const long nl = cols.local_count(mycol);
   HPLX_CHECK(lda >= ml || ml == 0);
+  HPLX_CHECK(0 <= il_begin && il_begin <= il_end && il_end <= ml);
+  HPLX_CHECK(0 <= jl_begin && jl_begin <= jl_end &&
+             jl_end <= cols.local_count(mycol));
 
-  for (long jl = 0; jl < nl; ++jl) {
+  for (long jl = jl_begin; jl < jl_end; ++jl) {
     const long jg = cols.to_global(jl, mycol);
     double* col = a + jl * lda;
     // Walk local rows block by block: within a block the global rows are
-    // consecutive, so one jump positions the generator for nb values.
-    long il = 0;
-    while (il < ml) {
+    // consecutive, so one jump positions the generator for up to nb
+    // values (a range may start or end inside a block).
+    long il = il_begin;
+    while (il < il_end) {
       const long ig = rows.to_global(il, myrow);
-      const long run = std::min<long>(nb - ig % nb, ml - il);
+      const long run = std::min<long>(nb - ig % nb, il_end - il);
       Lcg g = at_position(seed, static_cast<std::uint64_t>(jg) *
                                     static_cast<std::uint64_t>(gm) +
                                 static_cast<std::uint64_t>(ig));

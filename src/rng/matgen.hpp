@@ -39,4 +39,15 @@ void generate_local(std::uint64_t seed, long gm, long gn, int nb, int myrow,
                     int mycol, int nprow, int npcol, double* a, long lda,
                     double diag_shift = 0.0);
 
+/// generate_local restricted to local rows [il_begin, il_end) of local
+/// columns [jl_begin, jl_end); every other element of `a` is left as it
+/// is. An element's value does not depend on the ranges it is generated
+/// in, so threads that fill disjoint row ranges of the same buffer write
+/// the same bits as one generate_local call.
+void generate_local_rows(std::uint64_t seed, long gm, long gn, int nb,
+                         int myrow, int mycol, int nprow, int npcol,
+                         long il_begin, long il_end, long jl_begin,
+                         long jl_end, double* a, long lda,
+                         double diag_shift = 0.0);
+
 }  // namespace hplx::rng

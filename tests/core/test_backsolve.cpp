@@ -41,7 +41,8 @@ TEST_P(BacksolveSweep, RecoversKnownSolution) {
   comm::World::run(P * Q, [&, n = n, nb = nb, P = P, Q = Q](comm::Communicator& world) {
     grid::ProcessGrid g(world, P, Q);
     device::Device dev("d", 1ull << 26);
-    DistMatrix a(dev, g, n, nb, 1);
+    ThreadTeam team(1);
+    DistMatrix a(dev, g, team, n, nb, 1);
     // Overwrite the generated contents with the crafted system.
     for (long jl = 0; jl < a.nloc(); ++jl) {
       const long jg = a.cols().to_global(jl, g.mycol());

@@ -131,6 +131,36 @@ TEST(Mxp, BitwiseIdenticalAcrossExecutionKnobs) {
   }
 }
 
+// Construction's generate-cast-norm pass and refinement's residual split
+// the local rows over the FACT team by whole row blocks: the refined
+// residual, the correction count and the fallback flag must not move with
+// the team size, including where a member owns no rows (n = 96 on 2x2
+// leaves process row 1 one block).
+TEST(Mxp, BitwiseIdenticalAcrossFactThreads) {
+  for (const auto& [p, q, n, nb] :
+       {std::tuple<int, int, long, int>{1, 1, 200, 16},
+        std::tuple<int, int, long, int>{2, 2, 160, 16},
+        std::tuple<int, int, long, int>{2, 2, 96, 32}}) {
+    std::vector<HplResult> runs;
+    for (int threads = 1; threads <= 4; ++threads) {
+      HplConfig cfg = base_cfg(n, nb, p, q);
+      cfg.pipeline = PipelineMode::LookaheadSplit;
+      cfg.fact_threads = threads;
+      runs.push_back(run(cfg));
+      const HplResult& r = runs.back();
+      EXPECT_TRUE(r.verify.passed) << p << "x" << q << " n=" << n
+                                   << " fact_threads=" << threads;
+      EXPECT_FALSE(r.ir_fallback);
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].verify.residual, runs[0].verify.residual)
+          << p << "x" << q << " n=" << n << " fact_threads=" << i + 1;
+      EXPECT_EQ(runs[i].ir_iters, runs[0].ir_iters);
+      EXPECT_EQ(runs[i].ir_fallback, runs[0].ir_fallback);
+    }
+  }
+}
+
 // All pipeline modes reorder work but never change any value: the mxp32
 // solution (and with it the refined residual) agrees bitwise.
 TEST(Mxp, PipelineModesAgreeBitwise) {

@@ -147,7 +147,8 @@ TEST_P(RowSwapOracle, CycleMatchesSequentialSwaps) {
       comm::World::run(p, [&](comm::Communicator& world) {
         grid::ProcessGrid g(world, p, 1);
         device::Device dev("d", 1ull << 24);
-        DistMatrix a(dev, g, n, nb, 3);
+        ThreadTeam team(1);
+        DistMatrix a(dev, g, team, n, nb, 3);
         device::Stream stream(dev);
         const grid::CyclicDim& rows = a.rows();
         for (long il = 0; il < a.mloc(); ++il)
@@ -234,7 +235,8 @@ TEST(RowSwapOneRow, InPlaceExchangeMatchesSequentialSwaps) {
   comm::World::run(1, [&](comm::Communicator& world) {
     grid::ProcessGrid g(world, 1, 1);
     device::Device dev("d", 1ull << 24);
-    DistMatrix a(dev, g, n, nb, 3);
+    ThreadTeam team(1);
+    DistMatrix a(dev, g, team, n, nb, 3);
     device::Stream stream(dev);
     RowSwapper rs;
     rs.reserve(dev.host_arena(), nb, a.nloc(), 1);

@@ -19,7 +19,8 @@ TEST(Update, TrsmGemmAndWritebackMatchReference) {
   comm::World::run(1, [&](comm::Communicator& world) {
     grid::ProcessGrid g(world, 1, 1);
     device::Device dev("d", 1ull << 24);
-    DistMatrix a(dev, g, n, nb, 3);
+    ThreadTeam team(1);
+    DistMatrix a(dev, g, team, n, nb, 3);
     device::Stream stream(dev);
 
     // Snapshot the original local matrix.
@@ -82,7 +83,8 @@ TEST(Update, EmptyWindowIsNoop) {
   comm::World::run(1, [&](comm::Communicator& world) {
     grid::ProcessGrid g(world, 1, 1);
     device::Device dev("d", 1ull << 22);
-    DistMatrix a(dev, g, 16, 8, 1);
+    ThreadTeam team(1);
+    DistMatrix a(dev, g, team, 16, 8, 1);
     device::Stream stream(dev);
     PanelData panel;
     panel.j = 0;
@@ -98,7 +100,8 @@ TEST(Update, MismatchedL2RowsDetected) {
   comm::World::run(1, [&](comm::Communicator& world) {
     grid::ProcessGrid g(world, 1, 1);
     device::Device dev("d", 1ull << 22);
-    DistMatrix a(dev, g, 16, 8, 1);
+    ThreadTeam team(1);
+    DistMatrix a(dev, g, team, 16, 8, 1);
     device::Stream stream(dev);
     PanelData panel;
     panel.j = 0;

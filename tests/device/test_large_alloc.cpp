@@ -161,7 +161,8 @@ TEST(LargeAlloc, MxpFp64SourceIsHugeAligned) {
   comm::World::run(1, [](comm::Communicator& world) {
     grid::ProcessGrid g(world, 1, 1);
     Device dev("d", 1ull << 26);
-    core::DistMatrixT<float> a(dev, g, 600, 64, 11);
+    ThreadTeam team(1);
+    core::DistMatrixT<float> a(dev, g, team, 600, 64, 11);
     ASSERT_NE(a.fp64_source(), nullptr);
     EXPECT_TRUE(huge_aligned(a.fp64_source()));
     EXPECT_EQ(*a.at(5, 7),
