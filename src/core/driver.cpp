@@ -772,6 +772,13 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
                      cfg.split_fraction >= 0.0 && cfg.split_fraction <= 1.0,
                  "split_fraction = " << cfg.split_fraction
                  << " is not a finite value in [0, 1]");
+  // Same for refinement's knobs: a NaN tolerance never passes, so every
+  // MxP run would refine to its budget and then fall back to fp64.
+  HPLX_CHECK_MSG(std::isfinite(cfg.ir_tol) && cfg.ir_tol > 0.0,
+                 "ir_tol = " << cfg.ir_tol << " is not a finite value > 0");
+  HPLX_CHECK_MSG(cfg.ir_max_iters >= 0,
+                 "ir_max_iters = " << cfg.ir_max_iters
+                 << " must not be negative");
   HPLX_CHECK_MSG(cfg.swap_tile_cols > 0,
                  "swap_tile_cols = " << cfg.swap_tile_cols
                  << " must be positive");

@@ -6,9 +6,8 @@
 
 #include "blas/blas.hpp"
 #include "comm/collectives.hpp"
+#include "core/backsolve.hpp"
 #include "device/alloc.hpp"
-#include "device/hazard.hpp"
-#include "device/kernels.hpp"
 #include "util/error.hpp"
 
 namespace hplx::core {
@@ -27,7 +26,8 @@ struct RefineCtx {
   const std::vector<std::vector<long>>& pivots;
   trace::PhaseLedger* ledger;  ///< communication time goes here, or null
 
-  long n, nrhs, nb, ml, nl, ldh;
+  long n, nrhs, ml, nl, ldh;
+  long ldb;                  ///< leading dimension of dh, max(ml, 1)
   const double* ah;          ///< fp64 local [A|B] (ldh×nl), a's source
   std::vector<long> igmap;   ///< local row il → global row index
   std::vector<double> rloc;  ///< per-local-row sums before the scatter
@@ -35,10 +35,9 @@ struct RefineCtx {
   double norm_a = 0.0;       ///< ||A||_∞
   std::vector<double> norm_b;  ///< per-RHS ||b_r||_∞
 
-  /// Per-correction scratch, leased from the device's host arena and
-  /// reused across every block of every refinement iteration (correct()
-  /// used to assign() fresh vectors per block).
-  device::ArenaBufT<T> y, acc, d;
+  /// Per-correction vectors, leased from the device's host arena once:
+  /// dh is d on b's home column (ldb rows), d the replicated result.
+  device::ArenaBufT<T> dh, d;
 
   RefineCtx(grid::ProcessGrid& g_, DistMatrixT<T>& a_, ThreadTeam& team_,
             device::Stream& stream_,
@@ -51,12 +50,10 @@ struct RefineCtx {
         pivots(pivots_),
         ledger(ledger_),
         ah(a_.fp64_source()),
-        y(a_.dev().host_arena()),
-        acc(a_.dev().host_arena()),
+        dh(a_.dev().host_arena()),
         d(a_.dev().host_arena()) {
     n = a.n();
     nrhs = a.nrhs();
-    nb = a.nb();
     ml = a.mloc();
     nl = a.nloc();
     ldh = a.lda();
@@ -100,6 +97,9 @@ struct RefineCtx {
     for (long i = 0; i < n; ++i)
       norm_a = std::max(norm_a, rowsum[static_cast<std::size_t>(i)]);
     rloc.resize(static_cast<std::size_t>(ml));
+    ldb = std::max<long>(ml, 1);
+    dh.resize_discard(static_cast<std::size_t>(ldb));
+    d.resize_discard(static_cast<std::size_t>(n));
   }
 
   /// Copy the per-local-row sums `sums` (ml values) into their global rows
@@ -159,140 +159,21 @@ struct RefineCtx {
     comm::allreduce(g.all_comm(), x, count, comm::ReduceOp::Sum);
   }
 
-  /// Replicate d's segment [jk, jk+jbk): down the owning process column
-  /// from the diagonal owner, then across every process row.
-  void bcast_segment(T* seg, int jbk, int prow, int pcol) {
-    trace::PhaseScope comm_scope(ledger, trace::Phase::Mpi);
-    if (g.mycol() == pcol)
-      comm::bcast(g.col_comm(), seg, static_cast<std::size_t>(jbk), prow);
-    comm::bcast(g.row_comm(), seg, static_cast<std::size_t>(jbk), pcol);
-  }
-
   /// Solve L·U·d = P·r in precision T against the factors in device
-  /// memory; d is replicated on every rank. The returned pointer is the
-  /// reusable `d` member — valid until the next correct() call.
+  /// memory. d lives in b's home-column rows through both sweeps (the
+  /// unit-lower one replays the pivots) and is replicated once at the end.
+  /// The returned pointer is the reusable `d` member — valid until the
+  /// next correct() call.
   const T* correct(const std::vector<double>& r) {
-    d.resize_discard(static_cast<std::size_t>(n));
-    for (long i = 0; i < n; ++i)
-      d[static_cast<std::size_t>(i)] =
-          static_cast<T>(r[static_cast<std::size_t>(i)]);
-
-    const long nblocks = (n + nb - 1) / nb;
-    HPLX_CHECK(static_cast<long>(pivots.size()) == nblocks);
-
-    // Forward substitution L·z = P·r (unit lower, stored below the
-    // diagonal of the factored blocks). The row swaps are *interleaved*
-    // with the panel updates, exactly as the factorization applied them:
-    // panel k swapped only the trailing window, so its stored L2 rows
-    // live in the ordering after pivots 1..k — replaying all swaps up
-    // front would land the updates of earlier panels in the wrong slots.
-    for (long k = 0; k < nblocks; ++k) {
-      const long jk = k * nb;
-      const int jbk = static_cast<int>(std::min<long>(nb, n - jk));
-      const auto& ip = pivots[static_cast<std::size_t>(k)];
-      for (std::size_t kk = 0; kk < ip.size(); ++kk) {
-        const long src = jk + static_cast<long>(kk);
-        const long piv = ip[kk];
-        if (piv != src)
-          std::swap(d[static_cast<std::size_t>(src)],
-                    d[static_cast<std::size_t>(piv)]);
-      }
-      const int prow = a.rows().owner(jk);
-      const int pcol = a.cols().owner(jk);
-      if (g.myrow() == prow && g.mycol() == pcol) {
-        const long il = a.row_offset(jk);
-        const long jl = a.col_offset(jk);
-        device::trsm_left_lower_unit(stream, static_cast<long>(jbk), 1,
-                                     a.at(il, jl), a.lda(), d.data() + jk,
-                                     static_cast<long>(jbk));
-        stream.synchronize();
-      }
-      {
-        // The synchronize above orders the owner's device write of the
-        // segment before these host reads/writes (bcast send/recv).
-        device::HostAccessScope guard(
-            a.dev().hazard(), "refine.fwd_seg",
-            {device::span_write(d.data() + jk,
-                                static_cast<std::size_t>(jbk))});
-        bcast_segment(d.data() + jk, jbk, prow, pcol);
-      }
-
-      const long tail = n - (jk + jbk);
-      if (tail <= 0) continue;
-      acc.assign(static_cast<std::size_t>(tail), T(0));
-      if (g.mycol() == pcol) {
-        const long il0 = a.row_offset(jk + jbk);
-        const long mtail = ml - il0;
-        if (mtail > 0) {
-          const long jl = a.col_offset(jk);
-          // beta = 0: the gemm overwrites all mtail elements, no zeroing.
-          y.resize_discard(static_cast<std::size_t>(mtail));
-          device::gemm(stream, mtail, 1, static_cast<long>(jbk), T(1),
-                       a.at(il0, jl), a.lda(), d.data() + jk,
-                       static_cast<long>(jbk), T(0), y.data(), mtail);
-          stream.synchronize();
-          device::HostAccessScope guard(
-              a.dev().hazard(), "refine.fwd_scatter",
-              {device::span_read(y.data(), static_cast<std::size_t>(mtail))});
-          for (long i = 0; i < mtail; ++i)
-            acc[static_cast<std::size_t>(
-                igmap[static_cast<std::size_t>(il0 + i)] - (jk + jbk))] =
-                y[static_cast<std::size_t>(i)];
-        }
-      }
-      sum_all(acc.data(), acc.size());
-      for (long i = 0; i < tail; ++i)
-        d[static_cast<std::size_t>(jk + jbk + i)] -=
-            acc[static_cast<std::size_t>(i)];
-    }
-
-    // Backward substitution U·d = z.
-    for (long k = nblocks - 1; k >= 0; --k) {
-      const long jk = k * nb;
-      const int jbk = static_cast<int>(std::min<long>(nb, n - jk));
-      const int prow = a.rows().owner(jk);
-      const int pcol = a.cols().owner(jk);
-      if (g.myrow() == prow && g.mycol() == pcol) {
-        const long il = a.row_offset(jk);
-        const long jl = a.col_offset(jk);
-        device::trsm_upper(stream, static_cast<long>(jbk), 1, a.at(il, jl),
-                           a.lda(), d.data() + jk, static_cast<long>(jbk));
-        stream.synchronize();
-      }
-      {
-        device::HostAccessScope guard(
-            a.dev().hazard(), "refine.bwd_seg",
-            {device::span_write(d.data() + jk,
-                                static_cast<std::size_t>(jbk))});
-        bcast_segment(d.data() + jk, jbk, prow, pcol);
-      }
-
-      if (jk <= 0) continue;
-      acc.assign(static_cast<std::size_t>(jk), T(0));
-      if (g.mycol() == pcol) {
-        const long mabove = a.row_offset(jk);
-        if (mabove > 0) {
-          const long jl = a.col_offset(jk);
-          y.resize_discard(static_cast<std::size_t>(mabove));
-          device::gemm(stream, mabove, 1, static_cast<long>(jbk), T(1),
-                       a.at(0, jl), a.lda(), d.data() + jk,
-                       static_cast<long>(jbk), T(0), y.data(), mabove);
-          stream.synchronize();
-          device::HostAccessScope guard(
-              a.dev().hazard(), "refine.bwd_scatter",
-              {device::span_read(y.data(),
-                                 static_cast<std::size_t>(mabove))});
-          for (long i = 0; i < mabove; ++i)
-            acc[static_cast<std::size_t>(
-                igmap[static_cast<std::size_t>(i)])] =
-                y[static_cast<std::size_t>(i)];
-        }
-      }
-      sum_all(acc.data(), acc.size());
-      for (long i = 0; i < jk; ++i)
-        d[static_cast<std::size_t>(i)] -= acc[static_cast<std::size_t>(i)];
-    }
-
+    if (g.mycol() == a.cols().owner(n))
+      for (long il = 0; il < ml; ++il)
+        dh[static_cast<std::size_t>(il)] = static_cast<T>(
+            r[static_cast<std::size_t>(igmap[static_cast<std::size_t>(il)])]);
+    triangular_sweep(g, a, stream, Triangle::UnitLower, dh.data(), ldb, 1,
+                     &pivots, ledger);
+    triangular_sweep(g, a, stream, Triangle::Upper, dh.data(), ldb, 1,
+                     nullptr, ledger);
+    replicate_panel(g, a, dh.data(), ldb, 1, d.data(), ledger);
     return d.data();
   }
 };

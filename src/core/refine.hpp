@@ -12,14 +12,11 @@
 /// repeated until the HPL scaled residual passes. The residual uses the
 /// *original* fp64 operator: the host copy the low-precision matrix keeps
 /// of the values it was cast from (DistMatrixT::fp64_source), generated
-/// once per solve. The correction solve replays the factorization's row
-/// swaps on the replicated residual (the pivot lists every rank collected
-/// during the panel broadcasts), then runs a distributed forward
-/// (unit-lower) and backward (upper) substitution over the factors still
-/// resident in device memory, per diagonal block: the owner solves its
-/// NB×NB triangle on the device, broadcasts the solved segment, and every
-/// rank of the owning process column applies its local block-column
-/// contribution with an m×1 device GEMM.
+/// once per solve. The residual stays replicated; the correction solve
+/// keeps d in b's home-column rows and runs backsolve.hpp's two sweeps
+/// over the factors still resident in device memory: unit-lower with the
+/// factorization's row swaps replayed before each panel's block, then
+/// upper. One grid allreduce replicates d at the end.
 ///
 /// Convergence is guarded: if the scaled residual stops decreasing (or
 /// goes non-finite) before it passes, `converged` comes back false and the

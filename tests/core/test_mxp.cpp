@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "comm/world.hpp"
+#include "core/backsolve.hpp"
 #include "core/driver.hpp"
+#include "tests/blas/reference.hpp"
+#include "util/error.hpp"
 
 namespace hplx::core {
 namespace {
@@ -69,10 +76,127 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{2, 2, 128, 16, PipelineMode::Simple},
                       Param{2, 2, 128, 16, PipelineMode::LookaheadSplit},
                       Param{2, 3, 144, 16, PipelineMode::LookaheadSplit},
+                      // Process columns of three and four ranks: the
+                      // correction's pivot replay crosses several owners.
+                      Param{3, 2, 144, 16, PipelineMode::LookaheadSplit},
+                      Param{4, 1, 128, 16, PipelineMode::LookaheadSplit},
                       // Ragged last panel and single-panel shapes.
                       Param{2, 2, 100, 16, PipelineMode::LookaheadSplit},
                       Param{1, 1, 37, 8, PipelineMode::LookaheadSplit},
                       Param{2, 2, 32, 32, PipelineMode::Lookahead}));
+
+// The correction's two distributed sweeps, driven directly on a crafted
+// factored matrix: unit-lower L below the diagonal, a well-conditioned U
+// on and above it, and per-panel pivot lists whose swaps cross process
+// rows. The home-column panel (two RHS columns) goes through the
+// unit-lower sweep with its interleaved pivot replay, then the upper
+// sweep, and is replicated; every rank must match a dense serial solve
+// that replays panel k's swaps just before block k.
+using SweepParam = std::tuple<int /*p*/, int /*q*/, long /*n*/, int /*nb*/>;
+
+class MxpSweepPair : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(MxpSweepPair, MatchesSerialInterleavedSolve) {
+  const auto [p, q, n, nb] = GetParam();
+  const long nrhs = 2;
+  const long nblocks = (n + nb - 1) / nb;
+  const auto at = [n = n](long i, long j) {
+    return static_cast<std::size_t>(i + j * n);
+  };
+
+  // Dense L\U and right-hand sides, fp32-exact so both solves start from
+  // the same values.
+  testref::Rand rng(static_cast<std::uint64_t>(n) * 131 + p * 7 + q);
+  const auto f32 = [](double v) {
+    return static_cast<double>(static_cast<float>(v));
+  };
+  std::vector<double> lu(static_cast<std::size_t>(n * n));
+  for (long j = 0; j < n; ++j)
+    for (long i = 0; i < n; ++i)
+      lu[at(i, j)] = f32(i == j   ? 4.0 + std::fabs(rng.next())
+                         : i < j ? 0.5 * rng.next()
+                                 : rng.next() / static_cast<double>(n));
+  std::vector<double> rhs(static_cast<std::size_t>(n * nrhs));
+  for (auto& v : rhs) v = f32(rng.next());
+  std::vector<std::vector<long>> pivots(static_cast<std::size_t>(nblocks));
+  for (long k = 0; k < nblocks; ++k) {
+    const long jk = k * nb;
+    const long jbk = std::min<long>(nb, n - jk);
+    for (long kk = 0; kk < jbk; ++kk) {
+      // Rows jk+kk..n-1 are eligible; every third swap is the identity.
+      const long span = n - (jk + kk);
+      const long off = kk % 3 == 2 ? 0
+                                   : static_cast<long>(std::fabs(rng.next()) *
+                                                       static_cast<double>(
+                                                           span)) % span;
+      pivots[static_cast<std::size_t>(k)].push_back(jk + kk + off);
+    }
+  }
+
+  // Serial reference: forward substitution with panel k's swaps replayed
+  // right before block k, then backward substitution.
+  std::vector<double> ref = rhs;
+  for (long r = 0; r < nrhs; ++r) {
+    double* z = ref.data() + r * n;
+    for (long k = 0; k < nblocks; ++k) {
+      const long jk = k * nb;
+      const auto& ip = pivots[static_cast<std::size_t>(k)];
+      for (std::size_t kk = 0; kk < ip.size(); ++kk)
+        std::swap(z[jk + static_cast<long>(kk)], z[ip[kk]]);
+      for (long j = jk; j < jk + static_cast<long>(ip.size()); ++j)
+        for (long i = j + 1; i < n; ++i) z[i] -= lu[at(i, j)] * z[j];
+    }
+    for (long i = n - 1; i >= 0; --i) {
+      for (long j = i + 1; j < n; ++j) z[i] -= lu[at(i, j)] * z[j];
+      z[i] /= lu[at(i, i)];
+    }
+  }
+
+  std::vector<std::vector<float>> results(static_cast<std::size_t>(p * q));
+  comm::World::run(p * q, [&, n = n, nb = nb, p = p, q = q](
+                              comm::Communicator& world) {
+    grid::ProcessGrid g(world, p, q);
+    device::Device dev("d", 1ull << 24);
+    ThreadTeam team(1);
+    DistMatrixT<float> a(dev, g, team, n, nb, /*seed=*/1);
+    for (long jl = 0; jl < a.nloc(); ++jl) {
+      const long jg = a.cols().to_global(jl, g.mycol());
+      if (jg >= n) continue;
+      for (long il = 0; il < a.mloc(); ++il)
+        *a.at(il, jl) = static_cast<float>(
+            lu[at(a.rows().to_global(il, g.myrow()), jg)]);
+    }
+    const long ldb = std::max<long>(a.mloc(), 1);
+    std::vector<float> dh(static_cast<std::size_t>(ldb * nrhs), 0.0f);
+    if (g.mycol() == a.cols().owner(n))
+      for (long r = 0; r < nrhs; ++r)
+        for (long il = 0; il < a.mloc(); ++il)
+          dh[static_cast<std::size_t>(il + r * ldb)] = static_cast<float>(
+              rhs[at(a.rows().to_global(il, g.myrow()), r)]);
+    device::Stream stream(dev);
+    triangular_sweep(g, a, stream, Triangle::UnitLower, dh.data(), ldb,
+                     nrhs, &pivots, nullptr);
+    triangular_sweep(g, a, stream, Triangle::Upper, dh.data(), ldb, nrhs,
+                     nullptr, nullptr);
+    auto& out = results[static_cast<std::size_t>(world.rank())];
+    out.resize(static_cast<std::size_t>(n * nrhs));
+    replicate_panel(g, a, dh.data(), ldb, nrhs, out.data(), nullptr);
+  });
+
+  double scale = 1.0;
+  for (double v : ref) scale = std::max(scale, std::fabs(v));
+  for (std::size_t rank = 0; rank < results.size(); ++rank)
+    for (std::size_t i = 0; i < ref.size(); ++i)
+      ASSERT_NEAR(results[rank][i], ref[i], 1e-4 * scale)
+          << "rank " << rank << ", element " << i << " on " << p << "x" << q;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, MxpSweepPair,
+    ::testing::Values(SweepParam{1, 1, 40, 8}, SweepParam{2, 2, 48, 8},
+                      // Ragged last block (45 = 5·8 + 5).
+                      SweepParam{3, 2, 45, 8}, SweepParam{4, 1, 40, 4},
+                      SweepParam{1, 3, 36, 6}));
 
 TEST(Mxp, Mxp16SimRefinesToo) {
   HplConfig cfg = base_cfg(128, 16, 2, 2);
@@ -100,6 +224,31 @@ TEST(Mxp, ZeroCorrectionBudgetFallsBackToFp64) {
   EXPECT_TRUE(r.ir_fallback);
   EXPECT_EQ(r.ir_iters, 0);
   EXPECT_TRUE(r.verify.passed);
+}
+
+// HPL.dat rejects these refinement knobs; a config built in code must be
+// rejected by run_hpl too, naming the field, instead of refining against
+// a tolerance no residual can pass and then falling back to fp64.
+TEST(Mxp, InvalidRefinementKnobsRejected) {
+  const std::vector<std::pair<const char*, void (*)(HplConfig&)>> bad = {
+      {"ir_tol", [](HplConfig& c) { c.ir_tol = std::nan(""); }},
+      {"ir_tol", [](HplConfig& c) { c.ir_tol = HUGE_VAL; }},
+      {"ir_tol", [](HplConfig& c) { c.ir_tol = 0.0; }},
+      {"ir_tol", [](HplConfig& c) { c.ir_tol = -1.0; }},
+      {"ir_max_iters", [](HplConfig& c) { c.ir_max_iters = -1; }},
+  };
+  for (const auto& [field, set] : bad) {
+    HplConfig cfg = base_cfg(64, 16, 1, 1);
+    set(cfg);
+    std::string what;
+    try {
+      run(cfg);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find(field), std::string::npos)
+        << field << ": `" << what << "`";
+  }
 }
 
 // The mxp32 pipeline must stay bitwise deterministic under every knob
