@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
     std::printf(
         "\nA-SWAP part 3: real driver (N=128 NB=16 4x1, power-of-two "
         "column for binary exchange)\n\n");
-    trace::Table real(
-        {"swap", "chunk_KiB", "residual", "passed", "overlap_pct"});
+    trace::Table real({"swap", "chunk_KiB", "residual", "passed"});
     for (auto algo : {core::RowSwapAlgo::SpreadRoll,
                       core::RowSwapAlgo::BinaryExchange,
                       core::RowSwapAlgo::Mix}) {
@@ -121,8 +120,7 @@ int main(int argc, char** argv) {
             .add(to_string(algo))
             .add(kib)
             .add(result.verify.residual, 4)
-            .add(result.verify.passed ? "yes" : "NO")
-            .add(100.0 * result.rs_overlap_efficiency, 1);
+            .add(result.verify.passed ? "yes" : "NO");
       }
     }
     real.print(std::cout);

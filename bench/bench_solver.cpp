@@ -140,10 +140,7 @@ BENCHMARK(BM_SolverStreams)
 
 /// Pipelined row-swap broadcast. Args: {N, NB, P, Q, chunk_bytes}; always
 /// the split pipeline. Exports the measured U-assembly wall time
-/// (rs_wire_s), the modeled seconds of fused chunk unpacks enqueued
-/// during it (rs_unpack_s), and the resulting overlap efficiency, so a
-/// snapshot shows how much unpack work the chunked transport actually
-/// hid behind its own wire time.
+/// (rs_wire_s), whose fused chunk unpacks ride inside it.
 void BM_SolverRowswap(benchmark::State& state) {
   core::HplConfig cfg;
   cfg.n = state.range(0);
@@ -154,7 +151,7 @@ void BM_SolverRowswap(benchmark::State& state) {
   cfg.swap_chunk_bytes = state.range(4);
   cfg.fact_threads = 2;
 
-  double gflops = 0.0, wire_s = 0.0, unpack_s = 0.0, overlap = 0.0;
+  double gflops = 0.0, wire_s = 0.0;
   long solves = 0;
   for (auto _ : state) {
     const core::HplResult r = solve_once(cfg);
@@ -164,8 +161,6 @@ void BM_SolverRowswap(benchmark::State& state) {
     }
     gflops += r.gflops;
     wire_s += r.rs_wire_seconds;
-    unpack_s += r.rs_unpack_seconds;
-    overlap += r.rs_overlap_efficiency;
     ++solves;
     benchmark::DoNotOptimize(r.seconds);
   }
@@ -173,8 +168,6 @@ void BM_SolverRowswap(benchmark::State& state) {
     const double inv = 1.0 / static_cast<double>(solves);
     state.counters["GF/s"] = gflops * inv;
     state.counters["rs_wire_s"] = wire_s * inv;
-    state.counters["rs_unpack_s"] = unpack_s * inv;
-    state.counters["overlap"] = overlap * inv;
   }
 }
 

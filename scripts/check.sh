@@ -5,7 +5,8 @@
 # stress, driver (core + hpl) and mixed-precision suites) under
 # ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
 # util/blas/grid/rng/trace + the hazard-checker, transport, chunked-transport,
-# driver and mixed-precision suites) under AddressSanitizer+LeakSanitizer+
+# driver and mixed-precision suites, and the simulator suite, the one user
+# of mxp16-sim and fp16 billing) under AddressSanitizer+LeakSanitizer+
 # UBSan (the BLAS suite rides along so UBSan sees every kernel version's
 # vector loads and stores, the util suite so it sees the team barrier's
 # spin and park paths, the transport suite so it sees a mailbox receive
@@ -21,7 +22,7 @@
 # comm-verifier suite ("commcheck": adversarial injection tests for the
 # collective-matching/deadlock/leak checker plus clean solver sweeps), and
 # the byte-for-byte golden files ("golden": the pure-model figure series
-# and the 92-line residual oracle), so a moved bit is visible at a glance.
+# and the 79-line residual oracle), so a moved bit is visible at a glance.
 # A checker-env gate re-runs the driver suites (hazard, hpl, core,
 # variants) and the mixed-precision suite with every solve under
 # HPLX_HAZARD=1 and then under HPLX_COMM_CHECK=1, the sweeps an overlap,
@@ -99,7 +100,7 @@ else
   cmake --build "$build_asan" -j "$jobs" \
     --target test_util test_blas test_grid test_rng test_trace test_hazard \
              test_comm test_comm_chunked test_device test_core test_hpl \
-             test_alloc test_mxp test_variants test_commcheck
+             test_alloc test_mxp test_variants test_commcheck test_sim
   # LSan rides along with ASan by default on Linux; halt_on_error keeps UB
   # findings fatal so the leg cannot silently pass over them.
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \

@@ -3,11 +3,11 @@
 /// \brief Run configuration for the hplx solver — the analogue of HPL.dat
 /// plus rocHPL's extensions (split fraction, thread count).
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
 #include "comm/collectives.hpp"
-#include "device/model.hpp"
 
 namespace hplx::core {
 
@@ -49,10 +49,9 @@ const char* to_string(RowSwapAlgo a);
 /// broadcast, row swaps, trailing update, backsolve — in fp32 (half the
 /// flops' cost on matrix-engine hardware, half the wire and HBM bytes),
 /// then recovers fp64 accuracy with iterative refinement against the fp64
-/// operator the fp32 matrix was cast from. MXP16Sim runs the same fp32
-/// kernels but bills their modeled time at the device's fp16 throughput
-/// curve — the simulation-side stand-in for a tensor-core fp16/bf16
-/// engine.
+/// operator the fp32 matrix was cast from. MXP16Sim is simulator-only
+/// (sim::ClusterConfig::precision): it prices an fp16/bf16 engine and
+/// computes nothing, so run_hpl rejects it.
 enum class PrecisionMode { FP64, MXP32, MXP16Sim };
 
 const char* to_string(PrecisionMode p);
@@ -163,13 +162,12 @@ struct HplConfig {
   /// leased BLAS team (blas_threads), 1 = always sequential, n > 1 = cap.
   int kernel_threads = 0;
 
-  /// Per-rank simulated accelerator: capacity and cost model.
+  /// Per-rank simulated accelerator capacity.
   std::size_t hbm_bytes = 1ull << 32;  // tests use small N; 4 GiB default
-  device::DeviceModel dev_model = device::DeviceModel::mi250x_gcd();
 
-  /// Arithmetic mode (HPL-MxP). FP64 = classic; MXP32/MXP16Sim factor in
-  /// fp32 and iteratively refine the solution to the fp64 residual
-  /// threshold.
+  /// Arithmetic mode (HPL-MxP). FP64 = classic; MXP32 factors in fp32 and
+  /// iteratively refines the solution to the fp64 residual threshold.
+  /// MXP16Sim is rejected (simulator-only).
   PrecisionMode precision = PrecisionMode::FP64;
 
   /// Iterative-refinement iteration cap for the MxP modes. If the scaled

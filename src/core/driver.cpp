@@ -48,7 +48,7 @@ class Solver {
               cfg.row_major_grid ? grid::GridOrder::RowMajor
                                  : grid::GridOrder::ColMajor),
         dev_("gcd" + std::to_string(world.rank()), cfg.hbm_bytes,
-             cfg.dev_model, cfg.hazard_check),
+             cfg.hazard_check),
         team_(std::max(1, cfg.fact_threads)),
         a_(dev_, grid_, team_, cfg.n, cfg.nb, cfg.seed, cfg.nrhs,
            cfg.diag_dominant ? static_cast<double>(cfg.n) : 0.0),
@@ -140,29 +140,35 @@ class Solver {
                           /*threshold=*/16.0, cfg_.nrhs, a_.diag_shift());
     }
 
-    const double wire = ledger_.seconds(trace::Phase::RsWire);
-    const double unpack = ledger_.seconds(trace::Phase::RsUnpack);
+    collect_totals(result);
+    collect_trace(result);
+    collect_hazards(result);
+    steady_.collect(result.alloc);
+    collect_comm(result);
+    return result;
+  }
+
+  /// The whole-run phase totals: the ledger's final sums and the streams'
+  /// busy clocks. solve() takes them after backsolve; the mixed-precision
+  /// run takes them again after refinement, whose correction sweeps charge
+  /// the same ledger and run on the same primary stream.
+  void collect_totals(HplResult& result) {
     result.fact_seconds = ledger_.seconds(trace::Phase::Fact);
     result.mpi_seconds = ledger_.seconds(trace::Phase::Mpi);
-    result.rs_wire_seconds = wire;
+    result.rs_wire_seconds = ledger_.seconds(trace::Phase::RsWire);
     result.pivot_seconds = ledger_.seconds(trace::Phase::Pivot);
     result.panel_bcast_seconds = ledger_.seconds(trace::Phase::PanelBcast);
     result.rs_wire_bytes = ledger_.rs_wire_bytes();
-    result.rs_unpack_seconds = unpack;
-    result.rs_overlap_efficiency =
-        wire > 0.0 ? std::min(unpack, wire) / wire : 0.0;
     result.transfer_seconds = data_.real_busy_seconds();
+    result.stream_busy_seconds.clear();
+    result.stream_real_seconds.clear();
+    result.gpu_seconds = 0.0;
     for (int i = 0; i < pool_.size(); ++i) {
       result.stream_busy_seconds.push_back(pool_.stream(i).busy_seconds());
       result.stream_real_seconds.push_back(
           pool_.stream(i).real_busy_seconds());
       result.gpu_seconds += result.stream_real_seconds.back();
     }
-    collect_trace(result);
-    collect_hazards(result);
-    steady_.collect(result.alloc);
-    collect_comm(result);
-    return result;
   }
 
   // What the mixed-precision wrapper (run_hpl's IR loop) needs after the
@@ -315,15 +321,14 @@ class Solver {
 
   /// One sample of the clocks an iteration record is the difference of:
   /// wall time, this rank's phase ledger, and the streams' wall-clock busy
-  /// clocks. The stream clocks advance as ops *complete*, so with overlap
-  /// enabled an op may be charged to the iteration that drained it rather
-  /// than the one that enqueued it — the whole-run sums are exact either
-  /// way.
+  /// clocks; the modeled stream clock stays out of the records. The
+  /// stream clocks advance as ops *complete*, so with overlap enabled an
+  /// op may be charged to the iteration that drained it rather than the
+  /// one that enqueued it — the whole-run sums are exact either way.
   struct ClockSample {
     double wall = 0.0;
     trace::PhaseLedger phases;
     double transfer = 0.0;
-    double busy[trace::kMaxUpdateStreams] = {};
     double real[trace::kMaxUpdateStreams] = {};
   };
 
@@ -332,10 +337,8 @@ class Solver {
     c.wall = wall_seconds();
     c.phases = ledger_;
     c.transfer = data_.real_busy_seconds();
-    for (int i = 0; i < pool_.size(); ++i) {
-      c.busy[i] = pool_.stream(i).busy_seconds();
+    for (int i = 0; i < pool_.size(); ++i)
       c.real[i] = pool_.stream(i).real_busy_seconds();
-    }
     return c;
   }
 
@@ -353,12 +356,10 @@ class Solver {
     rec.mpi_s = d.seconds(trace::Phase::Mpi);
     rec.transfer_s = end.transfer - start.transfer;
     rec.rs_wire_s = d.seconds(trace::Phase::RsWire);
-    rec.rs_unpack_s = d.seconds(trace::Phase::RsUnpack);
     rec.pivot_s = d.seconds(trace::Phase::Pivot);
     rec.panel_bcast_s = d.seconds(trace::Phase::PanelBcast);
     rec.update_streams = pool_.size();
     for (int i = 0; i < pool_.size(); ++i) {
-      rec.stream_busy_s[i] = end.busy[i] - start.busy[i];
       rec.stream_real_s[i] = end.real[i] - start.real[i];
       rec.gpu_s += rec.stream_real_s[i];
     }
@@ -708,11 +709,6 @@ class Solver {
 HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg) {
   HplConfig lp = cfg;
   lp.verify = false;  // verification happens on the *refined* solution
-  if (cfg.precision == PrecisionMode::MXP16Sim) {
-    // Same fp32 kernels, billed at the fp16/bf16 rate curves: the
-    // simulated-time model of a true half-precision MxP run.
-    lp.dev_model.low_prec = device::Precision::FP16;
-  }
 
   Timer wall;
   wall.start();
@@ -727,7 +723,7 @@ HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg) {
     // Refinement was the fp64 source's last reader; freeing it is part of
     // the timed solve.
     solver.matrix().release_fp64_source();
-    result.mpi_seconds = solver.ledger().seconds(trace::Phase::Mpi);
+    solver.collect_totals(result);
     result.ir_iters = rr.iters;
     if (rr.converged) {
       result.seconds = wall.stop();
@@ -765,6 +761,13 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
                  "run_hpl needs " << cfg.p * cfg.q << " ranks, got "
                  << world.size());
   HPLX_CHECK(cfg.n >= 1 && cfg.nb >= 1 && cfg.nrhs >= 1);
+  // mxp16-sim prices an fp16 engine the solver does not have; only the
+  // simulator models it. Every rank sees the same config, so every rank
+  // throws here, before its first collective.
+  HPLX_CHECK_MSG(cfg.precision != PrecisionMode::MXP16Sim,
+                 "precision = mxp16-sim is simulator-only: run_hpl computes "
+                 "fp64 or mxp32; model fp16 with sim::ClusterConfig::"
+                 "precision");
   // HPL.dat range-checks the split fraction, but a config built in code
   // reaches the right-section cast directly: NaN there is undefined, and
   // values outside [0, 1] would be clamped silently.

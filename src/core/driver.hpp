@@ -66,24 +66,19 @@ struct HplResult {
   /// the union of all ranks' records.
   trace::RunTrace trace;
 
-  /// Whole-run phase totals (seconds) of this rank: FACT and MPI are the
-  /// final sums of its trace::PhaseLedger, which also hold panel 0's
-  /// prologue, and for MPI the backsolve and refinement; transfer and GPU
-  /// are the data stream's and update pool's wall-clock busy seconds,
-  /// event waits excluded.
+  /// Whole-run phase totals (wall-clock seconds) of this rank: FACT and
+  /// MPI are the final sums of its trace::PhaseLedger, which also hold
+  /// panel 0's prologue, and for MPI the backsolve and refinement;
+  /// transfer and GPU are the data stream's and update pool's busy
+  /// seconds, event waits excluded. In mxp32 they include refinement.
   double fact_seconds = 0.0;
   double mpi_seconds = 0.0;
   double transfer_seconds = 0.0;
   double gpu_seconds = 0.0;
 
-  /// Row-swap pipeline totals: wall time inside the U-assembly collective,
-  /// modeled device seconds of the unpacks fused into chunk delivery, and
-  /// their ratio min(unpack, wire)/wire — the fraction of deserialization
-  /// the chunked broadcast hid behind its own wire traffic. unpack/overlap
-  /// are zero on the unfused (seed) path.
+  /// Wall time inside the row-swap U-assembly collective (part of
+  /// mpi_seconds).
   double rs_wire_seconds = 0.0;
-  double rs_unpack_seconds = 0.0;
-  double rs_overlap_efficiency = 0.0;
   /// Parts of mpi_seconds: FACT's column collectives (the per-column pivot
   /// allreduce, or the no-pivot colsum allreduce and top-block broadcast)
   /// and the panel broadcast along the process row.
@@ -96,13 +91,15 @@ struct HplResult {
   long rs_wire_bytes = 0;
 
   /// Per-stream occupancy of the trailing-update pool (this rank), one
-  /// entry per pool stream: modeled busy seconds and wall-clock busy
-  /// seconds. Entry 0 is the primary stream. Size = effective
-  /// update_streams (>= 1 even when the pool knob is 1).
+  /// entry per pool stream. Entry 0 is the primary stream. Size =
+  /// effective update_streams (>= 1 even when the pool knob is 1).
+  /// stream_real_seconds is wall-clock busy time. stream_busy_seconds is
+  /// the run's one modeled output: Stream::busy_seconds, what the ops
+  /// would take on an MI250X GCD (device::DeviceModel).
   std::vector<double> stream_busy_seconds;
   std::vector<double> stream_real_seconds;
 
-  /// Mixed-precision outcome (precision = mxp32 / mxp16-sim): how many
+  /// Mixed-precision outcome (precision = mxp32): how many
   /// fp64 iterative-refinement corrections the low-precision solution
   /// took, and whether refinement failed to converge and the run redid
   /// the factorization in full fp64. Zero / false in fp64 mode.

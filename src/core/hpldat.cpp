@@ -223,8 +223,9 @@ HplDat parse_hpldat(std::istream& in) {
   // Optional rocHPL-style extension lines.
   if (!r.eof()) {
     dat.split_fraction = r.real("split fraction");
-    HPLX_CHECK_MSG(dat.split_fraction >= 0.0 && dat.split_fraction < 1.0,
-                   "HPL.dat: split fraction must be in [0, 1)");
+    HPLX_CHECK_MSG(dat.split_fraction >= 0.0 && dat.split_fraction <= 1.0,
+                   "HPL.dat: split fraction must be in [0, 1], got "
+                       << dat.split_fraction);
   }
   if (!r.eof()) dat.fact_threads = r.integer<int>("fact threads", 1);
   if (!r.eof()) dat.blas_threads = r.integer<int>("blas threads", 0);
@@ -241,10 +242,12 @@ HplDat parse_hpldat(std::istream& in) {
     dat.swap_chunk_bytes = r.integer<long>("swap chunk bytes", 1);
   if (!r.eof()) {
     dat.precision = r.token();
-    HPLX_CHECK_MSG(dat.precision == "fp64" || dat.precision == "mxp32" ||
-                       dat.precision == "mxp16-sim",
-                   "HPL.dat: precision must be fp64, mxp32 or mxp16-sim, "
-                   "got `" << dat.precision << "`");
+    HPLX_CHECK_MSG(dat.precision != "mxp16-sim",
+                   "HPL.dat: precision mxp16-sim is simulator-only; model "
+                   "it with sim::ClusterConfig::precision");
+    HPLX_CHECK_MSG(dat.precision == "fp64" || dat.precision == "mxp32",
+                   "HPL.dat: precision must be fp64 or mxp32, got `"
+                       << dat.precision << "`");
   }
   if (!r.eof()) dat.ir_max_iters = r.integer<int>("IR max iters", 0);
   if (!r.eof()) {
@@ -310,8 +313,6 @@ std::vector<HplConfig> expand_configs(const HplDat& dat) {
                   cfg.swap_chunk_bytes = dat.swap_chunk_bytes;
                   cfg.precision = dat.precision == "mxp32"
                                       ? PrecisionMode::MXP32
-                                  : dat.precision == "mxp16-sim"
-                                      ? PrecisionMode::MXP16Sim
                                       : PrecisionMode::FP64;
                   cfg.ir_max_iters = dat.ir_max_iters;
                   cfg.ir_tol = dat.ir_tol;
@@ -404,7 +405,7 @@ std::string format_hpldat(const HplDat& dat) {
   os << "1  swap wire format (hplx extension, retired)\n";
   os << dat.swap_chunk_bytes << "  swap chunk bytes (hplx extension, >=1)\n";
   os << dat.precision
-     << "  precision (hplx extension, fp64|mxp32|mxp16-sim)\n";
+     << "  precision (hplx extension, fp64|mxp32)\n";
   os << dat.ir_max_iters << "  IR max iters (hplx extension, mxp modes)\n";
   os << dat.ir_tol << "  IR tolerance (hplx extension, scaled residual)\n";
   os << dat.pivoting << "  pivoting (hplx extension, 0=full,1=none)\n";

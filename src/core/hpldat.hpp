@@ -63,9 +63,9 @@ struct HplDat {
   int update_streams = 1;         ///< trailing-update stream pool size
   int hazard_check = 0;           ///< 1 = attach the hazard-checking runtime
   long swap_chunk_bytes = 256 * 1024;  ///< pipelined RS chunk size
-  /// Working precision of the factorization: "fp64" (classic HPL),
-  /// "mxp32" (fp32 factors + fp64 iterative refinement), or "mxp16-sim"
-  /// (fp32 compute billed at the fp16 throughput curves).
+  /// Working precision of the factorization: "fp64" (classic HPL) or
+  /// "mxp32" (fp32 factors + fp64 iterative refinement). "mxp16-sim" is
+  /// rejected: it is a simulator-only precision.
   std::string precision = "fp64";
   int ir_max_iters = 30;  ///< refinement correction budget (mxp modes)
   double ir_tol = 16.0;   ///< scaled-residual target refinement must reach

@@ -128,16 +128,8 @@ void print_phase_breakdown(std::ostream& os, const HplResult& result) {
     line("pivot collectives (FACT)", result.pivot_seconds);
   if (result.panel_bcast_seconds > 0.0)
     line("panel broadcast", result.panel_bcast_seconds);
-  if (result.rs_wire_seconds > 0.0) {
+  if (result.rs_wire_seconds > 0.0)
     line("row-swap wire (U gather)", result.rs_wire_seconds);
-    if (result.rs_unpack_seconds > 0.0) {
-      line("row-swap fused unpack", result.rs_unpack_seconds);
-      os << "  " << std::left << std::setw(26) << "row-swap overlap"
-         << std::right << std::fixed << std::setprecision(1) << std::setw(10)
-         << 100.0 * result.rs_overlap_efficiency
-         << " %  (unpack hidden behind wire)\n";
-    }
-  }
   if (result.stream_real_seconds.size() > 1) {
     os << "Update-stream occupancy (stream 0 = primary; busy is "
           "wall-clock, modeled in parens):\n";

@@ -366,7 +366,6 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
   std::vector<std::size_t> grains(u_counts_.size());
   for (std::size_t r = 0; r < u_counts_.size(); ++r)
     grains[r] = u_counts_[r] / std::max<std::size_t>(row_bytes, 1) * sizeof(T);
-  double unpack_modeled = 0.0;
   auto on_chunk = [&](const comm::ChunkDelivery& d) {
     // The chunk is resident in gathered_u_[d.offset, d.offset+d.bytes) =
     // wire columns [c0, c0+nc) of rank d.rank's segment; enqueue its
@@ -385,8 +384,6 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
     std::vector<long> rows(
         u_dest_of_packed_.begin() + static_cast<std::ptrdiff_t>(p0),
         u_dest_of_packed_.begin() + static_cast<std::ptrdiff_t>(p0 + nr));
-    unpack_modeled += stream.device().model().rowswap_seconds(
-        static_cast<long>(nr), nc, sizeof(T));
     device::unpack_rows_cm(
         stream, gathered_u_.data() + displ / sizeof(T) + c0 * nr,
         std::move(rows), nc, u + (jl0_ + static_cast<long>(c0)) * ldu, ldu);
@@ -412,7 +409,6 @@ void RowSwapperT<T>::communicate(comm::Communicator& col_comm,
                          static_cast<std::size_t>(chunk_bytes_), row_bytes);
   }
   if (ledger != nullptr) {
-    ledger->add(trace::Phase::RsUnpack, unpack_modeled);
     // Wire traffic of this window: the full rank-packed U assembly every
     // rank receives plus the displaced rows scattered from the root.
     std::size_t wb = 0;

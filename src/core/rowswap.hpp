@@ -146,8 +146,7 @@ class RowSwapperT {
   /// scatter() is called with (its fence covers these unpacks). An empty
   /// window still joins the collectives. When `ledger` is non-null it is
   /// charged the time inside communication calls (Phase::Mpi), the
-  /// U-assembly part of it (Phase::RsWire), the modeled seconds of the
-  /// fused unpacks (Phase::RsUnpack) and the window's wire bytes.
+  /// U-assembly part of it (Phase::RsWire) and the window's wire bytes.
   void communicate(comm::Communicator& col_comm, trace::PhaseLedger* ledger,
                    device::Stream& stream, T* u, long ldu);
 

@@ -57,9 +57,8 @@ void Buffer::release() {
   count_ = 0;
 }
 
-Device::Device(std::string name, std::size_t hbm_bytes, DeviceModel model,
-               bool hazard_check)
-    : name_(std::move(name)), hbm_bytes_(hbm_bytes), model_(model) {
+Device::Device(std::string name, std::size_t hbm_bytes, bool hazard_check)
+    : name_(std::move(name)), hbm_bytes_(hbm_bytes) {
   if (hazard_check || hazard_env_enabled())
     hazard_ = std::make_unique<HazardTracker>(name_);
   hbm_pool_ = std::make_unique<PoolAllocator>(name_ + ".hbm");

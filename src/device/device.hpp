@@ -77,9 +77,7 @@ class Device {
   /// HPLX_HAZARD environment override, so any run can be checked without
   /// a rebuild. When off, hazard() is null and every instrumentation site
   /// in the runtime is a single pointer test.
-  Device(std::string name, std::size_t hbm_bytes,
-         DeviceModel model = DeviceModel::mi250x_gcd(),
-         bool hazard_check = false);
+  Device(std::string name, std::size_t hbm_bytes, bool hazard_check = false);
 
   /// Reports leaked allocations (hbm_used() != 0) under the tracker.
   ~Device();
@@ -119,7 +117,8 @@ class Device {
 
   std::string name_;
   std::size_t hbm_bytes_;
-  DeviceModel model_;
+  /// Every device bills the one MI250X GCD calibration.
+  DeviceModel model_ = DeviceModel::mi250x_gcd();
   std::atomic<std::size_t> used_bytes_{0};
   std::unique_ptr<HazardTracker> hazard_;
   // Pools are declared after (so destroyed before) the tracker: their

@@ -9,12 +9,12 @@
 /// communication, and a GPU kernel to scatter the received rows back").
 ///
 /// Every kernel is a template over the element type T, instantiated for
-/// double (the classic HPL path) and float (the HPL-MxP mxp32/mxp16-sim
-/// engines). Compute kernels bill their modeled time at
-/// `model().precision_for_elem(sizeof(T))` — FP64 for double, the model's
-/// `low_prec` (FP32, or FP16 under mxp16-sim) for float — and data-motion
-/// kernels charge bytes via sizeof(T), so the float pipeline's wire and
-/// copy traffic is naturally half the fp64 pipeline's.
+/// double (the classic HPL path) and float (the HPL-MxP mxp32 engine).
+/// Compute kernels bill their modeled time at
+/// `DeviceModel::precision_for_elem(sizeof(T))` — FP64 for double, FP32
+/// for float — and data-motion kernels charge bytes via sizeof(T), so the
+/// float pipeline's wire and copy traffic is naturally half the fp64
+/// pipeline's.
 ///
 /// All matrix pointers refer to device buffers (column-major, leading
 /// dimension in elements). Host-side index vectors are captured by value

@@ -22,16 +22,17 @@
 /// keeps the analytic ramp above; FP32 and FP16 use piecewise-linear
 /// calibration-anchor curves (ThroughputCurve) whose interpolation is
 /// *clamped* at the last anchor — a rate is never extrapolated beyond the
-/// largest blocking the curve was calibrated at. The FP16 curve is what
-/// `mxp16-sim` bills float kernels at (they still compute in fp32).
+/// largest blocking the curve was calibrated at. Only the simulator bills
+/// at the FP16 curve (its `mxp16-sim` precision); the solver's float
+/// kernels bill FP32.
 
 #include <cstddef>
 
 namespace hplx::device {
 
 /// Arithmetic precision a kernel's time is modeled at. FP16 stands in for
-/// the half/bf16 family — hplx never computes in it (mxp16-sim computes
-/// fp32), it only bills at its rate.
+/// the half/bf16 family — hplx never computes in it; the simulator only
+/// bills at its rate.
 enum class Precision { FP64, FP32, FP16 };
 
 const char* to_string(Precision p);
@@ -79,11 +80,6 @@ struct DeviceModel {
                                 {20.0, 45.0, 80.0, 120.0, 155.0, 180.0,
                                  188.0}};
 
-  /// Rate float kernels are billed at: FP32 for mxp32 (the honest host
-  /// rate), FP16 for mxp16-sim (compute fp32, bill half rates). FP64 here
-  /// would bill float kernels at double rates (not used by any mode).
-  Precision low_prec = Precision::FP32;
-
   // Memory and links.
   double hbm_bw_gbs = 1600.0;   ///< device-local streaming bandwidth
   double h2d_bw_gbs = 30.0;     ///< host<->device effective, per direction
@@ -119,9 +115,9 @@ struct DeviceModel {
                          std::size_t elem_bytes = sizeof(double)) const;
 
   /// Billing precision for a kernel computing in elements of `elem_bytes`
-  /// bytes: 8 → FP64, 4 → low_prec (FP32, or FP16 under mxp16-sim).
-  Precision precision_for_elem(std::size_t elem_bytes) const {
-    return elem_bytes >= sizeof(double) ? Precision::FP64 : low_prec;
+  /// bytes: 8 → FP64, 4 → FP32.
+  static Precision precision_for_elem(std::size_t elem_bytes) {
+    return elem_bytes >= sizeof(double) ? Precision::FP64 : Precision::FP32;
   }
 
   /// The MI250X GCD calibration used throughout the repo (including the

@@ -6,10 +6,12 @@
 /// Each Stream owns a worker thread draining a FIFO of operations, so
 /// host code that enqueues work and continues — the whole point of the
 /// paper's overlap optimizations — genuinely overlaps with "device"
-/// execution. Operations carry a modeled duration (from DeviceModel);
-/// a stream accumulates the modeled busy time of everything it ran,
-/// which is what per-iteration traces report as "GPU active time"
-/// (Fig. 7's green line).
+/// execution. A stream keeps two busy clocks. The wall-clock one
+/// (real_busy_seconds) is what the solver's per-iteration traces report
+/// as "GPU active time" (Fig. 7's green line). The modeled one
+/// (busy_seconds) sums each op's DeviceModel duration: what the work
+/// would take on an MI250X GCD. It surfaces only as
+/// core::HplResult::stream_busy_seconds.
 
 #include <condition_variable>
 #include <cstdint>
@@ -95,9 +97,10 @@ class Stream {
   double busy_seconds() const;
 
   /// Total *wall-clock* seconds the stream worker spent executing ops
-  /// (used by the real driver's per-iteration trace; the modeled clock is
-  /// what the calibrated figures use). Time blocked in a wait_event() op
-  /// and record()'s completion markers are idle time, not busy time.
+  /// (used by the real driver's per-iteration trace and phase totals; the
+  /// calibrated figures come from hplx::sim, not from either stream
+  /// clock). Time blocked in a wait_event() op and record()'s completion
+  /// markers are idle time, not busy time.
   double real_busy_seconds() const;
 
  private:

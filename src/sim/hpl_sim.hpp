@@ -46,11 +46,11 @@ struct ClusterConfig {
   /// blocking gather-then-unpack baseline.
   long swap_chunk_bytes = 0;
   /// Working precision of the modeled run. mxp32 stores, moves and swaps
-  /// 4-byte elements and bills device kernels at the fp32 curve;
-  /// mxp16-sim moves the same 4-byte elements but bills compute at the
-  /// fp16 curve — the same rule the real engine applies via
-  /// DeviceModel::low_prec. Pivot messages keep their 8-byte slots in all
-  /// modes (the wire format does not narrow).
+  /// 4-byte elements and bills device kernels at the fp32 curve, as the
+  /// real engine does (DeviceModel::precision_for_elem). mxp16-sim moves
+  /// the same 4-byte elements but bills compute at the fp16 curve; it
+  /// exists only here (core::run_hpl rejects it). Pivot messages keep
+  /// their 8-byte slots in all modes (the wire format does not narrow).
   core::PrecisionMode precision = core::PrecisionMode::FP64;
 };
 

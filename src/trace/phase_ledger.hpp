@@ -18,17 +18,16 @@ namespace hplx::trace {
 ///  - Fact: panel factorization wall time, excluding its communication;
 ///  - Mpi: wall time inside communication calls;
 ///  - RsWire: the part of Mpi spent in the row-swap U-assembly collective;
-///  - RsUnpack: modeled device seconds of the chunk unpacks fused into
-///    that collective;
 ///  - Pivot: the part of Mpi spent in FACT's column collectives (the
 ///    per-column pivot allreduce, or the no-pivot colsum allreduce and
 ///    top-block broadcast);
 ///  - PanelBcast: the part of Mpi spent broadcasting the factored panel
 ///    along the process row.
 /// RsWire, Pivot and PanelBcast are parts of Mpi, charged inside its
-/// scopes with SubPhaseScope; they are not left out of Mpi.
-enum class Phase { Fact, Mpi, RsWire, RsUnpack, Pivot, PanelBcast };
-inline constexpr int kPhaseCount = 6;
+/// scopes with SubPhaseScope; they are not left out of Mpi. Every phase
+/// is wall-clock; modeled device time never enters the ledger.
+enum class Phase { Fact, Mpi, RsWire, Pivot, PanelBcast };
+inline constexpr int kPhaseCount = 5;
 
 class PhaseLedger {
  public:

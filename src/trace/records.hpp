@@ -5,6 +5,8 @@
 /// At every iteration the process owning the current diagonal panel records
 /// the same five timers the paper plots: total iteration time, GPU active
 /// time, FACT (CPU) time, MPI time, and host<->device transfer time.
+/// core::run_hpl fills every field with wall-clock seconds; the paper-scale
+/// simulator (sim::simulate_hpl) fills them with modeled seconds.
 
 #include <cstdint>
 #include <cstring>
@@ -22,8 +24,7 @@ struct IterationRecord {
   int iteration = 0;       ///< 0-based iteration index
   long column = 0;         ///< global column at which the iteration starts
   double total_s = 0.0;    ///< wall time of the whole iteration
-  /// GPU busy time within the iteration. run_hpl stores the update pool's
-  /// wall-clock busy delta; sim::simulate_hpl stores modeled device time.
+  /// GPU busy time within the iteration: the update pool's busy delta.
   double gpu_s = 0.0;
   /// CPU factorization time of the *next* panel, in every pipeline mode
   /// (panel 0 is factored before the first record).
@@ -33,17 +34,14 @@ struct IterationRecord {
   /// host<->device copies (its event waits are idle time, not counted).
   double transfer_s = 0.0;
   double rs_wire_s = 0.0;  ///< row-swap U-assembly wall time on the wire
-  double rs_unpack_s = 0.0;  ///< modeled seconds of fused chunk unpacks
   double pivot_s = 0.0;  ///< part of mpi_s in FACT's column collectives
   double panel_bcast_s = 0.0;  ///< part of mpi_s in the panel broadcast
 
   /// Streams in the trailing-update pool this iteration ran with; entries
-  /// [0, update_streams) of the arrays below are meaningful.
+  /// [0, update_streams) of stream_real_s are meaningful.
   int update_streams = 1;
-  /// Modeled busy seconds per pool stream within the iteration (stream 0
-  /// is the primary carrying row swaps and U assembly).
-  double stream_busy_s[kMaxUpdateStreams] = {};
-  /// Wall-clock busy seconds per pool stream within the iteration.
+  /// Wall-clock busy seconds per pool stream within the iteration (stream
+  /// 0 is the primary carrying row swaps and U assembly).
   double stream_real_s[kMaxUpdateStreams] = {};
 
   /// Whether the non-GPU phases were fully hidden: total time within

@@ -418,6 +418,34 @@ TEST(HplDat, BadPrecisionThrows) {
   EXPECT_THROW(parse_hpldat_string(text), Error);
 }
 
+// run_hpl and the simulator both take a split fraction in [0, 1], and 1.0
+// (the whole window in the right section) is a swept config.
+TEST(HplDat, SplitFractionAcceptsTheClosedUnitInterval) {
+  const std::string text = std::string(kClassic) + kAllExtensions;
+  const std::string one = with_value(text, "split fraction", "1.0");
+  EXPECT_DOUBLE_EQ(parse_hpldat_string(one).split_fraction, 1.0);
+  for (const auto& c : expand_configs(parse_hpldat_string(one)))
+    EXPECT_EQ(c.split_fraction, 1.0);
+  for (const char* value : {"-0.1", "1.5"}) {
+    const std::string err =
+        parse_error(with_value(text, "split fraction", value));
+    EXPECT_NE(err.find("split fraction must be in [0, 1], got " +
+                       std::string(value)),
+              std::string::npos)
+        << value << ": " << err;
+  }
+}
+
+// mxp16-sim is a simulator-only precision: HPL.dat refuses it and says
+// where it lives.
+TEST(HplDat, Mxp16SimPointsToTheSimulator) {
+  const std::string err = parse_error(with_value(
+      std::string(kClassic) + kAllExtensions, "precision", "mxp16-sim"));
+  EXPECT_NE(err.find("precision"), std::string::npos) << err;
+  EXPECT_NE(err.find("sim::ClusterConfig::precision"), std::string::npos)
+      << err;
+}
+
 TEST(HplDat, TruncatedFileThrows) {
   const std::string text(kClassic, kClassic + 200);
   EXPECT_THROW(parse_hpldat_string(text), Error);

@@ -49,12 +49,9 @@ void expect_no_rowswap_traffic(const HplResult& r, const std::string& what) {
   // run it cheaply: nothing on the wire, nothing in the per-iteration
   // swap timers.
   EXPECT_EQ(r.rs_wire_seconds, 0.0) << what;
-  EXPECT_EQ(r.rs_unpack_seconds, 0.0) << what;
   EXPECT_EQ(r.rs_wire_bytes, 0) << what;
-  for (const auto& it : r.trace.iterations) {
+  for (const auto& it : r.trace.iterations)
     EXPECT_EQ(it.rs_wire_s, 0.0) << what << " iteration " << it.iteration;
-    EXPECT_EQ(it.rs_unpack_s, 0.0) << what << " iteration " << it.iteration;
-  }
 }
 
 using Param = std::tuple<FactVariant /*fact*/, FactVariant /*rfact base*/,
@@ -94,7 +91,6 @@ constexpr auto kFull = PivotMode::Full;
 constexpr auto kNone = PivotMode::None;
 constexpr auto kF64 = PrecisionMode::FP64;
 constexpr auto kM32 = PrecisionMode::MXP32;
-constexpr auto kM16 = PrecisionMode::MXP16Sim;
 
 INSTANTIATE_TEST_SUITE_P(
     FactPivotRhsPrecision, VariantSweep,
@@ -112,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
         // Mixed precision composes with both the pivot mode and nrhs.
         Param{kV, kR, kFull, 1, kM32, 1}, Param{kV, kR, kNone, 1, kM32, 2},
         Param{kC, kC, kFull, 3, kM32, 1}, Param{kR, kR, kNone, 4, kM32, 2},
-        Param{kV, kR, kNone, 2, kM16, 1}));
+        Param{kV, kR, kNone, 2, kM32, 1}));
 
 // Full pivoting on a multi-rank process column does put row swaps on the
 // wire — the zero-bytes assertion above is meaningful, not vacuous.

@@ -19,7 +19,7 @@ namespace {
 constexpr std::size_t kHbm = 16UL << 20;
 
 Device make_checked(const char* name = "hz") {
-  return Device(name, kHbm, DeviceModel::mi250x_gcd(), /*hazard_check=*/true);
+  return Device(name, kHbm, /*hazard_check=*/true);
 }
 
 using Kind = HazardTracker::Kind;

@@ -149,12 +149,8 @@ TEST(DeviceModel, LowPrecisionGemmIsFaster) {
 }
 
 TEST(DeviceModel, PrecisionForElemMapsBytes) {
-  DeviceModel m = DeviceModel::mi250x_gcd();
-  EXPECT_EQ(m.precision_for_elem(sizeof(double)), Precision::FP64);
-  EXPECT_EQ(m.precision_for_elem(sizeof(float)), Precision::FP32);
-  m.low_prec = Precision::FP16;  // the mxp16-sim billing switch
-  EXPECT_EQ(m.precision_for_elem(sizeof(float)), Precision::FP16);
-  EXPECT_EQ(m.precision_for_elem(sizeof(double)), Precision::FP64);
+  EXPECT_EQ(DeviceModel::precision_for_elem(sizeof(double)), Precision::FP64);
+  EXPECT_EQ(DeviceModel::precision_for_elem(sizeof(float)), Precision::FP32);
 }
 
 TEST(DeviceModel, FloatRowswapChargesHalfTheBytes) {

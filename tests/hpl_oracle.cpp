@@ -17,8 +17,8 @@
 ///   hpl_oracle > tests/data/oracle/hpl_oracle.txt   # regenerate
 ///
 /// The set: the multi-stream and hazard sweeps' shapes over their stream
-/// and chunk values, the mixed-precision sweep in mxp32 and mxp16-sim plus
-/// its two fallback cases, fp64/mxp32 × full/no pivoting on three grids,
+/// and chunk values, the mixed-precision sweep in mxp32 plus its two
+/// fallback cases, fp64/mxp32 × full/no pivoting on three grids,
 /// two and three right-hand sides, and the perfbench workloads at the
 /// development and held-out seeds.
 
@@ -107,20 +107,18 @@ std::vector<Case> cases() {
     }
   }
 
-  // MxpSolveSweep shapes plus two larger grids, in both low precisions.
-  for (PrecisionMode prec : {PrecisionMode::MXP32, PrecisionMode::MXP16Sim}) {
-    for (const Shape& s :
-         {Shape{1, 1, 96, 16, kSimple}, Shape{1, 1, 96, 16, kLa},
-          Shape{1, 1, 96, 16, kSplit}, Shape{1, 2, 128, 16, kSplit},
-          Shape{2, 1, 128, 16, kSplit}, Shape{2, 2, 128, 16, kSimple},
-          Shape{2, 2, 128, 16, kSplit}, Shape{2, 3, 144, 16, kSplit},
-          Shape{2, 2, 100, 16, kSplit}, Shape{1, 1, 37, 8, kSplit},
-          Shape{2, 2, 32, 32, kLa}, Shape{2, 2, 1000, 64, kSplit},
-          Shape{1, 3, 600, 64, kSplit}}) {
-      HplConfig cfg = sweep_cfg(s.n, s.nb, s.p, s.q, s.mode);
-      cfg.precision = prec;
-      out.push_back({shape_name("mxp", cfg), cfg});
-    }
+  // MxpSolveSweep shapes plus two larger grids.
+  for (const Shape& s :
+       {Shape{1, 1, 96, 16, kSimple}, Shape{1, 1, 96, 16, kLa},
+        Shape{1, 1, 96, 16, kSplit}, Shape{1, 2, 128, 16, kSplit},
+        Shape{2, 1, 128, 16, kSplit}, Shape{2, 2, 128, 16, kSimple},
+        Shape{2, 2, 128, 16, kSplit}, Shape{2, 3, 144, 16, kSplit},
+        Shape{2, 2, 100, 16, kSplit}, Shape{1, 1, 37, 8, kSplit},
+        Shape{2, 2, 32, 32, kLa}, Shape{2, 2, 1000, 64, kSplit},
+        Shape{1, 3, 600, 64, kSplit}}) {
+    HplConfig cfg = sweep_cfg(s.n, s.nb, s.p, s.q, s.mode);
+    cfg.precision = PrecisionMode::MXP32;
+    out.push_back({shape_name("mxp", cfg), cfg});
   }
 
   // Refinement that cannot converge falls back to fp64.

@@ -16,11 +16,11 @@ TEST(PhaseLedger, AddSumsPerPhase) {
   PhaseLedger l;
   l.add(Phase::Mpi, 0.25);
   l.add(Phase::Mpi, 0.5);
-  l.add(Phase::RsUnpack, 2.0);
+  l.add(Phase::PanelBcast, 2.0);
   l.add_wire_bytes(64);
   l.add_wire_bytes(32);
   EXPECT_DOUBLE_EQ(l.seconds(Phase::Mpi), 0.75);
-  EXPECT_DOUBLE_EQ(l.seconds(Phase::RsUnpack), 2.0);
+  EXPECT_DOUBLE_EQ(l.seconds(Phase::PanelBcast), 2.0);
   EXPECT_EQ(l.seconds(Phase::Fact), 0.0);
   EXPECT_EQ(l.seconds(Phase::RsWire), 0.0);
   EXPECT_EQ(l.rs_wire_bytes(), 96);
