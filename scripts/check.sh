@@ -22,7 +22,11 @@
 # comm-verifier suite ("commcheck": adversarial injection tests for the
 # collective-matching/deadlock/leak checker plus clean solver sweeps), and
 # the byte-for-byte golden files ("golden": the pure-model figure series
-# and the 79-line residual oracle), so a moved bit is visible at a glance.
+# and the 79-line residual oracle, once as resolved and once pinned to
+# each BLAS kernel version, golden.hpl_oracle.<isa>, skipped where the CPU
+# lacks the ISA), so a moved bit is visible at a glance. Tier-1 also runs
+# blas.fma_rule, the static guard that the avx512f/avx2 gemm bodies fuse
+# their k steps and nothing else in libhplx_blas.a fuses.
 # A checker-env gate re-runs the driver suites (hazard, hpl, core,
 # variants) and the mixed-precision suite with every solve under
 # HPLX_HAZARD=1 and then under HPLX_COMM_CHECK=1, the sweeps an overlap,

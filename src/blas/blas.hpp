@@ -87,11 +87,12 @@ void dtrsm(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
 void strsm(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
            float alpha, const float* a, int lda, float* b, int ldb);
 
-/// Which ISA version of the BLAS-3 kernels (packed gemm micro-kernel and
-/// trsm diagonal leaf) this host runs: "avx512f", "avx2" or "default"
-/// (baseline x86-64; always on non-x86). It is the resolver's own choice —
-/// the widest version __builtin_cpu_supports allows — and never changes
-/// results.
+/// Which ISA version of the BLAS kernels (packed gemm micro-kernel, small
+/// gemm, trsm diagonal leaf, FACT's BLAS-1/2 leaves) this host runs:
+/// "avx512f", "avx2" (with FMA) or "default" (baseline x86-64; always on
+/// non-x86). It is the resolver's own choice — the widest version
+/// __builtin_cpu_supports allows — and never changes results: every
+/// version takes one fused multiply-add per gemm k step.
 const char* kernel_isa();
 
 // ------------------------------------------------------------- auxiliary

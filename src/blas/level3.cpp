@@ -71,68 +71,42 @@ const T* op_b_ptr(Trans tb, const T* b, int ldb, int p, int j) {
 /// HPL's pipeline modes slice one logical update into differently shaped
 /// gemm calls and still expect identical results, and which engine runs
 /// depends on the call's flop count. So this path mirrors the packed
-/// engine's arithmetic exactly — per element, a register dot product over
-/// each KC block of k in order, beta applied with the first block only,
-/// alpha applied once per block at write-back (never folded into terms).
+/// engine's arithmetic exactly — per element, a register dot product of
+/// fused steps over each KC block of k in order, beta applied with the
+/// first block only, alpha applied once per block at write-back (never
+/// folded into terms). Each kernel version carries its own build of the
+/// body (microkernel.hpp's gemm_small_body), so the fused step is one
+/// instruction wherever the ISA has it.
 template <typename T>
 void detail::gemm_small(Trans ta, Trans tb, int m, int n, int k, T alpha,
                         const T* a, int lda, const T* b, int ldb, T beta,
                         T* c, int ldc) {
-  auto A = [&](int i, int p) -> T {
-    return ta == Trans::No ? a[static_cast<long>(p) * lda + i]
-                           : a[static_cast<long>(i) * lda + p];
-  };
-  auto B = [&](int p, int j) -> T {
-    return tb == Trans::No ? b[static_cast<long>(j) * ldb + p]
-                           : b[static_cast<long>(p) * ldb + j];
-  };
-  const int kc = block_sizes_for<T>().kc;
-  for (int p0 = 0; p0 < k; p0 += kc) {
-    const int pe = std::min(k, p0 + kc);
-    const bool first_k = p0 == 0;
-    for (int j = 0; j < n; ++j) {
-      T* ccol = c + static_cast<long>(j) * ldc;
-      for (int i = 0; i < m; ++i) {
-        T acc = T(0);
-        for (int p = p0; p < pe; ++p) acc += A(i, p) * B(p, j);
-        if (!first_k) {
-          ccol[i] += alpha * acc;
-        } else if (beta == T(0)) {
-          // Overwrite without reading C (NaN/Inf in uninitialized output
-          // must not propagate).
-          ccol[i] = alpha * acc;
-        } else {
-          ccol[i] = alpha * acc + beta * ccol[i];
-        }
-      }
-    }
-  }
+  resolved<T>().gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                           ldc);
 }
 
 namespace {
 
 /// The m×1 product with op(A) = A (refinement corrections, single-RHS
-/// backsolve): a column-axpy sweep, acc += A(:, p)·op(B)(p) for p in
-/// order, that streams A once instead of packing it into mr-row panels
-/// and computing nr−1 zero-padded columns per tile. Per KC block each
-/// acc[i] starts from zero and sums its products in k order, and alpha/beta
-/// apply at write-back exactly as in gemm_small, so the bits match it. The
-/// accumulator is the calling thread's A-packing scratch, idle on this
-/// path.
+/// backsolve): a column-axpy sweep, acc = fma(A(:, p), op(B)(p), acc) for
+/// p in order, that streams A once instead of packing it into mr-row
+/// panels and computing nr−1 zero-padded columns per tile. Per KC block
+/// each acc[i] starts from zero and takes its fused steps in k order, and
+/// alpha/beta apply at write-back exactly as in gemm_small, so the bits
+/// match it. The accumulator is the calling thread's A-packing scratch,
+/// idle on this path.
 template <typename T>
-void gemm_column(Trans tb, int m, int k, T alpha, const T* a, int lda,
-                 const T* b, int ldb, T beta, T* c) {
+void gemm_column(const detail::KernelVersion<T>& kv, Trans tb, int m, int k,
+                 T alpha, const T* a, int lda, const T* b, int ldb, T beta,
+                 T* c) {
   const long bstride = tb == Trans::No ? 1 : ldb;
   const int kc = block_sizes_for<T>().kc;
   T* acc = scratch<T>().a.template ensure<T>(static_cast<std::size_t>(m));
   for (int p0 = 0; p0 < k; p0 += kc) {
     const int pe = std::min(k, p0 + kc);
     std::fill(acc, acc + m, T(0));
-    for (int p = p0; p < pe; ++p) {
-      const T bp = b[p * bstride];
-      const T* acol = a + static_cast<long>(p) * lda;
-      for (int i = 0; i < m; ++i) acc[i] += acol[i] * bp;
-    }
+    for (int p = p0; p < pe; ++p)
+      kv.column(m, b[p * bstride], a + static_cast<long>(p) * lda, acc);
     if (p0 > 0) {
       for (int i = 0; i < m; ++i) c[i] += alpha * acc[i];
     } else if (beta == T(0)) {
@@ -143,12 +117,13 @@ void gemm_column(Trans tb, int m, int k, T alpha, const T* a, int lda,
   }
 }
 
-/// Macro-kernel: one packed A block against one packed B panel.
+/// Macro-kernel: one packed A block, in kv.mr-row panels, against one
+/// packed B panel.
 template <typename T>
 void macro_kernel(const detail::KernelVersion<T>& kv, int mb, int nb, int kb,
                   T alpha, const T* ap, const T* bp, T* c, int ldc,
                   bool first_k, T beta) {
-  constexpr int mr_t = Tile<T>::mr;
+  const int mr_t = kv.mr;
   constexpr int nr_t = Tile<T>::nr;
   for (int jr = 0, jt = 0; jr < nb; jr += nr_t, ++jt) {
     const int nr = std::min(nr_t, nb - jr);
@@ -156,7 +131,7 @@ void macro_kernel(const detail::KernelVersion<T>& kv, int mb, int nb, int kb,
     for (int ir = 0, it = 0; ir < mb; ir += mr_t, ++it) {
       const int mr = std::min(mr_t, mb - ir);
       const T* app = ap + static_cast<long>(it) * kb * mr_t;
-      T acc[mr_t * nr_t];
+      T acc[kMaxMr * nr_t];
       kv.gemm(kb, app, bpp, acc);
       write_back(mr, nr, alpha, acc, c + ir + static_cast<long>(jr) * ldc,
                  ldc, first_k, beta);
@@ -175,10 +150,9 @@ void gemm_packed_region(const detail::KernelVersion<T>& kv, Trans ta,
                         int lda, const T* b, int ldb, T beta, T* c, int ldc,
                         const BlockSizes& bs, int tid, int nthreads,
                         T* bp_shared, BarrierFn&& barrier) {
-  constexpr int mr_t = Tile<T>::mr;
   constexpr int nr_t = Tile<T>::nr;
   T* ap = scratch<T>().a.template ensure<T>(
-      static_cast<std::size_t>(round_up(bs.mc, mr_t)) * bs.kc);
+      static_cast<std::size_t>(round_up(bs.mc, kv.mr)) * bs.kc);
   const int mc_blocks = ceil_div(m, bs.mc);
   for (int jc = 0; jc < n; jc += bs.nc) {
     const int nb = std::min(bs.nc, n - jc);
@@ -196,7 +170,7 @@ void gemm_packed_region(const detail::KernelVersion<T>& kv, Trans ta,
       for (int blk = tid; blk < mc_blocks; blk += nthreads) {
         const int ic = blk * bs.mc;
         const int mb = std::min(bs.mc, m - ic);
-        pack_a(ta, mb, kb, op_a_ptr(ta, a, lda, ic, pc), lda, ap);
+        pack_a(ta, kv.mr, mb, kb, op_a_ptr(ta, a, lda, ic, pc), lda, ap);
         macro_kernel(kv, mb, nb, kb, alpha, ap, bp_shared,
                      c + ic + static_cast<long>(jc) * ldc, ldc, first_k,
                      beta);
@@ -233,7 +207,7 @@ template <typename T>
 void detail::trsm_left_notrans(const KernelVersion<T>& kv, Uplo uplo,
                                Diag diag, int m, int n, const T* a, int lda,
                                T* b, int ldb) {
-  constexpr int mr_t = Tile<T>::mr;
+  const int mr_t = kv.mr;
   constexpr int nr_t = Tile<T>::nr;
   const int kc = block_sizes_for<T>().kc;
   const bool lower = uplo == Uplo::Lower;
@@ -246,8 +220,8 @@ void detail::trsm_left_notrans(const KernelVersion<T>& kv, Uplo uplo,
     const int nrows = lower ? m - r0 : p0;
     T* ap = s.a.template ensure<T>(
         static_cast<std::size_t>(round_up(nrows, mr_t)) * tb);
-    pack_a(Trans::No, nrows, tb, a + r0 + static_cast<long>(p0) * lda, lda,
-           ap);
+    pack_a(Trans::No, mr_t, nrows, tb, a + r0 + static_cast<long>(p0) * lda,
+           lda, ap);
     for (int j0 = 0; j0 < n; j0 += nr_t) {
       const int nb = std::min(nr_t, n - j0);
       T* bj = b + static_cast<long>(j0) * ldb;
@@ -260,7 +234,7 @@ void detail::trsm_left_notrans(const KernelVersion<T>& kv, Uplo uplo,
       }
       for (int ir = 0; ir < nrows; ir += mr_t) {
         for (int pc = 0; pc < tb; pc += kc) {
-          T acc[mr_t * nr_t];
+          T acc[kMaxMr * nr_t];
           kv.gemm(std::min(kc, tb - pc), ap + static_cast<long>(ir) * tb +
                                              static_cast<long>(pc) * mr_t,
                   bp + static_cast<long>(pc) * nr_t, acc);
@@ -295,17 +269,17 @@ void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
     return;
   }
 
+  const detail::KernelVersion<T>& kv = detail::resolved<T>();
   if (n == 1 && ta == Trans::No) {
-    gemm_column(tb, m, k, alpha, a, lda, b, ldb, beta, c);
+    gemm_column(kv, tb, m, k, alpha, a, lda, b, ldb, beta, c);
     return;
   }
   const double flops = 2.0 * m * n * k;
   if (flops < kPackFlopCutoff) {
-    detail::gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+    kv.gemm_small(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }
 
-  const detail::KernelVersion<T>& kv = detail::resolved<T>();
   if (flops >= kTeamFlopCutoff) {
     detail::TeamLease lease;
     if (ThreadTeam* team = lease.team()) {

@@ -6,9 +6,9 @@
 /// walking the caller's (possibly strided, possibly transposed) storage in
 /// the inner loop:
 ///
-///   - A blocks (MC×KC) are packed into row panels of Tile<T>::mr rows
-///     each, laid out so the micro-kernel reads mr contiguous elements per
-///     k step.
+///   - A blocks (MC×KC) are packed into row panels of mr rows each, the
+///     resolved kernel version's tile rows, laid out so the micro-kernel
+///     reads mr contiguous elements per k step.
 ///   - B panels (KC×NC) are packed into column panels of Tile<T>::nr
 ///     columns each, nr contiguous elements per k step.
 ///
@@ -19,11 +19,11 @@
 /// write-back masks the padding.
 ///
 /// The engine is instantiated per element type: `double` (the seed dgemm
-/// path) and `float` (the HPL-MxP mxp32 path). Both tiles have 4 rows of
-/// 64 bytes (4×8 double, 4×16 float; see Tile below); the float
-/// cache-blocking defaults double every MC/KC/NC count so the packed
-/// panels hold twice the elements in comparable cache space, and fp32
-/// moves twice the elements per cache line.
+/// path) and `float` (the HPL-MxP mxp32 path). Tile rows are 64 bytes in
+/// both (8 double, 16 float; see Tile below); the float cache-blocking
+/// defaults double every MC/KC/NC count so the packed panels hold twice
+/// the elements in comparable cache space, and fp32 moves twice the
+/// elements per cache line.
 
 #include <cstddef>
 #include <new>
@@ -32,22 +32,20 @@
 
 namespace hplx::blas {
 
-/// Per-element-type micro-tile shape: 4 rows of 64 bytes, 4×8 double and
-/// 4×16 float. The micro-kernel holds each accumulator row in vectors of
-/// its ISA's native width — one zmm on avx512f, two ymm on avx2, four xmm
-/// on the baseline ISA, for either type — so the 4-row block stays in
-/// registers on every version and no version runs narrower than its ISA
-/// (microkernel.hpp).
+/// Per-element-type micro-tile width: one 64-byte row, 8 double or 16
+/// float. The tile's row count is the kernel version's `mr`, sized to its
+/// register file (microkernel.hpp, versions.cpp); the micro-kernel holds
+/// each accumulator row in vectors of its ISA's native width — one zmm on
+/// avx512f, two ymm on avx2, four xmm on the baseline ISA, for either type
+/// — so no version runs narrower than its ISA.
 template <typename T>
 struct Tile;
 template <>
 struct Tile<double> {
-  static constexpr int mr = 4;
   static constexpr int nr = 8;
 };
 template <>
 struct Tile<float> {
-  static constexpr int mr = 4;
   static constexpr int nr = 16;
 };
 
@@ -61,10 +59,10 @@ struct BlockSizes {
   int nc = 512;
 };
 
-/// Install new pack block sizes for the double engine (MC and NC rounded
-/// down to multiples of the tile's mr/nr, minimum one tile). Not
-/// thread-safe against in-flight dgemm calls; intended for configuration
-/// time.
+/// Install new pack block sizes for the double engine. MC reads back
+/// rounded down to a multiple of the resolved kernel version's mr and NC
+/// to a multiple of the tile's nr, minimum one tile each. Not thread-safe
+/// against in-flight dgemm calls; intended for configuration time.
 void set_block_sizes(const BlockSizes& bs);
 BlockSizes block_sizes();
 
@@ -115,13 +113,14 @@ class AlignedBuffer {
   std::size_t capacity_ = 0;  ///< bytes
 };
 
-/// Pack op(A)(ic:ic+mb, pc:pc+kb) into Tile<T>::mr-row panels at `ap`.
-/// `a`/`lda` address the stored matrix; `trans` selects which axis is
-/// rows of op(A). Rows past mb within the last tile are zero-filled.
-/// Destination size: round_up(mb, mr) * kb elements.
+/// Pack op(A)(ic:ic+mb, pc:pc+kb) into mr_t-row panels at `ap`, mr_t the
+/// kernel version's tile rows. `a`/`lda` address the stored matrix;
+/// `trans` selects which axis is rows of op(A). Rows past mb within the
+/// last tile are zero-filled. Destination size: round_up(mb, mr_t) * kb
+/// elements.
 template <typename T>
-void pack_a(Trans trans, int mb, int kb, const T* a, int lda, T* ap) {
-  constexpr int mr_t = Tile<T>::mr;
+void pack_a(Trans trans, int mr_t, int mb, int kb, const T* a, int lda,
+            T* ap) {
   if (trans == Trans::No) {
     // op(A)(i, p) = a[p*lda + i]: each tile column is a contiguous slice.
     for (int i0 = 0; i0 < mb; i0 += mr_t) {

@@ -702,6 +702,29 @@ class Solver {
   std::vector<trace::IterationRecord> my_records_;
 };
 
+/// Adds the whole-run phase totals (the fields Solver::collect_totals
+/// fills) of `from` into `into`: an fp64 fallback reports the failed
+/// low-precision attempt's work beside its own.
+void add_totals(HplResult& into, const HplResult& from) {
+  into.fact_seconds += from.fact_seconds;
+  into.mpi_seconds += from.mpi_seconds;
+  into.rs_wire_seconds += from.rs_wire_seconds;
+  into.pivot_seconds += from.pivot_seconds;
+  into.panel_bcast_seconds += from.panel_bcast_seconds;
+  into.rs_wire_bytes += from.rs_wire_bytes;
+  into.transfer_seconds += from.transfer_seconds;
+  into.gpu_seconds += from.gpu_seconds;
+  // Both solves size their update pool from the same config.
+  HPLX_CHECK(into.stream_busy_seconds.size() ==
+                 from.stream_busy_seconds.size() &&
+             into.stream_real_seconds.size() ==
+                 from.stream_real_seconds.size());
+  for (std::size_t i = 0; i < into.stream_busy_seconds.size(); ++i) {
+    into.stream_busy_seconds[i] += from.stream_busy_seconds[i];
+    into.stream_real_seconds[i] += from.stream_real_seconds[i];
+  }
+}
+
 /// Mixed-precision run: low-precision factorization + backsolve, fp64
 /// iterative refinement, fp64 re-run as the correctness safety net. The
 /// reported wall time covers everything the mode actually executed (HPL-MxP
@@ -712,7 +735,7 @@ HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg) {
 
   Timer wall;
   wall.start();
-  int attempt_iters = 0;
+  HplResult attempt;  // the low-precision run, refinement included
   {
     Solver<float> solver(world, lp);
     HplResult result = solver.solve();
@@ -737,16 +760,17 @@ HplResult run_mxp(comm::Communicator& world, const HplConfig& cfg) {
       }
       return result;
     }
-    attempt_iters = rr.iters;
+    attempt = std::move(result);
   }
 
   // Refinement stalled or diverged: redo the whole thing in fp64. The
-  // failed low-precision attempt stays on the clock.
+  // failed low-precision attempt stays on the clock and in the totals.
   HplConfig full = cfg;
   full.precision = PrecisionMode::FP64;
   Solver<double> solver(world, full);
   HplResult result = solver.solve();
-  result.ir_iters = attempt_iters;
+  add_totals(result, attempt);
+  result.ir_iters = attempt.ir_iters;
   result.ir_fallback = true;
   result.seconds = wall.stop();
   result.gflops =

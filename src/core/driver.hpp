@@ -70,7 +70,9 @@ struct HplResult {
   /// MPI are the final sums of its trace::PhaseLedger, which also hold
   /// panel 0's prologue, and for MPI the backsolve and refinement;
   /// transfer and GPU are the data stream's and update pool's busy
-  /// seconds, event waits excluded. In mxp32 they include refinement.
+  /// seconds, event waits excluded. In mxp32 they include refinement,
+  /// and an fp64 fallback's add the failed mxp32 attempt's (so do
+  /// rs_wire_bytes and the per-stream totals below).
   double fact_seconds = 0.0;
   double mpi_seconds = 0.0;
   double transfer_seconds = 0.0;

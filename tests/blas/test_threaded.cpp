@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -100,7 +101,8 @@ INSTANTIATE_TEST_SUITE_P(
         ThreadedGemmCase{129, 65, 300, 1.0, 1.0},
         ThreadedGemmCase{257, 520, 80, -1.0, 1.0},
         ThreadedGemmCase{160, 130, 257, 1.0, 0.0},
-        // Ragged micro-tiles (m % 4 != 0, n % 8 != 0).
+        // Ragged micro-tiles (131 is ragged against 16-, 6- and 2-row
+        // tiles; n % 8 != 0).
         ThreadedGemmCase{131, 77, 64, 2.5, -0.5},
         // HPL trailing-update shape at team-eligible size.
         ThreadedGemmCase{512, 256, 32, -1.0, 1.0},
@@ -182,9 +184,9 @@ TEST(GemmBetaZero, OverwritesNanAndInfOnEveryPath) {
 /// The pipeline modes slice one logical update into calls that land on
 /// either side of the packed engine's flop cutoff (2*m*n*k = 65536), so the
 /// packed micro-kernel — whichever ISA version this host resolved — and the
-/// small path must produce the same bits in both precisions. A fused
-/// multiply-add in either path (a target that implies FMA under gcc's
-/// default -ffp-contract=fast) shows up here as a last-bit mismatch.
+/// small path must produce the same bits in both precisions. Both take one
+/// fused multiply-add per k step; an unfused step, or a k order changed,
+/// in either path shows up here as a last-bit mismatch.
 template <typename T>
 class PackedVsSmallGemm : public ::testing::Test {
  protected:
@@ -200,9 +202,10 @@ class PackedVsSmallGemm : public ::testing::Test {
     std::vector<T> a, b, c0, sliced;
   };
 
-  // k crosses the type's KC block twice; m % 4 == 3 and n = 45 (13 past a
-  // 16-column float tile, 5 past an 8-column double one) leave ragged
-  // micro-tiles on both edges.
+  // k crosses the type's KC block twice; m = 39 (ragged against 16-, 6-
+  // and 2-row tiles alike: 7, 3 and 1 rows past the last full one) and
+  // n = 45 (13 past a 16-column float tile, 5 past an 8-column double
+  // one) leave ragged micro-tiles on both edges.
   const int m = 39, n = 45, k = 2 * block_sizes_for<T>().kc + 37;
 
   /// Every transpose combination × three alpha/beta pairs; beta == 0
@@ -547,13 +550,112 @@ TYPED_TEST(BlockedTrsm, VersionsAndTeamSizesMatchTheBlockedReference) {
   }
 }
 
+/// Each version has its own tile rows (kv.mr), so each has its own row
+/// edges: m = mr−1, mr, mr+1 and a ragged tail one tile past an MC block,
+/// at the default MC and after set_block_sizes({mc = 100}), which must
+/// read back as whole tiles of the version. The version is pinned
+/// process-wide, so the public gemm at team sizes 1 and 3 runs it (the
+/// ragged-tail shapes are big enough for the team) beside the packed
+/// engine called directly, and the m×1 column sweep runs at the same m.
+/// All must match per-element gemm_small calls on the resolver's own
+/// version bit for bit.
+template <typename T>
+class TileEdges : public ::testing::Test {};
+TYPED_TEST_SUITE(TileEdges, ElementTypes);
+
+TYPED_TEST(TileEdges, EveryVersionMatchesGemmSmallAroundItsTile) {
+  using T = TypeParam;
+  TeamGuard team_guard;
+  BlockSizeGuard bs_guard;
+  const BlockSizes bs0 = block_sizes_for<T>();
+  auto set_mc = [&](int mc) {
+    if constexpr (std::is_same_v<T, double>)
+      set_block_sizes({mc, bs0.kc, bs0.nc});
+    else
+      set_block_sizes_f32({mc, bs0.kc, bs0.nc});
+  };
+  const auto& ref = detail::resolved<T>();
+  const int n = 133;  // ragged past an 8- and a 16-column tile
+  const int k = bs0.kc + 37;
+  for (const auto& kv : detail::kernel_versions<T>()) {
+    if (!kv.runs_here()) continue;
+    for (int mc_set : {0, 100}) {
+      detail::PinKernelVersion pin(kv.isa);
+      if (mc_set != 0) set_mc(mc_set);
+      const int mc = block_sizes_for<T>().mc;
+      EXPECT_EQ(mc % kv.mr, 0) << kv.isa << " mc=" << mc;
+      if (mc_set != 0) {
+        EXPECT_LE(mc, mc_set) << kv.isa;
+      }
+      for (int m : {kv.mr - 1, kv.mr, kv.mr + 1, mc + kv.mr + 1}) {
+        if (m < 1) continue;
+        for (Trans t : {Trans::No, Trans::Yes}) {
+          const int lda = (t == Trans::No ? m : k) + 1;
+          const int ldb = (t == Trans::No ? k : n) + 2;
+          const int ldc = m + 3;
+          Rand rng(static_cast<std::uint64_t>(m * 31 + kv.mr));
+          auto to_t = [](const std::vector<double>& v) {
+            return std::vector<T>(v.begin(), v.end());
+          };
+          const auto a = to_t(rng.matrix(t == Trans::No ? m : k,
+                                         t == Trans::No ? k : m, lda));
+          const auto b = to_t(rng.matrix(t == Trans::No ? k : n,
+                                         t == Trans::No ? n : k, ldb));
+          const auto c0 = to_t(rng.matrix(m, n, ldc));
+          auto want = c0;
+          for (int j = 0; j < n; ++j)
+            for (int i = 0; i < m; ++i)
+              ref.gemm_small(
+                  t, t, 1, 1, k, T(-1),
+                  a.data() + (t == Trans::No ? i : static_cast<long>(i) * lda),
+                  lda,
+                  b.data() + (t == Trans::No ? static_cast<long>(j) * ldb : j),
+                  ldb, T(1), want.data() + i + static_cast<long>(j) * ldc,
+                  ldc);
+          auto check = [&](const std::vector<T>& got, const char* path,
+                           int cols) {
+            for (int j = 0; j < cols; ++j)
+              for (int i = 0; i < m; ++i) {
+                const std::size_t idx = static_cast<std::size_t>(j) * ldc +
+                                        static_cast<std::size_t>(i);
+                ASSERT_EQ(got[idx], want[idx])
+                    << kv.isa << " " << path << " m=" << m << " mc=" << mc
+                    << " trans=" << (t == Trans::Yes) << " (" << i << ","
+                    << j << ")";
+              }
+          };
+          auto packed = c0;
+          detail::gemm_packed(kv, t, t, m, n, k, T(-1), a.data(), lda,
+                              b.data(), ldb, T(1), packed.data(), ldc);
+          check(packed, "gemm_packed", n);
+          for (int team : {1, 3}) {
+            set_num_threads(team);
+            auto got = c0;
+            gemm(t, t, m, n, k, T(-1), a.data(), lda, b.data(), ldb, T(1),
+                 got.data(), ldc);
+            check(got, team == 1 ? "gemm team 1" : "gemm team 3", n);
+          }
+          if (t == Trans::No) {  // the m×1 sweep: column 0 of the same C
+            auto col = c0;
+            gemm(t, t, m, 1, k, T(-1), a.data(), lda, b.data(), ldb, T(1),
+                 col.data(), ldc);
+            check(col, "column", 1);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelIsa, MirrorsTheResolversCpuTest) {
-  // Same condition as level3.cpp: the widest version the CPU supports.
+  // Same condition as versions.cpp: the widest version the CPU supports.
 #if defined(__x86_64__)
   __builtin_cpu_init();
-  EXPECT_STREQ(kernel_isa(), __builtin_cpu_supports("avx512f") ? "avx512f"
-                             : __builtin_cpu_supports("avx2") ? "avx2"
-                                                              : "default");
+  EXPECT_STREQ(kernel_isa(),
+               __builtin_cpu_supports("avx512f") ? "avx512f"
+               : __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")
+                   ? "avx2"
+                   : "default");
 #else
   EXPECT_STREQ(kernel_isa(), "default");
 #endif

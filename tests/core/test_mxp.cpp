@@ -225,15 +225,15 @@ TEST(Mxp, Mxp16SimRejectedOnEveryRank) {
 
 // Refinement's correction sweeps run trsm and gemm on the primary stream
 // after the factorization, so the run's stream totals must include them.
-// The modeled busy clock is deterministic: 2 corrections (this shape's
-// count) bill strictly more than 0 (a tolerance the first residual
+// The modeled busy clock is deterministic: 1 correction (this shape's
+// count) bills strictly more than 0 (a tolerance the first residual
 // passes).
 TEST(Mxp, StreamTotalsIncludeRefinement) {
   HplConfig cfg = base_cfg(96, 16, 1, 1);
   const HplResult refined = run(cfg);
   cfg.ir_tol = 1e30;
   const HplResult unrefined = run(cfg);
-  ASSERT_EQ(refined.ir_iters, 2);
+  ASSERT_EQ(refined.ir_iters, 1);
   ASSERT_EQ(unrefined.ir_iters, 0);
   ASSERT_FALSE(refined.ir_fallback);
   ASSERT_FALSE(unrefined.ir_fallback);
@@ -249,6 +249,41 @@ TEST(Mxp, UnreachableToleranceFallsBackToFp64) {
   // The fallback is a true fp64 solve: it passes the standard criterion.
   EXPECT_TRUE(r.verify.passed) << "residual=" << r.verify.residual;
   EXPECT_LT(r.verify.residual, 16.0);
+}
+
+// The fallback's phase totals cover everything the mode executed: the
+// failed mxp32 attempt (its factorization, backsolve and refinement) plus
+// the fp64 re-run, so they exceed a plain fp64 run's at the same shape.
+// The modeled stream clock is deterministic, so it must strictly exceed.
+// The wall-clock FACT and stream seconds are compared by their minima over
+// interleaved runs on one FACT thread — the estimate least moved by other
+// load on the host — with a margin the attempt's own share (about as much
+// again as the fp64 run) clears and run-to-run noise does not.
+TEST(Mxp, FallbackTotalsIncludeTheFailedAttempt) {
+  HplConfig cfg = base_cfg(96, 16, 1, 1);
+  cfg.fact_threads = 1;
+  cfg.ir_tol = 1e-12;  // below what any refinement can reach
+  HplConfig fp64 = cfg;
+  fp64.precision = PrecisionMode::FP64;
+  constexpr int kRuns = 7;
+  std::vector<double> fb_fact, fb_gpu, fp_fact, fp_gpu;
+  for (int i = 0; i < kRuns; ++i) {
+    const HplResult fb = run(cfg);
+    const HplResult plain = run(fp64);
+    ASSERT_TRUE(fb.ir_fallback);
+    ASSERT_FALSE(plain.ir_fallback);
+    ASSERT_EQ(fb.stream_busy_seconds.size(), plain.stream_busy_seconds.size());
+    EXPECT_GT(fb.stream_busy_seconds.at(0), plain.stream_busy_seconds.at(0));
+    fb_fact.push_back(fb.fact_seconds);
+    fb_gpu.push_back(fb.gpu_seconds);
+    fp_fact.push_back(plain.fact_seconds);
+    fp_gpu.push_back(plain.gpu_seconds);
+  }
+  auto least = [](const std::vector<double>& v) {
+    return *std::min_element(v.begin(), v.end());
+  };
+  EXPECT_GT(least(fb_fact), 1.3 * least(fp_fact));
+  EXPECT_GT(least(fb_gpu), 1.3 * least(fp_gpu));
 }
 
 TEST(Mxp, ZeroCorrectionBudgetFallsBackToFp64) {

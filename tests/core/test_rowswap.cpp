@@ -367,10 +367,10 @@ TEST_P(RowSwapPipelineSweep, WireAndChunkConfigsAgreeBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     GridsAndModes, RowSwapPipelineSweep,
     ::testing::Values(
-        PipeShape{1, 2, PipelineMode::Lookahead, 0.010682657106307721},
-        PipeShape{2, 1, PipelineMode::Lookahead, 0.010205516094115316},
-        PipeShape{2, 2, PipelineMode::LookaheadSplit, 0.010682657106307721},
-        PipeShape{2, 1, PipelineMode::Simple, 0.010205516094115316}));
+        PipeShape{1, 2, PipelineMode::Lookahead, 0.0062682743737152774},
+        PipeShape{2, 1, PipelineMode::Lookahead, 0.0058706568635549317},
+        PipeShape{2, 2, PipelineMode::LookaheadSplit, 0.0062682743737152774},
+        PipeShape{2, 1, PipelineMode::Simple, 0.0058706568635549317}));
 
 }  // namespace
 }  // namespace hplx::core

@@ -15,6 +15,14 @@
 /// reason stated.
 ///
 ///   hpl_oracle > tests/data/oracle/hpl_oracle.txt   # regenerate
+///   hpl_oracle avx2                                 # one kernel version
+///
+/// With an argument the whole run is pinned to that BLAS kernel version
+/// (blas::detail::PinKernelVersion) instead of the resolver's choice.
+/// Every version fuses the same k steps, so every version must print the
+/// same transcript; `golden.hpl_oracle.<isa>` diffs each one the CPU runs,
+/// and the program exits 77 (the test reports a skip) for a version the
+/// CPU lacks.
 ///
 /// The set: the multi-stream and hazard sweeps' shapes over their stream
 /// and chunk values, the mixed-precision sweep in mxp32 plus its two
@@ -24,9 +32,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "blas/microkernel.hpp"
 #include "comm/world.hpp"
 #include "core/driver.hpp"
 
@@ -196,7 +207,21 @@ std::vector<Case> cases() {
 
 }  // namespace
 
-int main() {
+/// Exit status for a kernel version this CPU cannot run (ctest's skip).
+constexpr int kSkip = 77;
+
+int main(int argc, char** argv) {
+  std::optional<hplx::blas::detail::PinKernelVersion> pin;
+  if (argc > 1) {
+    for (const auto& kv : hplx::blas::detail::kernel_versions<double>()) {
+      if (std::strcmp(kv.isa, argv[1]) == 0 && !kv.runs_here()) {
+        std::fprintf(stderr, "SKIPPED: this CPU cannot run kernel version %s\n",
+                     kv.isa);
+        return kSkip;
+      }
+    }
+    pin.emplace(argv[1]);  // throws for a version this build lacks
+  }
   for (const Case& c : cases()) {
     HplResult r;
     hplx::comm::World::run(c.cfg.p * c.cfg.q,
