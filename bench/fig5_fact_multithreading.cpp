@@ -74,6 +74,9 @@ void real_measurement(int nb, long max_mult, int max_threads) {
   for (int t = 1; t <= max_threads; t *= 2)
     headers.push_back("T=" + std::to_string(t));
   trace::Table table(headers);
+  // One arena for every run, so each timed factorization leases its
+  // scratch from warm freelists.
+  device::PoolAllocator scratch("fig5-panel");
 
   for (long mult = 2; mult <= max_mult; mult *= 2) {
     const long m = mult * nb;
@@ -112,6 +115,7 @@ void real_measurement(int nb, long max_mult, int max_threads) {
         task.ipiv = ipiv.data();
         task.is_curr = true;
         task.tile_rows = nb;
+        task.scratch = &scratch;
         Timer timer;
         timer.start();
         core::panel_factorize(comm, cfg, team, task);

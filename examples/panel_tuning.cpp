@@ -36,6 +36,9 @@ double run_once(long m, int nb, core::FactVariant v, int threads, int nbmin,
   std::vector<long> glob(static_cast<std::size_t>(m));
   for (long i = 0; i < m; ++i) glob[static_cast<std::size_t>(i)] = i;
 
+  // Shared by every run, so each timed factorization leases its scratch
+  // from warm freelists.
+  static device::PoolAllocator scratch("panel-tuning");
   double seconds = 0.0;
   comm::World::run(1, [&](comm::Communicator& comm) {
     core::HplConfig cfg;
@@ -55,6 +58,7 @@ double run_once(long m, int nb, core::FactVariant v, int threads, int nbmin,
     task.ipiv = ipiv.data();
     task.is_curr = true;
     task.tile_rows = nb;
+    task.scratch = &scratch;
     Timer t;
     t.start();
     core::panel_factorize(comm, cfg, team, task);

@@ -5,9 +5,9 @@
 # stress, driver (core + hpl) and mixed-precision suites) under
 # ThreadSanitizer, then the allocation-heavy suites (ctest label "asan":
 # util/blas/grid/rng/trace + the hazard-checker, transport, chunked-transport,
-# driver and mixed-precision suites, and the simulator suite, the one user
-# of mxp16-sim and fp16 billing) under AddressSanitizer+LeakSanitizer+
-# UBSan (the BLAS suite rides along so UBSan sees every kernel version's
+# driver and mixed-precision suites, and the simulator suite, the one place
+# device kernels are billed at the fp16 curve) under AddressSanitizer+
+# LeakSanitizer+UBSan (the BLAS suite rides along so UBSan sees every kernel version's
 # vector loads and stores, the util suite so it sees the team barrier's
 # spin and park paths, the transport suite so it sees a mailbox receive
 # spin with its stack-held posted receive still reachable by senders). The

@@ -18,8 +18,8 @@
 ///
 /// The BLAS-3 routines run on a packed, register-blocked engine (see
 /// pack.hpp / microkernel.hpp) and optionally parallelize over a
-/// process-wide util::ThreadTeam — install one via blas::set_num_threads
-/// or blas::set_thread_team in threading.hpp. Results are bitwise
+/// process-wide util::ThreadTeam — size it with blas::set_num_threads in
+/// threading.hpp. Results are bitwise
 /// identical for every team size, in both precisions.
 
 namespace hplx::blas {
@@ -94,24 +94,6 @@ void strsm(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
 /// __builtin_cpu_supports allows — and never changes results: every
 /// version takes one fused multiply-add per gemm k step.
 const char* kernel_isa();
-
-// ------------------------------------------------------------- auxiliary
-
-/// Infinity norm (max row sum) of an m×n matrix.
-double dlange_inf(int m, int n, const double* a, int lda);
-float slange_inf(int m, int n, const float* a, int lda);
-
-/// One norm (max column sum) of an m×n matrix.
-double dlange_one(int m, int n, const double* a, int lda);
-float slange_one(int m, int n, const float* a, int lda);
-
-/// Max |a(i,j)|.
-double dlange_max(int m, int n, const double* a, int lda);
-float slange_max(int m, int n, const float* a, int lda);
-
-/// B := A (m×n dense copy).
-void dlacpy(int m, int n, const double* a, int lda, double* b, int ldb);
-void slacpy(int m, int n, const float* a, int lda, float* b, int ldb);
 
 // -------------------------------------------- precision-neutral overloads
 // Templated callers (pfact, backsolve, the device kernels) resolve these
@@ -209,28 +191,6 @@ inline void trsm(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
 inline void trsm(Side side, Uplo uplo, Trans trans, Diag diag, int m, int n,
                  float alpha, const float* a, int lda, float* b, int ldb) {
   strsm(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb);
-}
-
-inline double lange_inf(int m, int n, const double* a, int lda) {
-  return dlange_inf(m, n, a, lda);
-}
-inline float lange_inf(int m, int n, const float* a, int lda) {
-  return slange_inf(m, n, a, lda);
-}
-
-inline double lange_max(int m, int n, const double* a, int lda) {
-  return dlange_max(m, n, a, lda);
-}
-inline float lange_max(int m, int n, const float* a, int lda) {
-  return slange_max(m, n, a, lda);
-}
-
-inline void lacpy(int m, int n, const double* a, int lda, double* b,
-                  int ldb) {
-  dlacpy(m, n, a, lda, b, ldb);
-}
-inline void lacpy(int m, int n, const float* a, int lda, float* b, int ldb) {
-  slacpy(m, n, a, lda, b, ldb);
 }
 
 }  // namespace hplx::blas

@@ -11,29 +11,17 @@ namespace {
 
 // g_use_mutex serializes teamed kernel regions against each other and
 // against reconfiguration. Kernels try-lock it (busy -> sequential
-// fallback); set_thread_team/set_num_threads lock it (wait for the
-// in-flight kernel to drain before touching the team).
+// fallback); set_num_threads locks it (waits for the in-flight kernel to
+// drain before touching the team).
 std::mutex g_use_mutex;
-ThreadTeam* g_external = nullptr;           // guarded by g_use_mutex
-std::unique_ptr<ThreadTeam> g_owned;        // guarded by g_use_mutex
-
-ThreadTeam* current_team_locked() {
-  if (g_external != nullptr) return g_external;
-  return g_owned.get();
-}
+// Null or a team of >= 2 members; guarded by g_use_mutex.
+std::unique_ptr<ThreadTeam> g_owned;
 
 }  // namespace
-
-void set_thread_team(ThreadTeam* team) {
-  std::lock_guard<std::mutex> lock(g_use_mutex);
-  g_external = team;
-  g_owned.reset();
-}
 
 void set_num_threads(int n) {
   HPLX_CHECK(n >= 1);
   std::lock_guard<std::mutex> lock(g_use_mutex);
-  g_external = nullptr;
   if (n == 1) {
     g_owned.reset();
     return;
@@ -43,20 +31,13 @@ void set_num_threads(int n) {
   g_owned = std::make_unique<ThreadTeam>(n);
 }
 
-int thread_count() {
-  std::lock_guard<std::mutex> lock(g_use_mutex);
-  ThreadTeam* t = current_team_locked();
-  return t ? t->size() : 1;
-}
-
 namespace detail {
 
 TeamLease::TeamLease() {
   if (!g_use_mutex.try_lock()) return;  // someone else's kernel is teamed
   locked_ = true;
-  ThreadTeam* t = current_team_locked();
-  if (t != nullptr && t->size() > 1) {
-    team_ = t;
+  if (g_owned != nullptr) {
+    team_ = g_owned.get();
   } else {
     g_use_mutex.unlock();
     locked_ = false;

@@ -17,18 +17,10 @@
 
 namespace hplx::blas {
 
-/// Use an externally owned team for BLAS-3 calls (non-owning; pass
-/// nullptr to detach). The caller must keep the team alive until it is
-/// detached or replaced. Blocks until any in-flight teamed kernel drains.
-void set_thread_team(ThreadTeam* team);
-
-/// Size an internally owned team to `n` members (n >= 1; 1 disbands it).
-/// Replaces any previously installed external team. Blocks until any
-/// in-flight teamed kernel drains; cheap when the size is unchanged.
+/// Size the process team to `n` members (n >= 1; 1 disbands it). Blocks
+/// until any in-flight teamed kernel drains; cheap when the size is
+/// unchanged.
 void set_num_threads(int n);
-
-/// Members in the currently installed team (1 = sequential).
-int thread_count();
 
 namespace detail {
 

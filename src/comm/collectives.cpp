@@ -15,7 +15,6 @@ constexpr int kTagBcast = 1;
 constexpr int kTagAllreduce = 2;
 constexpr int kTagScatterv = 3;
 constexpr int kTagAllgatherv = 4;
-constexpr int kTagGather = 5;
 
 /// RAII registration of one collective call with the fabric's verifier
 /// (single pointer test when checking is off). Nested implementations —
@@ -636,30 +635,6 @@ void allgatherv_chunked(
         if (on_chunk) on_chunk({static_cast<int>(recv_seg), off, len});
       }
     }
-  }
-}
-
-void gather_bytes(Communicator& comm, const void* sendbuf, std::size_t bytes,
-                  void* recvbuf, int root) {
-  const int n = comm.size();
-  HPLX_CHECK(root >= 0 && root < n);
-  const int me = comm.rank();
-  CollGuard guard(comm, Verifier::Coll::Gather, root,
-                  static_cast<std::size_t>(n) * bytes, bytes, "comm.gather",
-                  me == root ? recvbuf : sendbuf,
-                  me == root ? static_cast<std::size_t>(n) * bytes : bytes,
-                  /*write=*/me == root);
-  if (me == root) {
-    std::byte* base = static_cast<std::byte*>(recvbuf);
-    if (bytes > 0)
-      std::memcpy(base + static_cast<std::size_t>(me) * bytes, sendbuf, bytes);
-    for (int i = 0; i < n; ++i) {
-      if (i == root) continue;
-      comm.recv_internal(base + static_cast<std::size_t>(i) * bytes, bytes, i,
-                         kTagGather);
-    }
-  } else {
-    comm.send_internal(sendbuf, bytes, root, kTagGather);
   }
 }
 

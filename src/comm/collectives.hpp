@@ -158,24 +158,4 @@ void allgatherv_chunked(Communicator& comm, const void* sendbuf,
                         const std::function<void(const ChunkDelivery&)>& on_chunk,
                         AllgatherAlgo algo = AllgatherAlgo::Ring);
 
-template <typename T>
-void allgatherv(Communicator& comm, const T* sendbuf,
-                const std::vector<std::size_t>& counts_elems,
-                const std::vector<std::size_t>& displs_elems, T* recvbuf) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::size_t> counts(counts_elems.size());
-  std::vector<std::size_t> displs(displs_elems.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    counts[i] = counts_elems[i] * sizeof(T);
-    displs[i] = displs_elems[i] * sizeof(T);
-  }
-  allgatherv_bytes(comm, sendbuf, counts, displs, recvbuf);
-}
-
-// ----------------------------------------------------------------- gather
-/// Linear gather of equal-size segments to root: rank i's `bytes` bytes
-/// land at recvbuf + i*bytes on root. recvbuf may be null on non-roots.
-void gather_bytes(Communicator& comm, const void* sendbuf, std::size_t bytes,
-                  void* recvbuf, int root);
-
 }  // namespace hplx::comm

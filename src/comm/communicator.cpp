@@ -1,16 +1,8 @@
 #include "comm/communicator.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace hplx::comm {
-
-void Request::wait() {
-  if (action_) {
-    action_();
-    action_ = nullptr;
-  }
-}
 
 Communicator::Communicator(std::shared_ptr<Fabric> fabric, int rank)
     : fabric_(std::move(fabric)), rank_(rank) {
@@ -53,27 +45,6 @@ void Communicator::send_bytes(const void* buf, std::size_t bytes, int dst,
 void Communicator::recv_bytes(void* buf, std::size_t bytes, int src, int tag) {
   check_user_tag(tag, "recv");
   do_recv(*fabric_, rank_, buf, bytes, src, tag);
-}
-
-bool Communicator::iprobe(int src, int tag, std::size_t* bytes) {
-  check_user_tag(tag, "iprobe");
-  return fabric_->mailbox(rank_).probe(src, tag, bytes);
-}
-
-bool Communicator::try_recv_bytes(void* buf, std::size_t bytes, int src,
-                                  int tag) {
-  check_user_tag(tag, "try_recv");
-  MessageEnvelope msg;
-  if (!fabric_->mailbox(rank_).try_match(src, tag, msg)) return false;
-  if (msg.payload.size() != bytes) {
-    if (Verifier* v = fabric_->verifier())
-      v->on_size_mismatch(rank_, msg.src, msg.tag, bytes, msg.payload.size());
-  }
-  HPLX_CHECK_MSG(msg.payload.size() == bytes,
-                 "size mismatch in try_recv: expected " << bytes
-                 << " bytes, got " << msg.payload.size());
-  if (bytes > 0) std::memcpy(buf, msg.payload.data(), bytes);
-  return true;
 }
 
 void Communicator::send_internal(const void* buf, std::size_t bytes, int dst,
@@ -178,7 +149,7 @@ Communicator Communicator::split(int color, int key) {
       // predicate re-checks slot.ready after the relock, so a split that
       // completed inside the window is not missed.
       lock.unlock();
-      v->on_block(rank_, nullptr, kAnySource, -1, "split");
+      v->on_block(rank_, nullptr, /*src=*/-1, /*tag=*/-1, "split");
       lock.lock();
       while (!f.split_cv().wait_for(lock, v->poll_interval(),
                                     [&] { return slot.ready; })) {

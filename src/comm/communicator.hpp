@@ -4,20 +4,19 @@
 ///
 /// A Communicator is this reproduction's substitute for Cray-MPICH (see
 /// DESIGN.md §1): ranks are threads, but the interface and the guarantees
-/// mirror MPI — tagged point-to-point messages with per-(source, tag) FIFO
-/// ordering, nonblocking requests, communicator split, and collectives
-/// (implemented in collectives.hpp strictly on top of p2p so that message
-/// counts and sizes match the real algorithms).
+/// mirror MPI — blocking tagged point-to-point messages with per-(source,
+/// tag) FIFO ordering, communicator split, and collectives (implemented in
+/// collectives.hpp strictly on top of p2p so that message counts and sizes
+/// match the real algorithms). Sends are buffered-eager or delivered
+/// straight into a posted receive, so a send never blocks.
 ///
 /// User tags must lie in [0, kMaxUserTag); the range above it is reserved
 /// for internal collective traffic.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
-#include <vector>
 
 #include "comm/fabric.hpp"
 #include "util/error.hpp"
@@ -25,25 +24,6 @@
 namespace hplx::comm {
 
 inline constexpr int kMaxUserTag = 1 << 24;
-
-/// Handle for a nonblocking operation. isend is buffered-eager so its
-/// request completes immediately; irecv performs the matching at wait()
-/// time. This degrades overlap (the copy happens at wait) but preserves
-/// MPI's semantics, which is what the solver logic needs.
-class Request {
- public:
-  Request() = default;
-
-  /// Block until the operation is complete.
-  void wait();
-
-  bool valid() const { return static_cast<bool>(action_); }
-
- private:
-  friend class Communicator;
-  explicit Request(std::function<void()> action) : action_(std::move(action)) {}
-  std::function<void()> action_;
-};
 
 class Communicator {
  public:
@@ -61,15 +41,6 @@ class Communicator {
   /// bytes (HPL always knows its message sizes).
   void recv_bytes(void* buf, std::size_t bytes, int src, int tag);
 
-  /// Non-blocking probe (MPI_Iprobe): true iff a message matching
-  /// (src, tag) is waiting; *bytes (optional) receives its payload size.
-  /// HPL's broadcast progress engine polls with this while the update
-  /// computes.
-  bool iprobe(int src, int tag, std::size_t* bytes = nullptr);
-
-  /// Receive only if a matching message is already available.
-  bool try_recv_bytes(void* buf, std::size_t bytes, int src, int tag);
-
   // ----------------------------------------------------------- typed p2p
   template <typename T>
   void send(const T* buf, std::size_t count, int dst, int tag) {
@@ -81,38 +52,6 @@ class Communicator {
   void recv(T* buf, std::size_t count, int src, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
     recv_bytes(buf, count * sizeof(T), src, tag);
-  }
-
-  /// Simultaneous send+receive. The send completes before the receive
-  /// starts and never blocks: small messages are eager-buffered by the
-  /// fabric, and large ones either match an already-posted receive (direct
-  /// delivery) or fall back to the eager path — so a symmetric exchange
-  /// (every rank sendrecv'ing with a partner) cannot deadlock, and the
-  /// comm verifier models the send as immediately complete (only the
-  /// receive half ever enters the wait-for graph).
-  template <typename T>
-  void sendrecv(const T* sendbuf, std::size_t sendcount, int dst, int sendtag,
-                T* recvbuf, std::size_t recvcount, int src, int recvtag) {
-    send(sendbuf, sendcount, dst, sendtag);
-    recv(recvbuf, recvcount, src, recvtag);
-  }
-
-  template <typename T>
-  Request isend(const T* buf, std::size_t count, int dst, int tag) {
-    send(buf, count, dst, tag);  // eager-buffered: completes immediately
-    return Request([] {});
-  }
-
-  template <typename T>
-  Request irecv(T* buf, std::size_t count, int src, int tag) {
-    Communicator* self = this;
-    return Request([self, buf, count, src, tag] {
-      self->recv(buf, count, src, tag);
-    });
-  }
-
-  static void waitall(std::vector<Request>& requests) {
-    for (auto& r : requests) r.wait();
   }
 
   // ---------------------------------------------------------- management

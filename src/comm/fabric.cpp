@@ -19,7 +19,7 @@ void Mailbox::deposit(MessageEnvelope msg) {
 
 namespace {
 bool matches(const MessageEnvelope& m, int src, int tag) {
-  return (src == kAnySource || m.src == src) && m.tag == tag;
+  return m.src == src && m.tag == tag;
 }
 }  // namespace
 
@@ -30,14 +30,13 @@ void Mailbox::deliver(int src, int tag, const void* data, std::size_t bytes,
   std::unique_lock<std::mutex> lock(mutex_);
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
     PostedRecv* pr = *it;
-    if (!((pr->src == kAnySource || pr->src == src) && pr->tag == tag))
-      continue;
+    if (pr->src != src || pr->tag != tag) continue;
     // Oldest matching posted receive. Direct delivery must not overtake a
     // message that arrived eagerly after the receive was posted but before
     // the receiver woke — FIFO says that older message is the match.
     bool queued_match = false;
     for (const auto& q : queue_) {
-      if ((pr->src == kAnySource || pr->src == q.src) && pr->tag == q.tag) {
+      if (matches(q, src, tag)) {
         queued_match = true;
         break;
       }
@@ -209,18 +208,6 @@ void Mailbox::recv_into(int src, int tag, void* dst, std::size_t bytes) {
   if (pr.done) return;  // delivered directly; sender removed the post
   unpost();
   consume(qit);
-}
-
-bool Mailbox::try_match(int src, int tag, MessageEnvelope& out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (matches(*it, src, tag)) {
-      out = std::move(*it);
-      queue_.erase(it);
-      return true;
-    }
-  }
-  return false;
 }
 
 bool Mailbox::probe(int src, int tag, std::size_t* bytes) const {

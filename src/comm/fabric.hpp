@@ -44,9 +44,6 @@
 
 namespace hplx::comm {
 
-/// Matches any source rank in recv.
-inline constexpr int kAnySource = -1;
-
 /// Default eager/direct cutover: below this, messages always travel
 /// through the pool; at or above it, a posted receiver gets the payload
 /// in one copy. Every fabric starts here; set_direct_threshold exists so
@@ -81,15 +78,12 @@ class Mailbox {
                std::atomic<std::uint64_t>& direct_count);
 
   /// Block until a message matching (src, tag) is available and return it.
-  /// src may be kAnySource. FIFO among matches.
+  /// FIFO among matches.
   MessageEnvelope match(int src, int tag);
 
   /// Blocking receive of exactly `bytes` into `dst` — posts the receive so
   /// an incoming large message can be delivered directly (single copy).
   void recv_into(int src, int tag, void* dst, std::size_t bytes);
-
-  /// Non-blocking variant: returns true and fills out if a match exists.
-  bool try_match(int src, int tag, MessageEnvelope& out);
 
   /// Non-destructive probe: true iff a match exists; *bytes (optional)
   /// gets its payload size.

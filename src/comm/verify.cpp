@@ -62,7 +62,6 @@ const char* Verifier::coll_name(Coll c) {
     case Coll::Allreduce: return "allreduce";
     case Coll::Scatterv: return "scatterv";
     case Coll::Allgatherv: return "allgatherv";
-    case Coll::Gather: return "gather";
     case Coll::Split: return "split";
   }
   return "?";

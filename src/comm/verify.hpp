@@ -86,7 +86,6 @@ class Verifier {
     Allreduce,
     Scatterv,
     Allgatherv,
-    Gather,
     Split,
   };
   static const char* coll_name(Coll c);

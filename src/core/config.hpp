@@ -49,10 +49,9 @@ const char* to_string(RowSwapAlgo a);
 /// broadcast, row swaps, trailing update, backsolve — in fp32 (half the
 /// flops' cost on matrix-engine hardware, half the wire and HBM bytes),
 /// then recovers fp64 accuracy with iterative refinement against the fp64
-/// operator the fp32 matrix was cast from. MXP16Sim is simulator-only
-/// (sim::ClusterConfig::precision): it prices an fp16/bf16 engine and
-/// computes nothing, so run_hpl rejects it.
-enum class PrecisionMode { FP64, MXP32, MXP16Sim };
+/// operator the fp32 matrix was cast from. The simulator models an fp16
+/// engine too, with its own device::Precision field.
+enum class PrecisionMode { FP64, MXP32 };
 
 const char* to_string(PrecisionMode p);
 
@@ -167,7 +166,6 @@ struct HplConfig {
 
   /// Arithmetic mode (HPL-MxP). FP64 = classic; MXP32 factors in fp32 and
   /// iteratively refines the solution to the fp64 residual threshold.
-  /// MXP16Sim is rejected (simulator-only).
   PrecisionMode precision = PrecisionMode::FP64;
 
   /// Iterative-refinement iteration cap for the MxP modes. If the scaled

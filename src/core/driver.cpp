@@ -303,19 +303,30 @@ class Solver {
     }
   }
 
-  /// Prepare `panel` on every rank for column `j` (factor on the owning
-  /// column, receive elsewhere), then broadcast along the row.
-  void make_panel(long j, PanelDataT<T>& panel) {
+  /// Produce panel `j` in `panel`: the owning process column factors it;
+  /// every other rank sizes the buffer to receive it, after fencing the
+  /// previous update's bands, which may still read this recycled
+  /// double-buffer on spare streams (nothing to fence at panel 0).
+  void factor_or_receive(long j, PanelDataT<T>& panel) {
     const int jb = jb_at(j);
-    const long ml2 = a_.mloc() - row_of(j + jb);
     if (my_col(j)) {
       fact_and_pack(j, jb, panel);
-    } else {
-      panel.j = j;
-      panel.resize(jb, ml2);
+      return;
     }
-    panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(j), panel,
-                    &ledger_, &cfg_.custom_bcast);
+    prev_update_.host_wait();
+    device::HostAccessScope recv_guard(
+        dev_.hazard(), "driver.panel_recv",
+        {device::span_write(panel.top.data(), panel.top.size()),
+         device::span_write(panel.l2.data(), panel.l2.size())});
+    panel.j = j;
+    panel.resize(jb, a_.mloc() - row_of(j + jb));
+  }
+
+  /// Broadcast `panel` along the process row from its owning column and
+  /// keep its pivots.
+  void broadcast_panel(PanelDataT<T>& panel) {
+    panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(panel.j),
+                    panel, &ledger_, &cfg_.custom_bcast);
     record_pivots(panel);
   }
 
@@ -380,7 +391,8 @@ class Solver {
     PanelDataT<T>* cur = &panel_a;
     PanelDataT<T>* nxt = &panel_b;
 
-    make_panel(0, *cur);
+    factor_or_receive(0, *cur);
+    broadcast_panel(*cur);
     if (csplit_ < a_.nloc()) communicate_right(0, gather_right(0, *cur));
 
     int iter = 0;
@@ -515,34 +527,15 @@ class Solver {
     }
 
     // The next panel: its owner factors it once the look-ahead band is
-    // done (depth 1) or the whole update has drained (depth 0); the other
-    // ranks reuse the panel double-buffer, which the previous iteration's
-    // bands may still read on spare streams — fence them before the
-    // broadcast writes into it.
+    // done (depth 1) or the whole update has drained (depth 0).
     if (la_cols > 0) {
       for (const device::Event& ev : la.done) data_.wait_event(ev);
-      fact_and_pack(next, jb_next, nxt);
+      factor_or_receive(next, nxt);
     }
     if (!split) left.join(compute_);
     if (!lookahead_) pool_.synchronize();
-    if (has_next && la_cols == 0) {
-      if (my_col(next)) {
-        fact_and_pack(next, jb_next, nxt);
-      } else {
-        prev_update_.host_wait();
-        device::HostAccessScope recv_guard(
-            dev_.hazard(), "driver.panel_recv",
-            {device::span_write(nxt.top.data(), nxt.top.size()),
-             device::span_write(nxt.l2.data(), nxt.l2.size())});
-        nxt.j = next;
-        nxt.resize(jb_next, a_.mloc() - row_of(next + jb_next));
-      }
-    }
-    if (has_next) {
-      panel_broadcast(grid_.row_comm(), cfg_.bcast, a_.cols().owner(next),
-                      nxt, &ledger_, &cfg_.custom_bcast);
-      record_pivots(nxt);
-    }
+    if (has_next && la_cols == 0) factor_or_receive(next, nxt);
+    if (has_next) broadcast_panel(nxt);
 
     if (split) {
       // RS1, hidden by UPDATE2 (its rows were gathered up front). The
@@ -785,13 +778,6 @@ HplResult run_hpl(comm::Communicator& world, const HplConfig& cfg) {
                  "run_hpl needs " << cfg.p * cfg.q << " ranks, got "
                  << world.size());
   HPLX_CHECK(cfg.n >= 1 && cfg.nb >= 1 && cfg.nrhs >= 1);
-  // mxp16-sim prices an fp16 engine the solver does not have; only the
-  // simulator models it. Every rank sees the same config, so every rank
-  // throws here, before its first collective.
-  HPLX_CHECK_MSG(cfg.precision != PrecisionMode::MXP16Sim,
-                 "precision = mxp16-sim is simulator-only: run_hpl computes "
-                 "fp64 or mxp32; model fp16 with sim::ClusterConfig::"
-                 "precision");
   // HPL.dat range-checks the split fraction, but a config built in code
   // reaches the right-section cast directly: NaN there is undefined, and
   // values outside [0, 1] would be clamped silently.

@@ -242,9 +242,6 @@ HplDat parse_hpldat(std::istream& in) {
     dat.swap_chunk_bytes = r.integer<long>("swap chunk bytes", 1);
   if (!r.eof()) {
     dat.precision = r.token();
-    HPLX_CHECK_MSG(dat.precision != "mxp16-sim",
-                   "HPL.dat: precision mxp16-sim is simulator-only; model "
-                   "it with sim::ClusterConfig::precision");
     HPLX_CHECK_MSG(dat.precision == "fp64" || dat.precision == "mxp32",
                    "HPL.dat: precision must be fp64 or mxp32, got `"
                        << dat.precision << "`");

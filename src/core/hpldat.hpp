@@ -64,8 +64,7 @@ struct HplDat {
   int hazard_check = 0;           ///< 1 = attach the hazard-checking runtime
   long swap_chunk_bytes = 256 * 1024;  ///< pipelined RS chunk size
   /// Working precision of the factorization: "fp64" (classic HPL) or
-  /// "mxp32" (fp32 factors + fp64 iterative refinement). "mxp16-sim" is
-  /// rejected: it is a simulator-only precision.
+  /// "mxp32" (fp32 factors + fp64 iterative refinement).
   std::string precision = "fp64";
   int ir_max_iters = 30;  ///< refinement correction budget (mxp modes)
   double ir_tol = 16.0;   ///< scaled-residual target refinement must reach

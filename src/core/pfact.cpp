@@ -46,7 +46,6 @@ const char* to_string(PrecisionMode p) {
   switch (p) {
     case PrecisionMode::FP64: return "fp64";
     case PrecisionMode::MXP32: return "mxp32";
-    case PrecisionMode::MXP16Sim: return "mxp16-sim";
   }
   return "?";
 }
@@ -86,9 +85,9 @@ struct Shared {
   int T_;
   int tile;  // tile height in rows
 
-  /// Arena for the per-panel scratch below (the task's, or the
-  /// process-wide default). Leases die with this Shared, so in steady
-  /// state every panel's scratch is a freelist hit, not an allocation.
+  /// Arena for the per-panel scratch below (the task's). Leases die with
+  /// this Shared, so in steady state every panel's scratch is a freelist
+  /// hit, not an allocation.
   device::PoolAllocator& arena;
 
   // Per-thread local pivot candidates (index into w rows, or -1).
@@ -116,8 +115,7 @@ struct Shared {
         team(thread_team),
         T_(thread_team.size()),
         tile(task.tile_rows > 0 ? task.tile_rows : task.jb),
-        arena(task.scratch != nullptr ? *task.scratch
-                                      : device::default_host_arena()),
+        arena(*task.scratch),
         cand_val(arena),
         cand_idx(arena),
         msg(arena),
@@ -584,6 +582,7 @@ void panel_factorize(comm::Communicator& col_comm, const HplConfig& cfg,
   HPLX_CHECK(task.top != nullptr && task.ipiv != nullptr);
   HPLX_CHECK(task.ldtop >= task.jb);
   HPLX_CHECK(task.ldw >= task.mw || task.mw == 0);
+  HPLX_CHECK(task.scratch != nullptr);
 
   trace::PhaseScope fact_scope(ledger, trace::Phase::Fact);
   Shared<T> s(task, cfg, col_comm, team);

@@ -61,9 +61,9 @@ struct PanelTaskT {
   /// instead of accumulating pivot rows via allreduce.
   int diag_root = 0;
   /// Arena the per-panel scratch (pivot message, candidate lists, no-pivot
-  /// broadcast stage) is leased from. The driver passes its device's host
-  /// arena so panel scratch recycles through the same freelists as every
-  /// other subsystem; null falls back to the process-wide default arena.
+  /// broadcast stage) is leased from; required. The driver passes its
+  /// device's host arena so panel scratch recycles through the same
+  /// freelists as every other subsystem.
   device::PoolAllocator* scratch = nullptr;
 };
 

@@ -74,16 +74,6 @@ void build_rowswap_plan(long j, int jb, const long* ipiv,
 }
 
 template <typename T>
-void RowSwapperT<T>::ensure_bound() {
-  if (my_u_.bound()) return;
-  device::PoolAllocator& arena = device::default_host_arena();
-  my_u_.bind(arena);
-  gathered_u_.bind(arena);
-  disp_send_.bind(arena);
-  disp_recv_.bind(arena);
-}
-
-template <typename T>
 void RowSwapperT<T>::reserve(device::PoolAllocator& arena, int max_jb,
                              long max_njl, int nprow) {
   if (nprow == 1) {
@@ -137,7 +127,7 @@ void RowSwapperT<T>::prepare(const RowSwapPlan& plan, const DistMatrixT<T>& a,
       for (long p : plan.ipiv) local_ipiv_.push_back(p - j_);
     return;
   }
-  ensure_bound();
+  HPLX_CHECK_MSG(my_u_.bound(), "RowSwapperT: reserve() before prepare()");
   // The previous cycle's scatter kernels captured raw pointers into
   // gathered_u_ / disp_recv_ at enqueue time. Before this cycle resizes
   // those buffers (a growing resize_discard re-leases — the displaced-row

@@ -91,10 +91,7 @@ class RowSwapperT {
   /// so per-panel prepare() calls neither allocate nor re-zero. The
   /// staging buffers are leased from `arena` (the owning device's host
   /// arena) and held for the swapper's lifetime; one process row stages
-  /// nothing, so it leases nothing. Optional: without it
-  /// the buffers bind to the process-wide default arena on first use and
-  /// grow to their high-water mark (re-leasing through the pool, so the
-  /// growth still stops allocating once the inventory is built).
+  /// nothing, so it leases nothing. Required before the first prepare().
   void reserve(device::PoolAllocator& arena, int max_jb, long max_njl,
                int nprow);
 
@@ -183,10 +180,6 @@ class RowSwapperT {
   bool gather_pending_ = false; ///< a gather was enqueued and not yet waited
   device::Event scatter_done_;   ///< recorded after the last unpack enqueue
   bool scatter_pending_ = false; ///< a scatter is (possibly) still in flight
-
-  /// Bind the staging buffers to their arena (reserve()'s, or the
-  /// process-wide default when reserve was never called).
-  void ensure_bound();
 
   // U assembly. The index lists are plain vectors (tiny, pre-reserved);
   // the element staging moved to arena leases so resizes recycle through

@@ -206,9 +206,4 @@ std::vector<PoolAllocator::ClassStats> PoolAllocator::class_stats() const {
   return out;
 }
 
-PoolAllocator& default_host_arena() {
-  static PoolAllocator arena("host-default");
-  return arena;
-}
-
 }  // namespace hplx::device

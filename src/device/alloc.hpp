@@ -273,9 +273,4 @@ class ArenaBufT {
   std::size_t size_ = 0;
 };
 
-/// Process-wide host arena for callers without a Device at hand (direct
-/// panel_factorize tests); the driver routes everything through its
-/// Device's own arena instead.
-PoolAllocator& default_host_arena();
-
 }  // namespace hplx::device

@@ -55,11 +55,6 @@ class Buffer {
   const T* data_as() const {
     return reinterpret_cast<const T*>(block_.data);
   }
-  /// Elements of T that fit in this allocation.
-  template <typename T>
-  std::size_t count_as() const {
-    return bytes() / sizeof(T);
-  }
 
  private:
   void release();

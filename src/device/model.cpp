@@ -64,10 +64,6 @@ double DeviceModel::trsm_seconds(long nb, long n, Precision p) const {
          flops / (trsm_efficiency * gemm_tflops(nb, p) * 1e12);
 }
 
-double DeviceModel::dmove_seconds(std::size_t bytes) const {
-  return kernel_latency_s + static_cast<double>(bytes) / (hbm_bw_gbs * 1e9);
-}
-
 double DeviceModel::hcopy_seconds(std::size_t bytes) const {
   return h2d_latency_s + static_cast<double>(bytes) / (h2d_bw_gbs * 1e9);
 }

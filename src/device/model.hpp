@@ -23,7 +23,7 @@
 /// calibration-anchor curves (ThroughputCurve) whose interpolation is
 /// *clamped* at the last anchor — a rate is never extrapolated beyond the
 /// largest blocking the curve was calibrated at. Only the simulator bills
-/// at the FP16 curve (its `mxp16-sim` precision); the solver's float
+/// at the FP16 curve (sim::ClusterConfig::precision); the solver's float
 /// kernels bill FP32.
 
 #include <cstddef>
@@ -101,10 +101,6 @@ struct DeviceModel {
   /// Modeled seconds for a triangular solve with an nb×nb triangle applied
   /// to nb×n right-hand sides.
   double trsm_seconds(long nb, long n, Precision p = Precision::FP64) const;
-
-  /// Device-local data motion touching `bytes` bytes (read+write already
-  /// folded into the bandwidth figure).
-  double dmove_seconds(std::size_t bytes) const;
 
   /// Host<->device transfer.
   double hcopy_seconds(std::size_t bytes) const;

@@ -157,17 +157,8 @@ Stream& StreamPool::stream(int i) {
   return *streams_[static_cast<std::size_t>(i)];
 }
 
-void StreamPool::fan_out(const Event& ev) {
-  for (int i = 1; i < size(); ++i) stream(i).wait_event(ev);
-}
-
-Event StreamPool::fan_in() {
-  for (int i = 1; i < size(); ++i) primary().wait_event(stream(i).record());
-  return primary().record();
-}
-
 void StreamPool::synchronize() {
-  // Primary last: its queue may hold fan-in waits on the other streams.
+  // Primary last: its queue may hold join waits on the other streams.
   for (int i = size() - 1; i >= 0; --i) stream(i).synchronize();
 }
 

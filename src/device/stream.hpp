@@ -136,10 +136,9 @@ class Stream {
 /// A fixed set of in-order streams used to fan the banded trailing update
 /// out across the device (the generalization of rocHPL's U1/U2 stream
 /// split). Stream 0 is the *primary* stream: the one the driver's
-/// row-swap gather/scatter and U assembly run on, and the join point for
-/// fan-in. The pool only groups streams and wires event chains — each
-/// member is an ordinary Stream, so work can also be enqueued on one
-/// member directly.
+/// row-swap gather/scatter and U assembly run on, and the join point of
+/// the update's bands. The pool only groups streams — each member is an
+/// ordinary Stream, ordered against the others by its own events.
 class StreamPool {
  public:
   /// Creates `count` streams named `<prefix>0..<prefix>{count-1}`.
@@ -147,20 +146,8 @@ class StreamPool {
 
   int size() const { return static_cast<int>(streams_.size()); }
   Stream& stream(int i);
-  /// Stream 0, the join point of fan_in() and the legacy single stream.
+  /// Stream 0, the bands' join point and the legacy single stream.
   Stream& primary() { return stream(0); }
-
-  /// Fan-out fence: every *non-primary* stream waits for `ev` before
-  /// running subsequently enqueued work. The primary is skipped — an event
-  /// recorded on it earlier is already ordered with its own queue.
-  void fan_out(const Event& ev);
-
-  /// Fan-in barrier: the primary waits for an event recorded on every
-  /// other stream's current tail, then records and returns a completion
-  /// event. Work enqueued on the primary afterwards — and a host waiting
-  /// on the returned event — observes everything enqueued on the pool so
-  /// far.
-  Event fan_in();
 
   /// Host-side: drain every stream.
   void synchronize();

@@ -39,16 +39,9 @@ class IterationModel {
         // A process column spans P/p_node nodes; communication inside it
         // rides the NIC as soon as that exceeds one node. Same for rows.
         col_(link(node.net, cfg.p > cfg.p_node)),
-        row_(link(node.net, cfg.q > cfg.q_node)) {
-    // Element width on the wire / in HBM, and the billing precision of
-    // device kernels. mxp16-sim moves fp32 bytes but bills fp16 rates.
-    eb_ = cfg_.precision == core::PrecisionMode::FP64 ? 8.0 : 4.0;
-    prec_ = cfg_.precision == core::PrecisionMode::FP64
-                ? device::Precision::FP64
-                : (cfg_.precision == core::PrecisionMode::MXP32
-                       ? device::Precision::FP32
-                       : device::Precision::FP16);
-  }
+        row_(link(node.net, cfg.q > cfg.q_node)),
+        // Element width on the wire / in HBM: FP16 moves fp32 bytes.
+        eb_(cfg.precision == device::Precision::FP64 ? 8.0 : 4.0) {}
 
   /// Trailing DGEMM + DTRSM on `cols` local columns with `m` local
   /// trailing rows.
@@ -56,8 +49,8 @@ class IterationModel {
     if (m <= 0 || cols <= 0) return 0.0;
     return (1.0 + node_.gpu_sync_overhead) *
            (node_.gcd.gemm_seconds(static_cast<long>(m),
-                                   static_cast<long>(cols), cfg_.nb, prec_) +
-            node_.gcd.trsm_seconds(cfg_.nb, static_cast<long>(cols), prec_));
+                                   static_cast<long>(cols), cfg_.nb, cfg_.precision) +
+            node_.gcd.trsm_seconds(cfg_.nb, static_cast<long>(cols), cfg_.precision));
   }
 
   /// Device-side gather or scatter kernels for a row-swap window.
@@ -169,8 +162,7 @@ class IterationModel {
   FactModel fact_;
   Link col_;
   Link row_;
-  double eb_ = 8.0;
-  device::Precision prec_ = device::Precision::FP64;
+  double eb_;
 };
 
 enum Lane { kGpu, kCpu, kMpi, kXfer, kLanes };

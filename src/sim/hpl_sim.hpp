@@ -45,13 +45,14 @@ struct ClusterConfig {
   /// unpack-on-delivery at this chunk size (bytes); <= 0 models the
   /// blocking gather-then-unpack baseline.
   long swap_chunk_bytes = 0;
-  /// Working precision of the modeled run. mxp32 stores, moves and swaps
-  /// 4-byte elements and bills device kernels at the fp32 curve, as the
-  /// real engine does (DeviceModel::precision_for_elem). mxp16-sim moves
-  /// the same 4-byte elements but bills compute at the fp16 curve; it
-  /// exists only here (core::run_hpl rejects it). Pivot messages keep
-  /// their 8-byte slots in all modes (the wire format does not narrow).
-  core::PrecisionMode precision = core::PrecisionMode::FP64;
+  /// Billing precision of the modeled run's device kernels. FP64 moves
+  /// 8-byte elements. FP32 (the solver's mxp32) stores, moves and swaps
+  /// 4-byte elements and bills the fp32 curve, as the real engine does
+  /// (DeviceModel::precision_for_elem). FP16 moves the same 4-byte
+  /// elements but bills the fp16 curve, an engine only the simulator
+  /// models. Pivot messages keep their 8-byte slots in all modes (the
+  /// wire format does not narrow).
+  device::Precision precision = device::Precision::FP64;
 };
 
 struct SimResult {

@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/error.hpp"
@@ -37,10 +38,17 @@ long Options::get_int(const std::string& key, long fallback) const {
   read_[key] = true;
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  // An empty value leaves `end` on the terminating NUL, so it needs its
+  // own test; strtol saturates out-of-range values and says so in errno.
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(it->second.c_str(), &end, 10);
-  HPLX_CHECK_MSG(end != nullptr && *end == '\0',
-                 "option --" << key << " is not an integer: " << it->second);
+  const bool out_of_range = errno == ERANGE;
+  HPLX_CHECK_MSG(!it->second.empty() && *end == '\0',
+                 "option --" << key << " is not an integer: `" << it->second
+                             << "`");
+  HPLX_CHECK_MSG(!out_of_range,
+                 "option --" << key << " is out of range: " << it->second);
   return v;
 }
 
@@ -50,8 +58,9 @@ double Options::get_double(const std::string& key, double fallback) const {
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  HPLX_CHECK_MSG(end != nullptr && *end == '\0',
-                 "option --" << key << " is not a number: " << it->second);
+  HPLX_CHECK_MSG(!it->second.empty() && *end == '\0',
+                 "option --" << key << " is not a number: `" << it->second
+                             << "`");
   return v;
 }
 

@@ -436,13 +436,13 @@ TEST(HplDat, SplitFractionAcceptsTheClosedUnitInterval) {
   }
 }
 
-// mxp16-sim is a simulator-only precision: HPL.dat refuses it and says
-// where it lives.
-TEST(HplDat, Mxp16SimPointsToTheSimulator) {
+// The solver computes fp64 and mxp32 only; the simulator's fp16 billing
+// has no HPL.dat spelling, so `mxp16-sim` is refused like any unknown name.
+TEST(HplDat, Mxp16SimIsAnUnknownPrecision) {
   const std::string err = parse_error(with_value(
       std::string(kClassic) + kAllExtensions, "precision", "mxp16-sim"));
-  EXPECT_NE(err.find("precision"), std::string::npos) << err;
-  EXPECT_NE(err.find("sim::ClusterConfig::precision"), std::string::npos)
+  EXPECT_NE(err.find("precision must be fp64 or mxp32, got `mxp16-sim`"),
+            std::string::npos)
       << err;
 }
 

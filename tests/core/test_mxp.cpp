@@ -198,31 +198,6 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{3, 2, 45, 8}, SweepParam{4, 1, 40, 4},
                       SweepParam{1, 3, 36, 6}));
 
-// mxp16-sim prices an fp16 engine the solver does not have, so run_hpl
-// refuses it on every rank before any collective (no rank is left
-// waiting on a peer) and points to the simulator's precision field.
-TEST(Mxp, Mxp16SimRejectedOnEveryRank) {
-  for (const auto& [p, q] : {std::pair{1, 1}, std::pair{2, 2}}) {
-    HplConfig cfg = base_cfg(64, 16, p, q);
-    cfg.precision = PrecisionMode::MXP16Sim;
-    std::vector<std::string> what(static_cast<std::size_t>(p * q));
-    comm::World::run(p * q, [&](comm::Communicator& world) {
-      try {
-        run_hpl(world, cfg);
-      } catch (const Error& e) {
-        what[static_cast<std::size_t>(world.rank())] = e.what();
-      }
-    });
-    for (std::size_t rank = 0; rank < what.size(); ++rank) {
-      EXPECT_NE(what[rank].find("precision"), std::string::npos)
-          << p << "x" << q << " rank " << rank << ": `" << what[rank] << "`";
-      EXPECT_NE(what[rank].find("sim::ClusterConfig::precision"),
-                std::string::npos)
-          << p << "x" << q << " rank " << rank << ": `" << what[rank] << "`";
-    }
-  }
-}
-
 // Refinement's correction sweeps run trsm and gemm on the primary stream
 // after the factorization, so the run's stream totals must include them.
 // The modeled busy clock is deterministic: 1 correction (this shape's

@@ -93,6 +93,8 @@ PanelResult<T> run_panel(const std::vector<T>& a0, long m, int jb,
     task.ipiv = out.ipiv.data();
     task.is_curr = true;
     task.tile_rows = tile_rows;
+    device::PoolAllocator scratch("pfact-test");
+    task.scratch = &scratch;
     panel_factorize(comm, cfg, team, task);
   });
   return out;
@@ -412,6 +414,8 @@ TEST(Pfact, NopivDistributedMatchesSerial) {
     task.is_curr = rows.owner(0) == me;
     task.tile_rows = nb;
     task.diag_root = rows.owner(0);
+    device::PoolAllocator scratch("pfact-test");
+    task.scratch = &scratch;
     panel_factorize(comm, cfg, team, task);
   });
 
@@ -484,6 +488,8 @@ TEST_P(PfactDistributed, MatchesSingleRankFactorization) {
     task.ipiv = mine.ipiv.data();
     task.is_curr = rows.owner(0) == me;
     task.tile_rows = nb;
+    device::PoolAllocator scratch("pfact-test");
+    task.scratch = &scratch;
     panel_factorize(comm, cfg, team, task);
   });
 

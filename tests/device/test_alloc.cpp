@@ -380,11 +380,5 @@ TEST(AllocHazard, CleanLeaseLifecycleIsSilent) {
   EXPECT_EQ(hz.violation_count(), 0u);
 }
 
-TEST(Alloc, DefaultHostArenaIsAProcessSingleton) {
-  PoolAllocator& a = default_host_arena();
-  PoolAllocator& b = default_host_arena();
-  EXPECT_EQ(&a, &b);
-}
-
 }  // namespace
 }  // namespace hplx::device

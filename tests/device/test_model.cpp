@@ -57,9 +57,6 @@ TEST(DeviceModel, TransfersScaleWithBytes) {
   const double t1 = m.hcopy_seconds(1 << 20) - m.h2d_latency_s;
   const double t4 = m.hcopy_seconds(4 << 20) - m.h2d_latency_s;
   EXPECT_GT(t4, 3.9 * t1);
-  EXPECT_GT(m.dmove_seconds(1 << 20), 0.0);
-  // HBM is far faster than the host link.
-  EXPECT_LT(m.dmove_seconds(1 << 26), m.hcopy_seconds(1 << 26));
 }
 
 TEST(DeviceModel, RowswapChargesStridedBandwidth) {
@@ -68,7 +65,8 @@ TEST(DeviceModel, RowswapChargesStridedBandwidth) {
   const DeviceModel m = DeviceModel::mi250x_gcd();
   const double t = m.rowswap_seconds(512, 1000);
   const std::size_t bytes = 2ul * 512 * 1000 * sizeof(double);
-  EXPECT_GT(t, m.dmove_seconds(bytes));
+  EXPECT_GT(t, m.kernel_latency_s +
+                   static_cast<double>(bytes) / (m.hbm_bw_gbs * 1e9));
   EXPECT_NEAR(t - m.kernel_latency_s,
               static_cast<double>(bytes) /
                   (m.rowswap_bw_factor * m.hbm_bw_gbs * 1e9),

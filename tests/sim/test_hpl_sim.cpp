@@ -157,10 +157,10 @@ TEST(HplSim, ChunkOverheadKeepsTinyChunksFromWinning) {
 }
 
 TEST(HplSim, PrecisionModesOrderModeledSpeedup) {
-  // The MxP modes must order strictly at paper scale: mxp32 halves every
-  // byte on the wire and in HBM and bills the fp32 curve; mxp16-sim moves
+  // The narrow precisions must order strictly at paper scale: FP32 halves
+  // every byte on the wire and in HBM and bills the fp32 curve; FP16 moves
   // the same bytes but bills the (faster everywhere) fp16 curve. So the
-  // modeled speedup over fp64 is monotone: mxp16-sim > mxp32 > 1.
+  // modeled speedup over fp64 is monotone: FP16 > FP32 > 1.
   const NodeModel node = NodeModel::crusher();
   for (const auto mode :
        {core::PipelineMode::Simple, core::PipelineMode::Lookahead,
@@ -168,9 +168,9 @@ TEST(HplSim, PrecisionModesOrderModeledSpeedup) {
     ClusterConfig cfg = crusher_config(node, 1);
     cfg.pipeline = mode;
     const SimResult f64 = simulate_hpl(node, cfg);
-    cfg.precision = core::PrecisionMode::MXP32;
+    cfg.precision = device::Precision::FP32;
     const SimResult f32 = simulate_hpl(node, cfg);
-    cfg.precision = core::PrecisionMode::MXP16Sim;
+    cfg.precision = device::Precision::FP16;
     const SimResult f16 = simulate_hpl(node, cfg);
     EXPECT_LT(f32.seconds, f64.seconds) << "mode=" << static_cast<int>(mode);
     EXPECT_LT(f16.seconds, f32.seconds) << "mode=" << static_cast<int>(mode);
@@ -191,7 +191,7 @@ TEST(HplSim, TimelineEndMatchesSimulatedIterationWithChunking) {
        {core::PipelineMode::Simple, core::PipelineMode::Lookahead,
         core::PipelineMode::LookaheadSplit}) {
     for (const auto prec :
-         {core::PrecisionMode::FP64, core::PrecisionMode::MXP32}) {
+         {device::Precision::FP64, device::Precision::FP32}) {
       for (const long chunk : {0L, 256L * 1024L}) {
         ClusterConfig cfg = crusher_config(node, 1);
         cfg.pipeline = mode;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 #include "util/options.hpp"
 
@@ -46,6 +48,35 @@ TEST(Options, RejectsMalformedArgument) {
 TEST(Options, RejectsNonNumeric) {
   auto opt = make({"--n=abc"});
   EXPECT_THROW(opt.get_int("n", 0), Error);
+}
+
+/// The message of the Error that `fn` throws, or "" when it returns.
+template <class Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Options, RejectsEmptyNumbers) {
+  auto opt = make({"--n=", "--frac="});
+  EXPECT_NE(error_of([&] { opt.get_int("n", 7); }).find("--n "),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { opt.get_double("frac", 0.5); }).find("--frac "),
+            std::string::npos);
+}
+
+TEST(Options, RejectsOutOfRangeInteger) {
+  auto opt =
+      make({"--big=99999999999999999999", "--small=-99999999999999999999"});
+  const std::string big = error_of([&] { opt.get_int("big", 0); });
+  EXPECT_NE(big.find("--big is out of range"), std::string::npos) << big;
+  const std::string small = error_of([&] { opt.get_int("small", 0); });
+  EXPECT_NE(small.find("--small is out of range"), std::string::npos)
+      << small;
 }
 
 TEST(Options, DoubleParsing) {
