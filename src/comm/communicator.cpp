@@ -21,6 +21,8 @@ void do_send(Fabric& fabric, int src, const void* buf, std::size_t bytes,
 
 void do_recv(Fabric& fabric, int self, void* buf, std::size_t bytes, int src,
              int tag) {
+  // Matching is by exact source: no rank outside the fabric ever sends.
+  HPLX_CHECK(src >= 0 && src < fabric.size());
   // Posts the receive so a large sender can deliver straight into buf.
   fabric.mailbox(self).recv_into(src, tag, buf, bytes);
 }
@@ -59,6 +61,7 @@ void Communicator::recv_internal(void* buf, std::size_t bytes, int src,
 
 device::Lease Communicator::recv_internal_buffer(std::size_t bytes, int src,
                                               int coll_tag) {
+  HPLX_CHECK(src >= 0 && src < fabric_->size());
   MessageEnvelope msg =
       fabric_->mailbox(rank_).match(src, kMaxUserTag + coll_tag);
   if (msg.payload.size() != bytes) {

@@ -37,8 +37,9 @@ class Communicator {
   // ------------------------------------------------------------- raw p2p
   void send_bytes(const void* buf, std::size_t bytes, int dst, int tag);
 
-  /// Blocking receive. The matched message must carry exactly `bytes`
-  /// bytes (HPL always knows its message sizes).
+  /// Blocking receive from rank `src` (there is no wildcard source). The
+  /// matched message must carry exactly `bytes` bytes (HPL always knows
+  /// its message sizes).
   void recv_bytes(void* buf, std::size_t bytes, int src, int tag);
 
   // ----------------------------------------------------------- typed p2p

@@ -1,11 +1,21 @@
 #include "util/options.hpp"
 
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/error.hpp"
 
 namespace hplx {
+
+namespace {
+/// strtol/strtod skip leading whitespace; a value must start with its
+/// number, as it must end with it.
+bool starts_blank(const std::string& v) {
+  return !v.empty() && std::isspace(static_cast<unsigned char>(v.front()));
+}
+}  // namespace
 
 Options::Options(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -44,7 +54,8 @@ long Options::get_int(const std::string& key, long fallback) const {
   errno = 0;
   const long v = std::strtol(it->second.c_str(), &end, 10);
   const bool out_of_range = errno == ERANGE;
-  HPLX_CHECK_MSG(!it->second.empty() && *end == '\0',
+  HPLX_CHECK_MSG(!it->second.empty() && !starts_blank(it->second) &&
+                     *end == '\0',
                  "option --" << key << " is not an integer: `" << it->second
                              << "`");
   HPLX_CHECK_MSG(!out_of_range,
@@ -58,9 +69,14 @@ double Options::get_double(const std::string& key, double fallback) const {
   if (it == values_.end()) return fallback;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  HPLX_CHECK_MSG(!it->second.empty() && *end == '\0',
+  HPLX_CHECK_MSG(!it->second.empty() && !starts_blank(it->second) &&
+                     *end == '\0',
                  "option --" << key << " is not a number: `" << it->second
                              << "`");
+  // strtod spells overflow as inf and also parses `inf` and `nan`; no
+  // option is meaningful at either.
+  HPLX_CHECK_MSG(std::isfinite(v),
+                 "option --" << key << " is not finite: " << it->second);
   return v;
 }
 

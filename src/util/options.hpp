@@ -23,6 +23,8 @@ class Options {
   bool has(const std::string& key) const;
 
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Numeric getters throw hplx::Error naming the option unless the whole
+  /// value is one number: not empty, no leading blank, in range (finite).
   long get_int(const std::string& key, long fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;

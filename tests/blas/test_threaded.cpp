@@ -788,5 +788,30 @@ TEST(ThreadedTrsmEdge, ExternalTeamInstallAndDetach) {
     ASSERT_EQ(serial[i], teamed[i]);
 }
 
+TEST(ThreadedTrsmEdge, ResizingTheProcessTeamKeepsBits) {
+  // set_num_threads owns the one process team: growing, shrinking and
+  // regrowing it between calls must leave every result bit-identical to
+  // the sequential one.
+  Rand rng(12);
+  const int m = 384, n = 192, k = 48;
+  auto a = rng.matrix(m, k, m);
+  auto b = rng.matrix(n, k, n);  // op(B) = Bᵀ
+  auto c0 = rng.matrix(m, n, m);
+
+  set_num_threads(1);
+  auto serial = c0;
+  dgemm(Trans::No, Trans::Yes, m, n, k, 0.5, a.data(), m, b.data(), n, 1.0,
+        serial.data(), m);
+  for (const int team : {3, 2, 4, 3}) {
+    set_num_threads(team);
+    auto teamed = c0;
+    dgemm(Trans::No, Trans::Yes, m, n, k, 0.5, a.data(), m, b.data(), n, 1.0,
+          teamed.data(), m);
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      ASSERT_EQ(serial[i], teamed[i]) << "team=" << team << " i=" << i;
+  }
+  set_num_threads(1);
+}
+
 }  // namespace
 }  // namespace hplx::blas

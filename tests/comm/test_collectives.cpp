@@ -129,6 +129,33 @@ TEST(Allgatherv, ZeroLengthContribution) {
   });
 }
 
+TEST(Allgatherv, BackToBackCallsDoNotCrossMatch) {
+  // Successive gathers with different segment sizes must each receive
+  // their own round's data.
+  World::run(4, [](Communicator& comm) {
+    constexpr std::size_t kD = sizeof(double);
+    for (int round = 0; round < 10; ++round) {
+      std::vector<std::size_t> counts, displs;
+      std::size_t total = 0;
+      for (int i = 0; i < 4; ++i) {
+        counts.push_back(static_cast<std::size_t>((i + round) % 3 + 1) * kD);
+        displs.push_back(total);
+        total += counts.back();
+      }
+      const auto me = static_cast<std::size_t>(comm.rank());
+      std::vector<double> mine(counts[me] / kD, 100.0 * round + comm.rank());
+      std::vector<double> all(total / kD, -1.0);
+      allgatherv_bytes(comm, mine.data(), counts, displs, all.data());
+      for (int i = 0; i < 4; ++i) {
+        const auto seg = static_cast<std::size_t>(i);
+        for (std::size_t k = 0; k < counts[seg] / kD; ++k)
+          ASSERT_EQ(all[displs[seg] / kD + k], 100.0 * round + i)
+              << "round " << round << " segment " << i;
+      }
+    }
+  });
+}
+
 TEST(Collectives, BackToBackSameType) {
   // Successive allreduces must not cross-match messages.
   World::run(4, [](Communicator& comm) {

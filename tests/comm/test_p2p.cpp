@@ -59,6 +59,44 @@ TEST(P2P, FifoPerSourceAndTag) {
   });
 }
 
+TEST(P2P, RecvMatchesOnlyTheNamedSource) {
+  // Ranks 1 and 2 send on the same tag, rank 1 first (rank 2 waits for
+  // its token). Rank 0 asks for rank 2's message first, so rank 1's
+  // must be left for the second receive — whether it arrives while the
+  // receive from rank 2 is posted (direct-delivery path) or is already
+  // queued when that receive starts. Payloads exceed the direct-delivery
+  // threshold.
+  World::run(3, [](Communicator& comm) {
+    const std::size_t n = (256 * 1024) / sizeof(double);
+    if (comm.rank() == 0) {
+      std::vector<double> from2(n, 0.0), from1(n, 0.0);
+      comm.recv(from2.data(), n, 2, 3);
+      comm.recv(from1.data(), n, 1, 3);
+      EXPECT_EQ(from2, std::vector<double>(n, 2.0));
+      EXPECT_EQ(from1, std::vector<double>(n, 1.0));
+    } else if (comm.rank() == 1) {
+      const std::vector<double> out(n, 1.0);
+      comm.send(out.data(), n, 0, 3);
+      const int token = 1;
+      comm.send(&token, 1, 2, 4);
+    } else {
+      int token = 0;
+      comm.recv(&token, 1, 1, 4);
+      const std::vector<double> out(n, 2.0);
+      comm.send(out.data(), n, 0, 3);
+    }
+  });
+}
+
+TEST(P2P, RecvFromOutOfRangeSourceThrows) {
+  // There is no wildcard source: -1 and size() name no rank.
+  World::run(2, [](Communicator& comm) {
+    int v = 0;
+    EXPECT_THROW(comm.recv(&v, 1, -1, 3), Error);
+    EXPECT_THROW(comm.recv(&v, 1, comm.size(), 3), Error);
+  });
+}
+
 TEST(P2P, ZeroByteMessage) {
   World::run(2, [](Communicator& comm) {
     if (comm.rank() == 0) {
@@ -95,6 +133,19 @@ TEST(P2P, SizeMismatchThrows) {
       comm.recv(wrong, 2, 0, 0);
     }
   }), Error);
+}
+
+TEST(P2P, SendRecvSimultaneousExchange) {
+  // Both ranks send first, then receive: a send never blocks, so the
+  // symmetric exchange completes.
+  World::run(2, [](Communicator& comm) {
+    const int mine = comm.rank() + 10;
+    int theirs = -1;
+    const int other = 1 - comm.rank();
+    comm.send(&mine, 1, other, 2);
+    comm.recv(&theirs, 1, other, 2);
+    EXPECT_EQ(theirs, other + 10);
+  });
 }
 
 TEST(P2P, SelfSend) {

@@ -200,6 +200,39 @@ TEST(Pfact, RightVariantMatchesReferenceExactly) {
   }
 }
 
+TEST(Pfact, RequiresScratchArena) {
+  // The panel's scratch has no process-wide fallback arena: a task
+  // without one is refused before any work, and the panel is untouched.
+  const long m = 16;
+  const int jb = 4;
+  testref::Rand rng(5);
+  const auto a0 = rng.matrix(static_cast<int>(m), jb, static_cast<int>(m));
+  auto w = a0;
+  std::vector<double> top(static_cast<std::size_t>(jb) * jb, 0.0);
+  std::vector<long> ipiv(static_cast<std::size_t>(jb), -1);
+  std::vector<long> glob(static_cast<std::size_t>(m));
+  for (long i = 0; i < m; ++i) glob[static_cast<std::size_t>(i)] = i;
+  const HplConfig cfg = make_cfg(FactVariant::Right, 1);
+  comm::World::run(1, [&](comm::Communicator& comm) {
+    ThreadTeam team(1);
+    PanelTaskT<double> task;
+    task.j = 0;
+    task.jb = jb;
+    task.w = w.data();
+    task.mw = m;
+    task.ldw = m;
+    task.glob = glob.data();
+    task.top = top.data();
+    task.ldtop = jb;
+    task.ipiv = ipiv.data();
+    task.is_curr = true;
+    task.tile_rows = jb;
+    EXPECT_THROW(panel_factorize(comm, cfg, team, task), Error);
+  });
+  EXPECT_EQ(w, a0);
+  EXPECT_EQ(ipiv, std::vector<long>(static_cast<std::size_t>(jb), -1));
+}
+
 TEST(Pfact, ThreadCountDoesNotChangeBits) {
   // Tiles are owned by single threads, so the arithmetic order per row is
   // fixed: any T must give bitwise identical results.

@@ -299,6 +299,77 @@ TEST(RowSwapOneRow, InPlaceExchangeMatchesSequentialSwaps) {
 }
 
 // ---------------------------------------------------------------------------
+// reserve() binds the staging buffers to the device's arena; there is no
+// fallback. Several process rows must reserve before the first prepare();
+// one process row stages nothing, so it needs no reserve.
+
+TEST(RowSwapReserve, PrepareWithoutReserveThrowsOnSeveralRows) {
+  const long n = 32;
+  const int nb = 8;
+  std::vector<long> ipiv(static_cast<std::size_t>(nb));
+  for (int k = 0; k < nb; ++k) ipiv[static_cast<std::size_t>(k)] = n - 1 - k;
+  const RowSwapPlan plan = build_rowswap_plan(0, nb, ipiv.data());
+  std::atomic<int> refused{0};
+  comm::World::run(2, [&](comm::Communicator& world) {
+    grid::ProcessGrid g(world, 2, 1);
+    device::Device dev("d", 1ull << 24);
+    ThreadTeam team(1);
+    DistMatrix a(dev, g, team, n, nb, 3);
+    RowSwapper rs;
+    try {
+      rs.prepare(plan, a, g.myrow(), 0, a.nloc());
+    } catch (const Error& e) {
+      if (std::string(e.what()).find("reserve() before prepare()") !=
+          std::string::npos)
+        ++refused;
+    }
+  });
+  EXPECT_EQ(refused.load(), 2);
+}
+
+TEST(RowSwapReserve, OneProcessRowSwapsWithoutReserve) {
+  const long n = 32;
+  const int nb = 8;
+  const long j = 8;
+  std::vector<long> ipiv(static_cast<std::size_t>(nb));
+  for (int k = 0; k < nb; ++k)
+    ipiv[static_cast<std::size_t>(k)] = k % 2 == 0 ? n - 1 - k : j + k;
+  const RowSwapPlan plan = build_rowswap_plan(j, nb, ipiv.data());
+  comm::World::run(1, [&](comm::Communicator& world) {
+    grid::ProcessGrid g(world, 1, 1);
+    device::Device dev("d", 1ull << 24);
+    ThreadTeam team(1);
+    DistMatrix a(dev, g, team, n, nb, 3);
+    device::Stream stream(dev);
+    std::vector<std::vector<double>> ref(static_cast<std::size_t>(n));
+    for (long i = 0; i < n; ++i)
+      for (long c = 0; c < a.nloc(); ++c) {
+        *a.at(i, c) = oracle_value(i, c);
+        ref[static_cast<std::size_t>(i)].push_back(oracle_value(i, c));
+      }
+    for (int k = 0; k < nb; ++k)
+      std::swap(ref[static_cast<std::size_t>(j + k)],
+                ref[static_cast<std::size_t>(ipiv[static_cast<std::size_t>(k)])]);
+
+    RowSwapper rs;
+    rs.prepare(plan, a, 0, 0, a.nloc());
+    rs.gather(stream, a);
+    rs.communicate(g.col_comm(), nullptr, stream, a.at(j, 0), a.lda());
+    rs.scatter(stream, a, a.at(j, 0), a.lda());
+    stream.synchronize();
+
+    long bad = 0;
+    for (long i = 0; i < n; ++i)
+      for (long c = 0; c < a.nloc(); ++c)
+        if (*a.at(i, c) != ref[static_cast<std::size_t>(i)]
+                              [static_cast<std::size_t>(c)])
+          ++bad;
+    EXPECT_EQ(bad, 0);
+    EXPECT_EQ(dev.host_arena().stats().acquires, 0u);
+  });
+}
+
+// ---------------------------------------------------------------------------
 // Pipelined-broadcast equivalence: the chunk size, U-assembly algorithm
 // and stream count choose *how* U travels and when its unpacks are
 // enqueued, never the arithmetic. Every combination must reproduce the

@@ -127,6 +127,46 @@ TEST(StreamPool, PrimaryIsStreamZero) {
   EXPECT_EQ(&pool.primary(), &pool.stream(0));
 }
 
+// The two event edges of the banded update, one at a time: every spare
+// stream fenced on the primary's event runs after the primary's earlier
+// work, and the primary fenced on each spare's event runs after all of
+// theirs.
+TEST(StreamPool, SparesFencedOnAnEventWaitForThePrimary) {
+  StreamPool pool(test_device(), 4, "fence");
+  std::atomic<int> stage{0};
+  pool.primary().enqueue(0.0, [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    stage = 1;
+  });
+  const Event ready = pool.primary().record();
+  std::atomic<int> early{0};
+  for (int i = 1; i < pool.size(); ++i) {
+    pool.stream(i).wait_event(ready);
+    pool.stream(i).enqueue(0.0, [&] {
+      if (stage.load() != 1) early++;
+    });
+  }
+  pool.synchronize();
+  EXPECT_EQ(early.load(), 0);
+}
+
+TEST(StreamPool, PrimaryFencedOnEverySpareSeesTheirWork) {
+  StreamPool pool(test_device(), 4, "join");
+  std::atomic<int> done{0};
+  for (int i = 1; i < pool.size(); ++i) {
+    pool.stream(i).enqueue(0.0, [&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      done++;
+    });
+    pool.primary().wait_event(pool.stream(i).record());
+  }
+  int seen = -1;
+  pool.primary().enqueue(0.0, [&] { seen = done.load(); });
+  pool.primary().synchronize();
+  EXPECT_EQ(seen, pool.size() - 1);
+  pool.synchronize();
+}
+
 // The banded-update access pattern under contention: one "scatter" op on
 // the primary produces a buffer, every stream fences on its event, then
 // disjoint column bands are updated round-robin across the pool and the

@@ -183,6 +183,27 @@ TEST(HplSim, PrecisionModesOrderModeledSpeedup) {
   }
 }
 
+TEST(HplSim, Fp16MovesTheBytesOfFp32) {
+  // ClusterConfig::precision sizes the wire element: FP64 moves 8 bytes,
+  // FP32 and FP16 move 4. So FP16 changes only the compute billing, and
+  // its modeled MPI time equals FP32's, below FP64's.
+  const NodeModel node = NodeModel::crusher();
+  for (const auto mode :
+       {core::PipelineMode::Simple, core::PipelineMode::LookaheadSplit}) {
+    ClusterConfig cfg = crusher_config(node, 1);
+    cfg.pipeline = mode;
+    const SimResult f64 = simulate_hpl(node, cfg);
+    cfg.precision = device::Precision::FP32;
+    const SimResult f32 = simulate_hpl(node, cfg);
+    cfg.precision = device::Precision::FP16;
+    const SimResult f16 = simulate_hpl(node, cfg);
+    EXPECT_EQ(f16.mpi_seconds, f32.mpi_seconds)
+        << "mode=" << static_cast<int>(mode);
+    EXPECT_LT(f32.mpi_seconds, f64.mpi_seconds)
+        << "mode=" << static_cast<int>(mode);
+  }
+}
+
 TEST(HplSim, TimelineEndMatchesSimulatedIterationWithChunking) {
   // Both entry points read one schedule: every iteration's record total
   // is the latest event end of its timeline, floored by GPU busy time.

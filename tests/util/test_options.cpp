@@ -79,6 +79,41 @@ TEST(Options, RejectsOutOfRangeInteger) {
       << small;
 }
 
+TEST(Options, RejectsInfinityAndNan) {
+  auto opt = make({"--a=inf", "--b=nan", "--c=-INFINITY"});
+  for (const char* key : {"a", "b", "c"}) {
+    const std::string err = error_of([&] { opt.get_double(key, 1.0); });
+    EXPECT_NE(err.find(std::string("--") + key + " is not finite"),
+              std::string::npos)
+        << key << ": " << err;
+  }
+}
+
+TEST(Options, RejectsOverflowingDouble) {
+  // strtod returns HUGE_VAL for these and leaves `end` at the NUL.
+  auto opt = make({"--big=1e999", "--neg=-1e999"});
+  EXPECT_NE(error_of([&] { opt.get_double("big", 0.0); })
+                .find("--big is not finite"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { opt.get_double("neg", 0.0); })
+                .find("--neg is not finite"),
+            std::string::npos);
+  // Tiny values are still numbers.
+  auto tiny = make({"--eps=1e-300"});
+  EXPECT_DOUBLE_EQ(tiny.get_double("eps", 0.0), 1e-300);
+}
+
+TEST(Options, RejectsLeadingBlank) {
+  // strtol/strtod skip leading whitespace; the value must start with its
+  // number as it must end with it.
+  auto opt = make({"--n= 7", "--frac=\t0.5"});
+  EXPECT_NE(error_of([&] { opt.get_int("n", 0); }).find("--n is not an integer"),
+            std::string::npos);
+  EXPECT_NE(error_of([&] { opt.get_double("frac", 0.0); })
+                .find("--frac is not a number"),
+            std::string::npos);
+}
+
 TEST(Options, DoubleParsing) {
   auto opt = make({"--frac=0.75"});
   EXPECT_DOUBLE_EQ(opt.get_double("frac", 0.0), 0.75);
